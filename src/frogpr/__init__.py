@@ -24,10 +24,8 @@ from .analytic import (
 )
 from .circles import (
     Circle,
-    circles_common_point,
     solve_three_circles,
     solve_two_circles_real,
-    solve_two_circles_scaled,
 )
 from .errors import (
     DegenerateSignalError,
@@ -37,11 +35,9 @@ from .errors import (
     SingularConfigurationError,
 )
 from .frog import (
-    ConstraintChecks,
     FrogMeasurements,
     FrogParams,
     MeasurementIndexPlan,
-    constraint_checks,
     frog_grid_freq,
     frog_grid_time,
     frog_measurements_freq,
@@ -70,7 +66,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalyticityReport",
     "Circle",
-    "ConstraintChecks",
     "DegenerateSignalError",
     "EquivalenceReport",
     "FrogMeasurements",
@@ -85,8 +80,6 @@ __all__ = [
     "SingularConfigurationError",
     "apply_element",
     "as_signal",
-    "circles_common_point",
-    "constraint_checks",
     "dft",
     "equivalent_up_to_group",
     "even_l_infeasibility_probe",
@@ -112,7 +105,6 @@ __all__ = [
     "save_signal",
     "solve_three_circles",
     "solve_two_circles_real",
-    "solve_two_circles_scaled",
     "translate",
     "verify_solution",
     "__version__",

@@ -4,17 +4,15 @@ Each recovery stage reduces one spectral coefficient to a point common to a
 small family of such circles, with centers -v and radii n derived from the
 measurements and previously recovered coefficients. Three circles with
 non-collinear centers meet in at most one point and the 2x2 linear system
-below solves for it directly; collinear families fall back to the classic
-two-circle intersection, producing a conjugate pair of candidates.
+below solves for it directly. Two circles whose centers lie on one line
+through the origin meet in a pair of candidates, mirror images across that
+line.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
-
-import numpy as np
 
 from .errors import NoSolutionError, SingularConfigurationError
 
@@ -22,8 +20,6 @@ __all__ = [
     "Circle",
     "solve_three_circles",
     "solve_two_circles_real",
-    "solve_two_circles_scaled",
-    "circles_common_point",
 ]
 
 # Collinearity threshold for three-circle center geometry: below this the
@@ -139,90 +135,3 @@ def solve_two_circles_real(
                         f"two-circle candidate misses a circle by {err:.3e}"
                     )
     return cands
-
-
-def solve_two_circles_scaled(
-    v1: float,
-    v2: float,
-    m: complex,
-    n1: float,
-    n2: float,
-    tol: float | None = 1e-7,
-) -> tuple[complex, complex]:
-    """Same geometry as solve_two_circles_real, solved in the m-scaled frame.
-
-    Dividing the equations by |m| first gives |z/m + v_j| = n_j/|m|, whose
-    real part along the line of centers is
-
-        a = (n1^2 - n2^2) / (2 |m|^2 (v1 - v2)) - (v1 + v2)/2
-
-    and the candidates are m (a +- i b). Numerically identical geometry to
-    the unscaled solver; kept separate because the stage-3 caller owns m as
-    a derived product of recovered coefficients and feeds magnitudes already
-    divided by the leading one, which makes the scaled frame the natural
-    statement of its contract.
-    """
-    return solve_two_circles_real(v1, v2, m, n1, n2, tol=tol)
-
-
-def circles_common_point(circles, tol: float) -> complex | None:
-    """A point lying on every circle within tol * (1 + radius), else None.
-
-    Needs at least three circles. Candidates come from the first
-    sub-family with usable geometry: the first center-wise non-collinear
-    triple (unique candidate), otherwise the first pair with distinct
-    centers (two candidates, non-negative orthogonal part first; a cluster
-    of concentric circles contributes a direct candidate if all radii
-    agree). Every candidate is verified against the full family and the
-    first to pass is returned.
-    """
-    circles = list(circles)
-    if len(circles) < 3:
-        raise ValueError(f"need at least 3 circles, got {len(circles)}")
-    centers = np.array([-c.offset for c in circles], dtype=complex)
-    radii = np.array([c.radius for c in circles], dtype=float)
-
-    candidates: list[complex] = []
-    for i, j, k in combinations(range(len(circles)), 3):
-        try:
-            z = solve_three_circles(
-                circles[i].offset,
-                circles[j].offset,
-                circles[k].offset,
-                radii[i],
-                radii[j],
-                radii[k],
-                tol=None,
-            )
-        except SingularConfigurationError:
-            continue
-        candidates.append(z)
-        break
-
-    if not candidates:
-        # All centers collinear: intersect the first pair of distinct circles.
-        pair = None
-        spread = max(1.0, float(np.max(np.abs(centers))))
-        for i, j in combinations(range(len(circles)), 2):
-            if abs(centers[i] - centers[j]) > _SINGULAR_TOL * spread:
-                pair = (i, j)
-                break
-        if pair is None:
-            # Fully concentric family: any point of the first circle.
-            candidates.append(complex(centers[0]) + radii[0])
-        else:
-            i, j = pair
-            d = abs(centers[j] - centers[i])
-            u = (centers[j] - centers[i]) / d
-            a = (d * d + radii[i] ** 2 - radii[j] ** 2) / (2.0 * d)
-            disc = radii[i] ** 2 - a * a
-            if disc < -_SINGULAR_TOL * max(1.0, radii[i] ** 2, radii[j] ** 2):
-                return None
-            h = math.sqrt(max(disc, 0.0))
-            base = centers[i] + a * u
-            candidates += [base + 1j * h * u, base - 1j * h * u]
-
-    for z in candidates:
-        if all(c.residual(z) <= tol for c in circles):
-            return complex(z)
-    return None

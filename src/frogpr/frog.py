@@ -30,8 +30,6 @@ __all__ = [
     "FrogParams",
     "FrogMeasurements",
     "MeasurementIndexPlan",
-    "ConstraintChecks",
-    "constraint_checks",
     "plan_indices",
     "frog_grid_time",
     "frog_grid_freq",
@@ -117,11 +115,15 @@ class FrogMeasurements:
     def is_full_grid(self) -> bool:
         return len(self.entries) == self.params.N * self.params.r
 
-    def subset(self, pairs) -> "FrogMeasurements":
-        """Restriction to the given (k, m) pairs (all must be present)."""
+    def require(self, pairs) -> None:
+        """Raise ValueError naming the first absent (k, m) pairs, if any."""
         missing = [p for p in pairs if p not in self.entries]
         if missing:
             raise ValueError(f"measurements missing required entries {missing[:5]}")
+
+    def subset(self, pairs) -> "FrogMeasurements":
+        """Restriction to the given (k, m) pairs (all must be present)."""
+        self.require(pairs)
         return FrogMeasurements(self.params, {p: self.entries[p] for p in pairs})
 
     def as_grid(self) -> np.ndarray:
@@ -207,35 +209,6 @@ def _pow_is_one(num: int, den: int, p: int) -> bool:
 def _pow_is_minus_one(num: int, den: int, p: int) -> bool:
     """e^{2i pi num/den} raised to p equals -1."""
     return (2 * p * num - den) % (2 * den) == 0
-
-
-@dataclass(frozen=True)
-class ConstraintChecks:
-    """Admissibility of one delay index m at the early solver stages.
-
-    k2_denominator_nonzero: 1 + w^{2m} != 0 (the stage-2 circle exists).
-    k2_offsets_distinct:    v_m != v_0 = 1/2 (stage-2 circle pair solvable).
-    k3_offsets_distinct:    u_m != u_0 = 1 (stage-3 circle pair solvable).
-    """
-
-    k2_denominator_nonzero: bool
-    k2_offsets_distinct: bool
-    k3_offsets_distinct: bool
-
-
-def constraint_checks(r: int, m: int) -> ConstraintChecks:
-    """Evaluate the three stage predicates exactly for the angle m/r.
-
-    This is the L | N geometry where the per-step phase is e^{2i pi/r};
-    plan_indices runs the same congruences on the exact angle mL/N.
-    """
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    return ConstraintChecks(
-        k2_denominator_nonzero=not _pow_is_minus_one(m, r, 2),
-        k2_offsets_distinct=not _pow_is_one(m, r, 1),
-        k3_offsets_distinct=not (_pow_is_one(m, r, 1) or _pow_is_one(m, r, 2)),
-    )
 
 
 @dataclass(frozen=True)

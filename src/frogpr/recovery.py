@@ -6,11 +6,12 @@ no wrapped products in rows k = 1..N/2 and each row constrains one new
 coefficient through circles |s_k + offset| = radius. Recovery proceeds:
 
   A1  recover_z0:  |s_0| from the k = 0 row (which mixes only s_0^2 and
-      s_{N/2}^2) plus a five-circle feasibility test on the k = 2 row to
-      pick the right root.
+      s_{N/2}^2); the right root is the one whose k = 2 pair solve lands on
+      all five planned k = 2 circles.
   A2  recover_tail: s_1 .. s_{N/2} sequentially; k = 2 and k = 3 are
       two-circle solves with a conjugate / candidate-pair branch that k = 4
-      disambiguates, later stages are three-circle solves. Each stage is
+      disambiguates, later stages are three-circle solves. Every stage reads
+      its circles off the same builder, _row_circle. Each stage is
       followed by a least-squares polish of everything solved so far, which
       stops the stages' roundoff from compounding.
   A3  recover:     run A2 on both signs of s_0, normalize the gauge
@@ -19,7 +20,7 @@ coefficient through circles |s_k + offset| = radius. Recovery proceeds:
 All of this assumes L odd (so the per-step phase satisfies w^{N/2} = -1 and
 the k = 0 row separates the two boundary coefficients). For even L that row
 degenerates and even_l_infeasibility_probe demonstrates the resulting
-unsolvability on the same five-circle system.
+unsolvability with the same k = 2 test A1 uses.
 """
 
 from __future__ import annotations
@@ -29,13 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circles import (
-    Circle,
-    circles_common_point,
-    solve_three_circles,
-    solve_two_circles_real,
-    solve_two_circles_scaled,
-)
+from .circles import Circle, solve_three_circles, solve_two_circles_real
 from .errors import (
     DegenerateSignalError,
     InconsistentMeasurementsError,
@@ -117,34 +112,72 @@ def _offset_u(params, i: int) -> float:
     return math.cos(phi / 2.0) / math.cos(3.0 * phi / 2.0)
 
 
-def _require_entries(measurements: FrogMeasurements, pairs) -> None:
-    missing = [p for p in pairs if p not in measurements.entries]
-    if missing:
-        raise ValueError(f"measurements missing required entries {missing[:5]}")
+def _row_circle(
+    measurements: FrogMeasurements, t: np.ndarray, k: int, m: int, z0: float
+) -> Circle:
+    """Row k, delay m, as a circle |s_k + offset| = radius in the unknown s_k.
 
-
-def _five_circle_system(
-    measurements: FrogMeasurements,
-    plan: MeasurementIndexPlan,
-    t0: float,
-    t1: complex,
-) -> list[Circle]:
-    """The k = 2 row as circles in the unknown s_2, for trial s_0, s_1.
-
-    |s_2 + t1^2 w^i / (t0 (1 + w^{2i}))| = N |y^_{2,i}| / (|t0| |1 + w^{2i}|)
-    for the five planned delay indices. The five centers are collinear
-    (real multiples of t1^2 / t0), so the system heavily overdetermines the
-    two-circle intersection and serves as a feasibility oracle.
+    offset = sum_{l=1}^{k-1} s_l s_{k-l} w^{lm} / (s_0 (1 + w^{km})) reads
+    t[0 .. k-1]; radius = N |y^_{k,m}| / (z0 |1 + w^{km}|) uses the A1
+    modulus z0, not |t[0]|, which the polish may have moved in its last bits.
     """
     params = measurements.params
     n = params.N
-    circles = []
-    for i in plan.i2:
-        denom = 1.0 + params.w_pow(2 * i)
-        offset = (t1 * t1) * params.w_pow(i) / (t0 * denom)
-        radius = n * measurements.magnitude(2, i) / (abs(t0) * abs(denom))
-        circles.append(Circle(offset, radius))
-    return circles
+    l = np.arange(1, k)
+    wvec = np.exp(2j * np.pi * ((l * ((m * params.L) % n)) % n) / n)
+    middle = np.sum(t[1:k] * t[k - 1:0:-1] * wvec)
+    denom = 1.0 + params.w_pow(k * m)
+    offset = middle / (t[0] * denom)
+    radius = n * measurements.magnitude(k, m) / (z0 * abs(denom))
+    return Circle(complex(offset), float(radius))
+
+
+def _row2_pair(
+    plan: MeasurementIndexPlan,
+    t: np.ndarray,
+    circles: list[Circle],
+    floor: float,
+    tol: float | None,
+) -> tuple[complex, complex]:
+    """Candidates for s_2 from circles[0], circles[1]: row 2 at plan.i2[:2].
+
+    All k = 2 centers are real multiples v_i of t1^2 / t0 (t0 real), so the
+    pair is a two-circle solve along that line, non-negative branch first.
+    Raises DegenerateSignalError when |t1| is at the floor, where that scale
+    vanishes and the solve says nothing.
+    """
+    if abs(t[1]) <= floor:
+        raise DegenerateSignalError(
+            "second spectral coefficient vanishes; the stage solves degenerate"
+        )
+    # Python complex division by a real divides each part exactly; numpy's
+    # multiplies by the reciprocal, which would move the last bit.
+    t1 = complex(t[1])
+    return solve_two_circles_real(
+        _offset_v(plan.params, plan.i2[0]),
+        _offset_v(plan.params, plan.i2[1]),
+        t1 * t1 / t[0].real,
+        circles[0].radius,
+        circles[1].radius,
+        tol=tol,
+    )
+
+
+def _row2_feasible(
+    measurements: FrogMeasurements,
+    plan: MeasurementIndexPlan,
+    t: np.ndarray,
+    z0: float,
+    floor: float,
+    tol: float,
+) -> bool:
+    """Whether a k = 2 pair candidate lies on all five planned k = 2 circles."""
+    circles = [_row_circle(measurements, t, 2, i, z0) for i in plan.i2]
+    try:
+        cands = _row2_pair(plan, t, circles, floor, tol=None)
+    except NoSolutionError:
+        return False
+    return any(all(c.residual(z) <= tol for c in circles) for z in cands)
 
 
 def recover_z0(
@@ -156,14 +189,15 @@ def recover_z0(
 
     The k = 0 row gives max(|s_0|, |s_{N/2}|) = sqrt(N (|y^_{0,0}| +
     |y^_{0,1}|) / 2) and the other boundary modulus from the difference.
-    When the two are separated, only one root makes the five-circle k = 2
-    system feasible; that root is |s_0|. Raises DegenerateSignalError when
-    the boundary coefficients vanish, InconsistentMeasurementsError when
-    neither root is feasible.
+    When the two are separated, each root in turn (larger first) is taken as
+    s_0 with s_1 = N |y^_{1,0}| / (2 root); only for the true root does the
+    k = 2 pair solve give a point on all five planned k = 2 circles. Raises
+    DegenerateSignalError when the boundary coefficients vanish or s_1 sits
+    at the floor, InconsistentMeasurementsError when neither root passes.
     """
     config = config or RecoveryConfig()
-    _require_entries(
-        measurements, [(0, 0), (0, 1), (1, 0)] + [(2, i) for i in plan.i2]
+    measurements.require(
+        [(0, 0), (0, 1), (1, 0)] + [(2, i) for i in plan.i2]
     )
     n = measurements.params.N
     floor = _coefficient_floor(measurements, config)
@@ -180,24 +214,12 @@ def recover_z0(
         return big
     small = math.sqrt(n * max(mag00 - mag01, 0.0) / 2.0)
 
-    mu = n * measurements.magnitude(1, 0) / (2.0 * big)
-    if (
-        circles_common_point(
-            _five_circle_system(measurements, plan, big, mu), config.feasibility_tol
-        )
-        is not None
-    ):
-        return big
-    if small > floor:
-        mu = n * measurements.magnitude(1, 0) / (2.0 * small)
-        if (
-            circles_common_point(
-                _five_circle_system(measurements, plan, small, mu),
-                config.feasibility_tol,
-            )
-            is not None
-        ):
-            return small
+    for root in (big, small):
+        if root <= floor:
+            break
+        t = np.array([root, n * measurements.magnitude(1, 0) / (2.0 * root)])
+        if _row2_feasible(measurements, plan, t, root, floor, config.feasibility_tol):
+            return root
     raise InconsistentMeasurementsError(
         "neither boundary-modulus root admits a consistent second-row circle system"
     )
@@ -227,33 +249,17 @@ def recover_tail(
         raise ValueError(f"z0 must be positive, got {z0!r}")
     params = measurements.params
     n, half = params.N, params.N // 2
-    _require_entries(measurements, plan.pairs())
+    measurements.require(plan.pairs())
     floor = _coefficient_floor(measurements, config)
     if z0 <= floor:
         raise DegenerateSignalError("leading spectral coefficient is at the noise floor")
 
     t = np.zeros(n, dtype=complex)
     t[0] = sign * z0
-    t1 = n * measurements.magnitude(1, 0) / (2.0 * z0)
-    if t1 <= floor:
-        raise DegenerateSignalError(
-            "second spectral coefficient vanishes; the stage solves degenerate"
-        )
-    t[1] = t1
-
-    def stage_circle(k: int, m: int) -> Circle:
-        # Row k, delay m, as a circle in the unknown s_k given s_1 .. s_{k-1}:
-        # offset = sum_{l=1}^{k-1} s_l s_{k-l} w^{lm} / (s_0 (1 + w^{km})).
-        l = np.arange(1, k)
-        wvec = np.exp(2j * np.pi * ((l * ((m * params.L) % n)) % n) / n)
-        middle = np.sum(t[1:k] * t[k - 1:0:-1] * wvec)
-        denom = 1.0 + params.w_pow(k * m)
-        offset = middle / (t[0] * denom)
-        radius = n * measurements.magnitude(k, m) / (z0 * abs(denom))
-        return Circle(complex(offset), float(radius))
+    t[1] = n * measurements.magnitude(1, 0) / (2.0 * z0)
 
     def stage_point(k: int) -> tuple[complex, float]:
-        circles = [stage_circle(k, m) for m in plan.ik[k]]
+        circles = [_row_circle(measurements, t, k, m, z0) for m in plan.ik[k]]
         z = solve_three_circles(
             circles[0].offset,
             circles[1].offset,
@@ -266,19 +272,9 @@ def recover_tail(
         return z, max(c.residual(z) for c in circles)
 
     # k = 2: two circles with real offsets along t1^2 / t[0]; conjugate pair.
-    i0, i1 = plan.i2[0], plan.i2[1]
-    mpar = t1 * t1 / t[0].real
-    n0 = n * measurements.magnitude(2, i0) / (z0 * abs(1.0 + params.w_pow(2 * i0)))
-    n1 = n * measurements.magnitude(2, i1) / (z0 * abs(1.0 + params.w_pow(2 * i1)))
+    circles = [_row_circle(measurements, t, 2, i, z0) for i in plan.i2[:2]]
     try:
-        cands = solve_two_circles_real(
-            _offset_v(params, i0),
-            _offset_v(params, i1),
-            mpar,
-            n0,
-            n1,
-            tol=_STAGE_TOL,
-        )
+        cands = _row2_pair(plan, t, circles, floor, _STAGE_TOL)
     except NoSolutionError as exc:
         raise InconsistentMeasurementsError(f"stage k=2: {exc}") from exc
     t[2] = cands[0] if cands[0].imag >= 0 else cands[1]
@@ -288,15 +284,16 @@ def recover_tail(
             "third spectral coefficient vanishes; the stage-3 scale degenerates"
         )
 
-    # k = 3: scaled two-circle solve; both candidates go to the k = 4 referee.
-    m3 = t[1] * t[2] / t[0]
-    n0 = n * measurements.magnitude(3, 0) / (z0 * 2.0)
-    n3 = n * measurements.magnitude(3, plan.i3) / (
-        z0 * abs(1.0 + params.w_pow(3 * plan.i3))
-    )
+    # k = 3: two circles along t1 t2 / t0; both candidates go to the k = 4
+    # referee.
     try:
-        c3_cands = solve_two_circles_scaled(
-            1.0, _offset_u(params, plan.i3), m3, n0, n3, tol=_STAGE_TOL
+        c3_cands = solve_two_circles_real(
+            1.0,
+            _offset_u(params, plan.i3),
+            t[1] * t[2] / t[0],
+            _row_circle(measurements, t, 3, 0, z0).radius,
+            _row_circle(measurements, t, 3, plan.i3, z0).radius,
+            tol=_STAGE_TOL,
         )
     except NoSolutionError as exc:
         raise InconsistentMeasurementsError(f"stage k=3: {exc}") from exc
@@ -521,10 +518,12 @@ def even_l_infeasibility_probe(
     For even L the k = 0 row cannot separate the boundary coefficients, so
     A1 has no root test; this probe shows what goes wrong downstream. It
     posits s_0 = alpha (real, nonzero) and s_1 = N |y^_{1,0}| / (2 |alpha|)
-    * e^{i theta} and asks whether the five-circle k = 2 system admits any
-    common point. For alpha = +-(true s_0) the system stays feasible for
-    every theta; generic other trials are infeasible, which is exactly the
-    ambiguity recovery cannot resolve.
+    * e^{i theta} and runs A1's k = 2 test on that pair: does the pair solve
+    give a point on all five planned k = 2 circles? For alpha = +-(true s_0)
+    it does for every theta; generic other trials are infeasible, which is
+    exactly the ambiguity recovery cannot resolve. Raises
+    DegenerateSignalError when alpha = 0 or the trial |s_1| sits at the
+    floor.
     """
     config = config or RecoveryConfig()
     params = measurements.params
@@ -533,10 +532,11 @@ def even_l_infeasibility_probe(
     if alpha == 0:
         raise DegenerateSignalError("trial leading coefficient must be nonzero")
     plan = plan_indices(params)
-    _require_entries(measurements, [(1, 0)] + [(2, i) for i in plan.i2])
+    measurements.require([(1, 0)] + [(2, i) for i in plan.i2])
 
-    n = params.N
-    mu = n * measurements.magnitude(1, 0) / (2.0 * abs(alpha))
-    t1 = mu * complex(math.cos(theta), math.sin(theta))
-    circles = _five_circle_system(measurements, plan, float(alpha), t1)
-    return circles_common_point(circles, config.feasibility_tol) is None
+    mu = params.N * measurements.magnitude(1, 0) / (2.0 * abs(alpha))
+    t = np.array([alpha, mu * complex(math.cos(theta), math.sin(theta))])
+    floor = _coefficient_floor(measurements, config)
+    return not _row2_feasible(
+        measurements, plan, t, abs(alpha), floor, config.feasibility_tol
+    )

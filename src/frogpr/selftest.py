@@ -258,13 +258,9 @@ def criterion_4(quick: bool = False) -> CriterionResult:
 def criterion_5(quick: bool = False) -> CriterionResult:
     """Solver oracles: 1000 planted instances per solver recover the planted
     point (or its predicted partner) within 1e-8; the real-scale pair is
-    exactly conjugate and the scaled pair is conjugate after dividing out
-    the scale (to complex-division rounding, a few ulp)."""
-    from .circles import (
-        solve_three_circles,
-        solve_two_circles_real,
-        solve_two_circles_scaled,
-    )
+    exactly conjugate and the complex-scale pair is conjugate after dividing
+    out the scale (to complex-division rounding, a few ulp)."""
+    from .circles import solve_three_circles, solve_two_circles_real
 
     start = time.perf_counter()
     rng = np.random.default_rng(20260204)
@@ -313,13 +309,13 @@ def criterion_5(quick: bool = False) -> CriterionResult:
         v2 = v1 + float(rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0]))
         w = complex(rng.standard_normal(), rng.uniform(0.1, 2.0))
         z = m * w
-        cands = solve_two_circles_scaled(
+        cands = solve_two_circles_real(
             v1, v2, m, abs(z + m * v1), abs(z + m * v2)
         )
         err = min(abs(c - z) for c in cands) / max(1.0, abs(z))
         worst = max(worst, err)
         if err > 1e-8:
-            failures.append(f"scaled trial {trial}: error {err:.2e}")
+            failures.append(f"complex-scale trial {trial}: error {err:.2e}")
         # The pair is m times an exactly conjugate pair by construction, but
         # recovering that pair divides by m, and complex multiply-then-divide
         # round trips carry up to ~2 eps of rounding (measured); 4 eps of
@@ -327,7 +323,7 @@ def criterion_5(quick: bool = False) -> CriterionResult:
         # tolerance.
         u0, u1 = cands[0] / m, cands[1] / m
         if abs(u0.conjugate() - u1) > 4.0 * _EPS * max(abs(u0), abs(u1)):
-            failures.append(f"scaled trial {trial}: pair/m not conjugate")
+            failures.append(f"complex-scale trial {trial}: pair/m not conjugate")
 
     passed = not failures
     details = (

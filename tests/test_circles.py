@@ -1,4 +1,4 @@
-"""Closed-form circle-intersection solvers and the common-point search."""
+"""Closed-form circle-intersection solvers."""
 
 import numpy as np
 import pytest
@@ -8,10 +8,8 @@ from frogpr import (
     Circle,
     NoSolutionError,
     SingularConfigurationError,
-    circles_common_point,
     solve_three_circles,
     solve_two_circles_real,
-    solve_two_circles_scaled,
 )
 
 EPS = float(np.finfo(float).eps)
@@ -136,12 +134,12 @@ def test_two_circles_scaled_worked_instance():
     # m = i, offsets 0 and 1, planted z = i (2 + 3i) = -3 + 2i; the partner
     # is i (2 - 3i) = 3 + 2i.
     z = 1j * (2.0 + 3.0j)
-    cands = solve_two_circles_scaled(0.0, 1.0, 1j, abs(z), abs(z + 1j))
+    cands = solve_two_circles_real(0.0, 1.0, 1j, abs(z), abs(z + 1j))
     assert_allclose(cands[0], -3.0 + 2.0j, rtol=0, atol=1e-12)
     assert_allclose(cands[1], 3.0 + 2.0j, rtol=0, atol=1e-12)
 
 
-def test_two_circles_scaled_matches_real_solver_and_conjugacy():
+def test_two_circles_scaled_pair_is_m_times_conjugate_pair():
     rng = np.random.default_rng(503)
     for _ in range(200):
         m = _rng_complex(rng)
@@ -150,80 +148,12 @@ def test_two_circles_scaled_matches_real_solver_and_conjugacy():
         v1 = float(rng.standard_normal())
         v2 = v1 + float(rng.uniform(0.3, 2.0))
         z = m * complex(rng.standard_normal(), rng.uniform(0.1, 2.0))
-        n1, n2 = abs(z + m * v1), abs(z + m * v2)
-        scaled = solve_two_circles_scaled(v1, v2, m, n1, n2)
-        direct = solve_two_circles_real(v1, v2, m, n1, n2)
-        assert scaled == direct
+        cands = solve_two_circles_real(v1, v2, m, abs(z + m * v1), abs(z + m * v2))
+        assert min(abs(c - z) for c in cands) < 1e-9 * max(1.0, abs(z))
         # The pair is m times a conjugate pair; dividing m back out is a
         # multiply-then-divide round trip, exact only to a few ulp.
-        u0, u1 = scaled[0] / m, scaled[1] / m
+        u0, u1 = cands[0] / m, cands[1] / m
         assert abs(u0.conjugate() - u1) <= 4 * EPS * max(abs(u0), abs(u1))
-
-
-# --- common point of a circle family ------------------------------------------
-
-
-def _family_through(z, centers):
-    return [Circle(-c, abs(z - c)) for c in centers]
-
-
-def test_common_point_feasible_family():
-    rng = np.random.default_rng(504)
-    z = 0.8 - 1.3j
-    centers = [_rng_complex(rng) for _ in range(5)]
-    got = circles_common_point(_family_through(z, centers), tol=1e-9)
-    assert got is not None
-    assert abs(got - z) < 1e-9
-
-
-def test_common_point_infeasible_family_returns_none():
-    rng = np.random.default_rng(505)
-    z = 0.8 - 1.3j
-    circles = _family_through(z, [_rng_complex(rng) for _ in range(5)])
-    broken = circles[:4] + [Circle(circles[4].offset, circles[4].radius + 0.3)]
-    assert circles_common_point(broken, tol=1e-6) is None
-
-
-def test_common_point_requires_three_circles():
-    with pytest.raises(ValueError):
-        circles_common_point([Circle(0.0, 1.0), Circle(1.0, 1.0)], tol=1e-6)
-
-
-def test_common_point_collinear_family_uses_pair_intersection():
-    # All centers on one line; the family still has (two mirror-image)
-    # common points and one of them must be found.
-    z = 0.5 + 1.1j
-    centers = [t * (1.0 + 1.0j) for t in (-1.0, 0.0, 0.7, 2.0)]
-    circles = _family_through(z, centers)
-    got = circles_common_point(circles, tol=1e-9)
-    assert got is not None
-    assert all(c.residual(got) <= 1e-9 for c in circles)
-
-
-def test_common_point_tolerates_duplicate_centers():
-    # Duplicated centers make every triple containing the pair singular;
-    # the search must fall through to usable geometry instead of trusting a
-    # singular solve.
-    z = -0.4 + 0.9j
-    centers = [1.0 + 1.0j, 1.0 + 1.0j, 2.0 - 1.0j, -0.5 + 0.3j]
-    got = circles_common_point(_family_through(z, centers), tol=1e-9)
-    assert got is not None
-    assert abs(got - z) < 1e-9
-    # Fully duplicated except one: only the pair branch remains.
-    centers = [1.0 + 1.0j, 1.0 + 1.0j, 2.0 - 1.0j]
-    got = circles_common_point(_family_through(z, centers), tol=1e-9)
-    assert got is not None
-    for c in _family_through(z, centers):
-        assert c.residual(got) <= 1e-9
-
-
-def test_common_point_concentric_families():
-    circles = [Circle(-1.0 - 1.0j, 2.0)] * 3
-    got = circles_common_point(circles, tol=1e-9)
-    assert got is not None
-    assert abs(abs(got - (1.0 + 1.0j)) - 2.0) < 1e-12
-    mixed = [Circle(-1.0 - 1.0j, 2.0)] * 2 + [Circle(-1.0 - 1.0j, 1.0)]
-    assert circles_common_point(mixed, tol=1e-6) is None
 
 
 def test_circle_residual_normalization():

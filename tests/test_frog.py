@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from frogpr import (
     FrogMeasurements,
     FrogParams,
-    constraint_checks,
     dft,
     frog_grid_freq,
     frog_grid_time,
@@ -19,6 +18,7 @@ from frogpr import (
     root_of_unity,
     translate,
 )
+from frogpr.frog import _pow_is_minus_one, _pow_is_one
 from oracles import direct_frog_grid
 
 # Frozen values of the worked four-sample example (inputs printed to four
@@ -149,18 +149,14 @@ def test_grid_rejects_length_mismatch():
 
 
 def test_constraint_checks_match_numeric_predicates():
+    # _pow_is_one / _pow_is_minus_one decide w^p = +-1 for w = e^{2i pi m/r}
+    # by integer congruences; they must agree with the numeric roots.
     for r in range(1, 25):
         for m in range(r):
-            checks = constraint_checks(r, m)
-            w2 = root_of_unity(r, 2 * m)
-            w1 = root_of_unity(r, m)
-            assert checks.k2_denominator_nonzero == (abs(1.0 + w2) > 1e-9)
-            assert checks.k2_offsets_distinct == (abs(w1 - 1.0) > 1e-9)
-            assert checks.k3_offsets_distinct == (
-                abs(w1 - 1.0) > 1e-9 and abs(w2 - 1.0) > 1e-9
-            )
-    with pytest.raises(ValueError):
-        constraint_checks(0, 0)
+            for p in (1, 2, 3):
+                wp = root_of_unity(r, p * m)
+                assert _pow_is_one(m, r, p) == (abs(wp - 1.0) < 1e-9)
+                assert _pow_is_minus_one(m, r, p) == (abs(wp + 1.0) < 1e-9)
 
 
 def test_plan_has_expected_cardinality_and_shape():

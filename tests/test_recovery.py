@@ -258,6 +258,12 @@ def test_recover_tail_degenerate_second_coefficient_raises():
     meas, plan = _planned_measurements(s, params)
     with pytest.raises(DegenerateSignalError, match="second"):
         recover_tail(meas, plan, 2.0, 1)
+    # A1's k = 2 pair solve scales by s_1^2 / s_0 and says nothing at s_1 = 0,
+    # so A1 refuses too, and recover() reports the same refusal.
+    with pytest.raises(DegenerateSignalError, match="second"):
+        recover_z0(meas, plan)
+    with pytest.raises(DegenerateSignalError, match="second"):
+        recover(meas, plan)
 
 
 def test_recover_tail_degenerate_third_coefficient_raises():
@@ -327,6 +333,11 @@ def test_probe_validates_inputs():
     even_meas = frog_measurements_time(_generic(12, rng), FrogParams(12, 2))
     with pytest.raises(DegenerateSignalError):
         even_l_infeasibility_probe(even_meas, 0.0, 0.0)
+    s = _analytic_spectrum(12, rng, s0=2.0, shalf=0.8)
+    s[1] = 0.0
+    no_s1 = frog_measurements_freq(s, FrogParams(12, 2))
+    with pytest.raises(DegenerateSignalError, match="second"):
+        even_l_infeasibility_probe(no_s1, 2.0, 0.3)
 
 
 def test_probe_requires_its_rows():
