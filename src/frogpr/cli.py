@@ -175,9 +175,7 @@ def _cmd_check_equiv(args) -> int:
         equivalence={
             "equivalent": report.equivalent,
             "residual": report.residual,
-            "best_element": None
-            if best is None
-            else {
+            "best_element": {
                 "rotation_sign": best.rotation_sign,
                 "translation": best.translation,
                 "reflected": best.reflected,

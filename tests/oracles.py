@@ -31,3 +31,28 @@ def direct_frog_grid(z, L):
                 acc += z[idx] * z[(idx + m * L) % n] * np.exp(-2j * np.pi * k * idx / n)
             out[k, m] = abs(acc) ** 2
     return out
+
+
+
+def polish_residual_and_jacobian(tv, rows, target, n, L):
+    """f = |y^_{k,m}|^2 - target and df/d[Re s_0, Im s_0, Re s_1, ...], row by row.
+
+    y^_{k,m} = (1/N) sum_{l=0}^{k} s_l s_{k-l} w^{lm} with w = e^{2i pi L/N},
+    for the active coefficients tv = s_0 .. s_{K-1} and rows (k, m), k < K.
+    """
+    tv = np.asarray(tv, dtype=complex)
+    width = tv.size
+    fvec = np.empty(len(rows))
+    jac = np.zeros((len(rows), 2 * width))
+    for row, (k, m) in enumerate(rows):
+        dy = np.zeros(width, dtype=complex)
+        l = np.arange(k + 1)
+        w = np.exp(2j * np.pi * ((l * ((m * L) % n)) % n) / n)
+        y = np.sum(tv[l] * tv[k - l] * w) / n
+        # d y / d s_j = s_{k-j} (w^{jm} + w^{(k-j)m}) / N for j <= k.
+        dy[: k + 1] = tv[k - l] * (w + w[::-1]) / n
+        fvec[row] = (y * y.conjugate()).real - target[row]
+        grad = y.conjugate() * dy
+        jac[row, 0::2] = 2.0 * grad.real
+        jac[row, 1::2] = -2.0 * grad.imag
+    return fvec, jac

@@ -1,0 +1,86 @@
+"""Table-driven Gauss-Newton polish: residual, Jacobian and convergence."""
+
+import numpy as np
+import pytest
+
+from frogpr import FrogParams, dft, frog_measurements_time, plan_indices, random_analytic_signal
+from frogpr.recovery import _polish_coefficients, _polish_tables, _residual_and_jacobian
+from oracles import polish_residual_and_jacobian
+
+GEOMETRIES = [(12, 1), (20, 3), (64, 11)]
+CASES = [(n, l, k) for n, l in GEOMETRIES for k in sorted({2, 4, n // 2})]
+
+
+def _setup(n, l, seed):
+    params = FrogParams(n, l)
+    plan = plan_indices(params)
+    z = random_analytic_signal(n, np.random.default_rng(seed))
+    meas = frog_measurements_time(z, params, plan.pairs())
+    return plan, meas, dft(z)
+
+
+def _random_coefficients(width, rng):
+    return rng.standard_normal(width) + 1j * rng.standard_normal(width)
+
+
+@pytest.mark.parametrize("n,l,k_active", CASES)
+def test_tables_match_row_oracle(n, l, k_active):
+    plan, meas, _ = _setup(n, l, 1000 + n + k_active)
+    tables = _polish_tables(meas, plan)
+    target, mirror, dw = tables.stage(k_active)
+    rows = [(k, m) for (k, m) in plan.pairs() if 1 <= k <= k_active]
+    ref_target = np.array([meas.value(k, m) for (k, m) in rows])
+    np.testing.assert_array_equal(target, ref_target)
+
+    tv = _random_coefficients(k_active + 1, np.random.default_rng(n * k_active))
+    fvec, jac = _residual_and_jacobian(tv, target, mirror, dw)
+    ref_f, ref_jac = polish_residual_and_jacobian(tv, rows, ref_target, n, l)
+    assert jac.shape == ref_jac.shape == (len(rows), 2 * (k_active + 1))
+    # The sums run in another order, so agreement is to roundoff, relative
+    # to the largest |y^|^2 (or target) and the largest Jacobian entry.
+    f_scale = max(np.abs(ref_f + ref_target).max(), ref_target.max())
+    assert np.abs(fvec - ref_f).max() <= 1e-13 * f_scale
+    assert np.abs(jac - ref_jac).max() <= 1e-13 * np.abs(ref_jac).max()
+
+
+@pytest.mark.parametrize("n,l,k_active", CASES)
+def test_jacobian_matches_central_differences(n, l, k_active):
+    plan, meas, _ = _setup(n, l, 2000 + n + k_active)
+    target, mirror, dw = _polish_tables(meas, plan).stage(k_active)
+    tv = _random_coefficients(k_active + 1, np.random.default_rng(7 * n + k_active))
+    _, jac = _residual_and_jacobian(tv, target, mirror, dw)
+
+    # Differencing |y^|^2 alone (zero target) keeps the targets' size out
+    # of the roundoff: f is a quartic in the coefficients, so the error is
+    # O(h^2) truncation plus O(eps / h) roundoff, both far below 1e-7.
+    h = 1e-5
+    zero = np.zeros_like(target)
+    numeric = np.empty_like(jac)
+    for col in range(jac.shape[1]):
+        delta = np.zeros(tv.size, dtype=complex)
+        delta[col // 2] = h if col % 2 == 0 else 1j * h
+        f_plus, _ = _residual_and_jacobian(tv + delta, zero, mirror, dw)
+        f_minus, _ = _residual_and_jacobian(tv - delta, zero, mirror, dw)
+        numeric[:, col] = (f_plus - f_minus) / (2 * h)
+    assert np.abs(jac - numeric).max() <= 1e-7 * np.abs(jac).max()
+
+
+@pytest.mark.parametrize("n,l,k_active", CASES)
+@pytest.mark.parametrize("seed", range(5))
+def test_polish_converges_from_a_perturbed_exact_spectrum(n, l, k_active, seed):
+    plan, meas, s = _setup(n, l, 3000 + 10 * seed + n)
+    tables = _polish_tables(meas, plan)
+    stage = tables.stage(k_active)
+    width = k_active + 1
+    rng = np.random.default_rng(seed)
+    start = s.copy()
+    start[:width] += 1e-6 * np.abs(s).max() * _random_coefficients(width, rng)
+
+    def err(spectrum):
+        fvec, _ = _residual_and_jacobian(spectrum[:width], *stage)
+        return np.abs(fvec).max()
+
+    out = _polish_coefficients(start, k_active, tables)
+    np.testing.assert_array_equal(out[width:], start[width:])
+    assert err(out) <= err(start)
+    assert err(out) <= 1e-12 * tables.scale

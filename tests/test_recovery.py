@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from frogpr import (
     DegenerateSignalError,
+    FrogMeasurements,
     FrogParams,
     InconsistentMeasurementsError,
     dft,
@@ -307,6 +308,12 @@ def test_verify_solution_length_mismatch_raises():
     meas = frog_measurements_time(random_analytic_signal(12, rng), params)
     with pytest.raises(ValueError):
         verify_solution(np.ones(10), meas)
+
+
+def test_verify_solution_without_measurements_raises():
+    params = FrogParams(12, 3)
+    with pytest.raises(ValueError, match="no measurements"):
+        verify_solution(np.ones(12), FrogMeasurements(params))
 
 
 # --- even-stride infeasibility probe ----------------------------------------------
