@@ -22,11 +22,7 @@ from .analytic import (
     make_analytic,
     random_analytic_signal,
 )
-from .circles import (
-    Circle,
-    solve_three_circles,
-    solve_two_circles_real,
-)
+from .circles import solve_three_circles, solve_two_circles_real
 from .errors import (
     DegenerateSignalError,
     FrogprError,
@@ -65,7 +61,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalyticityReport",
-    "Circle",
     "DegenerateSignalError",
     "EquivalenceReport",
     "FrogMeasurements",

@@ -99,20 +99,27 @@ def equivalent_up_to_group(z, w, tol: float = 1e-6) -> EquivalenceReport:
 
     Ties in the residual are broken by the elements' lexicographic order, so
     the reported minimizer is deterministic. Two zero signals are equivalent
-    (residual 0); a zero signal never matches a nonzero one.
+    (residual 0); a zero signal never matches a nonzero one. Both signals are
+    first scaled by one exact power of two that brings the larger peak
+    modulus into [1/2, 1), so the norms neither overflow nor underflow and
+    the residual is the same at every scale.
     """
     z = as_signal(z)
     w = as_signal(w)
     if z.size != w.size:
         raise ValueError(f"length mismatch: {z.size} vs {w.size}")
-    scale = max(float(np.linalg.norm(z)), float(np.linalg.norm(w)))
-    if scale == 0.0:
+    peak = max(float(np.abs(z).max()), float(np.abs(w).max()))
+    if peak == 0.0:
         return EquivalenceReport(True, GroupElement(-1, 0, False), 0.0)
-    best: GroupElement | None = None
-    best_res = np.inf
-    for g in group_elements(z.size):
-        res = float(np.linalg.norm(apply_element(g, z) - w)) / scale
-        if res < best_res:
-            best, best_res = g, res
-    assert best is not None
+    shift = -int(np.frexp(peak)[1])
+    z = np.ldexp(z.real, shift) + 1j * np.ldexp(z.imag, shift)
+    w = np.ldexp(w.real, shift) + 1j * np.ldexp(w.imag, shift)
+    scale = max(float(np.linalg.norm(z)), float(np.linalg.norm(w)))
+
+    def residual(g: GroupElement) -> float:
+        return float(np.linalg.norm(apply_element(g, z) - w)) / scale
+
+    # min keeps the first of equal residuals, the lexicographically least.
+    best = min(group_elements(z.size), key=residual)
+    best_res = residual(best)
     return EquivalenceReport(bool(best_res <= tol), best, best_res)

@@ -12,12 +12,10 @@ line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import NoSolutionError, SingularConfigurationError
 
 __all__ = [
-    "Circle",
     "solve_three_circles",
     "solve_two_circles_real",
 ]
@@ -25,18 +23,6 @@ __all__ = [
 # Collinearity threshold for three-circle center geometry: below this the
 # linear system loses a digit count no measurement noise model here survives.
 _SINGULAR_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class Circle:
-    """The set |z + offset| = radius (center is -offset)."""
-
-    offset: complex
-    radius: float
-
-    def residual(self, z: complex) -> float:
-        """|distance-to-center - radius|, relative to 1 + radius."""
-        return abs(abs(z + self.offset) - self.radius) / (1.0 + self.radius)
 
 
 def solve_three_circles(

@@ -45,7 +45,7 @@ class FrogParams:
     Derived quantities: r = ceil(N/L) delay steps, and the per-step phase
     factor w = e^{2i pi L/N} appearing in the frequency-domain form.
     Forward synthesis accepts any N >= 2, 1 <= L <= N; the recovery
-    pipeline additionally needs N even >= 8, L odd, and r >= 5.
+    pipeline additionally needs N even >= 8, L odd, r >= 5 and N != 6L.
     """
 
     N: int
@@ -84,6 +84,12 @@ class FrogParams:
             )
         if self.r < 5:
             problems.append(f"r=ceil(N/L)={self.r} < 5 (too few delay steps to plan)")
+        if self.N == 6 * self.L:
+            problems.append(
+                f"N={self.N} = 6L (w is a primitive 6th root of unity, so at every "
+                "stage k = 3 mod 6 the admissible delays are 0, 2, 4 and rows "
+                "(k, 2), (k, 4) are the same circle; the stage solve is singular)"
+            )
         return problems
 
 

@@ -10,12 +10,16 @@ coefficient through circles |s_k + offset| = radius. Recovery proceeds:
       all five planned k = 2 circles.
   A2  recover_tail: s_1 .. s_{N/2} sequentially; k = 2 and k = 3 are
       two-circle solves with a conjugate / candidate-pair branch that k = 4
-      disambiguates, later stages are three-circle solves. Every stage reads
-      its circles off the same builder, _row_circle. Each stage is
+      disambiguates, later stages are three-circle solves. Each stage is
       followed by a least-squares polish of everything solved so far, which
       stops the stages' roundoff from compounding.
   A3  recover:     run A2 on both signs of s_0, normalize the gauge
       freedoms, and verify the winner against every measurement it consumed.
+
+A planned row (k, m) is expanded in coefficients in one place, the row
+table of _row_tables: partner indices k - l and unit-root sums
+(w^{lm} + w^{(k-l)m}) / N. The stage circles, A1's k = 2 test, the even-L
+probe and the polish all read it.
 
 All of this assumes L odd (so the per-step phase satisfies w^{N/2} = -1 and
 the k = 0 row separates the two boundary coefficients). For even L that row
@@ -31,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circles import Circle, solve_three_circles, solve_two_circles_real
+from .circles import solve_three_circles, solve_two_circles_real
 from .errors import (
     DegenerateSignalError,
     InconsistentMeasurementsError,
@@ -60,15 +64,10 @@ class RecoveryConfig:
         relative to 1 + radius.
     residual_tol: acceptance threshold for the final verification residual,
         relative to the largest consumed measurement value.
-    genericity_floor: coefficients (relative to the measurement-implied
-        coefficient scale) below this are treated as vanishing; the solver
-        stages divide by them, so such inputs are rejected as degenerate
-        rather than amplified into garbage.
     """
 
     feasibility_tol: float = 1e-6
     residual_tol: float = 1e-6
-    genericity_floor: float = 1e-9
 
 
 # Stage-acceptance threshold inside the sequential tail solve. Even on exact
@@ -83,6 +82,11 @@ _STAGE_TOL = 1e-2
 # Iteration limit of each stage's Gauss-Newton polish.
 _POLISH_MAX_ITER = 10
 
+# Coefficients below this, relative to the measurement-implied coefficient
+# scale, count as vanishing: the solver stages divide by them, so such inputs
+# are rejected as degenerate rather than amplified into garbage.
+_GENERICITY_FLOOR = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class RecoveryResult:
@@ -94,61 +98,64 @@ class RecoveryResult:
     verification_residual: float
 
 
-def _coefficient_floor(measurements: FrogMeasurements, config: RecoveryConfig) -> float:
+def _coefficient_floor(measurements: FrogMeasurements) -> float:
     """Absolute threshold below which a spectral coefficient counts as zero.
 
-    Coefficients scale like sqrt(N * |y^|), so the floor is the configured
-    relative floor at that scale.
+    Coefficients scale like sqrt(N * |y^|), so the floor is the relative
+    genericity floor at that scale.
     """
     s_max = math.sqrt(measurements.max_value())
-    return config.genericity_floor * math.sqrt(measurements.params.N * s_max)
+    return _GENERICITY_FLOOR * math.sqrt(measurements.params.N * s_max)
 
 
-def _offset_v(params, i: int) -> float:
-    """v_i = w^i / (1 + w^{2i}) = 1 / (2 cos phi), phi = 2 pi (iL mod N)/N."""
-    phi = 2.0 * np.pi * ((i * params.L) % params.N) / params.N
-    return 1.0 / (2.0 * math.cos(phi))
+def _row_circles(
+    tables: _RowTables, t: np.ndarray, k: int, z0: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The table's rows k as circles |s_k + offset| = radius in the unknown s_k.
 
-
-def _offset_u(params, i: int) -> float:
-    """u_i = (w^i + w^{2i}) / (1 + w^{3i}) = cos(phi/2) / cos(3 phi/2)."""
-    phi = 2.0 * np.pi * ((i * params.L) % params.N) / params.N
-    return math.cos(phi / 2.0) / math.cos(3.0 * phi / 2.0)
-
-
-def _row_circle(
-    measurements: FrogMeasurements, t: np.ndarray, k: int, m: int, z0: float
-) -> Circle:
-    """Row k, delay m, as a circle |s_k + offset| = radius in the unknown s_k.
-
-    offset = sum_{l=1}^{k-1} s_l s_{k-l} w^{lm} / (s_0 (1 + w^{km})) reads
-    t[0 .. k-1]; radius = N |y^_{k,m}| / (z0 |1 + w^{km}|) uses the A1
-    modulus z0, not |t[0]|, which the polish may have moved in its last bits.
+    With s_k set to zero, y = 1/2 (tv[mirror] dw) @ tv is the part of y^_{k,m}
+    that does not involve s_k, which enters as s_k t0 (1 + w^{km}) / N, the
+    l = 0 column of dw. The radius uses the A1 modulus z0, not |t[0]|, which
+    the polish may have moved in its last bits. Reads t[0 .. k-1].
     """
-    params = measurements.params
-    n = params.N
-    l = np.arange(1, k)
-    wvec = np.exp(2j * np.pi * ((l * ((m * params.L) % n)) % n) / n)
-    middle = np.sum(t[1:k] * t[k - 1:0:-1] * wvec)
-    denom = 1.0 + params.w_pow(k * m)
-    offset = middle / (t[0] * denom)
-    radius = n * measurements.magnitude(k, m) / (z0 * abs(denom))
-    return Circle(complex(offset), float(radius))
+    lo, hi = np.searchsorted(tables.k, [k, k + 1])
+    tv = np.zeros(k + 1, dtype=complex)
+    tv[:k] = t[:k]
+    dw = tables.dw[lo:hi, : k + 1]
+    y = 0.5 * ((tv[tables.mirror[lo:hi, : k + 1]] * dw) @ tv)
+    edge = dw[:, 0]
+    return y / (t[0] * edge), np.sqrt(tables.target[lo:hi]) / (z0 * np.abs(edge))
+
+
+def _circle_residual(z: complex, offset: np.ndarray, radius: np.ndarray) -> float:
+    """Largest |distance-to-center - radius| over the circles, relative to 1 + radius."""
+    return float(np.max(np.abs(np.abs(z + offset) - radius) / (1.0 + radius)))
+
+
+def _pair_solve(
+    offset: np.ndarray, radius: np.ndarray, m: complex, tol: float | None
+) -> tuple[complex, complex]:
+    """Two-circle solve on the first two circles, whose offsets are real multiples of m."""
+    # Python scalars: the solvers' scalar arithmetic is several times slower
+    # on numpy scalars.
+    v1, v2 = (offset[:2] / m).real.tolist()
+    n1, n2 = radius[:2].tolist()
+    return solve_two_circles_real(v1, v2, m, n1, n2, tol=tol)
 
 
 def _row2_pair(
-    plan: MeasurementIndexPlan,
     t: np.ndarray,
-    circles: list[Circle],
+    offset: np.ndarray,
+    radius: np.ndarray,
     floor: float,
     tol: float | None,
 ) -> tuple[complex, complex]:
-    """Candidates for s_2 from circles[0], circles[1]: row 2 at plan.i2[:2].
+    """Candidates for s_2 from the row-2 circles at plan.i2[:2].
 
-    All k = 2 centers are real multiples v_i of t1^2 / t0 (t0 real), so the
-    pair is a two-circle solve along that line, non-negative branch first.
-    Raises DegenerateSignalError when |t1| is at the floor, where that scale
-    vanishes and the solve says nothing.
+    All k = 2 offsets are real multiples 1 / (2 cos phi) of t1^2 / t0 (t0
+    real), so the pair is a two-circle solve along that line, non-negative
+    branch first. Raises DegenerateSignalError when |t1| is at the floor,
+    where that scale vanishes and the solve says nothing.
     """
     if abs(t[1]) <= floor:
         raise DegenerateSignalError(
@@ -157,31 +164,19 @@ def _row2_pair(
     # Python complex division by a real divides each part exactly; numpy's
     # multiplies by the reciprocal, which would move the last bit.
     t1 = complex(t[1])
-    return solve_two_circles_real(
-        _offset_v(plan.params, plan.i2[0]),
-        _offset_v(plan.params, plan.i2[1]),
-        t1 * t1 / t[0].real,
-        circles[0].radius,
-        circles[1].radius,
-        tol=tol,
-    )
+    return _pair_solve(offset, radius, t1 * t1 / t[0].real, tol)
 
 
 def _row2_feasible(
-    measurements: FrogMeasurements,
-    plan: MeasurementIndexPlan,
-    t: np.ndarray,
-    z0: float,
-    floor: float,
-    tol: float,
+    tables: _RowTables, t: np.ndarray, z0: float, floor: float, tol: float
 ) -> bool:
     """Whether a k = 2 pair candidate lies on all five planned k = 2 circles."""
-    circles = [_row_circle(measurements, t, 2, i, z0) for i in plan.i2]
+    offset, radius = _row_circles(tables, t, 2, z0)
     try:
-        cands = _row2_pair(plan, t, circles, floor, tol=None)
+        cands = _row2_pair(t, offset, radius, floor, tol=None)
     except NoSolutionError:
         return False
-    return any(all(c.residual(z) <= tol for c in circles) for z in cands)
+    return any(_circle_residual(z, offset, radius) <= tol for z in cands)
 
 
 def recover_z0(
@@ -200,11 +195,10 @@ def recover_z0(
     at the floor, InconsistentMeasurementsError when neither root passes.
     """
     config = config or RecoveryConfig()
-    measurements.require(
-        [(0, 0), (0, 1), (1, 0)] + [(2, i) for i in plan.i2]
-    )
+    row2 = [(2, i) for i in plan.i2]
+    measurements.require([(0, 0), (0, 1), (1, 0)] + row2)
     n = measurements.params.N
-    floor = _coefficient_floor(measurements, config)
+    floor = _coefficient_floor(measurements)
 
     mag00 = measurements.magnitude(0, 0)
     mag01 = measurements.magnitude(0, 1)
@@ -218,11 +212,12 @@ def recover_z0(
         return big
     small = math.sqrt(n * max(mag00 - mag01, 0.0) / 2.0)
 
+    tables = _row_tables(measurements, row2)
     for root in (big, small):
         if root <= floor:
             break
         t = np.array([root, n * measurements.magnitude(1, 0) / (2.0 * root)])
-        if _row2_feasible(measurements, plan, t, root, floor, config.feasibility_tol):
+        if _row2_feasible(tables, t, root, floor, config.feasibility_tol):
             return root
     raise InconsistentMeasurementsError(
         "neither boundary-modulus root admits a consistent second-row circle system"
@@ -234,7 +229,6 @@ def recover_tail(
     plan: MeasurementIndexPlan,
     z0: float,
     sign: int,
-    config: RecoveryConfig | None = None,
 ) -> np.ndarray:
     """Spectrum s with s_0 = sign * z0 and s_1 .. s_{N/2} solved row by row.
 
@@ -246,7 +240,6 @@ def recover_tail(
     re-polished against the rows consumed so far, so stage roundoff never
     compounds. Returns the full length-N spectrum (upper half zero).
     """
-    config = config or RecoveryConfig()
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     if not z0 > 0:
@@ -254,32 +247,23 @@ def recover_tail(
     params = measurements.params
     n, half = params.N, params.N // 2
     measurements.require(plan.pairs())
-    floor = _coefficient_floor(measurements, config)
+    floor = _coefficient_floor(measurements)
     if z0 <= floor:
         raise DegenerateSignalError("leading spectral coefficient is at the noise floor")
 
-    tables = _polish_tables(measurements, plan)
+    tables = _row_tables(measurements, [(k, m) for (k, m) in plan.pairs() if k >= 1])
     t = np.zeros(n, dtype=complex)
     t[0] = sign * z0
     t[1] = n * measurements.magnitude(1, 0) / (2.0 * z0)
 
     def stage_point(k: int) -> tuple[complex, float]:
-        circles = [_row_circle(measurements, t, k, m, z0) for m in plan.ik[k]]
-        z = solve_three_circles(
-            circles[0].offset,
-            circles[1].offset,
-            circles[2].offset,
-            circles[0].radius,
-            circles[1].radius,
-            circles[2].radius,
-            tol=None,
-        )
-        return z, max(c.residual(z) for c in circles)
+        offset, radius = _row_circles(tables, t, k, z0)
+        z = solve_three_circles(*offset.tolist(), *radius.tolist(), tol=None)
+        return z, _circle_residual(z, offset, radius)
 
     # k = 2: two circles with real offsets along t1^2 / t[0]; conjugate pair.
-    circles = [_row_circle(measurements, t, 2, i, z0) for i in plan.i2[:2]]
     try:
-        cands = _row2_pair(plan, t, circles, floor, _STAGE_TOL)
+        cands = _row2_pair(t, *_row_circles(tables, t, 2, z0), floor, _STAGE_TOL)
     except NoSolutionError as exc:
         raise InconsistentMeasurementsError(f"stage k=2: {exc}") from exc
     t[2] = cands[0] if cands[0].imag >= 0 else cands[1]
@@ -289,16 +273,11 @@ def recover_tail(
             "third spectral coefficient vanishes; the stage-3 scale degenerates"
         )
 
-    # k = 3: two circles along t1 t2 / t0; both candidates go to the k = 4
-    # referee.
+    # k = 3: two circles whose offsets are real multiples cos(phi/2) /
+    # cos(3 phi/2) of t1 t2 / t0; both candidates go to the k = 4 referee.
     try:
-        c3_cands = solve_two_circles_real(
-            1.0,
-            _offset_u(params, plan.i3),
-            t[1] * t[2] / t[0],
-            _row_circle(measurements, t, 3, 0, z0).radius,
-            _row_circle(measurements, t, 3, plan.i3, z0).radius,
-            tol=_STAGE_TOL,
+        c3_cands = _pair_solve(
+            *_row_circles(tables, t, 3, z0), t[1] * t[2] / t[0], _STAGE_TOL
         )
     except NoSolutionError as exc:
         raise InconsistentMeasurementsError(f"stage k=3: {exc}") from exc
@@ -340,12 +319,14 @@ def recover_tail(
     return t
 
 
-class _PolishTables(NamedTuple):
-    """The plan's rows 1..N/2, sorted by (k, m), as arrays for the polish.
+class _RowTables(NamedTuple):
+    """Planned rows (k_r, m_r), sorted by (k, m), expanded in coefficients.
 
-    Every row r = (k_r, m_r) is written out over l = 0..N/2; entries with
-    l > k_r are zero, so the rows of stages 1..k are the prefix of rows
-    with k_r <= k and stage k slices [:nrow, :k + 1].
+    This is the one place a row is written out: the stage circles, A1, the
+    even-L probe and the polish all read it. Every row is written out over
+    l = 0..max k_r; entries with l > k_r are zero, so the rows of stages
+    1..k are the prefix of rows with k_r <= k and stage k slices
+    [:nrow, :k + 1].
 
     k:      k_r per row.
     target: the measured |y^_{k_r,m_r}|^2.
@@ -367,18 +348,15 @@ class _PolishTables(NamedTuple):
         return self.target[:nrow], self.mirror[:nrow, :width], self.dw[:nrow, :width]
 
 
-def _polish_tables(
-    measurements: FrogMeasurements, plan: MeasurementIndexPlan
-) -> _PolishTables:
-    """Tables for every stage's polish, built once per tail solve."""
+def _row_tables(measurements: FrogMeasurements, rows: list[tuple[int, int]]) -> _RowTables:
+    """Tables of the given rows, sorted by (k, m), all with k >= 1."""
     params = measurements.params
     n = params.N
-    rows = [(k, m) for (k, m) in plan.pairs() if k >= 1]
     k = np.array([k for k, _ in rows])
     step = np.array([(m * params.L) % n for _, m in rows])[:, None]
     target = np.array([measurements.value(*row) for row in rows])
     roots = np.exp(2j * np.pi * np.arange(n) / n)
-    l = np.arange(n // 2 + 1)
+    l = np.arange(k[-1] + 1)
     mirror = k[:, None] - l
     dead = mirror < 0
     # The exponents are reduced in place: at N = 256 this lowers the peak
@@ -393,7 +371,7 @@ def _polish_tables(
     dw[dead] = 0.0
     mirror[dead] = 0
     scale = measurements.max_value() or 1.0
-    return _PolishTables(k, target, mirror.astype(np.int32), dw, scale)
+    return _RowTables(k, target, mirror.astype(np.int32), dw, scale)
 
 
 def _residual_and_jacobian(
@@ -416,7 +394,7 @@ def _residual_and_jacobian(
 
 
 def _polish_coefficients(
-    spectrum: np.ndarray, k_active: int, tables: _PolishTables
+    spectrum: np.ndarray, k_active: int, tables: _RowTables
 ) -> np.ndarray:
     """Gauss-Newton polish of s_0 .. s_{k_active} against plan rows <= k_active.
 
@@ -526,7 +504,7 @@ def recover(
     present). The positive sign branch is tried first; a branch wins by
     pushing the verification residual under config.residual_tol. Raises
     ValueError for geometries outside the recovery domain (odd N, even L,
-    r < 5, N < 8) or missing entries; propagates DegenerateSignalError; and
+    r < 5, N < 8, N = 6L) or missing entries; propagates DegenerateSignalError; and
     raises InconsistentMeasurementsError when no branch verifies.
     """
     config = config or RecoveryConfig()
@@ -542,7 +520,7 @@ def recover(
     failures = []
     for sign in (1, -1):
         try:
-            tail = recover_tail(sub, plan, z0, sign, config)
+            tail = recover_tail(sub, plan, z0, sign)
         except InconsistentMeasurementsError as exc:
             failures.append(f"sign {sign:+d}: {exc}")
             continue
@@ -588,12 +566,12 @@ def even_l_infeasibility_probe(
         raise ValueError(f"probe applies to even delay strides, got L={params.L}")
     if alpha == 0:
         raise DegenerateSignalError("trial leading coefficient must be nonzero")
-    plan = plan_indices(params)
-    measurements.require([(1, 0)] + [(2, i) for i in plan.i2])
+    row2 = [(2, i) for i in plan_indices(params).i2]
+    measurements.require([(1, 0)] + row2)
 
     mu = params.N * measurements.magnitude(1, 0) / (2.0 * abs(alpha))
     t = np.array([alpha, mu * complex(math.cos(theta), math.sin(theta))])
-    floor = _coefficient_floor(measurements, config)
+    floor = _coefficient_floor(measurements)
     return not _row2_feasible(
-        measurements, plan, t, abs(alpha), floor, config.feasibility_tol
+        _row_tables(measurements, row2), t, abs(alpha), floor, config.feasibility_tol
     )

@@ -33,7 +33,6 @@ def direct_frog_grid(z, L):
     return out
 
 
-
 def polish_residual_and_jacobian(tv, rows, target, n, L):
     """f = |y^_{k,m}|^2 - target and df/d[Re s_0, Im s_0, Re s_1, ...], row by row.
 
@@ -56,3 +55,32 @@ def polish_residual_and_jacobian(tv, rows, target, n, L):
         jac[row, 0::2] = 2.0 * grad.real
         jac[row, 1::2] = -2.0 * grad.imag
     return fvec, jac
+
+
+def row_circle(measurements, t, k, m, z0):
+    """Row k, delay m, as a circle |s_k + offset| = radius, returned as (offset, radius).
+
+    offset = sum_{l=1}^{k-1} s_l s_{k-l} w^{lm} / (s_0 (1 + w^{km})) reads
+    t[0 .. k-1]; radius = N |y^_{k,m}| / (z0 |1 + w^{km}|).
+    """
+    params = measurements.params
+    n = params.N
+    l = np.arange(1, k)
+    wvec = np.exp(2j * np.pi * ((l * ((m * params.L) % n)) % n) / n)
+    middle = np.sum(t[1:k] * t[k - 1:0:-1] * wvec)
+    denom = 1.0 + params.w_pow(k * m)
+    offset = middle / (t[0] * denom)
+    radius = n * measurements.magnitude(k, m) / (z0 * abs(denom))
+    return complex(offset), float(radius)
+
+
+def offset_v(params, i):
+    """Row-2 offset over t1^2 / t0: w^i / (1 + w^{2i}) = 1 / (2 cos phi), phi = 2 pi (iL mod N)/N."""
+    phi = 2.0 * np.pi * ((i * params.L) % params.N) / params.N
+    return 1.0 / (2.0 * np.cos(phi))
+
+
+def offset_u(params, i):
+    """Row-3 offset over t1 t2 / t0: (w^i + w^{2i}) / (1 + w^{3i}) = cos(phi/2) / cos(3 phi/2)."""
+    phi = 2.0 * np.pi * ((i * params.L) % params.N) / params.N
+    return np.cos(phi / 2.0) / np.cos(3.0 * phi / 2.0)

@@ -1,5 +1,7 @@
 """Ambiguity-group transforms and the exhaustive equivalence search."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -142,6 +144,32 @@ def test_equivalence_zero_signal_edge_cases():
     report = equivalent_up_to_group(zero, np.ones(5), tol=1e-9)
     assert not report.equivalent
     assert report.residual == 1.0
+
+
+def test_equivalence_holds_at_extreme_scales():
+    # Norms of these signals underflow (1e-170) or overflow (1e200) in
+    # float64; the search must still tell different signals apart, find
+    # planted elements, and warn about nothing.
+    a, b = _signal(8, 314), _signal(8, 315)
+    g = GroupElement(-1, 5, True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e-170, 1e170, 1e200):
+            report = equivalent_up_to_group(scale * a, scale * b, tol=1e-6)
+            assert not report.equivalent and report.residual > 0.1, scale
+            report = equivalent_up_to_group(scale * a, scale * apply_element(g, a), tol=1e-6)
+            assert report.equivalent and report.best_element == g, scale
+            assert report.residual < 1e-13, scale
+
+
+def test_equivalence_report_is_invariant_under_power_of_two_scaling():
+    a, b = _signal(8, 316), _signal(8, 317)
+    b_near = apply_element(GroupElement(1, 2, False), a) + 1e-9 * b
+    for w in (b, b_near):
+        ref = equivalent_up_to_group(a, w, tol=1e-6)
+        for k in (-600, -40, 40, 600):
+            scale = 2.0**k
+            assert equivalent_up_to_group(scale * a, scale * w, tol=1e-6) == ref, k
 
 
 def test_equivalence_length_mismatch_raises():

@@ -5,12 +5,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from frogpr import (
-    Circle,
     NoSolutionError,
     SingularConfigurationError,
     solve_three_circles,
     solve_two_circles_real,
 )
+from frogpr.recovery import _circle_residual
 
 EPS = float(np.finfo(float).eps)
 
@@ -157,6 +157,9 @@ def test_two_circles_scaled_pair_is_m_times_conjugate_pair():
 
 
 def test_circle_residual_normalization():
-    c = Circle(0.0, 3.0)
-    assert_allclose(c.residual(3.0 + 0.0j), 0.0, atol=1e-15)
-    assert_allclose(c.residual(4.0 + 0.0j), 1.0 / 4.0, rtol=1e-12)
+    offset, radius = np.array([0.0 + 0.0j]), np.array([3.0])
+    assert_allclose(_circle_residual(3.0 + 0.0j, offset, radius), 0.0, atol=1e-15)
+    assert_allclose(_circle_residual(4.0 + 0.0j, offset, radius), 1.0 / 4.0, rtol=1e-12)
+    # Over several circles the worst one counts, each relative to its own radius.
+    offset, radius = np.array([0.0, -2.0 + 0.0j]), np.array([3.0, 1.0])
+    assert_allclose(_circle_residual(4.0 + 0.0j, offset, radius), 1.0 / 2.0, rtol=1e-12)

@@ -117,6 +117,15 @@ def test_recover_refuses_even_stride_measurements(capsys, tmp_path):
     assert "refused" in err and "even" in err
 
 
+def test_recover_refuses_six_l_geometry(capsys, tmp_path):
+    sig, _ = _generate(capsys, tmp_path, n=18)
+    meas, _ = _measure(capsys, tmp_path, sig, l=3, plan_only=True)
+    code, _, err = _run(capsys, ["recover", str(meas), "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    assert "refused" in err and "6L" in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_recover_reports_corrupted_measurements(capsys, tmp_path):
     sig, _ = _generate(capsys, tmp_path)
     meas, _ = _measure(capsys, tmp_path, sig, l=3, plan_only=True)

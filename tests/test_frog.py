@@ -60,6 +60,11 @@ def test_params_recovery_violations():
     assert any("< 8" in v for v in FrogParams(6, 1).recovery_violations())
     assert any("even" in v for v in FrogParams(12, 2).recovery_violations())
     assert any("r=" in v for v in FrogParams(12, 5).recovery_violations())
+    # N = 6L: every stage k = 3 mod 6 has two coincident circles.
+    for n, l in ((18, 3), (30, 5), (42, 7), (54, 9), (66, 11)):
+        assert [v for v in FrogParams(n, l).recovery_violations() if "6L" in v], (n, l)
+    for n, l in ((14, 3), (16, 3), (20, 3), (64, 11)):
+        assert FrogParams(n, l).recovery_violations() == [], (n, l)
 
 
 def test_grid_matches_direct_summation():

@@ -1,11 +1,16 @@
-"""Table-driven Gauss-Newton polish: residual, Jacobian and convergence."""
+"""Row tables: the stage circles read off them, and the table-driven Gauss-Newton polish."""
 
 import numpy as np
 import pytest
 
 from frogpr import FrogParams, dft, frog_measurements_time, plan_indices, random_analytic_signal
-from frogpr.recovery import _polish_coefficients, _polish_tables, _residual_and_jacobian
-from oracles import polish_residual_and_jacobian
+from frogpr.recovery import (
+    _polish_coefficients,
+    _residual_and_jacobian,
+    _row_circles,
+    _row_tables,
+)
+from oracles import offset_u, offset_v, polish_residual_and_jacobian, row_circle
 
 GEOMETRIES = [(12, 1), (20, 3), (64, 11)]
 CASES = [(n, l, k) for n, l in GEOMETRIES for k in sorted({2, 4, n // 2})]
@@ -19,6 +24,11 @@ def _setup(n, l, seed):
     return plan, meas, dft(z)
 
 
+def _tail_tables(meas, plan):
+    """The tail solve's table: every planned row with k >= 1."""
+    return _row_tables(meas, [(k, m) for (k, m) in plan.pairs() if k >= 1])
+
+
 def _random_coefficients(width, rng):
     return rng.standard_normal(width) + 1j * rng.standard_normal(width)
 
@@ -26,7 +36,7 @@ def _random_coefficients(width, rng):
 @pytest.mark.parametrize("n,l,k_active", CASES)
 def test_tables_match_row_oracle(n, l, k_active):
     plan, meas, _ = _setup(n, l, 1000 + n + k_active)
-    tables = _polish_tables(meas, plan)
+    tables = _tail_tables(meas, plan)
     target, mirror, dw = tables.stage(k_active)
     rows = [(k, m) for (k, m) in plan.pairs() if 1 <= k <= k_active]
     ref_target = np.array([meas.value(k, m) for (k, m) in rows])
@@ -46,7 +56,7 @@ def test_tables_match_row_oracle(n, l, k_active):
 @pytest.mark.parametrize("n,l,k_active", CASES)
 def test_jacobian_matches_central_differences(n, l, k_active):
     plan, meas, _ = _setup(n, l, 2000 + n + k_active)
-    target, mirror, dw = _polish_tables(meas, plan).stage(k_active)
+    target, mirror, dw = _tail_tables(meas, plan).stage(k_active)
     tv = _random_coefficients(k_active + 1, np.random.default_rng(7 * n + k_active))
     _, jac = _residual_and_jacobian(tv, target, mirror, dw)
 
@@ -69,7 +79,7 @@ def test_jacobian_matches_central_differences(n, l, k_active):
 @pytest.mark.parametrize("seed", range(5))
 def test_polish_converges_from_a_perturbed_exact_spectrum(n, l, k_active, seed):
     plan, meas, s = _setup(n, l, 3000 + 10 * seed + n)
-    tables = _polish_tables(meas, plan)
+    tables = _tail_tables(meas, plan)
     stage = tables.stage(k_active)
     width = k_active + 1
     rng = np.random.default_rng(seed)
@@ -84,3 +94,44 @@ def test_polish_converges_from_a_perturbed_exact_spectrum(n, l, k_active, seed):
     np.testing.assert_array_equal(out[width:], start[width:])
     assert err(out) <= err(start)
     assert err(out) <= 1e-12 * tables.scale
+
+
+@pytest.mark.parametrize("n,l", GEOMETRIES)
+def test_row_circles_match_row_oracle(n, l):
+    plan, meas, s = _setup(n, l, 4000 + n)
+    rng = np.random.default_rng(n)
+    t = s[: n // 2 + 1] + 1e-2 * np.abs(s).max() * _random_coefficients(n // 2 + 1, rng)
+    z0 = abs(s[0])
+    row2 = [(2, i) for i in plan.i2]
+    # Every stage of the tail solve's table, and the five-row table of A1.
+    cases = [(_tail_tables(meas, plan), k) for k in range(2, n // 2 + 1)]
+    cases.append((_row_tables(meas, row2), 2))
+    for tables, k in cases:
+        offset, radius = _row_circles(tables, t, k, z0)
+        ms = [m for (kr, m) in plan.pairs() if kr == k]
+        ref = np.array([row_circle(meas, t, k, m, z0) for m in ms])
+        assert offset.shape == radius.shape == (len(ms),)
+        # Both sums run over the same terms in another order; agreement is
+        # to roundoff relative to the largest offset and radius of the row.
+        scale = max(np.abs(ref[:, 0]).max(), ref[:, 1].real.max())
+        assert np.abs(offset - ref[:, 0]).max() <= 1e-13 * scale, k
+        assert np.abs(radius - ref[:, 1].real).max() <= 1e-13 * ref[:, 1].real.max(), k
+
+
+@pytest.mark.parametrize("n,l", GEOMETRIES)
+def test_pair_offsets_are_real_multiples_of_the_pair_scale(n, l):
+    plan, meas, _ = _setup(n, l, 5000 + n)
+    tables = _tail_tables(meas, plan)
+    rng = np.random.default_rng(5 * n)
+    t = _random_coefficients(4, rng)
+    t[0] = abs(t[0])
+    offset2, _ = _row_circles(tables, t, 2, 1.0)
+    v = offset2 / (t[1] * t[1] / t[0])
+    ref_v = [offset_v(plan.params, i) for i in plan.i2]
+    np.testing.assert_allclose(v.real, ref_v, rtol=1e-13)
+    assert np.abs(v.imag).max() <= 1e-13 * np.abs(v).max()
+    offset3, _ = _row_circles(tables, t, 3, 1.0)
+    u = offset3 / (t[1] * t[2] / t[0])
+    ref_u = [offset_u(plan.params, 0), offset_u(plan.params, plan.i3)]
+    np.testing.assert_allclose(u.real, ref_u, rtol=1e-13)
+    assert np.abs(u.imag).max() <= 1e-13 * np.abs(u).max()

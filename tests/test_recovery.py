@@ -131,6 +131,20 @@ def test_recover_rejects_out_of_domain_geometries():
         recover(frog_measurements_time(random_analytic_signal(4, rng), FrogParams(4, 1)))
 
 
+def test_recover_refuses_six_l_geometries():
+    # For N = 6L the plan exists, but at stage k = N/2 (k = 3 mod 6) the
+    # three planned rows hold only two distinct circles, so every signal
+    # would fail there; the geometry is refused up front instead.
+    rng = np.random.default_rng(611)
+    for n, l in ((18, 3), (30, 5)):
+        params = FrogParams(n, l)
+        plan = plan_indices(params)
+        z = random_analytic_signal(n, rng)
+        meas = frog_measurements_time(z, params, plan.pairs())
+        with pytest.raises(ValueError, match="6L"):
+            recover(meas, plan)
+
+
 def test_recover_requires_all_planned_entries():
     rng = np.random.default_rng(606)
     params = FrogParams(12, 1)
