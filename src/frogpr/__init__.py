@@ -47,7 +47,6 @@ from .jsonio import (
     save_signal,
 )
 from .recovery import (
-    RecoveryConfig,
     RecoveryResult,
     even_l_infeasibility_probe,
     recover,
@@ -70,7 +69,6 @@ __all__ = [
     "InconsistentMeasurementsError",
     "MeasurementIndexPlan",
     "NoSolutionError",
-    "RecoveryConfig",
     "RecoveryResult",
     "SingularConfigurationError",
     "apply_element",

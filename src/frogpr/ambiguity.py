@@ -13,6 +13,7 @@ form exhaustively.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -102,8 +103,10 @@ def equivalent_up_to_group(z, w, tol: float = 1e-6) -> EquivalenceReport:
     (residual 0); a zero signal never matches a nonzero one. Both signals are
     first scaled by one exact power of two that brings the larger peak
     modulus into [1/2, 1), so the norms neither overflow nor underflow and
-    the residual is the same at every scale.
+    the residual is the same at every scale. tol must be finite and >= 0.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     z = as_signal(z)
     w = as_signal(w)
     if z.size != w.size:

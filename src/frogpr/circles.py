@@ -7,6 +7,10 @@ non-collinear centers meet in at most one point and the 2x2 linear system
 below solves for it directly. Two circles whose centers lie on one line
 through the origin meet in a pair of candidates, mirror images across that
 line.
+
+The solvers are pure geometry: they refuse only systems without an answer
+(collinear centers, circles that do not meet). Whether a returned point
+lies on its circles is judged by the recovery stages, with one residual.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ def solve_three_circles(
     n1: float,
     n2: float,
     n3: float,
-    tol: float | None = 1e-7,
 ) -> complex:
     """Unique point on |z + v_j| = n_j, j = 1, 2, 3, for non-collinear centers.
 
@@ -41,9 +44,9 @@ def solve_three_circles(
     (nearly) collinear — including the degenerate cases of coincident
     centers, where the difference vectors themselves vanish — judged by
     |Im(conj(v1-v2) (v1-v3))| < 1e-12 at the squared scale of the center
-    spread; NoSolutionError when the solved point misses some circle by
-    more than tol * (1 + radius). Pass tol=None to skip the residual check
-    (the caller verifies against a larger family itself).
+    spread. This is pure geometry: for radii that no point meets, it still
+    returns the solution of the linear system, and judging whether that
+    point lies on the circles is the caller's job.
     """
     d12, d13 = complex(v1 - v2), complex(v1 - v3)
     # det = Im(conj(d12) d13) vanishes exactly when the centers are collinear.
@@ -61,15 +64,7 @@ def solve_three_circles(
     g2 = (n1 * n1 - n3 * n3) - (abs(v1) ** 2 - abs(v3) ** 2)
     a = (g1 * d13.imag - g2 * d12.imag) / (2.0 * det)
     b = (g2 * d12.real - g1 * d13.real) / (2.0 * det)
-    z = complex(a, b)
-    if tol is not None:
-        for v, n in ((v1, n1), (v2, n2), (v3, n3)):
-            if abs(abs(z + v) - n) > tol * (1.0 + n):
-                raise NoSolutionError(
-                    f"three-circle point misses a circle by "
-                    f"{abs(abs(z + v) - n):.3e} (tol {tol:.1e})"
-                )
-    return z
+    return complex(a, b)
 
 
 def solve_two_circles_real(
@@ -78,7 +73,6 @@ def solve_two_circles_real(
     m: complex,
     n1: float,
     n2: float,
-    tol: float | None = 1e-7,
 ) -> tuple[complex, complex]:
     """Intersection of |z + m v_1| = n_1 and |z + m v_2| = n_2, v_j real.
 
@@ -92,9 +86,9 @@ def solve_two_circles_real(
     A slightly negative b^2 (within -1e-12 at the scale of the squared
     scaled radii) is clamped to exact tangency. Returns the two candidates
     m (a + i b), m (a - i b), non-negative-b first; they coincide at
-    tangency. Raises SingularConfigurationError when m = 0 or v1 = v2,
-    NoSolutionError when b^2 is genuinely negative or a candidate misses a
-    circle by more than tol * (1 + n).
+    tangency. Raises SingularConfigurationError when m = 0 or v1 = v2, and
+    NoSolutionError when b^2 is genuinely negative (the circles do not
+    meet). Membership of the candidates is the caller's to judge.
     """
     if m == 0 or v1 == v2:
         raise SingularConfigurationError(
@@ -111,13 +105,4 @@ def solve_two_circles_real(
             f"circles do not intersect (discriminant {disc:.3e} at scale {scale:.3e})"
         )
     b = math.sqrt(max(disc, 0.0))
-    cands = (m * complex(a, b), m * complex(a, -b))
-    if tol is not None:
-        for z in cands:
-            for v, n in ((v1, n1), (v2, n2)):
-                err = abs(abs(z + m * v) - n)
-                if err > tol * (1.0 + n):
-                    raise NoSolutionError(
-                        f"two-circle candidate misses a circle by {err:.3e}"
-                    )
-    return cands
+    return m * complex(a, b), m * complex(a, -b)

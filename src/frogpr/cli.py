@@ -29,7 +29,7 @@ from .jsonio import (
     save_measurements,
     save_signal,
 )
-from .recovery import RecoveryConfig, recover
+from .recovery import recover
 from .selftest import format_line, run_all
 from .spectral import dft
 
@@ -132,13 +132,8 @@ def _cmd_recover(args) -> int:
         print("refused: " + "; ".join(violations), file=sys.stderr)
         return 1
     tol = _pick_tol(args.tol)
-    config = (
-        RecoveryConfig()
-        if tol is None
-        else RecoveryConfig(feasibility_tol=tol, residual_tol=tol)
-    )
     try:
-        result = recover(meas, config=config)
+        result = recover(meas, tol=1e-6 if tol is None else tol)
     except FrogprError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

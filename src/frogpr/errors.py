@@ -6,11 +6,11 @@ class FrogprError(Exception):
 
 
 class SingularConfigurationError(FrogprError):
-    """Three-circle system is degenerate (centers effectively collinear)."""
+    """A circle system is degenerate: collinear centers, m = 0 or v1 = v2."""
 
 
 class NoSolutionError(FrogprError):
-    """A circle system has no common point within tolerance."""
+    """Two circles do not meet (the pair solve's discriminant is negative)."""
 
 
 class DegenerateSignalError(FrogprError):

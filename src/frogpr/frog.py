@@ -174,9 +174,13 @@ def _collect(grid: np.ndarray, params: FrogParams, indices) -> FrogMeasurements:
             for m in range(params.r)
         }
     else:
+        n, r = params.N, params.r
         entries = {}
         for k, m in indices:
-            entries[(int(k), int(m))] = float(grid[k, m])
+            # Checked first: numpy wraps -1 and raises IndexError past the grid.
+            if not (0 <= k < n and 0 <= m < r and k == int(k) and m == int(m)):
+                raise ValueError(f"entry index ({k}, {m}) outside grid {n}x{r}")
+            entries[(int(k), int(m))] = float(grid[int(k), int(m)])
     return FrogMeasurements(params, entries)
 
 

@@ -46,7 +46,6 @@ from .frog import FrogMeasurements, MeasurementIndexPlan, frog_grid_freq, plan_i
 from .spectral import as_signal, idft
 
 __all__ = [
-    "RecoveryConfig",
     "RecoveryResult",
     "recover_z0",
     "recover_tail",
@@ -56,27 +55,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RecoveryConfig:
-    """Tolerances for the recovery pipeline.
-
-    feasibility_tol: acceptance threshold for circle-system membership,
-        relative to 1 + radius.
-    residual_tol: acceptance threshold for the final verification residual,
-        relative to the largest consumed measurement value.
-    """
-
-    feasibility_tol: float = 1e-6
-    residual_tol: float = 1e-6
-
-
 # Stage-acceptance threshold inside the sequential tail solve. Even on exact
 # measurements a raw stage solve carries its inputs' roundoff through the
 # stage's conditioning, so this only needs to separate numerical drift from
 # the wrong stage-3 candidate or corrupted measurements, both of which sit
 # orders of magnitude above it. Accuracy is not its job: each stage is
 # followed by a Gauss-Newton polish of all coefficients solved so far, and
-# the final verification enforces config.residual_tol.
+# the final verification enforces the caller's tol.
 _STAGE_TOL = 1e-2
 
 # Iteration limit of each stage's Gauss-Newton polish.
@@ -96,6 +81,21 @@ class RecoveryResult:
     spectrum: np.ndarray
     sign_branch: int
     verification_residual: float
+
+
+def _check_plan(measurements: FrogMeasurements, plan: MeasurementIndexPlan) -> None:
+    """ValueError unless the plan is for the measurements' geometry."""
+    if plan.params != measurements.params:
+        raise ValueError(
+            f"plan is for {plan.params} but the measurements are for "
+            f"{measurements.params}"
+        )
+
+
+def _check_positive(name: str, value: float) -> None:
+    """ValueError naming the argument unless it is finite and positive."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def _coefficient_floor(measurements: FrogMeasurements) -> float:
@@ -133,29 +133,23 @@ def _circle_residual(z: complex, offset: np.ndarray, radius: np.ndarray) -> floa
 
 
 def _pair_solve(
-    offset: np.ndarray, radius: np.ndarray, m: complex, tol: float | None
+    offset: np.ndarray, radius: np.ndarray, m: complex
 ) -> tuple[complex, complex]:
     """Two-circle solve on the first two circles, whose offsets are real multiples of m."""
     # Python scalars: the solvers' scalar arithmetic is several times slower
     # on numpy scalars.
     v1, v2 = (offset[:2] / m).real.tolist()
     n1, n2 = radius[:2].tolist()
-    return solve_two_circles_real(v1, v2, m, n1, n2, tol=tol)
+    return solve_two_circles_real(v1, v2, m, n1, n2)
 
 
-def _row2_pair(
-    t: np.ndarray,
-    offset: np.ndarray,
-    radius: np.ndarray,
-    floor: float,
-    tol: float | None,
-) -> tuple[complex, complex]:
-    """Candidates for s_2 from the row-2 circles at plan.i2[:2].
+def _row2_scale(t: np.ndarray, floor: float) -> complex:
+    """t1^2 / t0, the scale m of the k = 2 pair solve.
 
     All k = 2 offsets are real multiples 1 / (2 cos phi) of t1^2 / t0 (t0
-    real), so the pair is a two-circle solve along that line, non-negative
-    branch first. Raises DegenerateSignalError when |t1| is at the floor,
-    where that scale vanishes and the solve says nothing.
+    real), so the s_2 candidates are a two-circle solve along that line.
+    Raises DegenerateSignalError when |t1| is at the floor, where that scale
+    vanishes and the solve says nothing.
     """
     if abs(t[1]) <= floor:
         raise DegenerateSignalError(
@@ -164,7 +158,7 @@ def _row2_pair(
     # Python complex division by a real divides each part exactly; numpy's
     # multiplies by the reciprocal, which would move the last bit.
     t1 = complex(t[1])
-    return _pair_solve(offset, radius, t1 * t1 / t[0].real, tol)
+    return t1 * t1 / t[0].real
 
 
 def _row2_feasible(
@@ -173,16 +167,14 @@ def _row2_feasible(
     """Whether a k = 2 pair candidate lies on all five planned k = 2 circles."""
     offset, radius = _row_circles(tables, t, 2, z0)
     try:
-        cands = _row2_pair(t, offset, radius, floor, tol=None)
+        cands = _pair_solve(offset, radius, _row2_scale(t, floor))
     except NoSolutionError:
         return False
     return any(_circle_residual(z, offset, radius) <= tol for z in cands)
 
 
 def recover_z0(
-    measurements: FrogMeasurements,
-    plan: MeasurementIndexPlan,
-    config: RecoveryConfig | None = None,
+    measurements: FrogMeasurements, plan: MeasurementIndexPlan, *, tol: float = 1e-6
 ) -> float:
     """|s_0| from the k = 0 row, disambiguated on the k = 2 row.
 
@@ -193,8 +185,11 @@ def recover_z0(
     k = 2 pair solve give a point on all five planned k = 2 circles. Raises
     DegenerateSignalError when the boundary coefficients vanish or s_1 sits
     at the floor, InconsistentMeasurementsError when neither root passes.
+    Membership is within tol relative to 1 + radius; the moduli count as
+    equal when |y^_{0,1}| <= tol |y^_{0,0}|.
     """
-    config = config or RecoveryConfig()
+    _check_plan(measurements, plan)
+    _check_positive("tol", tol)
     row2 = [(2, i) for i in plan.i2]
     measurements.require([(0, 0), (0, 1), (1, 0)] + row2)
     n = measurements.params.N
@@ -207,7 +202,7 @@ def recover_z0(
         raise DegenerateSignalError(
             "both boundary spectral coefficients are at the noise floor"
         )
-    if mag01 <= config.feasibility_tol * mag00:
+    if mag01 <= tol * mag00:
         # Boundary moduli coincide; either root works and they are equal.
         return big
     small = math.sqrt(n * max(mag00 - mag01, 0.0) / 2.0)
@@ -217,7 +212,7 @@ def recover_z0(
         if root <= floor:
             break
         t = np.array([root, n * measurements.magnitude(1, 0) / (2.0 * root)])
-        if _row2_feasible(tables, t, root, floor, config.feasibility_tol):
+        if _row2_feasible(tables, t, root, floor, tol):
             return root
     raise InconsistentMeasurementsError(
         "neither boundary-modulus root admits a consistent second-row circle system"
@@ -236,14 +231,15 @@ def recover_tail(
     freedom), the k = 2 conjugate pair is resolved to the non-negative
     imaginary branch (spending the reflection freedom), and the k = 3
     candidate pair is kept until the k = 4 three-circle solve rejects the
-    spurious one. After each stage all coefficients solved so far are
+    spurious one. Every stage's point is checked on its circles within
+    _STAGE_TOL. After each stage all coefficients solved so far are
     re-polished against the rows consumed so far, so stage roundoff never
     compounds. Returns the full length-N spectrum (upper half zero).
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    if not z0 > 0:
-        raise ValueError(f"z0 must be positive, got {z0!r}")
+    _check_positive("z0", z0)
+    _check_plan(measurements, plan)
     params = measurements.params
     n, half = params.N, params.N // 2
     measurements.require(plan.pairs())
@@ -258,14 +254,25 @@ def recover_tail(
 
     def stage_point(k: int) -> tuple[complex, float]:
         offset, radius = _row_circles(tables, t, k, z0)
-        z = solve_three_circles(*offset.tolist(), *radius.tolist(), tol=None)
+        z = solve_three_circles(*offset.tolist(), *radius.tolist())
         return z, _circle_residual(z, offset, radius)
 
+    def stage_pair(k: int, m: complex) -> tuple[complex, complex]:
+        """Stage k's pair solve along m; both candidates lie on its two circles."""
+        offset, radius = _row_circles(tables, t, k, z0)
+        try:
+            cands = _pair_solve(offset, radius, m)
+        except NoSolutionError as exc:
+            raise InconsistentMeasurementsError(f"stage k={k}: {exc}") from exc
+        res = max(_circle_residual(z, offset[:2], radius[:2]) for z in cands)
+        if res > _STAGE_TOL:
+            raise InconsistentMeasurementsError(
+                f"stage k={k}: two-circle candidate misses a circle by {res:.3e}"
+            )
+        return cands
+
     # k = 2: two circles with real offsets along t1^2 / t[0]; conjugate pair.
-    try:
-        cands = _row2_pair(t, *_row_circles(tables, t, 2, z0), floor, _STAGE_TOL)
-    except NoSolutionError as exc:
-        raise InconsistentMeasurementsError(f"stage k=2: {exc}") from exc
+    cands = stage_pair(2, _row2_scale(t, floor))
     t[2] = cands[0] if cands[0].imag >= 0 else cands[1]
     t = _polish_coefficients(t, 2, tables)
     if abs(t[2]) <= floor:
@@ -275,12 +282,7 @@ def recover_tail(
 
     # k = 3: two circles whose offsets are real multiples cos(phi/2) /
     # cos(3 phi/2) of t1 t2 / t0; both candidates go to the k = 4 referee.
-    try:
-        c3_cands = _pair_solve(
-            *_row_circles(tables, t, 3, z0), t[1] * t[2] / t[0], _STAGE_TOL
-        )
-    except NoSolutionError as exc:
-        raise InconsistentMeasurementsError(f"stage k=3: {exc}") from exc
+    c3_cands = stage_pair(3, t[1] * t[2] / t[0])
 
     # k = 4 disambiguates: only the true stage-3 candidate extends.
     outcomes = []
@@ -496,27 +498,30 @@ def verify_solution(spectrum, measurements: FrogMeasurements) -> float:
 def recover(
     measurements: FrogMeasurements,
     plan: MeasurementIndexPlan | None = None,
-    config: RecoveryConfig | None = None,
+    *,
+    tol: float = 1e-6,
 ) -> RecoveryResult:
     """Full pipeline: A1 root choice, A2 tail on both signs, A3 verification.
 
     Consumes exactly the planned 3N/2 + 1 entries (which must all be
     present). The positive sign branch is tried first; a branch wins by
-    pushing the verification residual under config.residual_tol. Raises
-    ValueError for geometries outside the recovery domain (odd N, even L,
-    r < 5, N < 8, N = 6L) or missing entries; propagates DegenerateSignalError; and
-    raises InconsistentMeasurementsError when no branch verifies.
+    pushing the verification residual (relative to the largest measurement)
+    under tol, which also serves A1 (see recover_z0). Raises ValueError for
+    geometries outside the recovery domain (odd N, even L, r < 5, N < 8,
+    N = 6L), a plan for another geometry, missing entries or a tol that is
+    not finite and > 0; propagates DegenerateSignalError; and raises
+    InconsistentMeasurementsError when no branch verifies.
     """
-    config = config or RecoveryConfig()
     params = measurements.params
     violations = params.recovery_violations()
     if violations:
         raise ValueError("; ".join(violations))
     if plan is None:
         plan = plan_indices(params)
+    _check_plan(measurements, plan)
     sub = measurements.subset(plan.pairs())
 
-    z0 = recover_z0(sub, plan, config)
+    z0 = recover_z0(sub, plan, tol=tol)
     failures = []
     for sign in (1, -1):
         try:
@@ -526,7 +531,7 @@ def recover(
             continue
         s_norm = _normalize_gauge(tail, sign)
         residual = verify_solution(s_norm, sub)
-        if residual <= config.residual_tol:
+        if residual <= tol:
             return RecoveryResult(
                 signal=idft(s_norm),
                 spectrum=s_norm,
@@ -535,7 +540,7 @@ def recover(
             )
         failures.append(
             f"sign {sign:+d}: verification residual {residual:.3e} "
-            f"> {config.residual_tol:.1e}"
+            f"> {tol:.1e}"
         )
     raise InconsistentMeasurementsError(
         "recovery failed on both sign branches: " + " | ".join(failures)
@@ -546,7 +551,8 @@ def even_l_infeasibility_probe(
     measurements: FrogMeasurements,
     alpha: float,
     theta: float,
-    config: RecoveryConfig | None = None,
+    *,
+    tol: float = 1e-6,
 ) -> bool:
     """True when no s_2 is consistent with the k = 2 row for the trial pair.
 
@@ -556,14 +562,19 @@ def even_l_infeasibility_probe(
     * e^{i theta} and runs A1's k = 2 test on that pair: does the pair solve
     give a point on all five planned k = 2 circles? For alpha = +-(true s_0)
     it does for every theta; generic other trials are infeasible, which is
-    exactly the ambiguity recovery cannot resolve. Raises
+    exactly the ambiguity recovery cannot resolve. Membership is within tol
+    relative to 1 + radius, as in A1. Raises ValueError for odd L, a
+    non-finite alpha or theta or a tol that is not finite and > 0, and
     DegenerateSignalError when alpha = 0 or the trial |s_1| sits at the
     floor.
     """
-    config = config or RecoveryConfig()
     params = measurements.params
     if params.L % 2 != 0:
         raise ValueError(f"probe applies to even delay strides, got L={params.L}")
+    for name, value in (("alpha", alpha), ("theta", theta)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    _check_positive("tol", tol)
     if alpha == 0:
         raise DegenerateSignalError("trial leading coefficient must be nonzero")
     row2 = [(2, i) for i in plan_indices(params).i2]
@@ -573,5 +584,5 @@ def even_l_infeasibility_probe(
     t = np.array([alpha, mu * complex(math.cos(theta), math.sin(theta))])
     floor = _coefficient_floor(measurements)
     return not _row2_feasible(
-        _row_tables(measurements, row2), t, abs(alpha), floor, config.feasibility_tol
+        _row_tables(measurements, row2), t, abs(alpha), floor, tol
     )

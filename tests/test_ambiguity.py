@@ -175,3 +175,11 @@ def test_equivalence_report_is_invariant_under_power_of_two_scaling():
 def test_equivalence_length_mismatch_raises():
     with pytest.raises(ValueError):
         equivalent_up_to_group(np.ones(4), np.ones(6))
+
+
+def test_equivalence_tolerance_must_be_finite_and_nonnegative():
+    z = _signal(8, 331)
+    assert equivalent_up_to_group(z, z.copy(), tol=0.0).residual == 0.0
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol"):
+            equivalent_up_to_group(z, z.copy(), tol=bad)

@@ -64,14 +64,14 @@ def test_three_circles_coincident_centers_read_as_singular():
         solve_three_circles(1.0 + 1.0j, jitter + 1.0j, 2.0 - 1.0j, 1.0, 1.0, 2.0)
 
 
-def test_three_circles_inconsistent_radii_raise_no_solution():
-    with pytest.raises(NoSolutionError):
-        solve_three_circles(1.0, 1j, -1.0, 1.0, 1.0, 3.0)
-
-
-def test_three_circles_tol_none_skips_residual_check():
-    z = solve_three_circles(1.0, 1j, -1.0, 1.0, 1.0, 3.0, tol=None)
-    assert np.isfinite(z.real) and np.isfinite(z.imag)
+def test_three_circles_inconsistent_radii_leave_membership_to_the_caller():
+    # No point lies on all three circles. The solver is pure geometry and
+    # returns the linear system's point, -2 - 2i; the membership residual is
+    # what flags it: |z + 1| = |z + i| = sqrt(5) against radius 1.
+    z = solve_three_circles(1.0, 1j, -1.0, 1.0, 1.0, 3.0)
+    assert z == -2.0 - 2.0j
+    offset, radius = np.array([1.0, 1j, -1.0]), np.array([1.0, 1.0, 3.0])
+    assert_allclose(_circle_residual(z, offset, radius), (np.sqrt(5) - 1) / 2, rtol=1e-12)
 
 
 # --- two circles, centers on a real line through the origin -------------------

@@ -175,6 +175,23 @@ def test_tolerance_env_override_and_flag_priority(capsys, tmp_path, monkeypatch)
     assert "FROGPR_TOL" in err
 
 
+def test_bad_tolerances_are_usage_errors_and_write_nothing(capsys, tmp_path, monkeypatch):
+    sig, _ = _generate(capsys, tmp_path)
+    meas, _ = _measure(capsys, tmp_path, sig, l=3, plan_only=True)
+    out = tmp_path / "rec.json"
+    for bad in ("inf", "-1", "0", "nan"):
+        code, stdout, err = _run(capsys, ["recover", str(meas), "--out", str(out), "--tol", bad])
+        assert code == 2, bad
+        assert "tol must be finite and positive" in err
+        assert stdout == "" and not out.exists()
+    monkeypatch.setenv("FROGPR_TOL", "nan")
+    code, _, err = _run(capsys, ["recover", str(meas), "--out", str(out)])
+    assert code == 2 and "tol" in err and not out.exists()
+    monkeypatch.delenv("FROGPR_TOL")
+    code, stdout, err = _run(capsys, ["check-equiv", str(sig), str(sig), "--tol", "nan"])
+    assert code == 2 and "tol must be finite and >= 0" in err and stdout == ""
+
+
 def test_malformed_and_missing_inputs_are_usage_errors(capsys, tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")

@@ -144,6 +144,13 @@ def test_measurements_validate_entries():
         FrogMeasurements(params, {(0, 0): -1.0})
     with pytest.raises(ValueError):
         FrogMeasurements(params, {(0, 0): float("nan")})
+    # Synthesis checks the requested indices before it reads the grid.
+    params = FrogParams(16, 3)
+    z = random_analytic_signal(16, np.random.default_rng(135))
+    for synthesize, x in ((frog_measurements_time, z), (frog_measurements_freq, dft(z))):
+        for bad in ((-1, 0), (99, 0), (1, 6), (1.5, 0), (1, 0.5)):
+            with pytest.raises(ValueError, match=r"outside grid 16x6"):
+                synthesize(x, params, [(0, 0), bad])
 
 
 def test_grid_rejects_length_mismatch():

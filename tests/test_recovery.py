@@ -158,6 +158,66 @@ def test_recover_requires_all_planned_entries():
         recover(FrogMeasurements(params, removed), plan)
 
 
+def test_recover_refuses_a_plan_for_another_geometry():
+    rng = np.random.default_rng(621)
+    params = FrogParams(16, 3)
+    meas = frog_measurements_time(_generic(16, rng), params)
+    other = plan_indices(FrogParams(20, 3))
+    match = r"plan is for FrogParams\(N=20, L=3\).*FrogParams\(N=16, L=3\)"
+    with pytest.raises(ValueError, match=match):
+        recover(meas, other)
+    with pytest.raises(ValueError, match=match):
+        recover_z0(meas, other)
+    with pytest.raises(ValueError, match=match):
+        recover_tail(meas, other, 1.0, 1)
+
+
+def test_recovery_tolerance_must_be_finite_and_positive():
+    rng = np.random.default_rng(622)
+    params = FrogParams(16, 3)
+    plan = plan_indices(params)
+    meas = frog_measurements_time(_generic(16, rng), params, plan.pairs())
+    even_meas = frog_measurements_time(_generic(12, rng), FrogParams(12, 2))
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            recover(meas, plan, tol=bad)
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            recover_z0(meas, plan, tol=bad)
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            even_l_infeasibility_probe(even_meas, 1.0, 0.0, tol=bad)
+    assert recover(meas, plan, tol=1e-9).verification_residual <= 1e-9
+
+
+@pytest.mark.parametrize("stage", [2, 3])
+def test_pair_stage_checks_candidates_on_their_circles(monkeypatch, stage):
+    # The circle solvers are pure geometry; recover_tail judges their
+    # candidates. Planting a pair that misses its circles must be caught.
+    from frogpr import recovery
+
+    rng = np.random.default_rng(623)
+    params = FrogParams(16, 3)
+    plan = plan_indices(params)
+    meas = frog_measurements_time(_generic(16, rng), params, plan.pairs())
+    z0 = recover_z0(meas, plan)
+    solve = recovery.solve_two_circles_real
+    calls = []
+
+    def planted(*args):
+        calls.append(args)
+        cands = solve(*args)
+        if len(calls) < stage - 1:
+            return cands
+        shift = 1.0 + abs(cands[0])
+        return cands[0] + shift, cands[1] + shift
+
+    monkeypatch.setattr(recovery, "solve_two_circles_real", planted)
+    with pytest.raises(
+        InconsistentMeasurementsError,
+        match=f"stage k={stage}: two-circle candidate misses a circle by",
+    ):
+        recover_tail(meas, plan, z0, 1)
+
+
 def test_recover_flags_corrupted_measurements():
     rng = np.random.default_rng(607)
     params = FrogParams(16, 3)
@@ -263,6 +323,9 @@ def test_recover_tail_validates_arguments():
         recover_tail(meas, plan, -1.0, 1)
     with pytest.raises(ValueError, match="positive"):
         recover_tail(meas, plan, 0.0, 1)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="z0"):
+            recover_tail(meas, plan, bad, 1)
 
 
 def test_recover_tail_degenerate_second_coefficient_raises():
@@ -354,6 +417,11 @@ def test_probe_validates_inputs():
     even_meas = frog_measurements_time(_generic(12, rng), FrogParams(12, 2))
     with pytest.raises(DegenerateSignalError):
         even_l_infeasibility_probe(even_meas, 0.0, 0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="alpha"):
+            even_l_infeasibility_probe(even_meas, bad, 0.0)
+        with pytest.raises(ValueError, match="theta"):
+            even_l_infeasibility_probe(even_meas, 1.0, bad)
     s = _analytic_spectrum(12, rng, s0=2.0, shalf=0.8)
     s[1] = 0.0
     no_s1 = frog_measurements_freq(s, FrogParams(12, 2))
