@@ -11,6 +11,7 @@ wall-clock timing. FROGPR_TOL overrides the default tolerance where a
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -57,17 +58,15 @@ def _emit(
     outputs: dict,
     residuals: dict,
     equivalence=None,
-    **extra,
 ) -> None:
     doc = {
         "command": command,
         "inputs": inputs,
         "outputs": outputs,
         "residuals": residuals,
+        "equivalence": equivalence,
+        "elapsed_ms": (time.perf_counter() - started) * 1000.0,
     }
-    doc.update(extra)
-    doc["equivalence"] = equivalence
-    doc["elapsed_ms"] = (time.perf_counter() - started) * 1000.0
     sys.stdout.write(dumps_canonical(doc))
 
 
@@ -149,7 +148,6 @@ def _cmd_recover(args) -> int:
         },
         outputs={"signal": str(args.out)},
         residuals={"verification_residual": result.verification_residual},
-        sign_branch=result.sign_branch,
     )
     return 0
 
@@ -197,7 +195,9 @@ def _cmd_selftest(args) -> int:
     return 0 if npass == len(results) else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after."""
     parser = argparse.ArgumentParser(
         prog="frogpr",
         description=(

@@ -13,8 +13,13 @@ coefficient through circles |s_k + offset| = radius. Recovery proceeds:
       disambiguates, later stages are three-circle solves. Each stage is
       followed by a least-squares polish of everything solved so far, which
       stops the stages' roundoff from compounding.
-  A3  recover:     run A2 on both signs of s_0, normalize the gauge
-      freedoms, and verify the winner against every measurement it consumed.
+  A3  recover:     run A2 once with s_0 = +|s_0|, normalize the gauge
+      freedoms, and verify the result against every measurement it consumed.
+      The s_0 < 0 start needs no run of its own: reflection followed by
+      rotation by pi and translation by N/2 (s_k -> (-1)^(k+1) conj(s_k))
+      maps A2's start (+|s_0|, s_1) to (-|s_0|, s_1), keeps every
+      measurement and keeps A2's Im s_2 >= 0 choice, so the second start
+      would reach an equivalent spectrum or fail alike.
 
 A planned row (k, m) is expanded in coefficients in one place, the row
 table of _row_tables: partner indices k - l and unit-root sums
@@ -75,11 +80,10 @@ _GENERICITY_FLOOR = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class RecoveryResult:
-    """Recovered signal, its spectrum, and how the run concluded."""
+    """Recovered signal, its spectrum, and its verification residual."""
 
     signal: np.ndarray
     spectrum: np.ndarray
-    sign_branch: int
     verification_residual: float
 
 
@@ -220,12 +224,9 @@ def recover_z0(
 
 
 def recover_tail(
-    measurements: FrogMeasurements,
-    plan: MeasurementIndexPlan,
-    z0: float,
-    sign: int,
+    measurements: FrogMeasurements, plan: MeasurementIndexPlan, z0: float
 ) -> np.ndarray:
-    """Spectrum s with s_0 = sign * z0 and s_1 .. s_{N/2} solved row by row.
+    """Spectrum s with s_0 = z0 and s_1 .. s_{N/2} solved row by row.
 
     s_1 is pinned real non-negative (spending the continuous translation
     freedom), the k = 2 conjugate pair is resolved to the non-negative
@@ -236,8 +237,6 @@ def recover_tail(
     re-polished against the rows consumed so far, so stage roundoff never
     compounds. Returns the full length-N spectrum (upper half zero).
     """
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     _check_positive("z0", z0)
     _check_plan(measurements, plan)
     params = measurements.params
@@ -249,7 +248,7 @@ def recover_tail(
 
     tables = _row_tables(measurements, [(k, m) for (k, m) in plan.pairs() if k >= 1])
     t = np.zeros(n, dtype=complex)
-    t[0] = sign * z0
+    t[0] = z0
     t[1] = n * measurements.magnitude(1, 0) / (2.0 * z0)
 
     def stage_point(k: int) -> tuple[complex, float]:
@@ -419,17 +418,16 @@ def _polish_coefficients(
     of the active coefficients and takes the minimum-norm least-squares step
     (rows 1..N/2 are invariant under global rotation and under continuous
     translation, so the Jacobian is rank-deficient by the gauge dimension).
-    Step halving keeps the iteration monotone and the best iterate is
-    returned, so the result is never worse than the input.
+    Step halving keeps the iteration monotone: a step is taken only when it
+    lowers the error, so the result is never worse than the input.
     """
     width = k_active + 1
     target, mirror, dw = tables.stage(k_active)
     tv = np.asarray(spectrum, dtype=complex)[:width].copy()
     fvec, jac = _residual_and_jacobian(tv, target, mirror, dw)
     err = float(np.abs(fvec).max())
-    best_tv, best_err = tv.copy(), err
     for _ in range(_POLISH_MAX_ITER):
-        if best_err <= 1e-15 * tables.scale:
+        if err <= 1e-15 * tables.scale:
             break
         step, *_ = np.linalg.lstsq(jac, -fvec, rcond=None)
         step = step.view(np.complex128)
@@ -446,18 +444,16 @@ def _polish_coefficients(
             damp *= 0.5
         if not improved:
             break
-        if err < best_err:
-            best_tv, best_err = tv.copy(), err
     out = np.array(spectrum, dtype=complex, copy=True)
-    out[:width] = best_tv
+    out[:width] = tv
     return out
 
 
-def _normalize_gauge(spectrum: np.ndarray, sign: int) -> np.ndarray:
+def _normalize_gauge(spectrum: np.ndarray) -> np.ndarray:
     """Pin the two continuous measurement invariances to canonical phases.
 
-    First rotates the whole spectrum so s_0 sits exactly on the real axis
-    with the branch's sign (a global rotation; measurements are invariant,
+    First rotates the whole spectrum so s_0 sits exactly on the positive
+    real axis (a global rotation; measurements are invariant,
     and the polish can leak a ~1e-15 phase). Then multiplies s_k by
     e^{-i (2k/N) phase(s_{N/2})}, a real translation of the underlying
     signal, leaving s_{N/2} real >= 0; rows 1..N/2 of the measurements are
@@ -466,9 +462,8 @@ def _normalize_gauge(spectrum: np.ndarray, sign: int) -> np.ndarray:
     """
     s = np.asarray(spectrum, dtype=complex)
     n = s.size
-    lead = sign * s[0]
-    if lead != 0:
-        s = s * (abs(lead) / lead)
+    if s[0] != 0:
+        s = s * (abs(s[0]) / s[0])
     phase = float(np.angle(s[n // 2]))
     return s * np.exp(-1j * phase * 2.0 * np.arange(n) / n)
 
@@ -501,16 +496,18 @@ def recover(
     *,
     tol: float = 1e-6,
 ) -> RecoveryResult:
-    """Full pipeline: A1 root choice, A2 tail on both signs, A3 verification.
+    """Full pipeline: A1 root choice, A2 tail from s_0 > 0, A3 verification.
 
     Consumes exactly the planned 3N/2 + 1 entries (which must all be
-    present). The positive sign branch is tried first; a branch wins by
-    pushing the verification residual (relative to the largest measurement)
-    under tol, which also serves A1 (see recover_z0). Raises ValueError for
-    geometries outside the recovery domain (odd N, even L, r < 5, N < 8,
-    N = 6L), a plan for another geometry, missing entries or a tol that is
-    not finite and > 0; propagates DegenerateSignalError; and raises
-    InconsistentMeasurementsError when no branch verifies.
+    present). The result has s_0 > 0 (see the module docstring for why the
+    s_0 < 0 start is not run) and is returned when its verification
+    residual (relative to the largest measurement) is within tol, which
+    also serves A1 (see recover_z0). Raises ValueError for geometries
+    outside the recovery domain (odd N, even L, r < 5, N < 8, N = 6L), a
+    plan for another geometry, missing entries or a tol that is not finite
+    and > 0; propagates DegenerateSignalError and the tail's
+    InconsistentMeasurementsError; and raises InconsistentMeasurementsError
+    when the verification residual exceeds tol.
     """
     params = measurements.params
     violations = params.recovery_violations()
@@ -522,29 +519,13 @@ def recover(
     sub = measurements.subset(plan.pairs())
 
     z0 = recover_z0(sub, plan, tol=tol)
-    failures = []
-    for sign in (1, -1):
-        try:
-            tail = recover_tail(sub, plan, z0, sign)
-        except InconsistentMeasurementsError as exc:
-            failures.append(f"sign {sign:+d}: {exc}")
-            continue
-        s_norm = _normalize_gauge(tail, sign)
-        residual = verify_solution(s_norm, sub)
-        if residual <= tol:
-            return RecoveryResult(
-                signal=idft(s_norm),
-                spectrum=s_norm,
-                sign_branch=sign,
-                verification_residual=residual,
-            )
-        failures.append(
-            f"sign {sign:+d}: verification residual {residual:.3e} "
-            f"> {tol:.1e}"
+    spectrum = _normalize_gauge(recover_tail(sub, plan, z0))
+    residual = verify_solution(spectrum, sub)
+    if not residual <= tol:  # a NaN residual is refused too
+        raise InconsistentMeasurementsError(
+            f"verification residual {residual:.3e} > {tol:.1e}"
         )
-    raise InconsistentMeasurementsError(
-        "recovery failed on both sign branches: " + " | ".join(failures)
-    )
+    return RecoveryResult(idft(spectrum), spectrum, residual)
 
 
 def even_l_infeasibility_probe(

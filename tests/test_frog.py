@@ -144,6 +144,12 @@ def test_measurements_validate_entries():
         FrogMeasurements(params, {(0, 0): -1.0})
     with pytest.raises(ValueError):
         FrogMeasurements(params, {(0, 0): float("nan")})
+    # Index keys must be integers: a float or a bool is refused, not left
+    # for numpy to trip over when the entries are read.
+    for bad in ((1.5, 0), (True, 0), (0, 1.0)):
+        with pytest.raises(ValueError, match="not a pair of integers"):
+            FrogMeasurements(params, {bad: 1.0})
+    assert FrogMeasurements(params, {(np.int64(1), np.int32(0)): 1.0}).value(1, 0) == 1.0
     # Synthesis checks the requested indices before it reads the grid.
     params = FrogParams(16, 3)
     z = random_analytic_signal(16, np.random.default_rng(135))

@@ -66,17 +66,21 @@ def _planned_measurements(s, params):
 def test_recover_round_trips_generic_signals():
     rng = np.random.default_rng(601)
     cases = [(12, 1), (12, 1), (16, 3), (16, 3), (20, 3), (32, 5)]
-    for n, l in cases:
+    signals = [(n, l, _generic(n, rng)) for n, l in cases]
+    # The negated signal has s_0 < 0; recovery runs only from s_0 > 0 and
+    # still reaches it up to the ambiguity group.
+    n, l, z = signals[2]
+    signals.append((n, l, z if dft(z)[0].real < 0 else -z))
+    for n, l, z in signals:
         params = FrogParams(n, l)
         plan = plan_indices(params)
-        z = _generic(n, rng)
         meas = frog_measurements_time(z, params, indices=plan.pairs())
         assert len(meas.entries) == 3 * n // 2 + 1
         rec = recover(meas, plan)
         report = equivalent_up_to_group(rec.signal, z, tol=1e-8)
         assert report.equivalent and report.residual < 1e-8
         assert rec.verification_residual < 1e-9
-        assert rec.sign_branch in (1, -1)
+        assert rec.spectrum[0].real > 0
 
 
 def test_recover_output_is_normalized_and_self_consistent():
@@ -87,10 +91,11 @@ def test_recover_output_is_normalized_and_self_consistent():
     s = rec.spectrum
     assert is_analytic(s).is_analytic
     assert_allclose(rec.signal, idft(s), rtol=0, atol=1e-14 * np.abs(s).max())
-    # Gauge pinning: s_0 exactly on the real axis with the reported sign,
-    # s_{N/2} rotated onto the non-negative real axis.
+    # Gauge pinning: s_0 exactly on the positive real axis, s_{N/2} rotated
+    # onto the non-negative real axis.
     assert abs(s[0].imag) < 1e-12 * abs(s[0])
-    assert np.sign(s[0].real) == rec.sign_branch
+    assert s[0].real > 0
+    assert not hasattr(rec, "sign_branch")
     assert s[8].real >= 0.0
     assert abs(s[8].imag) < 1e-10 * np.abs(s).max()
 
@@ -169,7 +174,7 @@ def test_recover_refuses_a_plan_for_another_geometry():
     with pytest.raises(ValueError, match=match):
         recover_z0(meas, other)
     with pytest.raises(ValueError, match=match):
-        recover_tail(meas, other, 1.0, 1)
+        recover_tail(meas, other, 1.0)
 
 
 def test_recovery_tolerance_must_be_finite_and_positive():
@@ -215,10 +220,10 @@ def test_pair_stage_checks_candidates_on_their_circles(monkeypatch, stage):
         InconsistentMeasurementsError,
         match=f"stage k={stage}: two-circle candidate misses a circle by",
     ):
-        recover_tail(meas, plan, z0, 1)
+        recover_tail(meas, plan, z0)
 
 
-def test_recover_flags_corrupted_measurements():
+def test_recover_flags_corrupted_measurements(monkeypatch):
     rng = np.random.default_rng(607)
     params = FrogParams(16, 3)
     plan = plan_indices(params)
@@ -230,8 +235,21 @@ def test_recover_flags_corrupted_measurements():
     late = dict(meas.entries)
     key = (7, plan.ik[7][1])
     late[key] = late[key] * 2.5
-    with pytest.raises(InconsistentMeasurementsError):
+    with pytest.raises(InconsistentMeasurementsError, match=r"^stage k="):
         recover(FrogMeasurements(params, late), plan)
+
+    # A spectrum that misses the measurements is refused by A3 itself, a
+    # NaN residual included.
+    from frogpr import recovery
+
+    for residual, text in ((1.0, r"1\.000e\+00"), (float("nan"), "nan")):
+        with monkeypatch.context() as patch:
+            patch.setattr(recovery, "verify_solution", lambda s, m, r=residual: r)
+            with pytest.raises(
+                InconsistentMeasurementsError,
+                match=rf"^verification residual {text} > 1\.0e-06$",
+            ):
+                recover(meas, plan)
 
     # A boundary row: breaks the root disambiguation itself.
     early = dict(meas.entries)
@@ -295,13 +313,12 @@ def test_recover_tail_solves_all_upper_rows():
     plan = plan_indices(params)
     meas = frog_measurements_time(z, params, plan.pairs())
     z0 = abs(s_true[0])
-    sign = 1 if s_true[0].real > 0 else -1
-    t = recover_tail(meas, plan, z0, sign)
+    t = recover_tail(meas, plan, z0)
     assert t.shape == (16,)
     assert np.all(t[9:] == 0)
-    # Pinned gauge of the staged iterate: s_0 on the chosen real branch,
+    # Pinned gauge of the staged iterate: s_0 on the positive real axis,
     # s_1 real non-negative.
-    assert abs(t[0] - sign * z0) < 1e-9 * z0
+    assert abs(t[0] - z0) < 1e-9 * z0
     assert t[1].real >= 0 and abs(t[1].imag) < 1e-9 * abs(t[1])
     # Every consumed row with k >= 1 is reproduced (the k = 0 rows pin the
     # remaining translation freedom and are only met after normalization).
@@ -317,15 +334,13 @@ def test_recover_tail_validates_arguments():
     params = FrogParams(12, 1)
     plan = plan_indices(params)
     meas = frog_measurements_time(_generic(12, rng), params, plan.pairs())
-    with pytest.raises(ValueError, match="sign"):
-        recover_tail(meas, plan, 1.0, 2)
     with pytest.raises(ValueError, match="positive"):
-        recover_tail(meas, plan, -1.0, 1)
+        recover_tail(meas, plan, -1.0)
     with pytest.raises(ValueError, match="positive"):
-        recover_tail(meas, plan, 0.0, 1)
+        recover_tail(meas, plan, 0.0)
     for bad in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match="z0"):
-            recover_tail(meas, plan, bad, 1)
+            recover_tail(meas, plan, bad)
 
 
 def test_recover_tail_degenerate_second_coefficient_raises():
@@ -335,7 +350,7 @@ def test_recover_tail_degenerate_second_coefficient_raises():
     s[1] = 0.0
     meas, plan = _planned_measurements(s, params)
     with pytest.raises(DegenerateSignalError, match="second"):
-        recover_tail(meas, plan, 2.0, 1)
+        recover_tail(meas, plan, 2.0)
     # A1's k = 2 pair solve scales by s_1^2 / s_0 and says nothing at s_1 = 0,
     # so A1 refuses too, and recover() reports the same refusal.
     with pytest.raises(DegenerateSignalError, match="second"):
@@ -351,7 +366,7 @@ def test_recover_tail_degenerate_third_coefficient_raises():
     s[2] = 0.0
     meas, plan = _planned_measurements(s, params)
     with pytest.raises(DegenerateSignalError, match="third"):
-        recover_tail(meas, plan, 2.0, 1)
+        recover_tail(meas, plan, 2.0)
 
 
 # --- verification ----------------------------------------------------------------
