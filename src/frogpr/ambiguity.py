@@ -8,7 +8,8 @@ For even-length analytic signals the ambiguity group is finite: sign flips
 
 because reflect o translate_l = translate_{-l} o reflect and the sign
 commutes with everything. ``equivalent_up_to_group`` searches that normal
-form exhaustively.
+form: an FFT cross-correlation shortlists the candidates, and the exact
+residual decides among them.
 """
 
 from __future__ import annotations
@@ -98,6 +99,12 @@ def group_elements(n: int) -> Iterator[GroupElement]:
 def equivalent_up_to_group(z, w, tol: float = 1e-6) -> EquivalenceReport:
     """Minimize ||g(z) - w|| / max(||z||, ||w||) over the 4N-element group.
 
+    ||sign roll(z_b, -l) - w||^2 = ||z||^2 + ||w||^2 - 2 sign c_b[l], where
+    c_b[l] = Re sum_n z_b[n + l] conj(w[n]) is one FFT cross-correlation per
+    reflection flag b, so one pass estimates all 4N squared distances. The
+    expansion cancels near zero, so it only shortlists: every element whose
+    estimate is within 64 N eps (||z||^2 + ||w||^2) of the least one. The
+    exact residual of each shortlisted element then picks the minimizer.
     Ties in the residual are broken by the elements' lexicographic order, so
     the reported minimizer is deterministic. Two zero signals are equivalent
     (residual 0); a zero signal never matches a nonzero one. Both signals are
@@ -117,12 +124,26 @@ def equivalent_up_to_group(z, w, tol: float = 1e-6) -> EquivalenceReport:
     shift = -int(np.frexp(peak)[1])
     z = np.ldexp(z.real, shift) + 1j * np.ldexp(z.imag, shift)
     w = np.ldexp(w.real, shift) + 1j * np.ldexp(w.imag, shift)
-    scale = max(float(np.linalg.norm(z)), float(np.linalg.norm(w)))
+    norm_z, norm_w = float(np.linalg.norm(z)), float(np.linalg.norm(w))
+    scale = max(norm_z, norm_w)
+    total = norm_z * norm_z + norm_w * norm_w
+
+    # estimate[sign, l, b], laid out in the lexicographic order of the
+    # elements (sign -1 first, then shift, then unreflected first), which is
+    # also the order in which argwhere lists the shortlist.
+    fw = np.fft.fft(w).conj()
+    corr = np.stack([np.fft.ifft(np.fft.fft(zb) * fw).real for zb in (z, reflect(z))], 1)
+    estimate = total - 2.0 * np.stack([-corr, corr])
+    margin = 64 * z.size * np.finfo(float).eps * total
+    shortlist = np.argwhere(estimate <= estimate.min() + margin).tolist()
 
     def residual(g: GroupElement) -> float:
         return float(np.linalg.norm(apply_element(g, z) - w)) / scale
 
     # min keeps the first of equal residuals, the lexicographically least.
-    best = min(group_elements(z.size), key=residual)
+    best = min(
+        (GroupElement(2 * s - 1, l, bool(b)) for s, l, b in shortlist),
+        key=residual,
+    )
     best_res = residual(best)
     return EquivalenceReport(bool(best_res <= tol), best, best_res)

@@ -13,8 +13,9 @@ coefficient through circles |s_k + offset| = radius. Recovery proceeds:
       disambiguates, later stages are three-circle solves. Each stage is
       followed by a least-squares polish of everything solved so far, which
       stops the stages' roundoff from compounding.
-  A3  recover:     run A2 once with s_0 = +|s_0|, normalize the gauge
-      freedoms, and verify the result against every measurement it consumed.
+  A3  recover:     run A2 once with s_0 = +|s_0|, translate s_{N/2} onto
+      the positive real axis, and verify the result against every
+      measurement it consumed.
       The s_0 < 0 start needs no run of its own: reflection followed by
       rotation by pi and translation by N/2 (s_k -> (-1)^(k+1) conj(s_k))
       maps A2's start (+|s_0|, s_1) to (-|s_0|, s_1), keeps every
@@ -394,6 +395,23 @@ def _residual_and_jacobian(
     return fvec, dy.view(np.float64)
 
 
+def _gauge_fixed_step(jac: np.ndarray, fvec: np.ndarray) -> np.ndarray:
+    """Gauss-Newton step for jac step = -fvec with Im s_0 and Im s_1 held at zero.
+
+    Rows 1..N/2 are invariant under global rotation and continuous
+    translation, so the Jacobian's null space is span{i s, i l s_l}. With s_0
+    and s_1 real and nonzero, dropping the Im s_0 and Im s_1 columns (1 and
+    3) leaves a full-column-rank matrix with the same column space: jac step
+    is the least-squares prediction, and the gauge part of the step is zero.
+    The reduced problem is solved through its normal equations (Golub & Van
+    Loan, Matrix Computations, 5.3). Raises numpy.linalg.LinAlgError when
+    they are singular.
+    """
+    jg = np.delete(jac, (1, 3), axis=1)
+    x = np.linalg.solve(jg.T @ jg, jg.T @ -fvec)
+    return np.insert(x, (1, 2), 0.0)
+
+
 def _polish_coefficients(
     spectrum: np.ndarray, k_active: int, tables: _RowTables
 ) -> np.ndarray:
@@ -415,11 +433,11 @@ def _polish_coefficients(
     checked by the final verification.
 
     Each iteration linearizes |y^_{k,m}|^2 in the real and imaginary parts
-    of the active coefficients and takes the minimum-norm least-squares step
-    (rows 1..N/2 are invariant under global rotation and under continuous
-    translation, so the Jacobian is rank-deficient by the gauge dimension).
-    Step halving keeps the iteration monotone: a step is taken only when it
-    lowers the error, so the result is never worse than the input.
+    of the active coefficients and takes the gauge-fixed step of
+    _gauge_fixed_step, so s_0 and s_1 stay exactly real. Step halving keeps
+    the iteration monotone: a step is taken only when it lowers the error,
+    so the result is never worse than the input. Singular normal equations
+    count as a step that does not lower it.
     """
     width = k_active + 1
     target, mirror, dw = tables.stage(k_active)
@@ -429,8 +447,10 @@ def _polish_coefficients(
     for _ in range(_POLISH_MAX_ITER):
         if err <= 1e-15 * tables.scale:
             break
-        step, *_ = np.linalg.lstsq(jac, -fvec, rcond=None)
-        step = step.view(np.complex128)
+        try:
+            step = _gauge_fixed_step(jac, fvec).view(np.complex128)
+        except np.linalg.LinAlgError:
+            break
         improved = False
         damp = 1.0
         for _ in range(4):
@@ -450,20 +470,16 @@ def _polish_coefficients(
 
 
 def _normalize_gauge(spectrum: np.ndarray) -> np.ndarray:
-    """Pin the two continuous measurement invariances to canonical phases.
+    """Pin the continuous translation so that s_{N/2} is real >= 0.
 
-    First rotates the whole spectrum so s_0 sits exactly on the positive
-    real axis (a global rotation; measurements are invariant,
-    and the polish can leak a ~1e-15 phase). Then multiplies s_k by
-    e^{-i (2k/N) phase(s_{N/2})}, a real translation of the underlying
-    signal, leaving s_{N/2} real >= 0; rows 1..N/2 of the measurements are
-    invariant and the k = 0 row regains its defining form with both boundary
-    entries real.
+    Multiplies s_k by e^{-i (2k/N) phase(s_{N/2})}, a real translation of
+    the underlying signal; rows 1..N/2 of the measurements are invariant and
+    the k = 0 row regains its defining form with both boundary entries real.
+    The tail's s_0 is already real and positive, since its polish steps
+    never move Im s_0.
     """
     s = np.asarray(spectrum, dtype=complex)
     n = s.size
-    if s[0] != 0:
-        s = s * (abs(s[0]) / s[0])
     phase = float(np.angle(s[n // 2]))
     return s * np.exp(-1j * phase * 2.0 * np.arange(n) / n)
 

@@ -84,3 +84,35 @@ def offset_u(params, i):
     """Row-3 offset over t1 t2 / t0: (w^i + w^{2i}) / (1 + w^{3i}) = cos(phi/2) / cos(3 phi/2)."""
     phi = 2.0 * np.pi * ((i * params.L) % params.N) / params.N
     return np.cos(phi / 2.0) / np.cos(3.0 * phi / 2.0)
+
+
+def exhaustive_equivalence(z, w, tol):
+    """Equivalence search over all 4N group elements, one exact residual each.
+
+    The same scaling, residual and lexicographic tie order as
+    frogpr.equivalent_up_to_group, without the FFT shortlist.
+    """
+    from frogpr.ambiguity import EquivalenceReport, GroupElement, apply_element, group_elements
+
+    z = np.asarray(z, dtype=complex)
+    w = np.asarray(w, dtype=complex)
+    peak = max(float(np.abs(z).max()), float(np.abs(w).max()))
+    if peak == 0.0:
+        return EquivalenceReport(True, GroupElement(-1, 0, False), 0.0)
+    shift = -int(np.frexp(peak)[1])
+    z = np.ldexp(z.real, shift) + 1j * np.ldexp(z.imag, shift)
+    w = np.ldexp(w.real, shift) + 1j * np.ldexp(w.imag, shift)
+    scale = max(float(np.linalg.norm(z)), float(np.linalg.norm(w)))
+
+    def residual(g):
+        return float(np.linalg.norm(apply_element(g, z) - w)) / scale
+
+    best = min(group_elements(z.size), key=residual)
+    best_res = residual(best)
+    return EquivalenceReport(bool(best_res <= tol), best, best_res)
+
+
+def lstsq_step(jac, fvec):
+    """Minimum-norm least-squares Gauss-Newton step, by SVD: jac step ~ -fvec."""
+    step, *_ = np.linalg.lstsq(jac, -fvec, rcond=None)
+    return step

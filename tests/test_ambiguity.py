@@ -1,4 +1,4 @@
-"""Ambiguity-group transforms and the exhaustive equivalence search."""
+"""Ambiguity-group transforms and the FFT-shortlisted equivalence search."""
 
 import warnings
 
@@ -17,6 +17,7 @@ from frogpr import (
     rotate,
     translate,
 )
+from oracles import exhaustive_equivalence
 
 
 def _signal(n, seed):
@@ -183,3 +184,33 @@ def test_equivalence_tolerance_must_be_finite_and_nonnegative():
     for bad in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="tol"):
             equivalent_up_to_group(z, z.copy(), tol=bad)
+
+
+def _oracle_cases(n, seed):
+    """(z, w) pairs: unrelated, exact and perturbed group images, constant
+    signals (every translation ties), and a group image at the 1e-200 scale."""
+    rng = np.random.default_rng(seed)
+    a, b = _signal(n, seed), _signal(n, seed + 1)
+    g = GroupElement(int(rng.choice([-1, 1])), int(rng.integers(n)), bool(rng.integers(2)))
+    image = apply_element(g, a)
+    return [
+        (a, b),
+        (a, image),
+        (a, image + 1e-9 * b),
+        (a, image + 1e-3 * b),
+        (np.full(n, 1.0 + 0.5j), np.full(n, 1.0 + 0.5j)),
+        (np.full(n, 2.0), np.full(n, -2.0)),
+        (1e-200 * a, 1e-200 * image),
+    ]
+
+
+@pytest.mark.parametrize("n", [8, 12, 16, 64, 256])
+@pytest.mark.parametrize("seed", [340, 350])
+def test_equivalence_matches_the_exhaustive_search(n, seed):
+    for case, (z, w) in enumerate(_oracle_cases(n, seed)):
+        for tol in (1e-6, 0.5):
+            report = equivalent_up_to_group(z, w, tol=tol)
+            ref = exhaustive_equivalence(z, w, tol)
+            assert report.best_element.sort_key() == ref.best_element.sort_key(), case
+            assert report.residual == ref.residual, case
+            assert report.equivalent == ref.equivalent, case

@@ -1,16 +1,19 @@
 """Row tables: the stage circles read off them, and the table-driven Gauss-Newton polish."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from frogpr import FrogParams, dft, frog_measurements_time, plan_indices, random_analytic_signal
 from frogpr.recovery import (
+    _gauge_fixed_step,
     _polish_coefficients,
     _residual_and_jacobian,
     _row_circles,
     _row_tables,
 )
-from oracles import offset_u, offset_v, polish_residual_and_jacobian, row_circle
+from oracles import lstsq_step, offset_u, offset_v, polish_residual_and_jacobian, row_circle
 
 GEOMETRIES = [(12, 1), (20, 3), (64, 11)]
 CASES = [(n, l, k) for n, l in GEOMETRIES for k in sorted({2, 4, n // 2})]
@@ -135,3 +138,33 @@ def test_pair_offsets_are_real_multiples_of_the_pair_scale(n, l):
     ref_u = [offset_u(plan.params, 0), offset_u(plan.params, plan.i3)]
     np.testing.assert_allclose(u.real, ref_u, rtol=1e-13)
     assert np.abs(u.imag).max() <= 1e-13 * np.abs(u).max()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_gauge_fixed_step_makes_the_least_squares_prediction(seed):
+    plan, meas, s = _setup(64, 11, 6000 + seed)
+    # The tail's gauge: s_0 real (rotation), then s_1 real (translation).
+    s = s * (abs(s[0]) / s[0])
+    s = s * np.exp(-1j * np.angle(s[1]) * np.arange(64))
+    k_active, width = 20, 21
+    rng = np.random.default_rng(seed)
+    tv = s[:width] + 1e-6 * np.abs(s).max() * _random_coefficients(width, rng)
+    tv[:2] = tv[:2].real
+    fvec, jac = _residual_and_jacobian(tv, *_tail_tables(meas, plan).stage(k_active))
+    step = _gauge_fixed_step(jac, fvec)
+    ref = jac @ lstsq_step(jac, fvec)
+    assert np.linalg.norm(jac @ step - ref) <= 1e-8 * np.linalg.norm(ref)
+    assert step[1] == 0 and step[3] == 0
+
+
+def test_polish_stops_on_singular_normal_equations():
+    # At an all-zero spectrum prefix the Jacobian vanishes, so the normal
+    # equations are singular: the polish keeps its input and warns about
+    # nothing.
+    plan, meas, _ = _setup(20, 3, 7000)
+    tables = _tail_tables(meas, plan)
+    start = np.zeros(20, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = _polish_coefficients(start, 6, tables)
+    np.testing.assert_array_equal(out, start)

@@ -93,11 +93,22 @@ def test_recover_output_is_normalized_and_self_consistent():
     assert_allclose(rec.signal, idft(s), rtol=0, atol=1e-14 * np.abs(s).max())
     # Gauge pinning: s_0 exactly on the positive real axis, s_{N/2} rotated
     # onto the non-negative real axis.
-    assert abs(s[0].imag) < 1e-12 * abs(s[0])
+    assert s[0].imag == 0
     assert s[0].real > 0
     assert not hasattr(rec, "sign_branch")
     assert s[8].real >= 0.0
     assert abs(s[8].imag) < 1e-10 * np.abs(s).max()
+
+
+@pytest.mark.parametrize("n,l,seed", [(256, 11, 621), (512, 31, 622)])
+def test_recover_round_trips_large_signals(n, l, seed):
+    params = FrogParams(n, l)
+    plan = plan_indices(params)
+    z = _generic(n, np.random.default_rng(seed))
+    rec = recover(frog_measurements_time(z, params, plan.pairs()), plan)
+    report = equivalent_up_to_group(rec.signal, z, tol=1e-6)
+    assert report.equivalent and report.residual < 1e-6
+    assert rec.verification_residual < 1e-6
 
 
 def test_recover_consumes_only_planned_entries():
@@ -327,6 +338,19 @@ def test_recover_tail_solves_all_upper_rows():
     for (k, m), val in meas.entries.items():
         if k >= 1:
             assert abs(grid[k, m] - val) < 1e-8 * scale
+
+
+def test_recover_tail_keeps_its_gauge_exactly():
+    # The polish never steps in Im s_0 or Im s_1, so the tail's pinned gauge
+    # (s_0 = z0 real, s_1 real) holds to the last bit, not only to roundoff.
+    rng = np.random.default_rng(612)
+    params = FrogParams(64, 11)
+    plan = plan_indices(params)
+    for _ in range(5):
+        z = _generic(64, rng)
+        meas = frog_measurements_time(z, params, plan.pairs())
+        t = recover_tail(meas, plan, abs(dft(z)[0]))
+        assert t[0].imag == 0 and t[1].imag == 0
 
 
 def test_recover_tail_validates_arguments():
