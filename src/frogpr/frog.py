@@ -20,6 +20,7 @@ machine precision.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,6 +176,14 @@ def frog_grid_freq(s, params: FrogParams) -> np.ndarray:
     return (np.abs(rows / n) ** 2).T
 
 
+def _is_real_index(i) -> bool:
+    """A real number but no bool, which is an int to Python but no index.
+
+    Whether it is whole and on the grid is checked apart.
+    """
+    return isinstance(i, numbers.Real) and not isinstance(i, bool)
+
+
 def _collect(grid: np.ndarray, params: FrogParams, indices) -> FrogMeasurements:
     if indices is None:
         entries = {
@@ -185,7 +194,15 @@ def _collect(grid: np.ndarray, params: FrogParams, indices) -> FrogMeasurements:
     else:
         n, r = params.N, params.r
         entries = {}
-        for k, m in indices:
+        for index in indices:
+            try:
+                k, m = index
+            except (TypeError, ValueError):
+                raise ValueError(f"entry index {index!r} is not a pair of integers") from None
+            # Exact ints first, as in FrogMeasurements: the ABC test is slow.
+            k_ok = type(k) is int or _is_real_index(k)
+            if not (k_ok and (type(m) is int or _is_real_index(m))):
+                raise ValueError(f"entry index ({k!r}, {m!r}) is not a pair of integers")
             # Checked first: numpy wraps -1 and raises IndexError past the grid.
             if not (0 <= k < n and 0 <= m < r and k == int(k) and m == int(m)):
                 raise ValueError(f"entry index ({k}, {m}) outside grid {n}x{r}")

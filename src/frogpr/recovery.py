@@ -11,8 +11,10 @@ coefficient through circles |s_k + offset| = radius. Recovery proceeds:
   A2  recover_tail: s_1 .. s_{N/2} sequentially; k = 2 and k = 3 are
       two-circle solves with a conjugate / candidate-pair branch that k = 4
       disambiguates, later stages are three-circle solves. Each stage is
-      followed by a least-squares polish of everything solved so far, which
-      stops the stages' roundoff from compounding.
+      followed by a least-squares polish, which stops the stages' roundoff
+      from compounding: stage k polishes its last 16 coefficients against
+      the rows that involve them, and every 16th stage and the last stage
+      polish all coefficients solved so far against all rows.
   A3  recover:     run A2 once with s_0 = +|s_0|, translate s_{N/2} onto
       the positive real axis, and verify the result against every
       measurement it consumed.
@@ -66,12 +68,20 @@ __all__ = [
 # stage's conditioning, so this only needs to separate numerical drift from
 # the wrong stage-3 candidate or corrupted measurements, both of which sit
 # orders of magnitude above it. Accuracy is not its job: each stage is
-# followed by a Gauss-Newton polish of all coefficients solved so far, and
-# the final verification enforces the caller's tol.
+# followed by a Gauss-Newton polish, and the final verification enforces the
+# caller's tol.
 _STAGE_TOL = 1e-2
 
 # Iteration limit of each stage's Gauss-Newton polish.
 _POLISH_MAX_ITER = 10
+
+# Stage k polishes only s_{k+1-W} .. s_k against the rows that involve them,
+# about 3W rows whatever k is; every W-th stage and the last stage polish
+# s_0 .. s_k against all rows, resetting the drift of the held prefix. That
+# divides the polish's O(N^4) cost per recovery by about W. A window never
+# starts at s_1 (stage W is full), so it either moves every coefficient or
+# holds s_0 and s_1, and with them the gauge, fixed.
+_POLISH_WINDOW = 16
 
 # Coefficients below this, relative to the measurement-implied coefficient
 # scale, count as vanishing: the solver stages divide by them, so such inputs
@@ -234,8 +244,10 @@ def recover_tail(
     imaginary branch (spending the reflection freedom), and the k = 3
     candidate pair is kept until the k = 4 three-circle solve rejects the
     spurious one. Every stage's point is checked on its circles within
-    _STAGE_TOL. After each stage all coefficients solved so far are
-    re-polished against the rows consumed so far, so stage roundoff never
+    _STAGE_TOL. After each stage the last _POLISH_WINDOW coefficients are
+    re-polished against the rows that involve them, and at every
+    _POLISH_WINDOW-th stage and the last stage all coefficients solved so
+    far against all rows consumed so far, so stage roundoff never
     compounds. Returns the full length-N spectrum (upper half zero).
     """
     _check_positive("z0", z0)
@@ -251,6 +263,11 @@ def recover_tail(
     t = np.zeros(n, dtype=complex)
     t[0] = z0
     t[1] = n * measurements.magnitude(1, 0) / (2.0 * z0)
+
+    def polish(k: int) -> np.ndarray:
+        full = k % _POLISH_WINDOW == 0 or k == half
+        lo = 0 if full else max(0, k + 1 - _POLISH_WINDOW)
+        return _polish_coefficients(t, k, tables, lo)
 
     def stage_point(k: int) -> tuple[complex, float]:
         offset, radius = _row_circles(tables, t, k, z0)
@@ -274,7 +291,7 @@ def recover_tail(
     # k = 2: two circles with real offsets along t1^2 / t[0]; conjugate pair.
     cands = stage_pair(2, _row2_scale(t, floor))
     t[2] = cands[0] if cands[0].imag >= 0 else cands[1]
-    t = _polish_coefficients(t, 2, tables)
+    t = polish(2)
     if abs(t[2]) <= floor:
         raise DegenerateSignalError(
             "third spectral coefficient vanishes; the stage-3 scale degenerates"
@@ -305,7 +322,7 @@ def recover_tail(
             "stage k=4 rejects both stage-3 candidates"
         )
     _, t[3], t[4] = min(outcomes, key=lambda o: o[0])
-    t = _polish_coefficients(t, 4, tables)
+    t = polish(4)
 
     for k in range(5, half + 1):
         try:
@@ -317,7 +334,7 @@ def recover_tail(
                 f"stage k={k} residual {res:.3e} exceeds the stage tolerance"
             )
         t[k] = z
-        t = _polish_coefficients(t, k, tables)
+        t = polish(k)
     return t
 
 
@@ -326,9 +343,9 @@ class _RowTables(NamedTuple):
 
     This is the one place a row is written out: the stage circles, A1, the
     even-L probe and the polish all read it. Every row is written out over
-    l = 0..max k_r; entries with l > k_r are zero, so the rows of stages
-    1..k are the prefix of rows with k_r <= k and stage k slices
-    [:nrow, :k + 1].
+    l = 0..max k_r; entries with l > k_r are zero, so the rows
+    lo <= k_r <= k are one run of rows and stage(k, lo) slices that run
+    over columns [:k + 1].
 
     k:      k_r per row.
     target: the measured |y^_{k_r,m_r}|^2.
@@ -343,11 +360,11 @@ class _RowTables(NamedTuple):
     dw: np.ndarray
     scale: float
 
-    def stage(self, k_active: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """target, mirror and dw of the rows k_r <= k_active, over l <= k_active."""
-        nrow = int(np.searchsorted(self.k, k_active, side="right"))
+    def stage(self, k_active: int, lo: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """target, mirror and dw of the rows lo <= k_r <= k_active, over l <= k_active."""
+        rows = slice(*np.searchsorted(self.k, [lo, k_active + 1]))
         width = k_active + 1
-        return self.target[:nrow], self.mirror[:nrow, :width], self.dw[:nrow, :width]
+        return self.target[rows], self.mirror[rows, :width], self.dw[rows, :width]
 
 
 def _row_tables(measurements: FrogMeasurements, rows: list[tuple[int, int]]) -> _RowTables:
@@ -377,52 +394,63 @@ def _row_tables(measurements: FrogMeasurements, rows: list[tuple[int, int]]) -> 
 
 
 def _residual_and_jacobian(
-    tv: np.ndarray, target: np.ndarray, mirror: np.ndarray, dw: np.ndarray
+    tv: np.ndarray, target: np.ndarray, mirror: np.ndarray, dw: np.ndarray, lo: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """f = |y^|^2 - target over the rows, and df / d[Re s_0, Im s_0, ...].
+    """f = |y^|^2 - target over the rows, and df / d[Re s_lo, Im s_lo, ...].
 
     dy[r, l] = d y^_r / d s_l = s_{k_r - l} dw[r, l], and swapping l with
     k_r - l shows sum_l s_l dy[r, l] = 2 y^_r, so y^ needs no second table.
     With f real, df / d Re s_l - i df / d Im s_l = 2 y^ conj(dy), whose
-    float64 view is the Jacobian with [Re, Im] columns interleaved.
+    float64 view over l >= lo is the Jacobian with [Re, Im] columns
+    interleaved.
     """
     dy = tv[mirror]
     dy *= dw
     y = 0.5 * (dy @ tv)
     fvec = (y * y.conjugate()).real - target
-    np.conjugate(dy, out=dy)
-    dy *= (2.0 * y)[:, None]
-    return fvec, dy.view(np.float64)
+    jac = dy[:, lo:].conjugate()
+    jac *= (2.0 * y)[:, None]
+    return fvec, jac.view(np.float64)
 
 
-def _gauge_fixed_step(jac: np.ndarray, fvec: np.ndarray) -> np.ndarray:
-    """Gauss-Newton step for jac step = -fvec with Im s_0 and Im s_1 held at zero.
+def _gauss_newton_step(jac: np.ndarray, fvec: np.ndarray, lo: int) -> np.ndarray:
+    """Gauss-Newton step for jac step = -fvec over the window s_lo .. s_k.
 
     Rows 1..N/2 are invariant under global rotation and continuous
-    translation, so the Jacobian's null space is span{i s, i l s_l}. With s_0
-    and s_1 real and nonzero, dropping the Im s_0 and Im s_1 columns (1 and
-    3) leaves a full-column-rank matrix with the same column space: jac step
-    is the least-squares prediction, and the gauge part of the step is zero.
-    The reduced problem is solved through its normal equations (Golub & Van
-    Loan, Matrix Computations, 5.3). Raises numpy.linalg.LinAlgError when
-    they are singular.
+    translation, so over the full window (lo = 0) the Jacobian's null space
+    is span{i s, i l s_l}. With s_0 and s_1 real and nonzero, the Im s_0
+    and Im s_1 columns (1 and 3) hold all of it: zeroing them, with 1 on
+    their diagonal of jac^T jac, leaves a full-rank system with the same
+    column space, so jac step is the least-squares prediction and the gauge
+    entries of the step are exactly 0. A window with lo >= 2 holds s_0 and
+    s_1 fixed and has no null space. The system is solved through its
+    normal equations (Golub & Van Loan, Matrix Computations, 5.3). Raises
+    numpy.linalg.LinAlgError when they are singular.
     """
-    jg = np.delete(jac, (1, 3), axis=1)
-    x = np.linalg.solve(jg.T @ jg, jg.T @ -fvec)
-    return np.insert(x, (1, 2), 0.0)
+    gram, rhs = jac.T @ jac, jac.T @ -fvec
+    if lo == 0:
+        # Zeroed gauge columns: their rows and columns of gram and their
+        # entries of rhs vanish.
+        gauge = [1, 3]
+        gram[gauge, :] = gram[:, gauge] = 0.0
+        gram[gauge, gauge] = 1.0
+        rhs[gauge] = 0.0
+    return np.linalg.solve(gram, rhs)
 
 
 def _polish_coefficients(
-    spectrum: np.ndarray, k_active: int, tables: _RowTables
+    spectrum: np.ndarray, k_active: int, tables: _RowTables, lo: int = 0
 ) -> np.ndarray:
-    """Gauss-Newton polish of s_0 .. s_{k_active} against plan rows <= k_active.
+    """Gauss-Newton polish of s_lo .. s_{k_active} against plan rows lo <= k_r <= k_active.
 
     A raw stage solve inherits the roundoff of every earlier stage through
     its conditioning, and that error compounds fast enough to derail the
     later stages of larger systems even on exact measurements. Re-solving
-    the squared-magnitude system over the rows available so far after each
-    stage resets the coefficients to least-squares accuracy, so every stage
-    starts from machine-accurate inputs.
+    the squared-magnitude system after each stage resets the coefficients
+    to least-squares accuracy, so every stage starts from machine-accurate
+    inputs. A row k_r < lo involves only s_0 .. s_{k_r}, which the polish
+    holds fixed, so only the rows k_r >= lo take part; lo = 1 would split
+    the gauge and is not a window recover_tail uses.
 
     The k = 0 rows are deliberately excluded even when k_active = N/2: they
     hold only in the analytic gauge (s_{N/2} real), while the staged iterate
@@ -433,29 +461,30 @@ def _polish_coefficients(
     checked by the final verification.
 
     Each iteration linearizes |y^_{k,m}|^2 in the real and imaginary parts
-    of the active coefficients and takes the gauge-fixed step of
-    _gauge_fixed_step, so s_0 and s_1 stay exactly real. Step halving keeps
-    the iteration monotone: a step is taken only when it lowers the error,
-    so the result is never worse than the input. Singular normal equations
-    count as a step that does not lower it.
+    of the window's coefficients and takes the step of _gauss_newton_step,
+    so s_0 and s_1 stay exactly real. Step halving keeps the iteration
+    monotone: a step is taken only when it lowers the largest residual over
+    the window's rows, so the result is never worse than the input.
+    Singular normal equations count as a step that does not lower it.
     """
     width = k_active + 1
-    target, mirror, dw = tables.stage(k_active)
+    target, mirror, dw = tables.stage(k_active, lo)
     tv = np.asarray(spectrum, dtype=complex)[:width].copy()
-    fvec, jac = _residual_and_jacobian(tv, target, mirror, dw)
+    fvec, jac = _residual_and_jacobian(tv, target, mirror, dw, lo)
     err = float(np.abs(fvec).max())
     for _ in range(_POLISH_MAX_ITER):
         if err <= 1e-15 * tables.scale:
             break
         try:
-            step = _gauge_fixed_step(jac, fvec).view(np.complex128)
+            step = _gauss_newton_step(jac, fvec, lo).view(np.complex128)
         except np.linalg.LinAlgError:
             break
         improved = False
         damp = 1.0
         for _ in range(4):
-            cand = tv + damp * step
-            cand_f, cand_j = _residual_and_jacobian(cand, target, mirror, dw)
+            cand = tv.copy()
+            cand[lo:] += damp * step
+            cand_f, cand_j = _residual_and_jacobian(cand, target, mirror, dw, lo)
             cand_err = float(np.abs(cand_f).max())
             if cand_err < err:
                 tv, fvec, jac, err = cand, cand_f, cand_j, cand_err

@@ -157,6 +157,11 @@ def test_measurements_validate_entries():
         for bad in ((-1, 0), (99, 0), (1, 6), (1.5, 0), (1, 0.5)):
             with pytest.raises(ValueError, match=r"outside grid 16x6"):
                 synthesize(x, params, [(0, 0), bad])
+        # Non-pairs and non-numbers are refused, and a bool is not read as
+        # 0 or 1.
+        for bad in (5, (1, 2, 3), ("1", 0), (None, 0), (1, None), (True, 0), (1, np.False_)):
+            with pytest.raises(ValueError, match="not a pair of integers"):
+                synthesize(x, params, [(0, 0), bad])
 
 
 def test_grid_rejects_length_mismatch():

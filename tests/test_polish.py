@@ -7,7 +7,8 @@ import pytest
 
 from frogpr import FrogParams, dft, frog_measurements_time, plan_indices, random_analytic_signal
 from frogpr.recovery import (
-    _gauge_fixed_step,
+    _POLISH_WINDOW,
+    _gauss_newton_step,
     _polish_coefficients,
     _residual_and_jacobian,
     _row_circles,
@@ -78,22 +79,34 @@ def test_jacobian_matches_central_differences(n, l, k_active):
     assert np.abs(jac - numeric).max() <= 1e-7 * np.abs(jac).max()
 
 
-@pytest.mark.parametrize("n,l,k_active", CASES)
+@pytest.mark.parametrize(
+    "n,l,k_active,lo",
+    # The full polish (id n-l-k) and one window of the kind recover_tail
+    # uses (id n-l-k-lo<start>).
+    [
+        pytest.param(n, l, k, lo, id=f"{n}-{l}-{k}" + (f"-lo{lo}" if lo else ""))
+        for n, l, k in CASES
+        for lo in (0, max(2, k + 1 - _POLISH_WINDOW))
+    ],
+)
 @pytest.mark.parametrize("seed", range(5))
-def test_polish_converges_from_a_perturbed_exact_spectrum(n, l, k_active, seed):
+def test_polish_converges_from_a_perturbed_exact_spectrum(n, l, k_active, lo, seed):
     plan, meas, s = _setup(n, l, 3000 + 10 * seed + n)
     tables = _tail_tables(meas, plan)
-    stage = tables.stage(k_active)
+    stage = tables.stage(k_active, lo)
     width = k_active + 1
     rng = np.random.default_rng(seed)
     start = s.copy()
-    start[:width] += 1e-6 * np.abs(s).max() * _random_coefficients(width, rng)
+    start[lo:width] += 1e-6 * np.abs(s).max() * _random_coefficients(width - lo, rng)
 
     def err(spectrum):
         fvec, _ = _residual_and_jacobian(spectrum[:width], *stage)
         return np.abs(fvec).max()
 
-    out = _polish_coefficients(start, k_active, tables)
+    out = _polish_coefficients(start, k_active, tables, lo)
+    # Only the window moves: the held prefix and the unsolved tail come
+    # back bitwise unchanged.
+    np.testing.assert_array_equal(out[:lo], start[:lo])
     np.testing.assert_array_equal(out[width:], start[width:])
     assert err(out) <= err(start)
     assert err(out) <= 1e-12 * tables.scale
@@ -151,7 +164,8 @@ def test_gauge_fixed_step_makes_the_least_squares_prediction(seed):
     tv = s[:width] + 1e-6 * np.abs(s).max() * _random_coefficients(width, rng)
     tv[:2] = tv[:2].real
     fvec, jac = _residual_and_jacobian(tv, *_tail_tables(meas, plan).stage(k_active))
-    step = _gauge_fixed_step(jac, fvec)
+    # The full window: the Im s_0 and Im s_1 columns are zeroed in the step.
+    step = _gauss_newton_step(jac, fvec, 0)
     ref = jac @ lstsq_step(jac, fvec)
     assert np.linalg.norm(jac @ step - ref) <= 1e-8 * np.linalg.norm(ref)
     assert step[1] == 0 and step[3] == 0
