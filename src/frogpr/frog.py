@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,58 +100,89 @@ def _is_index(i) -> bool:
     return isinstance(i, (int, np.integer)) and not isinstance(i, bool)
 
 
-@dataclass
-class FrogMeasurements:
-    """Map (k, m) -> |y^_{k,m}|^2 for one measurement geometry."""
+class FrogMeasurements(Mapping):
+    """The measured |y^_{k,m}|^2 of one geometry, as a mapping (k, m) -> value.
 
-    params: FrogParams
-    entries: dict[tuple[int, int], float] = field(default_factory=dict)
+    The values live in `grid`, a float (N, r) array indexed [k, m] with NaN
+    where (k, m) was not measured; the mapping runs over the measured pairs
+    in ascending order. Items of `entries` are stored as by
+    `meas[k, m] = value`, which refuses a pair off the integer grid and a
+    value that is not finite and >= 0.
+    """
 
-    def __post_init__(self):
-        n, r = self.params.N, self.params.r
-        for (k, m), val in self.entries.items():
-            # Exact ints first: a full grid holds tens of thousands of keys,
-            # and the isinstance test alone would make this loop 4x slower.
-            if not ((type(k) is int or _is_index(k)) and (type(m) is int or _is_index(m))):
-                raise ValueError(f"entry index ({k!r}, {m!r}) is not a pair of integers")
-            if not (0 <= k < n and 0 <= m < r):
-                raise ValueError(f"entry index ({k}, {m}) outside grid {n}x{r}")
-            if not (val >= 0 and math.isfinite(val)):
-                raise ValueError(f"entry ({k}, {m}) has invalid value {val!r}")
+    def __init__(self, params: FrogParams, entries=()):
+        self.params = params
+        self.grid = np.full((params.N, params.r), np.nan)
+        for key, value in dict(entries).items():
+            self[key] = value
 
-    def value(self, k: int, m: int) -> float:
-        return self.entries[(k, m)]
+    @property
+    def entries(self) -> "FrogMeasurements":
+        """The measurement set itself: the (k, m) -> value mapping."""
+        return self
+
+    def __setitem__(self, key, value) -> None:
+        k, m = key
+        # Exact ints first: the isinstance test is slow.
+        if not ((type(k) is int or _is_index(k)) and (type(m) is int or _is_index(m))):
+            raise ValueError(f"entry index ({k!r}, {m!r}) is not a pair of integers")
+        n, r = self.grid.shape
+        if not (0 <= k < n and 0 <= m < r):
+            raise ValueError(f"entry index ({k}, {m}) outside grid {n}x{r}")
+        if not (value >= 0 and math.isfinite(value)):
+            raise ValueError(f"entry ({k}, {m}) has invalid value {value!r}")
+        self.grid[k, m] = value
+
+    def __contains__(self, key) -> bool:
+        # Not Mapping's, which goes through __getitem__: require() asks for
+        # every planned pair, several times per recovery.
+        try:
+            k, m = key
+            # item() wraps negatives, and raises IndexError past the grid
+            # or OverflowError past a C long.
+            if (type(k) is int or _is_index(k)) and (type(m) is int or _is_index(m)):
+                return k >= 0 and m >= 0 and not math.isnan(self.grid.item(k, m))
+        except (TypeError, ValueError, IndexError, OverflowError):
+            pass
+        return False
+
+    def __getitem__(self, key) -> float:
+        if key not in self:
+            raise KeyError(key)
+        return self.grid.item(key)
+
+    def __iter__(self):
+        k, m = np.nonzero(~np.isnan(self.grid))
+        return zip(k.tolist(), m.tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(~np.isnan(self.grid)))
 
     def magnitude(self, k: int, m: int) -> float:
         """|y^_{k,m}| (the solvers consume magnitudes, not squares)."""
-        return math.sqrt(self.entries[(k, m)])
+        return math.sqrt(self[k, m])
 
     def max_value(self) -> float:
-        return max(self.entries.values(), default=0.0)
+        """The largest measured value, 0.0 when there is none (fmax skips NaN)."""
+        return float(np.fmax.reduce(self.grid, axis=None, initial=0.0))
 
     def is_full_grid(self) -> bool:
-        return len(self.entries) == self.params.N * self.params.r
+        return not np.isnan(self.grid).any()
 
     def require(self, pairs) -> None:
         """Raise ValueError naming the first absent (k, m) pairs, if any."""
-        missing = [p for p in pairs if p not in self.entries]
+        missing = [p for p in pairs if p not in self]
         if missing:
             raise ValueError(f"measurements missing required entries {missing[:5]}")
 
     def subset(self, pairs) -> "FrogMeasurements":
         """Restriction to the given (k, m) pairs (all must be present)."""
         self.require(pairs)
-        return FrogMeasurements(self.params, {p: self.entries[p] for p in pairs})
-
-    def as_grid(self) -> np.ndarray:
-        """Full grid as an (N, r) array indexed [k, m]."""
-        if not self.is_full_grid():
-            raise ValueError("measurement set does not cover the full grid")
-        n, r = self.params.N, self.params.r
-        g = np.empty((n, r))
-        for (k, m), val in self.entries.items():
-            g[k, m] = val
-        return g
+        # Reshaped so that no pairs still give two (empty) index arrays.
+        k, m = np.array(pairs, dtype=int).reshape(-1, 2).T
+        out = FrogMeasurements(self.params)
+        out.grid[k, m] = self.grid[k, m]
+        return out
 
 
 def frog_grid_time(z, params: FrogParams) -> np.ndarray:
@@ -186,14 +218,10 @@ def _is_real_index(i) -> bool:
 
 def _collect(grid: np.ndarray, params: FrogParams, indices) -> FrogMeasurements:
     if indices is None:
-        entries = {
-            (k, m): float(grid[k, m])
-            for k in range(params.N)
-            for m in range(params.r)
-        }
+        ks, ms = np.indices(grid.shape).reshape(2, -1)
     else:
         n, r = params.N, params.r
-        entries = {}
+        ks, ms = [], []
         for index in indices:
             try:
                 k, m = index
@@ -206,8 +234,17 @@ def _collect(grid: np.ndarray, params: FrogParams, indices) -> FrogMeasurements:
             # Checked first: numpy wraps -1 and raises IndexError past the grid.
             if not (0 <= k < n and 0 <= m < r and k == int(k) and m == int(m)):
                 raise ValueError(f"entry index ({k}, {m}) outside grid {n}x{r}")
-            entries[(int(k), int(m))] = float(grid[int(k), int(m)])
-    return FrogMeasurements(params, entries)
+            ks.append(int(k))
+            ms.append(int(m))
+    values = grid[ks, ms]
+    # Never negative, but a signal large enough to overflow makes it inf or NaN.
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"entry ({ks[i]}, {ms[i]}) has invalid value {float(values[i])!r}")
+    meas = FrogMeasurements(params)
+    meas.grid[ks, ms] = values
+    return meas
 
 
 def frog_measurements_time(z, params: FrogParams, indices=None) -> FrogMeasurements:

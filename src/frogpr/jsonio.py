@@ -12,6 +12,7 @@ files. Schemas:
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 
@@ -86,6 +87,13 @@ def save_signal(path, values, spectrum=None) -> None:
         fh.write(dumps_canonical(doc))
 
 
+def _float(x, what: str, idx: int) -> float:
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"'{what}'[{idx}] holds an integer too large for a float") from None
+
+
 def _parse_pairs(raw, n: int, what: str) -> np.ndarray:
     if not isinstance(raw, list) or len(raw) != n:
         raise ValueError(f"'{what}' must be a list of {n} [re, im] pairs")
@@ -97,7 +105,10 @@ def _parse_pairs(raw, n: int, what: str) -> np.ndarray:
             or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in pair)
         ):
             raise ValueError(f"'{what}'[{idx}] is not a [re, im] number pair")
-        out[idx] = complex(pair[0], pair[1])
+        out[idx] = complex(_float(pair[0], what, idx), _float(pair[1], what, idx))
+        # json reads NaN and Infinity as numbers.
+        if not cmath.isfinite(out[idx]):
+            raise ValueError(f"'{what}'[{idx}] holds a number that is not finite")
     return out
 
 
@@ -121,13 +132,11 @@ def load_signal(path) -> np.ndarray:
 
 
 def save_measurements(path, measurements: FrogMeasurements) -> None:
-    entries = [
-        [int(k), int(m), float(v)] for (k, m), v in sorted(measurements.entries.items())
-    ]
+    k, m = np.nonzero(~np.isnan(measurements.grid))
     doc = {
         "N": int(measurements.params.N),
         "L": int(measurements.params.L),
-        "entries": entries,
+        "entries": list(zip(k.tolist(), m.tolist(), measurements.grid[k, m].tolist())),
     }
     with open(path, "w", encoding="ascii") as fh:
         fh.write(dumps_canonical(doc))
@@ -148,7 +157,7 @@ def load_measurements(path) -> FrogMeasurements:
     raw = doc.get("entries")
     if not isinstance(raw, list):
         raise ValueError("'entries' must be a list of [k, m, value] triples")
-    entries: dict[tuple[int, int], float] = {}
+    meas = FrogMeasurements(FrogParams(n, l))
     for idx, row in enumerate(raw):
         if (
             not isinstance(row, list)
@@ -158,7 +167,7 @@ def load_measurements(path) -> FrogMeasurements:
         ):
             raise ValueError(f"'entries'[{idx}] is not a [k, m, value] triple")
         key = (row[0], row[1])
-        if key in entries:
+        if key in meas:
             raise ValueError(f"'entries'[{idx}] repeats index {key}")
-        entries[key] = float(row[2])
-    return FrogMeasurements(FrogParams(n, l), entries)
+        meas[key] = _float(row[2], "entries", idx)
+    return meas

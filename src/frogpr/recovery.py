@@ -371,9 +371,9 @@ def _row_tables(measurements: FrogMeasurements, rows: list[tuple[int, int]]) -> 
     """Tables of the given rows, sorted by (k, m), all with k >= 1."""
     params = measurements.params
     n = params.N
-    k = np.array([k for k, _ in rows])
-    step = np.array([(m * params.L) % n for _, m in rows])[:, None]
-    target = np.array([measurements.value(*row) for row in rows])
+    k, m = np.array(rows).T
+    step = (m * params.L % n)[:, None]
+    target = measurements.grid[k, m]
     roots = np.exp(2j * np.pi * np.arange(n) / n)
     l = np.arange(k[-1] + 1)
     mirror = k[:, None] - l
@@ -523,16 +523,11 @@ def verify_solution(spectrum, measurements: FrogMeasurements) -> float:
     params = measurements.params
     if s.size != params.N:
         raise ValueError(f"spectrum length {s.size} != params.N {params.N}")
-    if not measurements.entries:
+    if not measurements:
         raise ValueError("no measurements to verify the spectrum against")
-    grid = frog_grid_freq(s, params)
-    scale = measurements.max_value()
-    if scale <= 0.0:
-        scale = 1.0
-    dev = max(
-        abs(grid[k, m] - val) for (k, m), val in measurements.entries.items()
-    )
-    return float(dev / scale)
+    deviation = np.abs(frog_grid_freq(s, params) - measurements.grid)
+    dev = np.max(deviation, where=~np.isnan(measurements.grid), initial=0.0)
+    return float(dev / (measurements.max_value() or 1.0))
 
 
 def recover(

@@ -202,6 +202,28 @@ def test_malformed_and_missing_inputs_are_usage_errors(capsys, tmp_path):
     assert code == 2
 
 
+def test_oversized_json_integers_are_usage_errors(capsys, tmp_path):
+    sig, _ = _generate(capsys, tmp_path)
+    meas, _ = _measure(capsys, tmp_path, sig, l=3, plan_only=True)
+    doc = json.loads(meas.read_text())
+    doc["entries"][3][2] = 10**400
+    meas.write_text(json.dumps(doc))
+    doc = json.loads(sig.read_text())
+    doc["values"][5][1] = 10**400
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    for argv, where in (
+        (["recover", str(meas), "--out", str(out)], "'entries'[3]"),
+        (["measure", str(big), "--l", "3", "--out", str(out)], "'values'[5]"),
+        (["check-equiv", str(sig), str(big)], "'values'[5]"),
+    ):
+        code, stdout, err = _run(capsys, argv)
+        assert code == 2, argv
+        assert err.startswith("error:") and where in err and "too large" in err
+        assert stdout == "" and not out.exists()
+
+
 def test_selftest_reporting_and_exit_codes(capsys, monkeypatch):
     seen = []
     fake = [

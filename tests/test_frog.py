@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from frogpr import (
     FrogMeasurements,
     FrogParams,
+    InconsistentMeasurementsError,
     dft,
     frog_grid_freq,
     frog_grid_time,
@@ -15,10 +16,12 @@ from frogpr import (
     make_analytic,
     plan_indices,
     random_analytic_signal,
+    recover,
     root_of_unity,
     translate,
 )
 from frogpr.frog import _pow_is_minus_one, _pow_is_one
+from frogpr.selftest import _generic_even_signal
 from oracles import direct_frog_grid
 
 # Frozen values of the worked four-sample example (inputs printed to four
@@ -107,17 +110,15 @@ def test_measurement_collection_full_and_subset():
     full = frog_measurements_time(z, params)
     assert full.is_full_grid()
     assert len(full.entries) == params.N * params.r
-    assert_allclose(full.as_grid(), frog_grid_time(z, params), rtol=1e-14)
+    assert_allclose(full.grid, frog_grid_time(z, params), rtol=1e-14)
     assert full.max_value() == max(full.entries.values())
 
     some = [(0, 0), (1, 1), (5, 2)]
     sub = frog_measurements_time(z, params, indices=some)
     assert sorted(sub.entries) == sorted(some)
     assert not sub.is_full_grid()
-    assert sub.value(5, 2) == full.value(5, 2)
-    assert_allclose(sub.magnitude(5, 2), np.sqrt(full.value(5, 2)), rtol=1e-15)
-    with pytest.raises(ValueError):
-        sub.as_grid()
+    assert sub[5, 2] == full[5, 2]
+    assert_allclose(sub.magnitude(5, 2), np.sqrt(full[5, 2]), rtol=1e-15)
     with pytest.raises(ValueError):
         full.subset([(0, 0), (99, 0)])
 
@@ -149,7 +150,7 @@ def test_measurements_validate_entries():
     for bad in ((1.5, 0), (True, 0), (0, 1.0)):
         with pytest.raises(ValueError, match="not a pair of integers"):
             FrogMeasurements(params, {bad: 1.0})
-    assert FrogMeasurements(params, {(np.int64(1), np.int32(0)): 1.0}).value(1, 0) == 1.0
+    assert FrogMeasurements(params, {(np.int64(1), np.int32(0)): 1.0})[1, 0] == 1.0
     # Synthesis checks the requested indices before it reads the grid.
     params = FrogParams(16, 3)
     z = random_analytic_signal(16, np.random.default_rng(135))
@@ -162,6 +163,45 @@ def test_measurements_validate_entries():
         for bad in (5, (1, 2, 3), ("1", 0), (None, 0), (1, None), (True, 0), (1, np.False_)):
             with pytest.raises(ValueError, match="not a pair of integers"):
                 synthesize(x, params, [(0, 0), bad])
+
+
+def test_measurements_write_through_the_mapping():
+    params = FrogParams(16, 3)
+    z = _generic_even_signal(16, np.random.default_rng(136))
+    pairs = plan_indices(params).pairs()
+    meas = frog_measurements_time(z, params, pairs)
+    assert recover(meas).verification_residual < 1e-9
+    # A value planted through `entries`, as the benchmark's corrupted-entry
+    # check does, reaches the grid that recovery reads.
+    key = next(p for p in pairs if p[0] == 2 and p[1] > 0)
+    before = meas[key]
+    meas.entries[key] *= 1.5
+    assert meas.grid[key] == meas[key] == 1.5 * before
+    with pytest.raises(InconsistentMeasurementsError):
+        recover(meas)
+    # Assignment keeps the constructor's checks and leaves the grid as it was.
+    grid = meas.grid.copy()
+    for key, value, message in (
+        ((1.5, 0), 1.0, "not a pair of integers"),
+        ((True, 0), 1.0, "not a pair of integers"),
+        ((16, 0), 1.0, "outside grid 16x6"),
+        ((0, -1), 1.0, "outside grid 16x6"),
+        ((0, 0), -1.0, "invalid value"),
+        ((0, 0), float("inf"), "invalid value"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            meas[key] = value
+    np.testing.assert_array_equal(meas.grid, grid)
+    empty = meas.subset([])
+    assert len(empty) == 0 and list(empty) == [] and np.isnan(empty.grid).all()
+    # Membership and require treat a pair off the integer grid as absent.
+    assert (0, 0) in meas and (15, 5) not in meas
+    for key in ((1.5, 0), (True, 0), (-1, 0), (16, 0), (10**400, 0), (0, 2**63), 5, "ab"):
+        assert key not in meas
+    with pytest.raises(ValueError, match=r"missing required entries \[\(1\.5, 0\)\]"):
+        meas.require([(0, 0), (1.5, 0)])
+    with pytest.raises(KeyError):
+        meas[1.5, 0]
 
 
 def test_grid_rejects_length_mismatch():

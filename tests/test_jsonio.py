@@ -77,6 +77,14 @@ def test_load_signal_validates_schema(tmp_path):
         load_doc({"N": 2, "values": [[0, 0], [0, True]]})
     with pytest.raises(ValueError, match="spectrum"):
         load_doc({"N": 2, "values": [[0, 0], [0, 0]], "spectrum": [[0, 0]]})
+    # json reads NaN and Infinity, and an integer can be too large for a float.
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match=r"'values'\[1\] holds a number that is not finite"):
+            load_doc({"N": 2, "values": [[0, 0], [bad, 0]]})
+    with pytest.raises(ValueError, match=r"'values'\[0\] holds an integer too large"):
+        load_doc({"N": 2, "values": [[0, 10**400], [0, 0]]})
+    with pytest.raises(ValueError, match=r"'spectrum'\[1\] holds an integer too large"):
+        load_doc({"N": 2, "values": [[0, 0], [0, 0]], "spectrum": [[0, 0], [-(10**400), 0]]})
 
 
 def test_measurements_round_trip(tmp_path):
@@ -128,6 +136,8 @@ def test_load_measurements_validates_schema(tmp_path):
         load_doc({"N": 8, "L": 1, "entries": [[0, 0, -1.0]]})
     with pytest.raises(ValueError, match="outside grid"):
         load_doc({"N": 8, "L": 1, "entries": [[9, 0, 1.0]]})
+    with pytest.raises(ValueError, match=r"'entries'\[1\] holds an integer too large"):
+        load_doc({"N": 8, "L": 1, "entries": [[0, 0, 1.0], [1, 0, 10**400]]})
 
 
 def test_dumps_canonical_formatting():

@@ -43,7 +43,7 @@ def test_tables_match_row_oracle(n, l, k_active):
     tables = _tail_tables(meas, plan)
     target, mirror, dw = tables.stage(k_active)
     rows = [(k, m) for (k, m) in plan.pairs() if 1 <= k <= k_active]
-    ref_target = np.array([meas.value(k, m) for (k, m) in rows])
+    ref_target = np.array([meas[k, m] for (k, m) in rows])
     np.testing.assert_array_equal(target, ref_target)
 
     tv = _random_coefficients(k_active + 1, np.random.default_rng(n * k_active))
