@@ -19,6 +19,7 @@ machine precision.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from collections.abc import Mapping
@@ -40,13 +41,18 @@ __all__ = [
 ]
 
 
+def _is_index(i) -> bool:
+    """An int or numpy integer; bool is an int subclass but no index."""
+    return isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+
+
 @dataclass(frozen=True)
 class FrogParams:
     """Measurement geometry: signal length N and delay stride L.
 
     Derived quantities: r = ceil(N/L) delay steps, and the per-step phase
     factor w = e^{2i pi L/N} appearing in the frequency-domain form.
-    Forward synthesis accepts any N >= 2, 1 <= L <= N; the recovery
+    Forward synthesis accepts any integers N >= 2, 1 <= L <= N; the recovery
     pipeline additionally needs N even >= 8, L odd, r >= 5 and N != 6L.
     """
 
@@ -54,6 +60,10 @@ class FrogParams:
     L: int
 
     def __post_init__(self):
+        for name in ("N", "L"):
+            value = getattr(self, name)
+            if not _is_index(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.N < 2:
             raise ValueError(f"N must be >= 2, got {self.N}")
         if not 1 <= self.L <= self.N:
@@ -95,11 +105,6 @@ class FrogParams:
         return problems
 
 
-def _is_index(i) -> bool:
-    """An int or numpy integer; bool is an int subclass but no index."""
-    return isinstance(i, (int, np.integer)) and not isinstance(i, bool)
-
-
 class FrogMeasurements(Mapping):
     """The measured |y^_{k,m}|^2 of one geometry, as a mapping (k, m) -> value.
 
@@ -134,8 +139,8 @@ class FrogMeasurements(Mapping):
         self.grid[k, m] = value
 
     def __contains__(self, key) -> bool:
-        # Not Mapping's, which goes through __getitem__: require() asks for
-        # every planned pair, several times per recovery.
+        # Not Mapping's, which goes through __getitem__ and raises a KeyError
+        # for each absent pair: load_measurements asks for every entry it reads.
         try:
             k, m = key
             # item() wraps negatives, and raises IndexError past the grid
@@ -284,48 +289,41 @@ def _pow_is_minus_one(num: int, den: int, p: int) -> bool:
     return (2 * p * num - den) % (2 * den) == 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementIndexPlan:
-    """The 3N/2 + 1 measurement indices consumed by the recovery pipeline.
+    """The 3N/2 + 1 measurement indices (k, m) consumed by the recovery pipeline.
 
-    base: fixed pairs (0,0), (0,1), (1,0), (3,0).
-    i2:   five delay indices for the stage-2 five-circle system (first is 0).
-    i3:   one extra delay index for the stage-3 pair.
-    ik:   for each k in 4..N/2, three delay indices for the three-circle solve
-          (first is 0).
+    rows: read-only integer array of shape (3N/2 + 1, 2), sorted by (k, m).
+    Row k = 0 holds delays 0 and 1, row k = 1 delay 0, row k = 2 the five
+    delays of the stage-2 circle family, row k = 3 the two of the stage-3
+    pair, and each row k = 4..N/2 the three of its three-circle solve;
+    every row k >= 2 starts at delay 0. A reader takes slices of rows:
+    delays(k) for one row, a mask on rows[:, 0] for a range of rows. Plans
+    compare by identity; compare their rows with np.array_equal.
     """
 
     params: FrogParams
-    i2: tuple[int, int, int, int, int]
-    i3: int
-    ik: dict[int, tuple[int, int, int]]
+    rows: np.ndarray
 
-    @property
-    def base(self) -> tuple[tuple[int, int], ...]:
-        return ((0, 0), (0, 1), (1, 0), (3, 0))
+    def delays(self, k: int) -> np.ndarray:
+        """The sorted delays m of row k, a read-only view of rows."""
+        lo, hi = self.rows[:, 0].searchsorted((k, k + 1))
+        return self.rows[lo:hi, 1]
 
     def pairs(self) -> list[tuple[int, int]]:
-        """All (k, m) pairs of the plan, sorted by (k, m)."""
-        out = list(self.base)
-        out += [(2, q) for q in self.i2]
-        out.append((3, self.i3))
-        for k, triple in self.ik.items():
-            out += [(k, p) for p in triple]
-        return sorted(out)
-
-    @property
-    def measurement_count(self) -> int:
-        return len(self.pairs())
+        """The rows as (k, m) tuples of Python ints, sorted by (k, m)."""
+        return list(map(tuple, self.rows.tolist()))
 
 
 def plan_indices(params: FrogParams) -> MeasurementIndexPlan:
     """Deterministic admissible index plan (smallest indices first).
 
-    Preconditions: r >= 5, N even, N/2 >= 4. Scans delay indices upward and
-    takes the first admissible values; the leading index of the i2 and ik
-    families is pinned to 0. The ik pair additionally prefers non-conjugate
-    phases (see the loop below). Exhausting a scan would contradict the
-    existence guarantee for r >= 5 and signals an implementation bug.
+    Preconditions: r >= 5, N even, N/2 >= 4. Rows k = 0 and k = 1 are fixed;
+    each row k >= 2 takes delay 0 and then scans delays upward for the
+    first admissible ones, and the pair of a row k >= 4 additionally
+    prefers non-conjugate phases (see the loop below). Exhausting a scan
+    would contradict the existence guarantee for r >= 5 and signals an
+    implementation bug.
     """
     n, l, r = params.N, params.L, params.r
     if n % 2 != 0 or n // 2 < 4:
@@ -333,56 +331,33 @@ def plan_indices(params: FrogParams) -> MeasurementIndexPlan:
     if r < 5:
         raise ValueError(f"index planning needs r >= 5, got r={r}")
 
-    def fail(what: str):  # pragma: no cover - unreachable for admissible geometries
-        raise RuntimeError(f"index scan exhausted for {what} (N={n}, L={l}, r={r})")
-
-    i2 = [0]
-    for m in range(1, r):
-        if len(i2) == 5:
-            break
-        if not _pow_is_minus_one(m * l, n, 2) and not _pow_is_one(m * l, n, 1):
-            i2.append(m)
-    if len(i2) != 5:
-        fail("the stage-2 five-circle family")
-
-    i3 = None
-    for m in range(1, r):
-        if (
-            not _pow_is_minus_one(m * l, n, 3)
-            and not _pow_is_one(m * l, n, 1)
-            and not _pow_is_one(m * l, n, 2)
-        ):
-            i3 = m
-            break
-    if i3 is None:
-        fail("the stage-3 pair index")
-
-    ik: dict[int, tuple[int, int, int]] = {}
-    for k in range(4, n // 2 + 1):
-        adm = [m for m in range(1, r) if not _pow_is_minus_one(m * l, n, k)]
-        if len(adm) < 2:
-            fail(f"the stage-{k} circle family")
-        # Prefer a pair whose phases w^{ka}, w^{kb} are not conjugate
-        # (w^{k(a+b)} != 1), so the two non-zero-delay circles cannot be
-        # structurally mirrored. At k = N/2 with r = 6 every admissible pair
-        # is conjugate; fall back to the smallest pair and leave genuine
-        # degeneracy to the solver's collinearity check.
-        pair = None
-        for ai in range(len(adm)):
-            for bi in range(ai + 1, len(adm)):
-                if not _pow_is_one((adm[ai] + adm[bi]) * l, n, k):
-                    pair = (adm[ai], adm[bi])
+    rows = [(0, 0), (0, 1), (1, 0)]
+    for k in range(2, n // 2 + 1):
+        # Stage k divides by 1 + w^{km}; the k = 2 five-circle family and the
+        # k = 3 pair also need w^{pm} != 1 for 0 < p < k, that is
+        # w^{(k-1)m} != 1, since w^m = 1 implies w^{2m} = 1.
+        adm = [
+            m
+            for m in range(1, r)
+            if not _pow_is_minus_one(m * l, n, k) and not (k <= 3 and _pow_is_one(m * l, n, k - 1))
+        ]
+        size = {2: 4, 3: 1}.get(k, 2)
+        if len(adm) < size:  # pragma: no cover - unreachable for admissible geometries
+            raise RuntimeError(f"index scan exhausted for row k={k} (N={n}, L={l}, r={r})")
+        chosen = adm[:size]
+        if k >= 4:
+            # Prefer the first pair whose phases w^{ka}, w^{kb} are not
+            # conjugate (w^{k(a+b)} != 1), so the two non-zero-delay circles
+            # cannot be structurally mirrored. At k = N/2 with r = 6 every
+            # admissible pair is conjugate; fall back to the smallest pair
+            # and leave genuine degeneracy to the solver's collinearity check.
+            for a, b in itertools.combinations(adm, 2):
+                if not _pow_is_one((a + b) * l, n, k):
+                    chosen = (a, b)
                     break
-            if pair is not None:
-                break
-        if pair is None:
-            pair = (adm[0], adm[1])
-        ik[k] = (0, pair[0], pair[1])
+        rows += [(k, m) for m in (0, *chosen)]
 
-    plan = MeasurementIndexPlan(params, tuple(i2), i3, ik)
-    expected = 3 * n // 2 + 1
-    if len(set(plan.pairs())) != expected:
-        raise RuntimeError(
-            f"plan cardinality {len(set(plan.pairs()))} != {expected} (N={n}, L={l})"
-        )
-    return plan
+    # Built in (k, m) order, as readers that slice rows by k need.
+    rows = np.array(rows)
+    rows.flags.writeable = False
+    return MeasurementIndexPlan(params, rows)

@@ -107,6 +107,18 @@ def _check_plan(measurements: FrogMeasurements, plan: MeasurementIndexPlan) -> N
         )
 
 
+def _require_rows(measurements: FrogMeasurements, rows: np.ndarray) -> np.ndarray:
+    """The measured values of a plan's rows (on the grid), read in one gather.
+
+    When any is absent, measurements.require names the first absent pairs.
+    """
+    values = measurements.grid[rows[:, 0], rows[:, 1]]
+    absent = np.isnan(values)
+    if absent.any():
+        measurements.require(map(tuple, rows[absent].tolist()))
+    return values
+
+
 def _check_positive(name: str, value: float) -> None:
     """ValueError naming the argument unless it is finite and positive."""
     if not (math.isfinite(value) and value > 0):
@@ -205,8 +217,8 @@ def recover_z0(
     """
     _check_plan(measurements, plan)
     _check_positive("tol", tol)
-    row2 = [(2, i) for i in plan.i2]
-    measurements.require([(0, 0), (0, 1), (1, 0)] + row2)
+    k = plan.rows[:, 0]
+    _require_rows(measurements, plan.rows[k <= 2])
     n = measurements.params.N
     floor = _coefficient_floor(measurements)
 
@@ -222,7 +234,7 @@ def recover_z0(
         return big
     small = math.sqrt(n * max(mag00 - mag01, 0.0) / 2.0)
 
-    tables = _row_tables(measurements, row2)
+    tables = _row_tables(measurements, plan.rows[k == 2])
     for root in (big, small):
         if root <= floor:
             break
@@ -254,12 +266,12 @@ def recover_tail(
     _check_plan(measurements, plan)
     params = measurements.params
     n, half = params.N, params.N // 2
-    measurements.require(plan.pairs())
+    _require_rows(measurements, plan.rows)
     floor = _coefficient_floor(measurements)
     if z0 <= floor:
         raise DegenerateSignalError("leading spectral coefficient is at the noise floor")
 
-    tables = _row_tables(measurements, [(k, m) for (k, m) in plan.pairs() if k >= 1])
+    tables = _row_tables(measurements, plan.rows[plan.rows[:, 0] >= 1])
     t = np.zeros(n, dtype=complex)
     t[0] = z0
     t[1] = n * measurements.magnitude(1, 0) / (2.0 * z0)
@@ -367,11 +379,11 @@ class _RowTables(NamedTuple):
         return self.target[rows], self.mirror[rows, :width], self.dw[rows, :width]
 
 
-def _row_tables(measurements: FrogMeasurements, rows: list[tuple[int, int]]) -> _RowTables:
-    """Tables of the given rows, sorted by (k, m), all with k >= 1."""
+def _row_tables(measurements: FrogMeasurements, rows: np.ndarray) -> _RowTables:
+    """Tables of a (k, m)-sorted selection of plan.rows, all with k >= 1."""
     params = measurements.params
     n = params.N
-    k, m = np.array(rows).T
+    k, m = rows.T
     step = (m * params.L % n)[:, None]
     target = measurements.grid[k, m]
     roots = np.exp(2j * np.pi * np.arange(n) / n)
@@ -556,7 +568,8 @@ def recover(
     if plan is None:
         plan = plan_indices(params)
     _check_plan(measurements, plan)
-    sub = measurements.subset(plan.pairs())
+    sub = FrogMeasurements(params)
+    sub.grid[plan.rows[:, 0], plan.rows[:, 1]] = _require_rows(measurements, plan.rows)
 
     z0 = recover_z0(sub, plan, tol=tol)
     spectrum = _normalize_gauge(recover_tail(sub, plan, z0))
@@ -598,12 +611,12 @@ def even_l_infeasibility_probe(
     _check_positive("tol", tol)
     if alpha == 0:
         raise DegenerateSignalError("trial leading coefficient must be nonzero")
-    row2 = [(2, i) for i in plan_indices(params).i2]
-    measurements.require([(1, 0)] + row2)
+    rows = plan_indices(params).rows
+    _require_rows(measurements, rows[(rows[:, 0] == 1) | (rows[:, 0] == 2)])
 
     mu = params.N * measurements.magnitude(1, 0) / (2.0 * abs(alpha))
     t = np.array([alpha, mu * complex(math.cos(theta), math.sin(theta))])
     floor = _coefficient_floor(measurements)
     return not _row2_feasible(
-        _row_tables(measurements, row2), t, abs(alpha), floor, tol
+        _row_tables(measurements, rows[rows[:, 0] == 2]), t, abs(alpha), floor, tol
     )

@@ -7,6 +7,7 @@ reproducible. quick=True shrinks the sweeps to N <= 20 configurations.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -362,45 +363,47 @@ def criterion_5(quick: bool = False) -> CriterionResult:
     )
 
 
+def _check(cond: bool, message: str, *args) -> None:
+    """ValueError(message.format(*args)) unless cond; unlike assert, it runs under python -O."""
+    if not cond:
+        raise ValueError(message.format(*args))
+
+
 def _validate_plan(plan) -> None:
+    """ValueError naming the first admissibility condition the plan breaks."""
     params = plan.params
     n, l, r = params.N, params.L, params.r
-    i2, i3, ik = plan.i2, plan.i3, plan.ik
-    assert i2[0] == 0 and list(i2) == sorted(set(i2)), f"i2 malformed: {i2}"
-    for i in i2:
-        assert 0 <= i < r
-        assert not _pow_is_minus_one(i * l, n, 2), f"i2 entry {i}: 1 + w^2i = 0"
-        assert abs(1.0 + params.w_pow(2 * i)) > 1e-9
-        if i > 0:
-            assert not _pow_is_one(i * l, n, 1), f"i2 entry {i}: w^i = 1"
-            assert abs(params.w_pow(i) - 1.0) > 1e-9
-    assert 1 <= i3 < r
-    assert not _pow_is_minus_one(i3 * l, n, 3), f"i3={i3}: 1 + w^3i = 0"
-    assert not _pow_is_one(i3 * l, n, 1) and not _pow_is_one(i3 * l, n, 2)
-    assert abs(1.0 + params.w_pow(3 * i3)) > 1e-9
-    assert abs(params.w_pow(i3) - 1.0) > 1e-9 and abs(params.w_pow(2 * i3) - 1.0) > 1e-9
-    assert sorted(ik) == list(range(4, n // 2 + 1)), "ik keys wrong"
-    for k, triple in ik.items():
-        assert triple[0] == 0 and 1 <= triple[1] < triple[2] < r, f"ik[{k}]={triple}"
-        for i in triple:
-            assert not _pow_is_minus_one(i * l, n, k), f"ik[{k}] entry {i}: w^ki = -1"
-            assert abs(1.0 + params.w_pow(k * i)) > 1e-9
+    rows = plan.rows
+    _check(rows.shape == (3 * n // 2 + 1, 2), "rows have shape {}", rows.shape)
+    ks, ms = rows.T
+    _check(((0 <= ks) & (ks <= n // 2) & (0 <= ms) & (ms < r)).all(), "row off the grid")
+    _check((np.diff(ks * r + ms) > 0).all(), "rows not distinct and sorted by (k, m)")
+    _check(plan.delays(0).tolist() == [0, 1] and plan.delays(1).tolist() == [0], "rows k < 2")
+    for k in range(2, n // 2 + 1):
+        delays = plan.delays(k).tolist()
+        size = {2: 5, 3: 2}.get(k, 3)
+        _check(len(delays) == size and delays[0] == 0, "row {} has delays {}", k, delays)
+        for i in delays:
+            # Every stage divides by 1 + w^{ki}; exact and numeric tests agree.
+            ok = not _pow_is_minus_one(i * l, n, k) and abs(1.0 + params.w_pow(k * i)) > 1e-9
+            _check(ok, "row {} delay {}: 1 + w^(ki) = 0", k, i)
+            if k in (2, 3) and i > 0:
+                # The k = 2 and k = 3 pair offsets need w^{pi} != 1 for 0 < p < k.
+                for p in range(1, k):
+                    ok = not _pow_is_one(i * l, n, p) and abs(params.w_pow(p * i) - 1.0) > 1e-9
+                    _check(ok, "row {} delay {}: w^({}i) = 1", k, i, p)
+        if k < 4:
+            continue
         # The chosen pair must be non-conjugate (w^{k(a+b)} != 1) unless no
         # admissible pair is; re-derive the admissible set to confirm.
         adm = [m for m in range(1, r) if not _pow_is_minus_one(m * l, n, k)]
-        any_nonconj = any(
-            not _pow_is_one((adm[ai] + adm[bi]) * l, n, k)
-            for ai in range(len(adm))
-            for bi in range(ai + 1, len(adm))
-        )
-        a, b = triple[1], triple[2]
+        pairs = itertools.combinations(adm, 2)
+        any_nonconj = any(not _pow_is_one((x + y) * l, n, k) for x, y in pairs)
+        a, b = delays[1:]
         if any_nonconj:
-            assert not _pow_is_one((a + b) * l, n, k), f"ik[{k}] pair conjugate"
+            _check(not _pow_is_one((a + b) * l, n, k), "row {} pair ({}, {}) conjugate", k, a, b)
         else:
-            assert (a, b) == (adm[0], adm[1]), f"ik[{k}] fallback not minimal"
-    pairs = plan.pairs()
-    assert len(pairs) == len(set(pairs)) == 3 * n // 2 + 1
-    assert all(0 <= k <= n // 2 and 0 <= m < r for k, m in pairs)
+            _check([a, b] == adm[:2], "row {} fallback ({}, {}) not minimal", k, a, b)
 
 
 def criterion_6(quick: bool = False) -> CriterionResult:
@@ -421,7 +424,7 @@ def criterion_6(quick: bool = False) -> CriterionResult:
             try:
                 plan = plan_indices(params)
                 _validate_plan(plan)
-            except (AssertionError, RuntimeError, ValueError) as exc:
+            except (RuntimeError, ValueError) as exc:
                 failures.append(f"(N={n}, L={l}): {exc}")
                 continue
             covered.add(r)
@@ -514,8 +517,8 @@ def criterion_8(quick: bool = False) -> CriterionResult:
             n, rng, floor0=0.05, floor1=0.05, floor2=0.0, gap=0.0
         )
         s0 = float(dft(z)[0].real)
-        needed = [(1, 0)] + [(2, i) for i in plan.i2]
-        meas = frog_measurements_time(z, params, indices=needed)
+        k = plan.rows[:, 0]
+        meas = frog_measurements_time(z, params, indices=plan.rows[(k == 1) | (k == 2)])
         while True:
             c = float(rng.uniform(-1.5, 1.5))
             if 0.05 <= abs(c) and abs(abs(c) - 1.0) > 0.0105:

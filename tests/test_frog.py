@@ -44,6 +44,17 @@ def test_params_validation_and_derived_quantities():
         FrogParams(8, 9)
 
 
+def test_params_refuse_non_integer_geometry():
+    # A float or bool geometry used to be built (r = 6.0, or L = 1 from
+    # True) and failed later, in the synthesis's indexing.
+    cases = ((16.0, 3, "N"), (16, 3.0, "L"), (16, True, "L"), (np.True_, 3, "N"), ("16", 3, "N"))
+    for n, l, field in cases:
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            FrogParams(n, l)
+    # Python and numpy integers stay accepted.
+    assert FrogParams(np.int64(16), np.int32(3)).r == FrogParams(16, 3).r == 6
+
+
 def test_params_phase_factor_is_exact():
     p = FrogParams(16, 3)
     assert p.w_pow(0) == 1.0
@@ -226,39 +237,74 @@ def test_plan_has_expected_cardinality_and_shape():
     params = FrogParams(16, 3)
     plan = plan_indices(params)
     pairs = plan.pairs()
-    assert plan.measurement_count == 3 * 16 // 2 + 1 == 25
+    assert len(plan.rows) == 3 * 16 // 2 + 1 == 25
     assert len(pairs) == len(set(pairs)) == 25
     assert pairs == sorted(pairs)
     for base_pair in ((0, 0), (0, 1), (1, 0), (3, 0)):
         assert base_pair in pairs
-    assert plan.i2[0] == 0
-    assert list(plan.i2) == sorted(set(plan.i2))
-    assert sorted(plan.ik) == list(range(4, 9))
-    for triple in plan.ik.values():
-        assert triple[0] == 0
+    i2 = plan.delays(2).tolist()
+    assert i2[0] == 0
+    assert i2 == sorted(set(i2))
+    assert sorted({k for k, _ in pairs if k >= 4}) == list(range(4, 9))
+    for k in range(4, 9):
+        assert plan.delays(k)[0] == 0
+    # One read-only array; pairs() hands out Python ints.
+    assert plan.rows.shape == (25, 2) and not plan.rows.flags.writeable
+    with pytest.raises(ValueError):
+        plan.rows[0, 0] = 1
+    assert all(type(k) is int and type(m) is int for k, m in pairs)
+
+
+# The plans of two geometries, written out. At (16, 3) row k = 2 skips
+# delay 4 (w^8 = -1), row k = 4 the conjugate pair (1, 3), and row k = 8
+# takes the conjugate fallback (0, 2, 4); at (64, 11) row k = 16 skips the
+# conjugate pair (1, 3) and row k = 32 takes the fallback (0, 2, 4).
+GOLDEN_PLANS = {
+    (16, 3): [
+        (0, 0), (0, 1), (1, 0), (2, 0), (2, 1), (2, 2), (2, 3), (2, 5), (3, 0),
+        (3, 1), (4, 0), (4, 1), (4, 4), (5, 0), (5, 1), (5, 2), (6, 0), (6, 1),
+        (6, 2), (7, 0), (7, 1), (7, 2), (8, 0), (8, 2), (8, 4),
+    ],
+    (64, 11): [(0, 0), (0, 1), (1, 0)]
+    + [(2, m) for m in range(5)]
+    + [(3, 0), (3, 1)]
+    + [
+        (k, m)
+        for k in range(4, 33)
+        for m in {16: (0, 1, 4), 32: (0, 2, 4)}.get(k, (0, 1, 2))
+    ],
+}
+
+
+@pytest.mark.parametrize("n,l", sorted(GOLDEN_PLANS))
+def test_plan_indices_golden(n, l):
+    plan = plan_indices(FrogParams(n, l))
+    assert plan.pairs() == GOLDEN_PLANS[n, l]
+    assert plan.rows.tolist() == [list(p) for p in GOLDEN_PLANS[n, l]]
 
 
 def test_plan_indices_satisfy_admissibility():
     for n, l in ((12, 1), (16, 3), (20, 3), (32, 5), (64, 11), (12, 2), (24, 4)):
         params = FrogParams(n, l)
         plan = plan_indices(params)
-        for i in plan.i2:
+        for i in plan.delays(2).tolist():
             assert abs(1.0 + params.w_pow(2 * i)) > 1e-9
             if i > 0:
                 assert abs(params.w_pow(i) - 1.0) > 1e-9
-        assert abs(1.0 + params.w_pow(3 * plan.i3)) > 1e-9
-        assert abs(params.w_pow(plan.i3) - 1.0) > 1e-9
-        assert abs(params.w_pow(2 * plan.i3) - 1.0) > 1e-9
-        for k, triple in plan.ik.items():
-            for i in triple:
+        i3 = int(plan.delays(3)[1])
+        assert abs(1.0 + params.w_pow(3 * i3)) > 1e-9
+        assert abs(params.w_pow(i3) - 1.0) > 1e-9
+        assert abs(params.w_pow(2 * i3) - 1.0) > 1e-9
+        for k in range(4, n // 2 + 1):
+            for i in plan.delays(k).tolist():
                 assert abs(1.0 + params.w_pow(k * i)) > 1e-9
-        assert plan.measurement_count == 3 * n // 2 + 1
+        assert len(plan.rows) == 3 * n // 2 + 1
 
 
 def test_plan_indices_is_deterministic():
     a = plan_indices(FrogParams(20, 3))
     b = plan_indices(FrogParams(20, 3))
-    assert a.i2 == b.i2 and a.i3 == b.i3 and a.ik == b.ik
+    assert np.array_equal(a.rows, b.rows)
 
 
 def test_plan_indices_rejects_out_of_domain_geometry():

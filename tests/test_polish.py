@@ -30,7 +30,7 @@ def _setup(n, l, seed):
 
 def _tail_tables(meas, plan):
     """The tail solve's table: every planned row with k >= 1."""
-    return _row_tables(meas, [(k, m) for (k, m) in plan.pairs() if k >= 1])
+    return _row_tables(meas, plan.rows[plan.rows[:, 0] >= 1])
 
 
 def _random_coefficients(width, rng):
@@ -118,13 +118,13 @@ def test_row_circles_match_row_oracle(n, l):
     rng = np.random.default_rng(n)
     t = s[: n // 2 + 1] + 1e-2 * np.abs(s).max() * _random_coefficients(n // 2 + 1, rng)
     z0 = abs(s[0])
-    row2 = [(2, i) for i in plan.i2]
+    row2 = plan.rows[plan.rows[:, 0] == 2]
     # Every stage of the tail solve's table, and the five-row table of A1.
     cases = [(_tail_tables(meas, plan), k) for k in range(2, n // 2 + 1)]
     cases.append((_row_tables(meas, row2), 2))
     for tables, k in cases:
         offset, radius = _row_circles(tables, t, k, z0)
-        ms = [m for (kr, m) in plan.pairs() if kr == k]
+        ms = plan.delays(k).tolist()
         ref = np.array([row_circle(meas, t, k, m, z0) for m in ms])
         assert offset.shape == radius.shape == (len(ms),)
         # Both sums run over the same terms in another order; agreement is
@@ -143,12 +143,12 @@ def test_pair_offsets_are_real_multiples_of_the_pair_scale(n, l):
     t[0] = abs(t[0])
     offset2, _ = _row_circles(tables, t, 2, 1.0)
     v = offset2 / (t[1] * t[1] / t[0])
-    ref_v = [offset_v(plan.params, i) for i in plan.i2]
+    ref_v = [offset_v(plan.params, i) for i in plan.delays(2).tolist()]
     np.testing.assert_allclose(v.real, ref_v, rtol=1e-13)
     assert np.abs(v.imag).max() <= 1e-13 * np.abs(v).max()
     offset3, _ = _row_circles(tables, t, 3, 1.0)
     u = offset3 / (t[1] * t[2] / t[0])
-    ref_u = [offset_u(plan.params, 0), offset_u(plan.params, plan.i3)]
+    ref_u = [offset_u(plan.params, i) for i in plan.delays(3).tolist()]
     np.testing.assert_allclose(u.real, ref_u, rtol=1e-13)
     assert np.abs(u.imag).max() <= 1e-13 * np.abs(u).max()
 

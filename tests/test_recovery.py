@@ -283,7 +283,7 @@ def test_recover_flags_corrupted_measurements(monkeypatch):
     # A late-stage row: the stage solve (or the final verification) must
     # reject rather than return a wrong signal.
     late = dict(meas.entries)
-    key = (7, plan.ik[7][1])
+    key = (7, int(plan.delays(7)[1]))
     late[key] = late[key] * 2.5
     with pytest.raises(InconsistentMeasurementsError, match=r"^stage k="):
         recover(FrogMeasurements(params, late), plan)
