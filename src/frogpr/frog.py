@@ -138,23 +138,20 @@ class FrogMeasurements(Mapping):
             raise ValueError(f"entry ({k}, {m}) has invalid value {value!r}")
         self.grid[k, m] = value
 
-    def __contains__(self, key) -> bool:
-        # Not Mapping's, which goes through __getitem__ and raises a KeyError
-        # for each absent pair: load_measurements asks for every entry it reads.
+    def __getitem__(self, key) -> float:
+        # Mapping's `in` and `get` call this, so every key that is not a
+        # measured pair of integers on the grid raises KeyError.
         try:
             k, m = key
             # item() wraps negatives, and raises IndexError past the grid
             # or OverflowError past a C long.
             if (type(k) is int or _is_index(k)) and (type(m) is int or _is_index(m)):
-                return k >= 0 and m >= 0 and not math.isnan(self.grid.item(k, m))
+                value = self.grid.item(k, m)
+                if k >= 0 and m >= 0 and not math.isnan(value):
+                    return value
         except (TypeError, ValueError, IndexError, OverflowError):
             pass
-        return False
-
-    def __getitem__(self, key) -> float:
-        if key not in self:
-            raise KeyError(key)
-        return self.grid.item(key)
+        raise KeyError(key)
 
     def __iter__(self):
         k, m = np.nonzero(~np.isnan(self.grid))

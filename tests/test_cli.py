@@ -1,5 +1,6 @@
 """Command-line flows: exit codes, determinism, JSON run reports."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -70,6 +71,14 @@ def test_measure_full_grid_and_plan_only(capsys, tmp_path):
     assert len(doc["entries"]) == 16 * 6  # full N x r grid
     planned, _ = _measure(capsys, tmp_path, sig, l=3, name="plan.json", plan_only=True)
     assert len(json.loads(planned.read_text())["entries"]) == 3 * 16 // 2 + 1 == 25
+
+
+def test_readme_files_keep_their_bytes(capsys, tmp_path):
+    # The README's first two commands write these exact files.
+    sig, _ = _generate(capsys, tmp_path, "sig.json", n=16, seed=7)
+    meas, _ = _measure(capsys, tmp_path, sig, l=3, name="meas.json", plan_only=True)
+    assert hashlib.sha256(sig.read_bytes()).hexdigest()[:12] == "0fca9d758801"
+    assert hashlib.sha256(meas.read_bytes()).hexdigest()[:12] == "d3ad857a73f6"
 
 
 def test_measure_rejects_invalid_stride(capsys, tmp_path):

@@ -215,6 +215,53 @@ def test_measurements_write_through_the_mapping():
         meas[1.5, 0]
 
 
+def test_lookup_agrees_with_membership_on_odd_keys():
+    params = FrogParams(16, 3)
+    meas = frog_measurements_time(random_analytic_signal(16, np.random.default_rng(137)), params)
+    gap = (4, 2)
+    meas.grid[gap] = np.nan
+    present = (
+        [2, 1],
+        np.array([2, 1]),
+        np.array([15, 5], dtype=np.int32),
+        (np.int64(2), np.int32(1)),
+        (np.uint8(0), 0),
+        [np.int16(3), 4],
+    )
+    absent = (
+        gap,
+        list(gap),
+        (True, 0),
+        [0, False],
+        (np.True_, 1),
+        (1.0, 0),
+        [2, 1.0],
+        np.array([2.0, 1.0]),
+        (-1, 0),
+        [0, -1],
+        np.array([-1, -1]),
+        (16, 0),
+        [0, 6],
+        np.array([99, 0]),
+        (10**400, 0),
+        (0, 2**63),
+        np.array([2, 1, 0]),
+        np.array([[2, 1]]),
+        [2],
+        5,
+        "ab",
+        None,
+    )
+    for key in present:
+        assert key in meas
+        assert meas[key] == meas.grid[int(key[0]), int(key[1])]
+        assert type(meas[key]) is float
+    for key in absent:
+        assert key not in meas
+        with pytest.raises(KeyError):
+            meas[key]
+
+
 def test_grid_rejects_length_mismatch():
     with pytest.raises(ValueError):
         frog_grid_time(np.ones(6), FrogParams(8, 1))

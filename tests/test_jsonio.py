@@ -1,17 +1,21 @@
 """Deterministic JSON serialization of signals and measurements."""
 
+import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
 from frogpr import (
+    FrogMeasurements,
     FrogParams,
     dft,
     frog_measurements_time,
     load_measurements,
     load_signal,
+    plan_indices,
     random_analytic_signal,
     save_measurements,
     save_signal,
@@ -100,8 +104,6 @@ def test_measurements_round_trip(tmp_path):
 
 def test_measurement_file_entries_are_sorted(tmp_path):
     params = FrogParams(8, 3)
-    from frogpr import FrogMeasurements
-
     meas = FrogMeasurements(params, {(5, 1): 2.0, (0, 0): 1.0, (5, 0): 3.0})
     path = tmp_path / "meas.json"
     save_measurements(path, meas)
@@ -138,6 +140,139 @@ def test_load_measurements_validates_schema(tmp_path):
         load_doc({"N": 8, "L": 1, "entries": [[9, 0, 1.0]]})
     with pytest.raises(ValueError, match=r"'entries'\[1\] holds an integer too large"):
         load_doc({"N": 8, "L": 1, "entries": [[0, 0, 1.0], [1, 0, 10**400]]})
+
+
+def test_signal_file_golden_text(tmp_path):
+    # 1e16 + 1 is 1e16 in a double; -0.0 is written as -0 and reads back
+    # as the integer 0.
+    z = np.array(
+        [
+            complex(-0.0, 5e-324),
+            complex(1e16 + 1, 0.1 + 0.2),
+            complex(-1.0000000000000002, 2.0),
+        ]
+    )
+    path = tmp_path / "sig.json"
+    save_signal(path, z)
+    assert path.read_text() == (
+        "{\n"
+        '  "N": 3,\n'
+        '  "values": [\n'
+        "    [-0, 4.9406564584124654e-324],\n"
+        "    [10000000000000000, 0.30000000000000004],\n"
+        "    [-1.0000000000000002, 2]\n"
+        "  ]\n"
+        "}\n"
+    )
+    back = load_signal(path)
+    assert_array_equal(back, z)
+    assert np.signbit(z[0].real) and not np.signbit(back[0].real)
+
+
+def test_measurement_file_golden_text(tmp_path):
+    meas = FrogMeasurements(FrogParams(8, 3), {(0, 0): 0.0, (1, 2): 3.0, (7, 0): 1e-320})
+    path = tmp_path / "meas.json"
+    save_measurements(path, meas)
+    assert path.read_text() == (
+        "{\n"
+        '  "N": 8,\n'
+        '  "L": 3,\n'
+        '  "entries": [\n'
+        "    [0, 0, 0],\n"
+        "    [1, 2, 3],\n"
+        "    [7, 0, 9.9998886718268301e-321]\n"
+        "  ]\n"
+        "}\n"
+    )
+    save_measurements(path, FrogMeasurements(FrogParams(8, 3)))
+    assert path.read_text() == '{\n  "N": 8,\n  "L": 3,\n  "entries": []\n}\n'
+
+
+def test_full_grid_file_bytes_are_pinned(tmp_path):
+    # Values over the whole double range, zero and subnormals included, made
+    # with ldexp so that they are the same on every platform.
+    rng = np.random.default_rng(1211)
+    params = FrogParams(256, 11)
+    meas = FrogMeasurements(params)
+    shape = meas.grid.shape
+    meas.grid[:] = np.ldexp(rng.random(shape), rng.integers(-1074, 1000, shape))
+    path = tmp_path / "grid.json"
+    save_measurements(path, meas)
+    data = path.read_bytes()
+    assert len(data) == 237089
+    assert hashlib.sha256(data).hexdigest() == (
+        "2126108f8ad1b13c774f78d37d054c78ce485bfff4c14833042db1e8132a4cc2"
+    )
+
+
+@pytest.mark.parametrize("n, l", [(16, 3), (64, 11), (256, 11)])
+def test_measurement_round_trip_is_bitwise(tmp_path, n, l):
+    params = FrogParams(n, l)
+    z = random_analytic_signal(n, np.random.default_rng(704 + n))
+    path = tmp_path / "meas.json"
+    for indices in (None, plan_indices(params).pairs()):
+        meas = frog_measurements_time(z, params, indices)
+        save_measurements(path, meas)
+        back = load_measurements(path)
+        assert back.params == params
+        # NaN marks the entries that are absent, at the same positions.
+        assert back.grid.tobytes() == meas.grid.tobytes()
+
+
+def test_signal_round_trip_is_bitwise(tmp_path):
+    path = tmp_path / "sig.json"
+    for n in (2, 16, 256, 1024):
+        z = random_analytic_signal(n, np.random.default_rng(705 + n))
+        save_signal(path, z, dft(z))
+        back = load_signal(path)
+        assert back.dtype == np.complex128 and back.tobytes() == z.tobytes()
+
+
+def _load_text(tmp_path, loader, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return loader(path)
+
+
+def test_measurement_reader_names_the_first_faulty_row(tmp_path):
+    # A NaN value in row 1 and a string in row 3.
+    entries = [[0, 0, 1.0], [1, 0, float("nan")], [2, 0, 1.0], [3, 0, "x"]]
+    with pytest.raises(ValueError, match=re.escape("entry (1, 0) has invalid value nan")):
+        _load_text(tmp_path, load_measurements, {"N": 8, "L": 3, "entries": entries})
+    # A repeated index in row 2 and a negative value in row 4.
+    entries = [[0, 0, 1.0], [1, 0, 1.0], [0, 0, 2.0], [3, 0, 1.0], [4, 1, -1.0]]
+    with pytest.raises(ValueError, match=re.escape("'entries'[2] repeats index (0, 0)")):
+        _load_text(tmp_path, load_measurements, {"N": 8, "L": 3, "entries": entries})
+
+
+def test_signal_reader_names_the_first_faulty_row(tmp_path):
+    # A NaN in row 1 and a string in row 3.
+    values = [[0.5, 1.0], [float("nan"), 0.0], [1.0, 1.0], [1.0, "x"]]
+    with pytest.raises(ValueError, match=re.escape("'values'[1] holds a number that is not finite")):
+        _load_text(tmp_path, load_signal, {"N": 4, "values": values})
+    # An integer too large for a float in row 2 and a bool in row 4.
+    values = [[0.5, 1.0], [0.5, -1.0], [10**400, 0.0], [1.0, 1.0], [True, 1.0]]
+    with pytest.raises(ValueError, match=re.escape("'values'[2] holds an integer too large")):
+        _load_text(tmp_path, load_signal, {"N": 5, "values": values})
+    # The spectrum is checked row by row too: infinity in row 1, None in row 3.
+    values = [[0.5, 1.0], [0.5, -1.0], [2.0, 0.0], [1.0, 1.0]]
+    spectrum = [[0.5, 1.0], [1.0, float("inf")], [-0.0, 0.0], [1.0, None]]
+    with pytest.raises(ValueError, match=re.escape("'spectrum'[1] holds a number that is not")):
+        _load_text(tmp_path, load_signal, {"N": 4, "values": values, "spectrum": spectrum})
+
+
+def test_save_measurements_refuses_non_finite_values(tmp_path):
+    meas = FrogMeasurements(FrogParams(8, 3), {(0, 0): 1.0, (2, 1): 2.0, (5, 0): 3.0})
+    path = tmp_path / "meas.json"
+    save_measurements(path, meas)
+    before = path.read_bytes()
+    # The grid can be written directly; the first bad value in file order
+    # is named, and the file is left as it was.
+    meas.grid[5, 0] = -np.inf
+    meas.grid[2, 1] = np.inf
+    with pytest.raises(ValueError, match=r"^cannot serialize non-finite number inf$"):
+        save_measurements(path, meas)
+    assert path.read_bytes() == before
 
 
 def test_dumps_canonical_formatting():
