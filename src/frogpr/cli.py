@@ -100,7 +100,7 @@ def _cmd_measure(args) -> int:
         return 2
     if args.plan_only:
         try:
-            indices = plan_indices(params).pairs()
+            indices = plan_indices(params).rows
         except ValueError as exc:
             print(f"refused: {exc}", file=sys.stderr)
             return 1

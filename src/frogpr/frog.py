@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -44,6 +43,27 @@ __all__ = [
 def _is_index(i) -> bool:
     """An int or numpy integer; bool is an int subclass but no index."""
     return isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+
+
+def _grid_index(key, shape: tuple[int, int]) -> tuple[int, int]:
+    """key as (k, m) in Python ints; ValueError unless it is a pair on the grid.
+
+    The one index rule of lookup, assignment and synthesis: a pair of ints
+    or numpy integers (no bools) with 0 <= k < N and 0 <= m < r.
+    """
+    try:
+        k, m = key
+    except (TypeError, ValueError):
+        raise ValueError(f"entry index {key!r} is not a pair of integers") from None
+    # Exact ints first: the isinstance test is slow.
+    if type(k) is not int or type(m) is not int:
+        if not (_is_index(k) and _is_index(m)):
+            raise ValueError(f"entry index ({k!r}, {m!r}) is not a pair of integers")
+        k, m = int(k), int(m)
+    n, r = shape
+    if not (0 <= k < n and 0 <= m < r):
+        raise ValueError(f"entry index ({k}, {m}) outside grid {n}x{r}")
+    return k, m
 
 
 @dataclass(frozen=True)
@@ -127,31 +147,21 @@ class FrogMeasurements(Mapping):
         return self
 
     def __setitem__(self, key, value) -> None:
-        k, m = key
-        # Exact ints first: the isinstance test is slow.
-        if not ((type(k) is int or _is_index(k)) and (type(m) is int or _is_index(m))):
-            raise ValueError(f"entry index ({k!r}, {m!r}) is not a pair of integers")
-        n, r = self.grid.shape
-        if not (0 <= k < n and 0 <= m < r):
-            raise ValueError(f"entry index ({k}, {m}) outside grid {n}x{r}")
+        k, m = _grid_index(key, self.grid.shape)
         if not (value >= 0 and math.isfinite(value)):
             raise ValueError(f"entry ({k}, {m}) has invalid value {value!r}")
         self.grid[k, m] = value
 
     def __getitem__(self, key) -> float:
         # Mapping's `in` and `get` call this, so every key that is not a
-        # measured pair of integers on the grid raises KeyError.
+        # measured pair on the grid raises KeyError.
         try:
-            k, m = key
-            # item() wraps negatives, and raises IndexError past the grid
-            # or OverflowError past a C long.
-            if (type(k) is int or _is_index(k)) and (type(m) is int or _is_index(m)):
-                value = self.grid.item(k, m)
-                if k >= 0 and m >= 0 and not math.isnan(value):
-                    return value
-        except (TypeError, ValueError, IndexError, OverflowError):
-            pass
-        raise KeyError(key)
+            value = self.grid.item(_grid_index(key, self.grid.shape))
+        except ValueError:
+            raise KeyError(key) from None
+        if math.isnan(value):
+            raise KeyError(key)
+        return value
 
     def __iter__(self):
         k, m = np.nonzero(~np.isnan(self.grid))
@@ -177,15 +187,6 @@ class FrogMeasurements(Mapping):
         if missing:
             raise ValueError(f"measurements missing required entries {missing[:5]}")
 
-    def subset(self, pairs) -> "FrogMeasurements":
-        """Restriction to the given (k, m) pairs (all must be present)."""
-        self.require(pairs)
-        # Reshaped so that no pairs still give two (empty) index arrays.
-        k, m = np.array(pairs, dtype=int).reshape(-1, 2).T
-        out = FrogMeasurements(self.params)
-        out.grid[k, m] = self.grid[k, m]
-        return out
-
 
 def frog_grid_time(z, params: FrogParams) -> np.ndarray:
     """Full measurement grid from the time-domain product form, shape (N, r)."""
@@ -210,34 +211,14 @@ def frog_grid_freq(s, params: FrogParams) -> np.ndarray:
     return (np.abs(rows / n) ** 2).T
 
 
-def _is_real_index(i) -> bool:
-    """A real number but no bool, which is an int to Python but no index.
-
-    Whether it is whole and on the grid is checked apart.
-    """
-    return isinstance(i, numbers.Real) and not isinstance(i, bool)
-
-
 def _collect(grid: np.ndarray, params: FrogParams, indices) -> FrogMeasurements:
     if indices is None:
         ks, ms = np.indices(grid.shape).reshape(2, -1)
     else:
-        n, r = params.N, params.r
-        ks, ms = [], []
-        for index in indices:
-            try:
-                k, m = index
-            except (TypeError, ValueError):
-                raise ValueError(f"entry index {index!r} is not a pair of integers") from None
-            # Exact ints first, as in FrogMeasurements: the ABC test is slow.
-            k_ok = type(k) is int or _is_real_index(k)
-            if not (k_ok and (type(m) is int or _is_real_index(m))):
-                raise ValueError(f"entry index ({k!r}, {m!r}) is not a pair of integers")
-            # Checked first: numpy wraps -1 and raises IndexError past the grid.
-            if not (0 <= k < n and 0 <= m < r and k == int(k) and m == int(m)):
-                raise ValueError(f"entry index ({k}, {m}) outside grid {n}x{r}")
-            ks.append(int(k))
-            ms.append(int(m))
+        if isinstance(indices, np.ndarray):
+            indices = indices.tolist()  # Python ints take the checks' fast path
+        pairs = [_grid_index(index, grid.shape) for index in indices]
+        ks, ms = zip(*pairs) if pairs else ((), ())
     values = grid[ks, ms]
     # Never negative, but a signal large enough to overflow makes it inf or NaN.
     bad = np.flatnonzero(~np.isfinite(values))
@@ -253,14 +234,19 @@ def frog_measurements_time(z, params: FrogParams, indices=None) -> FrogMeasureme
     """Measurements |y^_{k,m}|^2 from the time-domain definition.
 
     indices: optional iterable of (k, m) pairs; the full N x r grid when
-    omitted.
+    omitted. An entry that overflows is refused with ValueError, and its
+    overflow is not warned about first.
     """
-    return _collect(frog_grid_time(z, params), params, indices)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = frog_grid_time(z, params)
+    return _collect(grid, params, indices)
 
 
 def frog_measurements_freq(s, params: FrogParams, indices=None) -> FrogMeasurements:
     """Measurements from the spectrum; agrees with frog_measurements_time(idft(s))."""
-    return _collect(frog_grid_freq(s, params), params, indices)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = frog_grid_freq(s, params)
+    return _collect(grid, params, indices)
 
 
 # --- exact admissibility predicates -----------------------------------------

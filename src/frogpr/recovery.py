@@ -213,7 +213,8 @@ def recover_z0(
     DegenerateSignalError when the boundary coefficients vanish or s_1 sits
     at the floor, InconsistentMeasurementsError when neither root passes.
     Membership is within tol relative to 1 + radius; the moduli count as
-    equal when |y^_{0,1}| <= tol |y^_{0,0}|.
+    equal when |y^_{0,1}| <= tol |y^_{0,0}|. The measurements are read at
+    the caller's scale; recover first rescales them by a power of two.
     """
     _check_plan(measurements, plan)
     _check_positive("tol", tol)
@@ -260,7 +261,8 @@ def recover_tail(
     re-polished against the rows that involve them, and at every
     _POLISH_WINDOW-th stage and the last stage all coefficients solved so
     far against all rows consumed so far, so stage roundoff never
-    compounds. Returns the full length-N spectrum (upper half zero).
+    compounds. Returns the full length-N spectrum (upper half zero). The
+    measurements are read at the caller's scale, as in recover_z0.
     """
     _check_positive("z0", z0)
     _check_plan(measurements, plan)
@@ -559,7 +561,8 @@ def recover(
     plan for another geometry, missing entries or a tol that is not finite
     and > 0; propagates DegenerateSignalError and the tail's
     InconsistentMeasurementsError; and raises InconsistentMeasurementsError
-    when the verification residual exceeds tol.
+    when the verification residual exceeds tol. Measurements scaled by
+    2^(4j) give the spectrum scaled by exactly 2^j.
     """
     params = measurements.params
     violations = params.recovery_violations()
@@ -568,8 +571,12 @@ def recover(
     if plan is None:
         plan = plan_indices(params)
     _check_plan(measurements, plan)
+    values = _require_rows(measurements, plan.rows)
+    # Quartic in the spectrum: dividing them by 2^(4e) divides it by 2^e, and
+    # the stages' absolute floors see a largest value in [1, 16) at any scale.
+    e = (math.frexp(values.max())[1] - 1) // 4
     sub = FrogMeasurements(params)
-    sub.grid[plan.rows[:, 0], plan.rows[:, 1]] = _require_rows(measurements, plan.rows)
+    sub.grid[plan.rows[:, 0], plan.rows[:, 1]] = np.ldexp(values, -4 * e)
 
     z0 = recover_z0(sub, plan, tol=tol)
     spectrum = _normalize_gauge(recover_tail(sub, plan, z0))
@@ -578,6 +585,8 @@ def recover(
         raise InconsistentMeasurementsError(
             f"verification residual {residual:.3e} > {tol:.1e}"
         )
+    # Scaled on the float64 view, which keeps the sign of a zero part.
+    spectrum = np.ldexp(spectrum.view(np.float64), e).view(np.complex128)
     return RecoveryResult(idft(spectrum), spectrum, residual)
 
 

@@ -161,12 +161,11 @@ def criterion_2(quick: bool = False) -> CriterionResult:
     for n, l in configs:
         params = FrogParams(n, l)
         plan = plan_indices(params)
-        pairs = plan.pairs()
         for trial in range(trials):
             total += 1
             z = _generic_even_signal(n, rng)
-            meas = frog_measurements_time(z, params, indices=pairs)
-            if len(meas.entries) != 3 * n // 2 + 1:
+            meas = frog_measurements_time(z, params, indices=plan.rows)
+            if len(meas) != 3 * n // 2 + 1:
                 failures.append(f"({n},{l}) trial {trial}: plan cardinality")
                 continue
             try:

@@ -131,7 +131,7 @@ def test_measurement_collection_full_and_subset():
     assert sub[5, 2] == full[5, 2]
     assert_allclose(sub.magnitude(5, 2), np.sqrt(full[5, 2]), rtol=1e-15)
     with pytest.raises(ValueError):
-        full.subset([(0, 0), (99, 0)])
+        frog_measurements_time(z, params, indices=[(0, 0), (99, 0)])
 
 
 def test_measurements_from_spectrum_match_time_domain():
@@ -166,12 +166,15 @@ def test_measurements_validate_entries():
     params = FrogParams(16, 3)
     z = random_analytic_signal(16, np.random.default_rng(135))
     for synthesize, x in ((frog_measurements_time, z), (frog_measurements_freq, dft(z))):
-        for bad in ((-1, 0), (99, 0), (1, 6), (1.5, 0), (1, 0.5)):
+        for bad in ((-1, 0), (99, 0), (1, 6)):
             with pytest.raises(ValueError, match=r"outside grid 16x6"):
                 synthesize(x, params, [(0, 0), bad])
-        # Non-pairs and non-numbers are refused, and a bool is not read as
-        # 0 or 1.
-        for bad in (5, (1, 2, 3), ("1", 0), (None, 0), (1, None), (True, 0), (1, np.False_)):
+        # Non-pairs, non-integers and non-numbers are refused, and a bool is
+        # not read as 0 or 1.
+        for bad in (
+            5, (1, 2, 3), (1.5, 0), (1, 0.5), ("1", 0), (None, 0), (1, None), (True, 0),
+            (1, np.False_),
+        ):
             with pytest.raises(ValueError, match="not a pair of integers"):
                 synthesize(x, params, [(0, 0), bad])
 
@@ -203,7 +206,7 @@ def test_measurements_write_through_the_mapping():
         with pytest.raises(ValueError, match=message):
             meas[key] = value
     np.testing.assert_array_equal(meas.grid, grid)
-    empty = meas.subset([])
+    empty = frog_measurements_time(z, params, [])
     assert len(empty) == 0 and list(empty) == [] and np.isnan(empty.grid).all()
     # Membership and require treat a pair off the integer grid as absent.
     assert (0, 0) in meas and (15, 5) not in meas
@@ -216,50 +219,95 @@ def test_measurements_write_through_the_mapping():
 
 
 def test_lookup_agrees_with_membership_on_odd_keys():
+    # One index rule: a key that assignment and synthesis take is found by
+    # lookup unless it was not measured, and a key they refuse, with one
+    # message, is absent.
     params = FrogParams(16, 3)
-    meas = frog_measurements_time(random_analytic_signal(16, np.random.default_rng(137)), params)
+    z = random_analytic_signal(16, np.random.default_rng(137))
+    meas = frog_measurements_time(z, params)
     gap = (4, 2)
     meas.grid[gap] = np.nan
-    present = (
-        [2, 1],
-        np.array([2, 1]),
-        np.array([15, 5], dtype=np.int32),
-        (np.int64(2), np.int32(1)),
-        (np.uint8(0), 0),
-        [np.int16(3), 4],
+    pair, outside = "not a pair of integers", "outside grid 16x6"
+    keys = (
+        ([2, 1], None),
+        (np.array([2, 1]), None),
+        (np.array([15, 5], dtype=np.int32), None),
+        ((np.int64(2), np.int32(1)), None),
+        ((np.uint8(0), 0), None),
+        ([np.int16(3), 4], None),
+        (gap, None),
+        (list(gap), None),
+        ((True, 0), pair),
+        ([0, False], pair),
+        ((np.True_, 1), pair),
+        ((1.0, 0), pair),
+        ((2.0, 1), pair),
+        ([2, 1.0], pair),
+        (np.array([2.0, 1.0]), pair),
+        (np.array([2, 1, 0]), pair),
+        (np.array([[2, 1]]), pair),
+        (np.array([[2.0, 1.0]]), pair),
+        ([2], pair),
+        (5, pair),
+        ("ab", pair),
+        (None, pair),
+        ((-1, 0), outside),
+        ([0, -1], outside),
+        (np.array([-1, -1]), outside),
+        ((16, 0), outside),
+        ([0, 6], outside),
+        (np.array([99, 0]), outside),
+        ((10**400, 0), outside),
+        ((0, 2**63), outside),
     )
-    absent = (
-        gap,
-        list(gap),
-        (True, 0),
-        [0, False],
-        (np.True_, 1),
-        (1.0, 0),
-        [2, 1.0],
-        np.array([2.0, 1.0]),
-        (-1, 0),
-        [0, -1],
-        np.array([-1, -1]),
-        (16, 0),
-        [0, 6],
-        np.array([99, 0]),
-        (10**400, 0),
-        (0, 2**63),
-        np.array([2, 1, 0]),
-        np.array([[2, 1]]),
-        [2],
-        5,
-        "ab",
-        None,
-    )
-    for key in present:
-        assert key in meas
-        assert meas[key] == meas.grid[int(key[0]), int(key[1])]
-        assert type(meas[key]) is float
-    for key in absent:
+    grid = frog_grid_time(z, params)
+    written = FrogMeasurements(params)
+    for key, message in keys:
+        if message is None:
+            k, m = int(key[0]), int(key[1])
+            if (k, m) == gap:
+                assert key not in meas
+                with pytest.raises(KeyError):
+                    meas[key]
+            else:
+                assert key in meas
+                assert meas[key] == meas.grid[k, m]
+                assert type(meas[key]) is float
+            written[key] = 1.0
+            assert written.grid[k, m] == 1.0
+            assert frog_measurements_time(z, params, [key]).grid[k, m] == grid[k, m]
+            continue
         assert key not in meas
         with pytest.raises(KeyError):
             meas[key]
+        with pytest.raises(ValueError, match=message):
+            written[key] = 1.0
+        with pytest.raises(ValueError, match=message):
+            frog_measurements_time(z, params, [(0, 0), key])
+    # Nothing refused was written: only the five distinct pairs above.
+    assert sorted(written) == [(0, 0), (2, 1), (3, 4), (4, 2), (15, 5)]
+
+
+def test_synthesis_reads_plan_rows_as_pairs():
+    params = FrogParams(64, 11)
+    z = random_analytic_signal(64, np.random.default_rng(138))
+    plan = plan_indices(params)
+    for synthesize, x in ((frog_measurements_time, z), (frog_measurements_freq, dft(z))):
+        from_rows = synthesize(x, params, plan.rows)
+        from_pairs = synthesize(x, params, plan.pairs())
+        assert list(from_rows) == plan.pairs()
+        assert from_rows.grid.tobytes() == from_pairs.grid.tobytes()
+
+
+def test_synthesis_refuses_overflow_without_warning():
+    # The squared magnitudes of a signal this large overflow; synthesis
+    # refuses them, and numpy's overflow warning is not raised first.
+    params = FrogParams(16, 3)
+    z = 1e77 * random_analytic_signal(16, np.random.default_rng(139))
+    for synthesize, x in ((frog_measurements_time, z), (frog_measurements_freq, dft(z))):
+        for indices in (None, plan_indices(params).rows):
+            with pytest.raises(ValueError, match="has invalid value inf"):
+                synthesize(x, params, indices)
 
 
 def test_grid_rejects_length_mismatch():

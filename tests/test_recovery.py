@@ -26,6 +26,7 @@ from frogpr import (
     recover_z0,
     verify_solution,
 )
+from frogpr.selftest import _generic_even_signal
 
 
 def _generic(n, rng, floor=0.1, gap=0.05):
@@ -111,6 +112,35 @@ def test_recover_round_trips_large_signals(n, l, seed):
     report = equivalent_up_to_group(rec.signal, z, tol=1e-6)
     assert report.equivalent and report.residual < 1e-6
     assert rec.verification_residual < 1e-6
+
+
+def _ldexp(x, j):
+    """x * 2^j, exactly and with the sign of every zero part kept."""
+    x = np.asarray(x)
+    return np.ldexp(x.view(np.float64), j).view(x.dtype)
+
+
+@pytest.mark.parametrize("n,l,seed", [(16, 3, 641), (64, 11, 642)])
+def test_recover_does_not_depend_on_the_scale_of_its_input(n, l, seed):
+    # Measurements scaled by 2^(4j) give the spectrum scaled by exactly 2^j,
+    # and a signal far from unit scale recovers without a warning (pytest
+    # turns them into errors): the stages see the same numbers either way.
+    params = FrogParams(n, l)
+    plan = plan_indices(params)
+    z = _generic_even_signal(n, np.random.default_rng(seed))
+    meas = frog_measurements_time(z, params, plan.rows)
+    rec = recover(meas, plan)
+    for j in (-50, -7, 3, 60):
+        scaled = FrogMeasurements(params)
+        scaled.grid[:] = _ldexp(meas.grid, 4 * j)
+        out = recover(scaled, plan)
+        assert out.spectrum.tobytes() == _ldexp(rec.spectrum, j).tobytes()
+        assert out.signal.tobytes() == _ldexp(rec.signal, j).tobytes()
+        assert out.verification_residual == rec.verification_residual
+    for factor in (1e-8, 1e50):
+        out = recover(frog_measurements_time(factor * z, params, plan.rows), plan)
+        report = equivalent_up_to_group(out.signal, factor * z, tol=1e-6)
+        assert report.equivalent and report.residual < 1e-9
 
 
 def _outcome(meas, plan, z):
