@@ -50,8 +50,6 @@ from .recovery import (
     RecoveryResult,
     even_l_infeasibility_probe,
     recover,
-    recover_tail,
-    recover_z0,
     verify_solution,
 )
 from .spectral import as_signal, dft, idft, root_of_unity
@@ -89,8 +87,6 @@ __all__ = [
     "plan_indices",
     "random_analytic_signal",
     "recover",
-    "recover_tail",
-    "recover_z0",
     "reflect",
     "root_of_unity",
     "rotate",

@@ -13,6 +13,7 @@ that Re(z) reproduces the input and Re(z), Im(z) are orthogonal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,13 +73,13 @@ def is_analytic(s, tol: float | None = None) -> AnalyticityReport:
     """Test spectrum s against the analytic support/reality pattern.
 
     tol defaults to 1e-9 relative to the largest coefficient modulus; pass an
-    absolute tolerance to override.
+    absolute tolerance, finite and >= 0, to override.
     """
     s = as_signal(s)
     if tol is None:
         tol = 1e-9 * float(np.abs(s).max())
-    elif tol < 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
+    elif not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     zero_idx, real_idx = _spectral_masks(s.size)
     zero_viol = float(np.abs(s[zero_idx]).max()) if zero_idx.size else 0.0
     real_viol = float(np.abs(s[real_idx].imag).max())
@@ -91,10 +92,13 @@ def random_analytic_signal(n: int, rng: np.random.Generator, floor: float = 1e-6
 
     Draws are rejected (probability ~0) while |s_0| or |s_1| falls below
     floor * max|s_k|, so the nonvanishing conditions the recovery stages
-    divide by hold numerically.
+    divide by hold numerically. floor must be finite and in [0, 1): no
+    draw passes a larger one, so the loop would never end.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
+    if not (math.isfinite(floor) and 0 <= floor < 1):
+        raise ValueError(f"floor must be finite and in [0, 1), got {floor!r}")
     while True:
         z = make_analytic(rng.standard_normal(n))
         s = dft(z)

@@ -24,10 +24,13 @@ coefficient through circles |s_k + offset| = radius. Recovery proceeds:
       measurement and keeps A2's Im s_2 >= 0 choice, so the second start
       would reach an equivalent spectrum or fail alike.
 
-A planned row (k, m) is expanded in coefficients in one place, the row
-table of _row_tables: partner indices k - l and unit-root sums
-(w^{lm} + w^{(k-l)m}) / N. The stage circles, A1's k = 2 test, the even-L
-probe and the polish all read it.
+recover and the even-L probe first run _scaled, once: it reads the planned
+values, divides them by the power of two 2^(4e) that puts the largest in
+[1, 16), so the solvers' absolute floors see the same numbers at every
+scale, and expands the rows k >= 1 in coefficients in one row table:
+partner indices k - l and unit-root sums (w^{lm} + w^{(k-l)m}) / N. The
+stage circles, A1's k = 2 test, the even-L probe and the polish all read
+that table.
 
 All of this assumes L odd (so the per-step phase satisfies w^{N/2} = -1 and
 the k = 0 row separates the two boundary coefficients). For even L that row
@@ -55,8 +58,6 @@ from .spectral import as_signal, idft
 
 __all__ = [
     "RecoveryResult",
-    "recover_z0",
-    "recover_tail",
     "recover",
     "verify_solution",
     "even_l_infeasibility_probe",
@@ -98,41 +99,10 @@ class RecoveryResult:
     verification_residual: float
 
 
-def _check_plan(measurements: FrogMeasurements, plan: MeasurementIndexPlan) -> None:
-    """ValueError unless the plan is for the measurements' geometry."""
-    if plan.params != measurements.params:
-        raise ValueError(
-            f"plan is for {plan.params} but the measurements are for "
-            f"{measurements.params}"
-        )
-
-
-def _require_rows(measurements: FrogMeasurements, rows: np.ndarray) -> np.ndarray:
-    """The measured values of a plan's rows (on the grid), read in one gather.
-
-    When any is absent, measurements.require names the first absent pairs.
-    """
-    values = measurements.grid[rows[:, 0], rows[:, 1]]
-    absent = np.isnan(values)
-    if absent.any():
-        measurements.require(map(tuple, rows[absent].tolist()))
-    return values
-
-
 def _check_positive(name: str, value: float) -> None:
     """ValueError naming the argument unless it is finite and positive."""
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
-
-
-def _coefficient_floor(measurements: FrogMeasurements) -> float:
-    """Absolute threshold below which a spectral coefficient counts as zero.
-
-    Coefficients scale like sqrt(N * |y^|), so the floor is the relative
-    genericity floor at that scale.
-    """
-    s_max = math.sqrt(measurements.max_value())
-    return _GENERICITY_FLOOR * math.sqrt(measurements.params.N * s_max)
 
 
 def _row_circles(
@@ -145,13 +115,12 @@ def _row_circles(
     l = 0 column of dw. The radius uses the A1 modulus z0, not |t[0]|, which
     the polish may have moved in its last bits. Reads t[0 .. k-1].
     """
-    lo, hi = np.searchsorted(tables.k, [k, k + 1])
+    target, mirror, dw = tables.stage(k, k)
     tv = np.zeros(k + 1, dtype=complex)
     tv[:k] = t[:k]
-    dw = tables.dw[lo:hi, : k + 1]
-    y = 0.5 * ((tv[tables.mirror[lo:hi, : k + 1]] * dw) @ tv)
+    y = 0.5 * ((tv[mirror] * dw) @ tv)
     edge = dw[:, 0]
-    return y / (t[0] * edge), np.sqrt(tables.target[lo:hi]) / (z0 * np.abs(edge))
+    return y / (t[0] * edge), np.sqrt(target) / (z0 * np.abs(edge))
 
 
 def _circle_residual(z: complex, offset: np.ndarray, radius: np.ndarray) -> float:
@@ -188,21 +157,17 @@ def _row2_scale(t: np.ndarray, floor: float) -> complex:
     return t1 * t1 / t[0].real
 
 
-def _row2_feasible(
-    tables: _RowTables, t: np.ndarray, z0: float, floor: float, tol: float
-) -> bool:
+def _row2_feasible(tables: _RowTables, t: np.ndarray, z0: float, tol: float) -> bool:
     """Whether a k = 2 pair candidate lies on all five planned k = 2 circles."""
     offset, radius = _row_circles(tables, t, 2, z0)
     try:
-        cands = _pair_solve(offset, radius, _row2_scale(t, floor))
+        cands = _pair_solve(offset, radius, _row2_scale(t, tables.floor))
     except NoSolutionError:
         return False
     return any(_circle_residual(z, offset, radius) <= tol for z in cands)
 
 
-def recover_z0(
-    measurements: FrogMeasurements, plan: MeasurementIndexPlan, *, tol: float = 1e-6
-) -> float:
+def recover_z0(sub: FrogMeasurements, tables: _RowTables, tol: float) -> float:
     """|s_0| from the k = 0 row, disambiguated on the k = 2 row.
 
     The k = 0 row gives max(|s_0|, |s_{N/2}|) = sqrt(N (|y^_{0,0}| +
@@ -213,18 +178,13 @@ def recover_z0(
     DegenerateSignalError when the boundary coefficients vanish or s_1 sits
     at the floor, InconsistentMeasurementsError when neither root passes.
     Membership is within tol relative to 1 + radius; the moduli count as
-    equal when |y^_{0,1}| <= tol |y^_{0,0}|. The measurements are read at
-    the caller's scale; recover first rescales them by a power of two.
+    equal when |y^_{0,1}| <= tol |y^_{0,0}|. sub and tables are what
+    _scaled made of the planned rows; the k = 2 circles are the table's.
     """
-    _check_plan(measurements, plan)
-    _check_positive("tol", tol)
-    k = plan.rows[:, 0]
-    _require_rows(measurements, plan.rows[k <= 2])
-    n = measurements.params.N
-    floor = _coefficient_floor(measurements)
-
-    mag00 = measurements.magnitude(0, 0)
-    mag01 = measurements.magnitude(0, 1)
+    n = sub.params.N
+    floor = tables.floor
+    mag00 = sub.magnitude(0, 0)
+    mag01 = sub.magnitude(0, 1)
     big = math.sqrt(n * (mag00 + mag01) / 2.0)
     if big <= floor:
         raise DegenerateSignalError(
@@ -234,22 +194,18 @@ def recover_z0(
         # Boundary moduli coincide; either root works and they are equal.
         return big
     small = math.sqrt(n * max(mag00 - mag01, 0.0) / 2.0)
-
-    tables = _row_tables(measurements, plan.rows[k == 2])
     for root in (big, small):
         if root <= floor:
             break
-        t = np.array([root, n * measurements.magnitude(1, 0) / (2.0 * root)])
-        if _row2_feasible(tables, t, root, floor, tol):
+        t = np.array([root, n * sub.magnitude(1, 0) / (2.0 * root)])
+        if _row2_feasible(tables, t, root, tol):
             return root
     raise InconsistentMeasurementsError(
         "neither boundary-modulus root admits a consistent second-row circle system"
     )
 
 
-def recover_tail(
-    measurements: FrogMeasurements, plan: MeasurementIndexPlan, z0: float
-) -> np.ndarray:
+def recover_tail(sub: FrogMeasurements, tables: _RowTables, z0: float) -> np.ndarray:
     """Spectrum s with s_0 = z0 and s_1 .. s_{N/2} solved row by row.
 
     s_1 is pinned real non-negative (spending the continuous translation
@@ -261,22 +217,14 @@ def recover_tail(
     re-polished against the rows that involve them, and at every
     _POLISH_WINDOW-th stage and the last stage all coefficients solved so
     far against all rows consumed so far, so stage roundoff never
-    compounds. Returns the full length-N spectrum (upper half zero). The
-    measurements are read at the caller's scale, as in recover_z0.
+    compounds. Returns the full length-N spectrum (upper half zero). sub
+    and tables are as in recover_z0, and z0 is its root.
     """
-    _check_positive("z0", z0)
-    _check_plan(measurements, plan)
-    params = measurements.params
-    n, half = params.N, params.N // 2
-    _require_rows(measurements, plan.rows)
-    floor = _coefficient_floor(measurements)
-    if z0 <= floor:
-        raise DegenerateSignalError("leading spectral coefficient is at the noise floor")
-
-    tables = _row_tables(measurements, plan.rows[plan.rows[:, 0] >= 1])
+    n = sub.params.N
+    half = n // 2
     t = np.zeros(n, dtype=complex)
     t[0] = z0
-    t[1] = n * measurements.magnitude(1, 0) / (2.0 * z0)
+    t[1] = n * sub.magnitude(1, 0) / (2.0 * z0)
 
     def polish(k: int) -> np.ndarray:
         full = k % _POLISH_WINDOW == 0 or k == half
@@ -303,10 +251,10 @@ def recover_tail(
         return cands
 
     # k = 2: two circles with real offsets along t1^2 / t[0]; conjugate pair.
-    cands = stage_pair(2, _row2_scale(t, floor))
+    cands = stage_pair(2, _row2_scale(t, tables.floor))
     t[2] = cands[0] if cands[0].imag >= 0 else cands[1]
     t = polish(2)
-    if abs(t[2]) <= floor:
+    if abs(t[2]) <= tables.floor:
         raise DegenerateSignalError(
             "third spectral coefficient vanishes; the stage-3 scale degenerates"
         )
@@ -366,6 +314,9 @@ class _RowTables(NamedTuple):
     mirror: k_r - l, the index of the partner coefficient s_{k_r - l}.
     dw:     (w^{l m_r} + w^{(k_r - l) m_r}) / N.
     scale:  the largest measurement value (1 when there is none).
+    floor:  the coefficient floor. Coefficients scale like sqrt(N * |y^|),
+            so below the relative genericity floor at that scale a
+            spectral coefficient counts as zero.
     """
 
     k: np.ndarray
@@ -373,6 +324,7 @@ class _RowTables(NamedTuple):
     mirror: np.ndarray
     dw: np.ndarray
     scale: float
+    floor: float
 
     def stage(self, k_active: int, lo: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """target, mirror and dw of the rows lo <= k_r <= k_active, over l <= k_active."""
@@ -403,8 +355,31 @@ def _row_tables(measurements: FrogMeasurements, rows: np.ndarray) -> _RowTables:
     dw /= n
     dw[dead] = 0.0
     mirror[dead] = 0
-    scale = measurements.max_value() or 1.0
-    return _RowTables(k, target, mirror.astype(np.int32), dw, scale)
+    top = measurements.max_value()
+    floor = _GENERICITY_FLOOR * math.sqrt(n * math.sqrt(top))
+    return _RowTables(k, target, mirror.astype(np.int32), dw, top or 1.0, floor)
+
+
+def _scaled(
+    measurements: FrogMeasurements, rows: np.ndarray
+) -> tuple[FrogMeasurements, _RowTables, int]:
+    """The rows' values divided by 2^(4e), their row table, and e.
+
+    rows is a (k, m)-sorted selection of plan.rows. Their values are read
+    in one gather; when any is absent, measurements.require names the first
+    absent pairs. The values are quartic in the spectrum, so dividing them
+    by 2^(4e) divides it by 2^e, and e puts the largest in [1, 16): the
+    solvers' absolute floors see the same numbers at every scale. The table
+    holds the rows with k >= 1.
+    """
+    values = measurements.grid[rows[:, 0], rows[:, 1]]
+    absent = np.isnan(values)
+    if absent.any():
+        measurements.require(map(tuple, rows[absent].tolist()))
+    e = (math.frexp(values.max())[1] - 1) // 4
+    sub = FrogMeasurements(measurements.params)
+    sub.grid[rows[:, 0], rows[:, 1]] = np.ldexp(values, -4 * e)
+    return sub, _row_tables(sub, rows[rows[:, 0] >= 1]), e
 
 
 def _residual_and_jacobian(
@@ -570,16 +545,12 @@ def recover(
         raise ValueError("; ".join(violations))
     if plan is None:
         plan = plan_indices(params)
-    _check_plan(measurements, plan)
-    values = _require_rows(measurements, plan.rows)
-    # Quartic in the spectrum: dividing them by 2^(4e) divides it by 2^e, and
-    # the stages' absolute floors see a largest value in [1, 16) at any scale.
-    e = (math.frexp(values.max())[1] - 1) // 4
-    sub = FrogMeasurements(params)
-    sub.grid[plan.rows[:, 0], plan.rows[:, 1]] = np.ldexp(values, -4 * e)
-
-    z0 = recover_z0(sub, plan, tol=tol)
-    spectrum = _normalize_gauge(recover_tail(sub, plan, z0))
+    if plan.params != params:
+        raise ValueError(f"plan is for {plan.params} but the measurements are for {params}")
+    sub, tables, e = _scaled(measurements, plan.rows)
+    _check_positive("tol", tol)
+    z0 = recover_z0(sub, tables, tol)
+    spectrum = _normalize_gauge(recover_tail(sub, tables, z0))
     residual = verify_solution(spectrum, sub)
     if not residual <= tol:  # a NaN residual is refused too
         raise InconsistentMeasurementsError(
@@ -606,10 +577,12 @@ def even_l_infeasibility_probe(
     give a point on all five planned k = 2 circles? For alpha = +-(true s_0)
     it does for every theta; generic other trials are infeasible, which is
     exactly the ambiguity recovery cannot resolve. Membership is within tol
-    relative to 1 + radius, as in A1. Raises ValueError for odd L, a
-    non-finite alpha or theta or a tol that is not finite and > 0, and
-    DegenerateSignalError when alpha = 0 or the trial |s_1| sits at the
-    floor.
+    relative to 1 + radius, as in A1. The k = 1 and k = 2 rows are scaled
+    by _scaled, as in recover, and alpha with them, so the verdict does not
+    depend on the scale of the input. Raises ValueError for odd L, a
+    non-finite alpha or theta, a tol that is not finite and > 0, missing
+    rows, or an alpha that overflows when scaled, and DegenerateSignalError
+    when the scaled alpha or the trial |s_1| sits at the coefficient floor.
     """
     params = measurements.params
     if params.L % 2 != 0:
@@ -618,14 +591,14 @@ def even_l_infeasibility_probe(
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
     _check_positive("tol", tol)
-    if alpha == 0:
-        raise DegenerateSignalError("trial leading coefficient must be nonzero")
     rows = plan_indices(params).rows
-    _require_rows(measurements, rows[(rows[:, 0] == 1) | (rows[:, 0] == 2)])
-
-    mu = params.N * measurements.magnitude(1, 0) / (2.0 * abs(alpha))
+    sub, tables, e = _scaled(measurements, rows[(rows[:, 0] == 1) | (rows[:, 0] == 2)])
+    try:
+        alpha = math.ldexp(alpha, -e)
+    except OverflowError:
+        raise ValueError(f"alpha {alpha!r} overflows at the measurements' scale") from None
+    if abs(alpha) <= tables.floor:
+        raise DegenerateSignalError("trial leading coefficient is at the noise floor")
+    mu = params.N * sub.magnitude(1, 0) / (2.0 * abs(alpha))
     t = np.array([alpha, mu * complex(math.cos(theta), math.sin(theta))])
-    floor = _coefficient_floor(measurements)
-    return not _row2_feasible(
-        _row_tables(measurements, rows[rows[:, 0] == 2]), t, abs(alpha), floor, tol
-    )
+    return not _row2_feasible(tables, t, abs(alpha), tol)

@@ -96,8 +96,9 @@ def test_is_analytic_tolerance_override():
     s = np.array([1.0, 1.0 + 0j, 0.0, 1e-6j])
     assert not is_analytic(s, tol=1e-9).is_analytic
     assert is_analytic(s, tol=1e-3).is_analytic
-    with pytest.raises(ValueError):
-        is_analytic(s, tol=-1.0)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            is_analytic(s, tol=bad)
 
 
 def test_is_analytic_boundary_reality_is_checked():
@@ -123,6 +124,16 @@ def test_random_analytic_signal_respects_floor():
     for _ in range(20):
         s = dft(random_analytic_signal(12, rng, floor=0.2))
         assert min(abs(s[0]), abs(s[1])) >= 0.2 * np.abs(s).max()
+
+
+def test_random_analytic_signal_rejects_a_floor_no_draw_passes():
+    # No draw has min(|s_0|, |s_1|) >= floor * max|s_k| for these floors, so
+    # the rejection loop must refuse them up front rather than spin.
+    rng = np.random.default_rng(44)
+    for bad in (float("nan"), float("inf"), 1.0, 2.0, -0.1):
+        with pytest.raises(ValueError, match=r"floor must be finite and in \[0, 1\)"):
+            random_analytic_signal(12, rng, floor=bad)
+    assert random_analytic_signal(12, rng, floor=0.0).shape == (12,)
 
 
 def test_random_analytic_signal_rejects_short_lengths():

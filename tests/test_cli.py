@@ -74,11 +74,21 @@ def test_measure_full_grid_and_plan_only(capsys, tmp_path):
 
 
 def test_readme_files_keep_their_bytes(capsys, tmp_path):
-    # The README's first two commands write these exact files.
+    # The README's commands write these exact files, and recovery from the
+    # full grid writes the same bytes as recovery from the planned entries.
+    def digest(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()[:12]
+
     sig, _ = _generate(capsys, tmp_path, "sig.json", n=16, seed=7)
     meas, _ = _measure(capsys, tmp_path, sig, l=3, name="meas.json", plan_only=True)
-    assert hashlib.sha256(sig.read_bytes()).hexdigest()[:12] == "0fca9d758801"
-    assert hashlib.sha256(meas.read_bytes()).hexdigest()[:12] == "d3ad857a73f6"
+    grid, _ = _measure(capsys, tmp_path, sig, l=3, name="grid.json")
+    assert digest(sig) == "0fca9d758801"
+    assert digest(meas) == "d3ad857a73f6"
+    assert digest(grid) == "66bb838c2617"
+    for src, name in ((meas, "rec.json"), (grid, "recg.json")):
+        code, _, err = _run(capsys, ["recover", str(src), "--out", str(tmp_path / name)])
+        assert code == 0, err
+        assert digest(tmp_path / name) == "77132b254b08"
 
 
 def test_measure_rejects_invalid_stride(capsys, tmp_path):

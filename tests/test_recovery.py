@@ -22,8 +22,6 @@ from frogpr import (
     plan_indices,
     random_analytic_signal,
     recover,
-    recover_tail,
-    recover_z0,
     verify_solution,
 )
 from frogpr.selftest import _generic_even_signal
@@ -61,6 +59,18 @@ def _analytic_spectrum(n, rng, s0, shalf):
 def _planned_measurements(s, params):
     plan = plan_indices(params)
     return frog_measurements_freq(s, params, plan.pairs()), plan
+
+
+def _tail(meas, plan):
+    """The tail's spectrum from A1's root, at the scale recover solves at.
+
+    Returns it with the scaled measurements and the exponent e of their
+    2^(4e) divisor: the staged iterate before the final translation and
+    rescale.
+    """
+    sub, tables, e = recovery._scaled(meas, plan.rows)
+    z0 = recovery.recover_z0(sub, tables, 1e-6)
+    return recovery.recover_tail(sub, tables, z0), sub, e
 
 
 # --- full pipeline -------------------------------------------------------------
@@ -141,6 +151,22 @@ def test_recover_does_not_depend_on_the_scale_of_its_input(n, l, seed):
         out = recover(frog_measurements_time(factor * z, params, plan.rows), plan)
         report = equivalent_up_to_group(out.signal, factor * z, tol=1e-6)
         assert report.equivalent and report.residual < 1e-9
+
+
+def test_recover_builds_one_row_table(monkeypatch):
+    # One scaled preparation per recovery: A1 and the tail read one table.
+    build = recovery._row_tables
+    built = []
+
+    def counted(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(recovery, "_row_tables", counted)
+    params = FrogParams(20, 3)
+    z = _generic(20, np.random.default_rng(643))
+    recover(frog_measurements_time(z, params))
+    assert len(built) == 1
 
 
 def _outcome(meas, plan, z):
@@ -251,10 +277,6 @@ def test_recover_refuses_a_plan_for_another_geometry():
     match = r"plan is for FrogParams\(N=20, L=3\).*FrogParams\(N=16, L=3\)"
     with pytest.raises(ValueError, match=match):
         recover(meas, other)
-    with pytest.raises(ValueError, match=match):
-        recover_z0(meas, other)
-    with pytest.raises(ValueError, match=match):
-        recover_tail(meas, other, 1.0)
 
 
 def test_recovery_tolerance_must_be_finite_and_positive():
@@ -267,8 +289,6 @@ def test_recovery_tolerance_must_be_finite_and_positive():
         with pytest.raises(ValueError, match="tol must be finite and positive"):
             recover(meas, plan, tol=bad)
         with pytest.raises(ValueError, match="tol must be finite and positive"):
-            recover_z0(meas, plan, tol=bad)
-        with pytest.raises(ValueError, match="tol must be finite and positive"):
             even_l_infeasibility_probe(even_meas, 1.0, 0.0, tol=bad)
     assert recover(meas, plan, tol=1e-9).verification_residual <= 1e-9
 
@@ -277,13 +297,14 @@ def test_recovery_tolerance_must_be_finite_and_positive():
 def test_pair_stage_checks_candidates_on_their_circles(monkeypatch, stage):
     # The circle solvers are pure geometry; recover_tail judges their
     # candidates. Planting a pair that misses its circles must be caught.
-    from frogpr import recovery
-
+    # The tail is called directly so that its first pair solve (k = 2) is
+    # the first call: through recover, A1 makes the first one.
     rng = np.random.default_rng(623)
     params = FrogParams(16, 3)
     plan = plan_indices(params)
     meas = frog_measurements_time(_generic(16, rng), params, plan.pairs())
-    z0 = recover_z0(meas, plan)
+    sub, tables, _ = recovery._scaled(meas, plan.rows)
+    z0 = recovery.recover_z0(sub, tables, 1e-6)
     solve = recovery.solve_two_circles_real
     calls = []
 
@@ -300,7 +321,7 @@ def test_pair_stage_checks_candidates_on_their_circles(monkeypatch, stage):
         InconsistentMeasurementsError,
         match=f"stage k={stage}: two-circle candidate misses a circle by",
     ):
-        recover_tail(meas, plan, z0)
+        recovery.recover_tail(sub, tables, z0)
 
 
 def test_recover_flags_corrupted_measurements(monkeypatch):
@@ -347,8 +368,9 @@ def test_recover_z0_picks_correct_root_both_orderings():
     for s0, shalf in ((2.0, 0.7), (0.7, 2.0), (-1.4, 0.5)):
         s = _analytic_spectrum(12, rng, s0=s0, shalf=shalf)
         meas, plan = _planned_measurements(s, params)
-        got = recover_z0(meas, plan)
-        assert_allclose(got, abs(s0), rtol=1e-9)
+        got = recover(meas, plan).spectrum[0]
+        assert got.imag == 0
+        assert_allclose(got.real, abs(s0), rtol=1e-9)
 
 
 def test_recover_z0_equal_boundary_moduli_returns_common_value():
@@ -356,7 +378,8 @@ def test_recover_z0_equal_boundary_moduli_returns_common_value():
     params = FrogParams(12, 1)
     s = _analytic_spectrum(12, rng, s0=1.3, shalf=-1.3)
     meas, plan = _planned_measurements(s, params)
-    assert_allclose(recover_z0(meas, plan), 1.3, rtol=1e-9)
+    spectrum = recover(meas, plan).spectrum
+    assert_allclose(spectrum[[0, 6]].real, [1.3, 1.3], rtol=1e-9)
 
 
 def test_recover_z0_degenerate_boundary_raises():
@@ -372,14 +395,14 @@ def test_recover_z0_degenerate_boundary_raises():
     clamped = dict(meas.entries)
     clamped[(0, 0)] = 0.0
     clamped[(0, 1)] = 0.0
-    with pytest.raises(DegenerateSignalError):
-        recover_z0(FrogMeasurements(params, clamped), plan)
+    with pytest.raises(DegenerateSignalError, match="boundary"):
+        recover(FrogMeasurements(params, clamped), plan)
     # The unclamped roundoff-level rows must still end in an honest refusal,
     # never a silently wrong root.
     from frogpr import FrogprError
 
     with pytest.raises(FrogprError):
-        recover_z0(meas, plan)
+        recover(meas, plan)
 
 
 # --- sequential tail solve ------------------------------------------------------
@@ -392,8 +415,8 @@ def test_recover_tail_solves_all_upper_rows():
     s_true = dft(z)
     plan = plan_indices(params)
     meas = frog_measurements_time(z, params, plan.pairs())
-    z0 = abs(s_true[0])
-    t = recover_tail(meas, plan, z0)
+    t, sub, e = _tail(meas, plan)
+    z0 = np.ldexp(abs(s_true[0]), -e)
     assert t.shape == (16,)
     assert np.all(t[9:] == 0)
     # Pinned gauge of the staged iterate: s_0 on the positive real axis,
@@ -403,8 +426,8 @@ def test_recover_tail_solves_all_upper_rows():
     # Every consumed row with k >= 1 is reproduced (the k = 0 rows pin the
     # remaining translation freedom and are only met after normalization).
     grid = frog_grid_freq(t, params)
-    scale = meas.max_value()
-    for (k, m), val in meas.entries.items():
+    scale = sub.max_value()
+    for (k, m), val in sub.entries.items():
         if k >= 1:
             assert abs(grid[k, m] - val) < 1e-8 * scale
 
@@ -418,22 +441,8 @@ def test_recover_tail_keeps_its_gauge_exactly():
     for _ in range(5):
         z = _generic(64, rng)
         meas = frog_measurements_time(z, params, plan.pairs())
-        t = recover_tail(meas, plan, abs(dft(z)[0]))
+        t, _, _ = _tail(meas, plan)
         assert t[0].imag == 0 and t[1].imag == 0
-
-
-def test_recover_tail_validates_arguments():
-    rng = np.random.default_rng(612)
-    params = FrogParams(12, 1)
-    plan = plan_indices(params)
-    meas = frog_measurements_time(_generic(12, rng), params, plan.pairs())
-    with pytest.raises(ValueError, match="positive"):
-        recover_tail(meas, plan, -1.0)
-    with pytest.raises(ValueError, match="positive"):
-        recover_tail(meas, plan, 0.0)
-    for bad in (float("inf"), float("nan")):
-        with pytest.raises(ValueError, match="z0"):
-            recover_tail(meas, plan, bad)
 
 
 def test_recover_tail_degenerate_second_coefficient_raises():
@@ -442,13 +451,9 @@ def test_recover_tail_degenerate_second_coefficient_raises():
     s = _analytic_spectrum(12, rng, s0=2.0, shalf=0.8)
     s[1] = 0.0
     meas, plan = _planned_measurements(s, params)
-    with pytest.raises(DegenerateSignalError, match="second"):
-        recover_tail(meas, plan, 2.0)
     # A1's k = 2 pair solve scales by s_1^2 / s_0 and says nothing at s_1 = 0,
-    # so A1 refuses too, and recover() reports the same refusal.
-    with pytest.raises(DegenerateSignalError, match="second"):
-        recover_z0(meas, plan)
-    with pytest.raises(DegenerateSignalError, match="second"):
+    # so A1 refuses with the tail's message before the tail runs.
+    with pytest.raises(DegenerateSignalError, match="^second spectral coefficient vanishes"):
         recover(meas, plan)
 
 
@@ -458,8 +463,8 @@ def test_recover_tail_degenerate_third_coefficient_raises():
     s = _analytic_spectrum(12, rng, s0=2.0, shalf=0.8)
     s[2] = 0.0
     meas, plan = _planned_measurements(s, params)
-    with pytest.raises(DegenerateSignalError, match="third"):
-        recover_tail(meas, plan, 2.0)
+    with pytest.raises(DegenerateSignalError, match="^third spectral coefficient vanishes"):
+        recover(meas, plan)
 
 
 # --- verification ----------------------------------------------------------------
@@ -535,6 +540,40 @@ def test_probe_validates_inputs():
     no_s1 = frog_measurements_freq(s, FrogParams(12, 2))
     with pytest.raises(DegenerateSignalError, match="second"):
         even_l_infeasibility_probe(no_s1, 2.0, 0.3)
+
+
+@pytest.mark.parametrize("n,l,seed", [(12, 2, 631), (16, 2, 632), (20, 2, 633), (32, 6, 634)])
+def test_probe_verdicts_do_not_depend_on_the_scale_of_the_input(n, l, seed):
+    # The probe scales its rows by a power of two as recover does, and the
+    # trial alpha with them, so a scaled signal and trial get the verdicts
+    # of the unscaled ones.
+    params = FrogParams(n, l)
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        z = _generic_even_signal(n, rng, floor0=0.05, floor1=0.05, floor2=0.0, gap=0.0)
+        s0 = float(dft(z)[0].real)
+        trials = [(c * s0, theta) for c in (1.0, -1.0, 0.5, 0.8, 1.3) for theta in (0.3, 2.0, 4.4)]
+
+        def verdicts(f):
+            meas = frog_measurements_time(f * z, params)
+            return [even_l_infeasibility_probe(meas, f * alpha, theta) for alpha, theta in trials]
+
+        unit = verdicts(1.0)
+        assert not any(unit[:6])  # alpha = +-s_0 is feasible at every phase
+        for f in (1e-8, 1e-12, 1e30):
+            assert verdicts(f) == unit, f
+
+
+def test_probe_refuses_a_trial_out_of_range_at_the_measurements_scale():
+    z = _generic_even_signal(16, np.random.default_rng(635))
+    params = FrogParams(16, 2)
+    huge = frog_measurements_time(1e30 * z, params)
+    for alpha in (1e-300, 5e-324):
+        with pytest.raises(DegenerateSignalError, match="trial leading coefficient"):
+            even_l_infeasibility_probe(huge, alpha, 0.3)
+    tiny = frog_measurements_time(1e-30 * z, params)
+    with pytest.raises(ValueError, match="alpha 1e\\+300 overflows"):
+        even_l_infeasibility_probe(tiny, 1e300, 0.3)
 
 
 def test_probe_requires_its_rows():
