@@ -14,7 +14,11 @@ coefficient through circles |s_k + offset| = radius. Recovery proceeds:
       followed by a least-squares polish, which stops the stages' roundoff
       from compounding: stage k polishes its last 16 coefficients against
       the rows that involve them, and every 16th stage and the last stage
-      polish all coefficients solved so far against all rows.
+      polish all coefficients solved so far against all rows. From k = 31
+      on, a window s_lo .. s_k has 2 lo > k, so no row pairs two of its
+      coefficients and its rows are affine in it: the polish gathers them
+      once and scores each candidate by a matrix-vector update. Every
+      polish forms its Jacobian only for a step it takes.
   A3  recover:     run A2 once with s_0 = +|s_0|, translate s_{N/2} onto
       the positive real axis, and verify the result against every
       measurement it consumed.
@@ -309,7 +313,9 @@ class _RowTables(NamedTuple):
     lo <= k_r <= k are one run of rows and stage(k, lo) slices that run
     over columns [:k + 1].
 
-    k:      k_r per row.
+    starts: starts[j], for j = 0 .. max k_r + 1, is the first row with
+            k_r >= j (the row count for j = max k_r + 1), looked up once
+            per table.
     target: the measured |y^_{k_r,m_r}|^2.
     mirror: k_r - l, the index of the partner coefficient s_{k_r - l}.
     dw:     (w^{l m_r} + w^{(k_r - l) m_r}) / N.
@@ -319,7 +325,7 @@ class _RowTables(NamedTuple):
             spectral coefficient counts as zero.
     """
 
-    k: np.ndarray
+    starts: list[int]
     target: np.ndarray
     mirror: np.ndarray
     dw: np.ndarray
@@ -328,7 +334,7 @@ class _RowTables(NamedTuple):
 
     def stage(self, k_active: int, lo: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """target, mirror and dw of the rows lo <= k_r <= k_active, over l <= k_active."""
-        rows = slice(*np.searchsorted(self.k, [lo, k_active + 1]))
+        rows = slice(self.starts[lo], self.starts[k_active + 1])
         width = k_active + 1
         return self.target[rows], self.mirror[rows, :width], self.dw[rows, :width]
 
@@ -357,7 +363,8 @@ def _row_tables(measurements: FrogMeasurements, rows: np.ndarray) -> _RowTables:
     mirror[dead] = 0
     top = measurements.max_value()
     floor = _GENERICITY_FLOOR * math.sqrt(n * math.sqrt(top))
-    return _RowTables(k, target, mirror.astype(np.int32), dw, top or 1.0, floor)
+    starts = np.searchsorted(k, np.arange(l.size + 1)).tolist()
+    return _RowTables(starts, target, mirror.astype(np.int32), dw, top or 1.0, floor)
 
 
 def _scaled(
@@ -382,24 +389,29 @@ def _scaled(
     return sub, _row_tables(sub, rows[rows[:, 0] >= 1]), e
 
 
-def _residual_and_jacobian(
-    tv: np.ndarray, target: np.ndarray, mirror: np.ndarray, dw: np.ndarray, lo: int = 0
+def _row_values(
+    tv: np.ndarray, mirror: np.ndarray, dw: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """f = |y^|^2 - target over the rows, and df / d[Re s_lo, Im s_lo, ...].
+    """y^ over the rows and the gathered block dy = d y^ / d s.
 
     dy[r, l] = d y^_r / d s_l = s_{k_r - l} dw[r, l], and swapping l with
     k_r - l shows sum_l s_l dy[r, l] = 2 y^_r, so y^ needs no second table.
-    With f real, df / d Re s_l - i df / d Im s_l = 2 y^ conj(dy), whose
-    float64 view over l >= lo is the Jacobian with [Re, Im] columns
-    interleaved.
     """
     dy = tv[mirror]
     dy *= dw
-    y = 0.5 * (dy @ tv)
-    fvec = (y * y.conjugate()).real - target
-    jac = dy[:, lo:].conjugate()
+    return 0.5 * (dy @ tv), dy
+
+
+def _jacobian(y: np.ndarray, dy: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """d|y^|^2 / d[Re s_l, Im s_l, ...] over dy's columns, [Re, Im] interleaved.
+
+    With f = |y^|^2 real, df / d Re s_l - i df / d Im s_l = 2 y^ conj(dy),
+    returned as its float64 view. out = dy overwrites the gathered block,
+    so the two never take memory at once.
+    """
+    jac = np.conjugate(dy, out=out)
     jac *= (2.0 * y)[:, None]
-    return fvec, jac.view(np.float64)
+    return jac.view(np.float64)
 
 
 def _gauss_newton_step(jac: np.ndarray, fvec: np.ndarray, lo: int) -> np.ndarray:
@@ -455,15 +467,27 @@ def _polish_coefficients(
     monotone: a step is taken only when it lowers the largest residual over
     the window's rows, so the result is never worse than the input.
     Singular normal equations count as a step that does not lower it.
+
+    The rows are gathered once at the start (_row_values), and the Jacobian
+    is formed from them only where a step is taken. When 2 lo > k_active,
+    every window coefficient's partner s_{k_r - l} has k_r - l < lo and is
+    held, so the rows are affine in the window: y^ = y^_0 + dy[:, lo:]
+    (s - s_0) with dy[:, lo:] fixed, and a candidate is scored by that
+    update. Every other polish gathers each candidate afresh.
     """
     width = k_active + 1
     target, mirror, dw = tables.stage(k_active, lo)
     tv = np.asarray(spectrum, dtype=complex)[:width].copy()
-    fvec, jac = _residual_and_jacobian(tv, target, mirror, dw, lo)
+    y, dy = _row_values(tv, mirror, dw)
+    affine = 2 * lo > k_active
+    fvec = (y * y.conjugate()).real - target
     err = float(np.abs(fvec).max())
     for _ in range(_POLISH_MAX_ITER):
         if err <= 1e-15 * tables.scale:
             break
+        # A full polish (lo = 0, never affine) gathers dy afresh for every
+        # candidate, so its Jacobian may overwrite it.
+        jac = _jacobian(y, dy[:, lo:], out=dy if lo == 0 else None)
         try:
             step = _gauss_newton_step(jac, fvec, lo).view(np.complex128)
         except np.linalg.LinAlgError:
@@ -473,10 +497,14 @@ def _polish_coefficients(
         for _ in range(4):
             cand = tv.copy()
             cand[lo:] += damp * step
-            cand_f, cand_j = _residual_and_jacobian(cand, target, mirror, dw, lo)
+            if affine:
+                cand_y = y + dy[:, lo:] @ (damp * step)
+            else:
+                cand_y, dy = _row_values(cand, mirror, dw)
+            cand_f = (cand_y * cand_y.conjugate()).real - target
             cand_err = float(np.abs(cand_f).max())
             if cand_err < err:
-                tv, fvec, jac, err = cand, cand_f, cand_j, cand_err
+                tv, y, fvec, err = cand, cand_y, cand_f, cand_err
                 improved = True
                 break
             damp *= 0.5

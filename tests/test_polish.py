@@ -1,18 +1,28 @@
 """Row tables: the stage circles read off them, and the table-driven Gauss-Newton polish."""
 
+import hashlib
 import warnings
 
 import numpy as np
 import pytest
 
-from frogpr import FrogParams, dft, frog_measurements_time, plan_indices, random_analytic_signal
+from frogpr import (
+    FrogParams,
+    dft,
+    frog_measurements_time,
+    plan_indices,
+    random_analytic_signal,
+    recover,
+    recovery,
+)
 from frogpr.recovery import (
     _POLISH_WINDOW,
     _gauss_newton_step,
+    _jacobian,
     _polish_coefficients,
-    _residual_and_jacobian,
     _row_circles,
     _row_tables,
+    _row_values,
 )
 from oracles import lstsq_step, offset_u, offset_v, polish_residual_and_jacobian, row_circle
 
@@ -35,6 +45,12 @@ def _tail_tables(meas, plan):
 
 def _random_coefficients(width, rng):
     return rng.standard_normal(width) + 1j * rng.standard_normal(width)
+
+
+def _residual_and_jacobian(tv, target, mirror, dw, lo=0):
+    """f = |y^|^2 - target over the rows, and its Jacobian over s_lo, s_lo+1, ..."""
+    y, dy = _row_values(tv, mirror, dw)
+    return (y * y.conjugate()).real - target, _jacobian(y, dy[:, lo:])
 
 
 @pytest.mark.parametrize("n,l,k_active", CASES)
@@ -181,3 +197,93 @@ def test_polish_stops_on_singular_normal_equations():
         warnings.simplefilter("error")
         out = _polish_coefficients(start, 6, tables)
     np.testing.assert_array_equal(out, start)
+
+
+def _affine_misses(n, l, k_active, seed, factors):
+    """How far the window's rows at x + t delta miss y + A t delta, per t in factors.
+
+    The window is recover_tail's, lo = k_active + 1 - _POLISH_WINDOW, and A
+    is dy[:, lo:] at x, the exact spectrum; each miss is relative to the
+    largest fresh row value.
+    """
+    plan, meas, s = _setup(n, l, seed)
+    lo = k_active + 1 - _POLISH_WINDOW
+    _, mirror, dw = _tail_tables(meas, plan).stage(k_active, lo)
+    x = s[: k_active + 1]
+    y, dy = _row_values(x, mirror, dw)
+    rng = np.random.default_rng(n)
+    delta = 1e-3 * np.abs(s).max() * _random_coefficients(k_active + 1 - lo, rng)
+    misses = []
+    for t in factors:
+        moved = x.copy()
+        moved[lo:] += t * delta
+        fresh, _ = _row_values(moved, mirror, dw)
+        misses.append(np.abs(fresh - (y + dy[:, lo:] @ (t * delta))).max() / np.abs(fresh).max())
+    return misses
+
+
+@pytest.mark.parametrize(
+    "n,l,k_active", [(64, 11, 31), (256, 11, 31), (256, 11, 47), (256, 11, 100), (256, 11, 127)]
+)
+def test_window_rows_are_affine_when_no_row_pairs_two_window_coefficients(n, l, k_active):
+    # With 2 lo > k every partner s_{k_r - l} of a window coefficient is
+    # held, so the window's rows move exactly by A delta.
+    assert 2 * (k_active + 1 - _POLISH_WINDOW) > k_active
+    assert _affine_misses(n, l, k_active, 8000 + k_active, [1.0])[0] <= 1e-13
+
+
+@pytest.mark.parametrize("n,l", [(64, 11), (256, 11)])
+def test_window_rows_are_not_affine_once_a_row_pairs_a_window_coefficient(n, l):
+    # At k = 30 the window starts at lo = 15 (2 lo = k): the k_r = 30 rows
+    # hold s_15^2, so the affine prediction misses by a term quadratic in
+    # delta, and halving delta quarters it.
+    misses = _affine_misses(n, l, 30, 8100, [1.0, 0.5])
+    assert misses[0] > 1e-9
+    assert misses[0] / misses[1] == pytest.approx(4.0, rel=1e-3)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_every_polish_of_a_recovery_is_monotone_under_a_fresh_evaluation(seed, monkeypatch):
+    # The affine windows keep y^ by updates, not by fresh gathers; a fresh
+    # evaluation must confirm every polish, and the coefficients outside
+    # its window come back bitwise.
+    plan, meas, _ = _setup(256, 11, 8200 + seed)
+    polish = recovery._polish_coefficients
+    affine = []
+
+    def fresh_err(spectrum, k_active, tables, lo):
+        target, mirror, dw = tables.stage(k_active, lo)
+        y, _ = _row_values(spectrum[: k_active + 1], mirror, dw)
+        return np.abs((y * y.conjugate()).real - target).max()
+
+    def checked(spectrum, k_active, tables, lo=0):
+        out = polish(spectrum, k_active, tables, lo)
+        before = fresh_err(spectrum, k_active, tables, lo)
+        assert fresh_err(out, k_active, tables, lo) <= before + 1e-15 * tables.scale, (k_active, lo)
+        np.testing.assert_array_equal(out[:lo], spectrum[:lo])
+        np.testing.assert_array_equal(out[k_active + 1 :], spectrum[k_active + 1 :])
+        affine.append(2 * lo > k_active)
+        return out
+
+    monkeypatch.setattr(recovery, "_polish_coefficients", checked)
+    recover(meas, plan)
+    # Stages 2, 4 .. 128: 8 full polishes, 14 fresh windows, 91 affine ones.
+    assert len(affine) == 126 and sum(affine) == 91
+
+
+# sha256 prefixes of recover(...).spectrum.tobytes() for the signals of
+# _setup(n, l, seed), seeds 0..2. No window is affine below N = 64, so these
+# pin the fresh-gather path and the Jacobian formed per step bit for bit.
+SPECTRUM_BYTES = {
+    (20, 3): ["2573a5de7a09", "2e397053cca8", "fca320c66a13"],
+    (32, 5): ["e49df9bbe18a", "385d09ac5de1", "21f360668b0b"],
+    (48, 7): ["483727ad8548", "dcbfa4837d57", "0fe39a684e69"],
+}
+
+
+@pytest.mark.parametrize("n,l", sorted(SPECTRUM_BYTES))
+def test_recovered_spectrum_bytes_below_the_affine_windows(n, l):
+    for seed, prefix in enumerate(SPECTRUM_BYTES[n, l]):
+        plan, meas, _ = _setup(n, l, seed)
+        spectrum = recover(meas, plan).spectrum
+        assert hashlib.sha256(spectrum.tobytes()).hexdigest()[:12] == prefix, seed
