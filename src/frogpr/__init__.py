@@ -52,7 +52,7 @@ from .recovery import (
     recover,
     verify_solution,
 )
-from .spectral import as_signal, dft, idft, root_of_unity
+from .spectral import as_signal, dft, idft
 
 __version__ = "0.1.0"
 
@@ -88,7 +88,6 @@ __all__ = [
     "random_analytic_signal",
     "recover",
     "reflect",
-    "root_of_unity",
     "rotate",
     "save_measurements",
     "save_signal",

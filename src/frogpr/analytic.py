@@ -57,15 +57,10 @@ def make_analytic(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size < 2:
         raise ValueError(f"expected a real 1-D signal of length >= 2, got shape {x.shape}")
-    n = x.size
-    gain = np.zeros(n)
-    if n % 2 == 0:
-        gain[0] = 1.0
-        gain[1 : n // 2] = 2.0
-        gain[n // 2] = 1.0
-    else:
-        gain[0] = 1.0
-        gain[1 : (n - 1) // 2 + 1] = 2.0
+    zero, real = _spectral_masks(x.size)
+    gain = np.full(x.size, 2.0)
+    gain[zero] = 0.0
+    gain[real] = 1.0
     return idft(dft(x) * gain)
 
 

@@ -73,8 +73,7 @@ def _emit(
 def _cmd_generate(args) -> int:
     started = time.perf_counter()
     if args.n < 2 or args.n % 2 != 0:
-        print(f"error: --n must be an even integer >= 2, got {args.n}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--n must be an even integer >= 2, got {args.n}")
     rng = np.random.default_rng(args.seed)
     z = make_analytic(rng.standard_normal(args.n))
     s = dft(z)
@@ -93,11 +92,7 @@ def _cmd_generate(args) -> int:
 def _cmd_measure(args) -> int:
     started = time.perf_counter()
     z = load_signal(args.signal)
-    try:
-        params = FrogParams(z.size, args.l)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    params = FrogParams(z.size, args.l)
     if args.plan_only:
         try:
             indices = plan_indices(params).rows
@@ -131,11 +126,7 @@ def _cmd_recover(args) -> int:
         print("refused: " + "; ".join(violations), file=sys.stderr)
         return 1
     tol = _pick_tol(args.tol)
-    try:
-        result = recover(meas, tol=1e-6 if tol is None else tol)
-    except FrogprError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    result = recover(meas, tol=1e-6 if tol is None else tol)
     save_signal(args.out, result.signal, result.spectrum)
     _emit(
         "recover",
@@ -247,6 +238,7 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
+    """Run one command; the one place an exception becomes a message and an exit code."""
     args = _build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)

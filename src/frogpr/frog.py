@@ -12,13 +12,15 @@ frequency-domain form
 
 where s = dft(z) and w = e^{2i pi L / N} is the phase advance per delay
 step (equal to e^{2i pi / r} exactly when L divides N). All solver algebra
-in this package is phrased in powers of that w, which are evaluated through
-exact integer reduction of the exponent so unit-circle identities hold to
-machine precision.
+in this package is phrased in powers of that w. Every power is read from
+one table of the N-th roots of unity, FrogParams.unit_roots, at an exponent
+reduced exactly in integers, so unit-circle identities hold to machine
+precision.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Mapping
@@ -70,8 +72,9 @@ def _grid_index(key, shape: tuple[int, int]) -> tuple[int, int]:
 class FrogParams:
     """Measurement geometry: signal length N and delay stride L.
 
-    Derived quantities: r = ceil(N/L) delay steps, and the per-step phase
-    factor w = e^{2i pi L/N} appearing in the frequency-domain form.
+    Derived quantities: r = ceil(N/L) delay steps, and the table unit_roots
+    of the N-th roots of unity, from which every power of the per-step
+    phase factor w = e^{2i pi L/N} is read.
     Forward synthesis accepts any integers N >= 2, 1 <= L <= N; the recovery
     pipeline additionally needs N even >= 8, L odd, r >= 5 and N != 6L.
     """
@@ -93,13 +96,16 @@ class FrogParams:
     def r(self) -> int:
         return -(-self.N // self.L)
 
-    @property
-    def w(self) -> complex:
-        return self.w_pow(1)
+    @functools.cached_property
+    def unit_roots(self) -> np.ndarray:
+        """Read-only unit_roots[j] = e^{2i pi j/N}, j = 0..N-1, built on first use."""
+        roots = np.exp(2j * np.pi * np.arange(self.N) / self.N)
+        roots.flags.writeable = False
+        return roots
 
     def w_pow(self, j: int) -> complex:
-        """w^j with the exponent reduced exactly: e^{2i pi (jL mod N)/N}."""
-        return complex(np.exp(2j * np.pi * ((j * self.L) % self.N) / self.N))
+        """w^j with the exponent reduced exactly: unit_roots[jL mod N]."""
+        return complex(self.unit_roots[(j * self.L) % self.N])
 
     def recovery_violations(self) -> list[str]:
         """Reasons this geometry is outside the recovery pipeline's domain."""
@@ -206,7 +212,7 @@ def frog_grid_freq(s, params: FrogParams) -> np.ndarray:
     if s.size != n:
         raise ValueError(f"spectrum length {s.size} != params.N {n}")
     exps = (np.arange(n)[None, :] * (params.L * np.arange(r)[:, None])) % n
-    modulated = s[None, :] * np.exp(2j * np.pi * exps / n)
+    modulated = s[None, :] * params.unit_roots[exps]
     rows = np.fft.ifft(np.fft.fft(modulated, axis=1) * np.fft.fft(s)[None, :], axis=1)
     return (np.abs(rows / n) ** 2).T
 

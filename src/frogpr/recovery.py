@@ -21,7 +21,7 @@ coefficient through circles |s_k + offset| = radius. Recovery proceeds:
       polish forms its Jacobian only for a step it takes.
   A3  recover:     run A2 once with s_0 = +|s_0|, translate s_{N/2} onto
       the positive real axis, and verify the result against every
-      measurement it consumed.
+      supplied measurement, planned or not.
       The s_0 < 0 start needs no run of its own: reflection followed by
       rotation by pi and translation by N/2 (s_k -> (-1)^(k+1) conj(s_k))
       maps A2's start (+|s_0|, s_1) to (-|s_0|, s_1), keeps every
@@ -114,15 +114,15 @@ def _row_circles(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The table's rows k as circles |s_k + offset| = radius in the unknown s_k.
 
-    With s_k set to zero, y = 1/2 (tv[mirror] dw) @ tv is the part of y^_{k,m}
-    that does not involve s_k, which enters as s_k t0 (1 + w^{km}) / N, the
+    With s_k set to zero, _row_values gives the part y of y^_{k,m} that
+    does not involve s_k, which enters as s_k t0 (1 + w^{km}) / N, the
     l = 0 column of dw. The radius uses the A1 modulus z0, not |t[0]|, which
     the polish may have moved in its last bits. Reads t[0 .. k-1].
     """
     target, mirror, dw = tables.stage(k, k)
     tv = np.zeros(k + 1, dtype=complex)
     tv[:k] = t[:k]
-    y = 0.5 * ((tv[mirror] * dw) @ tv)
+    y, _ = _row_values(tv, mirror, dw)
     edge = dw[:, 0]
     return y / (t[0] * edge), np.sqrt(target) / (z0 * np.abs(edge))
 
@@ -346,7 +346,7 @@ def _row_tables(measurements: FrogMeasurements, rows: np.ndarray) -> _RowTables:
     k, m = rows.T
     step = (m * params.L % n)[:, None]
     target = measurements.grid[k, m]
-    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    roots = params.unit_roots
     l = np.arange(k[-1] + 1)
     mirror = k[:, None] - l
     dead = mirror < 0
@@ -555,14 +555,16 @@ def recover(
 ) -> RecoveryResult:
     """Full pipeline: A1 root choice, A2 tail from s_0 > 0, A3 verification.
 
-    Consumes exactly the planned 3N/2 + 1 entries (which must all be
-    present). The result has s_0 > 0 (see the module docstring for why the
-    s_0 < 0 start is not run) and is returned when its verification
-    residual (relative to the largest measurement) is within tol, which
-    also serves A1 (see recover_z0). Raises ValueError for geometries
-    outside the recovery domain (odd N, even L, r < 5, N < 8, N = 6L), a
-    plan for another geometry, missing entries or a tol that is not finite
-    and > 0; propagates DegenerateSignalError and the tail's
+    Solves from the planned 3N/2 + 1 entries (which must all be present)
+    and verifies the result against every supplied entry, so an entry off
+    the plan that the spectrum does not reproduce is refused. The result
+    has s_0 > 0 (see the module docstring for why the s_0 < 0 start is not
+    run) and is returned when its verification residual (relative to the
+    largest measurement) is within tol, which also serves A1 (see
+    recover_z0). Raises ValueError for geometries outside the recovery
+    domain (odd N, even L, r < 5, N < 8, N = 6L), a plan for another
+    geometry, missing entries or a tol that is not finite and > 0;
+    propagates DegenerateSignalError and the tail's
     InconsistentMeasurementsError; and raises InconsistentMeasurementsError
     when the verification residual exceeds tol. Measurements scaled by
     2^(4j) give the spectrum scaled by exactly 2^j.
@@ -579,13 +581,15 @@ def recover(
     _check_positive("tol", tol)
     z0 = recover_z0(sub, tables, tol)
     spectrum = _normalize_gauge(recover_tail(sub, tables, z0))
-    residual = verify_solution(spectrum, sub)
+    # Scaled on the float64 view, which keeps the sign of a zero part. The
+    # power of two is exact, so on the planned entries the residual is the
+    # scaled one's.
+    spectrum = np.ldexp(spectrum.view(np.float64), e).view(np.complex128)
+    residual = verify_solution(spectrum, measurements)
     if not residual <= tol:  # a NaN residual is refused too
         raise InconsistentMeasurementsError(
             f"verification residual {residual:.3e} > {tol:.1e}"
         )
-    # Scaled on the float64 view, which keeps the sign of a zero part.
-    spectrum = np.ldexp(spectrum.view(np.float64), e).view(np.complex128)
     return RecoveryResult(idft(spectrum), spectrum, residual)
 
 

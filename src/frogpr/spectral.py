@@ -1,4 +1,4 @@
-"""DFT conventions and roots of unity.
+"""DFT conventions and input coercion.
 
 Conventions used throughout the library:
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["as_signal", "dft", "idft", "root_of_unity"]
+__all__ = ["as_signal", "dft", "idft"]
 
 
 def as_signal(values) -> np.ndarray:
@@ -38,13 +38,3 @@ def idft(s) -> np.ndarray:
     """Inverse DFT with the 1/N factor, z_n = (1/N) sum_k s_k e^{2i pi kn/N}."""
     return np.fft.ifft(as_signal(s))
 
-
-def root_of_unity(r: int, m: int) -> complex:
-    """e^{2i pi m / r}, the m-th power of the primitive r-th root of unity.
-
-    The exponent is reduced mod r before evaluating, so large |m| loses no
-    accuracy; the result has unit modulus to ~1e-16.
-    """
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    return complex(np.exp(2j * np.pi * ((m % r) / r)))

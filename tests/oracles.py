@@ -2,7 +2,9 @@
 
 Everything here is written as the definitions read, with explicit loops and
 no FFTs, so the library's fast paths are checked against independent code
-rather than against themselves.
+rather than against themselves. The exception is the pair exp_grid_freq and
+exp_row_dw: they evaluate every unit root by np.exp, in the library's order
+of operations, so the library's table lookups are pinned bitwise.
 """
 
 import numpy as np
@@ -31,6 +33,34 @@ def direct_frog_grid(z, L):
                 acc += z[idx] * z[(idx + m * L) % n] * np.exp(-2j * np.pi * k * idx / n)
             out[k, m] = abs(acc) ** 2
     return out
+
+
+def exp_unit_roots(exps, n):
+    """e^{2i pi e/N} for an integer array of exponents e, each by np.exp."""
+    return np.exp(2j * np.pi * np.asarray(exps) / n)
+
+
+def exp_grid_freq(s, L):
+    """The (N, r) grid of frogpr.frog_grid_freq, its delay modulation by np.exp."""
+    s = np.asarray(s, dtype=complex)
+    n = s.size
+    r = -(-n // L)
+    exps = (np.arange(n)[None, :] * (L * np.arange(r)[:, None])) % n
+    modulated = s[None, :] * exp_unit_roots(exps, n)
+    rows = np.fft.ifft(np.fft.fft(modulated, axis=1) * np.fft.fft(s)[None, :], axis=1)
+    return (np.abs(rows / n) ** 2).T
+
+
+def exp_row_dw(rows, n, L):
+    """(w^{lm} + w^{(k-l)m}) / N over l = 0..max k for rows (k, m), 0 where l > k."""
+    k, m = np.asarray(rows).T
+    l = np.arange(k.max() + 1)
+    step = ((m * L) % n)[:, None]
+    mirror = k[:, None] - l
+    dw = exp_unit_roots((l * step) % n, n) + exp_unit_roots((mirror * step) % n, n)
+    dw /= n
+    dw[mirror < 0] = 0.0
+    return dw
 
 
 def polish_residual_and_jacobian(tv, rows, target, n, L):

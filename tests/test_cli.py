@@ -6,7 +6,14 @@ import json
 import numpy as np
 import pytest
 
-from frogpr import dft, equivalent_up_to_group, is_analytic, load_signal
+from frogpr import (
+    dft,
+    equivalent_up_to_group,
+    is_analytic,
+    load_measurements,
+    load_signal,
+    save_measurements,
+)
 from frogpr.cli import main
 from frogpr.selftest import CriterionResult
 
@@ -60,7 +67,8 @@ def test_generate_is_deterministic_per_seed(capsys, tmp_path):
 def test_generate_rejects_odd_length(capsys, tmp_path):
     code, _, err = _run(capsys, ["generate", "--n", "9", "--out", str(tmp_path / "x.json")])
     assert code == 2
-    assert "even" in err
+    assert err == "error: --n must be an even integer >= 2, got 9\n"
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_measure_full_grid_and_plan_only(capsys, tmp_path):
@@ -94,7 +102,7 @@ def test_readme_files_keep_their_bytes(capsys, tmp_path):
 def test_measure_rejects_invalid_stride(capsys, tmp_path):
     sig, _ = _generate(capsys, tmp_path)
     code, _, err = _run(capsys, ["measure", str(sig), "--l", "0", "--out", str(tmp_path / "m.json")])
-    assert code == 2 and "L" in err
+    assert code == 2 and err == "error: L must be in [1, N=16], got 0\n"
     code, _, err = _run(capsys, ["measure", str(sig), "--l", "17", "--out", str(tmp_path / "m.json")])
     assert code == 2
 
@@ -154,7 +162,22 @@ def test_recover_reports_corrupted_measurements(capsys, tmp_path):
     bad.write_text(json.dumps(doc))
     code, _, err = _run(capsys, ["recover", str(bad), "--out", str(tmp_path / "r.json")])
     assert code == 1
-    assert "error" in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_recover_refuses_a_corrupted_entry_off_the_plan(capsys, tmp_path):
+    # Recovery solves from the planned entries and verifies every entry,
+    # so a full grid with one bad entry off the plan is refused.
+    sig, _ = _generate(capsys, tmp_path)
+    grid, _ = _measure(capsys, tmp_path, sig, l=3, name="grid.json")
+    meas = load_measurements(grid)
+    meas[0, 2] = 100.0 * meas[0, 2] + 5.0
+    save_measurements(grid, meas)
+    code, _, err = _run(capsys, ["recover", str(grid), "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    assert err.startswith("error: verification residual ")
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_check_equiv_accepts_group_equivalent_signals(capsys, tmp_path):

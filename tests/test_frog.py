@@ -1,5 +1,7 @@
 """Measurement synthesis, geometry parameters, and index planning."""
 
+import cmath
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -17,12 +19,12 @@ from frogpr import (
     plan_indices,
     random_analytic_signal,
     recover,
-    root_of_unity,
     translate,
 )
 from frogpr.frog import _pow_is_minus_one, _pow_is_one
+from frogpr.recovery import _row_tables
 from frogpr.selftest import _generic_even_signal
-from oracles import direct_frog_grid
+from oracles import direct_frog_grid, exp_grid_freq, exp_row_dw
 
 # Frozen values of the worked four-sample example (inputs printed to four
 # decimals; outputs computed exactly from them, pinned at full precision).
@@ -61,11 +63,42 @@ def test_params_phase_factor_is_exact():
     # Exponent reduction is integer-exact, so the period is exact too.
     assert p.w_pow(16) == 1.0
     assert p.w_pow(19) == p.w_pow(3)
-    assert abs(p.w - np.exp(2j * np.pi * 3 / 16)) < 1e-15
-    # When L divides N the phase factor is the r-th root of unity.
+    assert abs(p.w_pow(1) - np.exp(2j * np.pi * 3 / 16)) < 1e-15
+    # When L divides N the phase factor is the r-th root of unity: i for r = 4.
     q = FrogParams(12, 3)
-    assert q.w_pow(1) == root_of_unity(q.r, 1)
-    assert q.w_pow(5) == root_of_unity(q.r, 5)
+    assert abs(q.w_pow(1) - 1j) < 1e-15
+    assert q.w_pow(5) == q.w_pow(1)
+
+
+@pytest.mark.parametrize("n,l", [(12, 1), (16, 3), (20, 4), (64, 11), (256, 11)])
+def test_w_pow_reads_the_read_only_unit_root_table(n, l):
+    params = FrogParams(n, l)
+    roots = params.unit_roots
+    assert roots.shape == (n,) and roots is params.unit_roots
+    for j in range(-n, 2 * n):
+        wj = params.w_pow(j)
+        assert wj == roots[(j * l) % n]
+        # e^{2i pi jL/N}, its exponent reduced exactly, from the scalar libm.
+        # The table keeps the bits the grid has always used: numpy divides
+        # the complex argument by N through 1/N, which at (12, 1) puts an
+        # entry 1.4e-15 from the true root (scalar division: 5e-16).
+        assert abs(wj - cmath.exp(2j * cmath.pi * ((j * l) % n) / n)) < 2e-15
+    assert not roots.flags.writeable
+    with pytest.raises(ValueError):
+        roots[0] = 0.0
+
+
+@pytest.mark.parametrize("n,l", [(16, 3), (20, 4), (64, 11), (256, 11)])
+def test_unit_root_gathers_match_direct_exp(n, l):
+    # The grid and the row table read their unit roots off the table; both
+    # are bitwise what evaluating each root by np.exp gives.
+    params = FrogParams(n, l)
+    s = dft(_generic_even_signal(n, np.random.default_rng(n + l)))
+    assert frog_grid_freq(s, params).tobytes() == exp_grid_freq(s, l).tobytes()
+    rows = plan_indices(params).rows
+    rows = rows[rows[:, 0] >= 1]
+    tables = _row_tables(frog_measurements_freq(s, params, rows), rows)
+    assert tables.dw.tobytes() == exp_row_dw(rows, n, l).tobytes()
 
 
 def test_params_recovery_violations():
@@ -323,7 +356,7 @@ def test_constraint_checks_match_numeric_predicates():
     for r in range(1, 25):
         for m in range(r):
             for p in (1, 2, 3):
-                wp = root_of_unity(r, p * m)
+                wp = np.exp(2j * np.pi * ((p * m) % r) / r)
                 assert _pow_is_one(m, r, p) == (abs(wp - 1.0) < 1e-9)
                 assert _pow_is_minus_one(m, r, p) == (abs(wp + 1.0) < 1e-9)
 

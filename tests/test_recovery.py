@@ -216,7 +216,21 @@ def test_recover_consumes_only_planned_entries():
     rec_planned = recover(planned)
     assert_array_equal(rec_full.signal, rec_planned.signal)
     assert_array_equal(rec_full.spectrum, rec_planned.spectrum)
-    assert rec_full.verification_residual == rec_planned.verification_residual
+    # The full grid is verified on every entry, the plan on its own.
+    assert rec_full.verification_residual <= 1e-9
+    assert rec_planned.verification_residual <= 1e-9
+
+
+def test_recover_verifies_every_supplied_entry():
+    # The stages solve from the plan, but an entry off the plan that the
+    # solution does not reproduce is refused, not returned verified.
+    params = FrogParams(16, 3)
+    z = _generic_even_signal(16, np.random.default_rng(612))
+    grid = frog_measurements_time(z, params)
+    assert [0, 2] not in plan_indices(params).rows.tolist()
+    grid[0, 2] = 100.0 * grid[0, 2] + 5.0
+    with pytest.raises(InconsistentMeasurementsError, match="verification residual"):
+        recover(grid)
 
 
 def test_recover_handles_negative_leading_coefficient():

@@ -1,10 +1,10 @@
-"""DFT conventions, input coercion, and exact roots of unity."""
+"""DFT conventions and input coercion."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from frogpr import as_signal, dft, idft, root_of_unity
+from frogpr import as_signal, dft, idft
 from oracles import direct_dft
 
 
@@ -53,34 +53,3 @@ def test_parseval_with_unnormalized_forward():
         rhs = n * np.sum(np.abs(z) ** 2)
         assert_allclose(lhs, rhs, rtol=1e-12)
 
-
-def test_root_of_unity_basic_values():
-    assert root_of_unity(1, 0) == 1.0
-    assert root_of_unity(1, 12345) == 1.0  # any exponent reduces to 0 mod 1
-    assert abs(root_of_unity(4, 1) - 1j) < 1e-15
-    assert abs(root_of_unity(2, 1) + 1.0) < 1e-15
-    assert abs(root_of_unity(6, 3) + 1.0) < 1e-15
-
-
-def test_root_of_unity_reduces_exponent_exactly():
-    # Reduction happens on the integer exponent, so a huge m gives the
-    # bitwise-identical result of its residue -- no accumulated phase error.
-    big = 10**15 + 3
-    for r in (5, 7, 12, 64):
-        assert root_of_unity(r, big) == root_of_unity(r, big % r)
-        assert root_of_unity(r, -1) == root_of_unity(r, r - 1)
-
-
-def test_root_of_unity_unit_modulus_and_group_property():
-    for r in (5, 6, 11, 24):
-        for m in range(r):
-            w = root_of_unity(r, m)
-            assert abs(abs(w) - 1.0) < 1e-15
-            assert abs(w - root_of_unity(r, 1) ** m) < 1e-13 * r
-
-
-def test_root_of_unity_rejects_nonpositive_r():
-    with pytest.raises(ValueError):
-        root_of_unity(0, 1)
-    with pytest.raises(ValueError):
-        root_of_unity(-3, 1)
