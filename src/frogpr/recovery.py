@@ -14,11 +14,14 @@ coefficient through circles |s_k + offset| = radius. Recovery proceeds:
       followed by a least-squares polish, which stops the stages' roundoff
       from compounding: stage k polishes its last 16 coefficients against
       the rows that involve them, and every 16th stage and the last stage
-      polish all coefficients solved so far against all rows. From k = 31
-      on, a window s_lo .. s_k has 2 lo > k, so no row pairs two of its
-      coefficients and its rows are affine in it: the polish gathers them
-      once and scores each candidate by a matrix-vector update. Every
-      polish forms its Jacobian only for a step it takes.
+      polish all coefficients solved so far against all rows. Each stage
+      gathers those rows once, with s_k = 0: the rows k_r = k give its
+      circles, setting the solved s_k changes only them, and the polish
+      starts from the same block. From k = 31 on, a window s_lo .. s_k has
+      2 lo > k, so no row pairs two of its coefficients and its rows are
+      affine in it: the polish scores each candidate by a matrix-vector
+      update of that block. Every polish forms its Jacobian only for a
+      step it takes.
   A3  recover:     run A2 once with s_0 = +|s_0|, translate s_{N/2} onto
       the positive real axis, and verify the result against every
       supplied measurement, planned or not.
@@ -33,8 +36,8 @@ values, divides them by the power of two 2^(4e) that puts the largest in
 [1, 16), so the solvers' absolute floors see the same numbers at every
 scale, and expands the rows k >= 1 in coefficients in one row table:
 partner indices k - l and unit-root sums (w^{lm} + w^{(k-l)m}) / N. The
-stage circles, A1's k = 2 test, the even-L probe and the polish all read
-that table.
+tail stages, A1's k = 2 test and the even-L probe gather their rows from
+that table, once per stage.
 
 All of this assumes L odd (so the per-step phase satisfies w^{N/2} = -1 and
 the k = 0 row separates the two boundary coefficients). For even L that row
@@ -109,51 +112,117 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
-def _row_circles(
-    tables: _RowTables, t: np.ndarray, k: int, z0: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The table's rows k as circles |s_k + offset| = radius in the unknown s_k.
+class _StageRows:
+    """Stage k's rows lo <= k_r <= k of the row table, gathered once over l <= k.
 
-    With s_k set to zero, _row_values gives the part y of y^_{k,m} that
-    does not involve s_k, which enters as s_k t0 (1 + w^{km}) / N, the
-    l = 0 column of dw. The radius uses the A1 modulus z0, not |t[0]|, which
-    the polish may have moved in its last bits. Reads t[0 .. k-1].
+    The one gather of a stage: it is taken at s_0 .. s_{k-1} with s_k = 0,
+    so its last rows (k_r = k) hold the part y of y^_{k,m} that does not
+    involve s_k, which enters as s_k t0 (1 + w^{km}) / N through the l = 0
+    column of dw. circles reads the stage's circles off those rows; settle
+    puts the solved s_k in, which changes only those rows; the polish then
+    starts from the block. Every row k_r < k has a zero dw entry at l = k,
+    so it is the same at s_k = 0 as at the solved s_k.
+
+    tv:     s_0 .. s_k, with s_k = 0 until settle.
+    y, dy:  _row_values of the rows at tv.
+    own:    the first row with k_r = k.
+    edge:   dw[own:, 0], the weight of s_k t0 in those rows.
+    rim:    the table's slice of those rows, where their radii are.
     """
-    target, mirror, dw = tables.stage(k, k)
-    tv = np.zeros(k + 1, dtype=complex)
-    tv[:k] = t[:k]
-    y, _ = _row_values(tv, mirror, dw)
-    edge = dw[:, 0]
-    return y / (t[0] * edge), np.sqrt(target) / (z0 * np.abs(edge))
+
+    __slots__ = ("target", "mirror", "dw", "lo", "own", "edge", "rim", "tv", "y", "dy")
+
+    def __init__(self, tables: _RowTables, t: np.ndarray, k: int, lo: int):
+        self.target, self.mirror, self.dw = tables.stage(k, lo)
+        self.lo = lo
+        self.own = tables.starts[k] - tables.starts[lo]
+        self.edge = self.dw[self.own :, 0]
+        self.rim = slice(tables.starts[k], tables.starts[k + 1])
+        self.tv = np.zeros(k + 1, dtype=complex)
+        self.tv[:k] = t[:k]
+        self.y, self.dy = _row_values(self.tv, self.mirror, self.dw)
+
+    def circles(self, radii: list[float]) -> tuple[np.ndarray, list[float]]:
+        """The rows k_r = k as circles |s_k + offset| = radius in the unknown s_k.
+
+        radii is _radii of the table the rows came from.
+        """
+        return self.y[self.own :] / (self.tv[0] * self.edge), radii[self.rim]
+
+    def settle(self, z: complex) -> None:
+        """Set s_k = z: the rows k_r = k get dy[:, 0] = z edge and their y again."""
+        own = self.own
+        self.tv[-1] = z
+        np.multiply(z, self.edge, out=self.dy[own:, 0])
+        self.y[own:] = 0.5 * (self.dy[own:] @ self.tv)
+
+    def point(self, radii: list[float]) -> tuple[complex, float]:
+        """The three-circle point of the stage's circles, and its circle residual."""
+        offset, radius = self.circles(radii)
+        offset = offset.tolist()
+        z = solve_three_circles(*offset, *radius)
+        return z, _circle_residual(z, offset, radius)
+
+    def pair(self, radii: list[float], m: complex) -> tuple[complex, complex]:
+        """The stage's pair solve along m; both candidates lie on its first two circles."""
+        k = self.tv.size - 1
+        offset, radius = self.circles(radii)
+        try:
+            cands = _pair_solve(offset, radius, m)
+        except NoSolutionError as exc:
+            raise InconsistentMeasurementsError(f"stage k={k}: {exc}", stage=k) from exc
+        offset, radius = offset[:2].tolist(), radius[:2]
+        res = max(_circle_residual(z, offset, radius) for z in cands)
+        if res > _STAGE_TOL:
+            raise InconsistentMeasurementsError(
+                f"stage k={k}: two-circle candidate misses a circle by {res:.3e}",
+                stage=k, residual=res, tol=_STAGE_TOL,
+            )
+        return cands
 
 
-def _circle_residual(z: complex, offset: np.ndarray, radius: np.ndarray) -> float:
-    """Largest |distance-to-center - radius| over the circles, relative to 1 + radius."""
-    return float(np.max(np.abs(np.abs(z + offset) - radius) / (1.0 + radius)))
+def _radii(tables: _RowTables, z0: float) -> list[float]:
+    """Every table row's circle radius sqrt(target) / (z0 |dw[:, 0]|).
+
+    A radius depends on its row and the A1 modulus z0 only (not on |t[0]|,
+    which the polish may have moved in its last bits), so a recovery
+    computes all of them at once, as the Python floats the solvers take.
+    """
+    return (np.sqrt(tables.target) / (z0 * np.abs(tables.dw[:, 0]))).tolist()
+
+
+def _circle_residual(z: complex, offset, radius) -> float:
+    """Largest |distance-to-center - radius| over the circles, relative to 1 + radius.
+
+    On Python scalars: a stage has two to five circles, where numpy's
+    per-call cost outweighs the arithmetic.
+    """
+    return max(abs(abs(z + v) - n) / (1.0 + n) for v, n in zip(offset, radius))
 
 
 def _pair_solve(
-    offset: np.ndarray, radius: np.ndarray, m: complex
+    offset: np.ndarray, radius: list[float], m: complex
 ) -> tuple[complex, complex]:
     """Two-circle solve on the first two circles, whose offsets are real multiples of m."""
     # Python scalars: the solvers' scalar arithmetic is several times slower
     # on numpy scalars.
     v1, v2 = (offset[:2] / m).real.tolist()
-    n1, n2 = radius[:2].tolist()
+    n1, n2 = radius[:2]
     return solve_two_circles_real(v1, v2, m, n1, n2)
 
 
-def _row2_scale(t: np.ndarray, floor: float) -> complex:
+def _row2_scale(t: np.ndarray, floor: float, stage: int | str) -> complex:
     """t1^2 / t0, the scale m of the k = 2 pair solve.
 
     All k = 2 offsets are real multiples 1 / (2 cos phi) of t1^2 / t0 (t0
     real), so the s_2 candidates are a two-circle solve along that line.
-    Raises DegenerateSignalError when |t1| is at the floor, where that scale
-    vanishes and the solve says nothing.
+    Raises DegenerateSignalError, labelled with stage, when |t1| is at the
+    floor, where that scale vanishes and the solve says nothing.
     """
     if abs(t[1]) <= floor:
         raise DegenerateSignalError(
-            "second spectral coefficient vanishes; the stage solves degenerate"
+            "second spectral coefficient vanishes; the stage solves degenerate",
+            stage=stage,
         )
     # Python complex division by a real divides each part exactly; numpy's
     # multiplies by the reciprocal, which would move the last bit.
@@ -161,14 +230,18 @@ def _row2_scale(t: np.ndarray, floor: float) -> complex:
     return t1 * t1 / t[0].real
 
 
-def _row2_feasible(tables: _RowTables, t: np.ndarray, z0: float, tol: float) -> bool:
-    """Whether a k = 2 pair candidate lies on all five planned k = 2 circles."""
-    offset, radius = _row_circles(tables, t, 2, z0)
+def _row2_misfit(tables: _RowTables, t: np.ndarray, z0: float) -> float:
+    """A1's k = 2 test: the least residual of a pair candidate on all five k = 2 circles.
+
+    inf when the pair solve has no candidates.
+    """
+    offset, radius = _StageRows(tables, t, 2, 2).circles(_radii(tables, z0))
     try:
-        cands = _pair_solve(offset, radius, _row2_scale(t, tables.floor))
+        cands = _pair_solve(offset, radius, _row2_scale(t, tables.floor, "A1"))
     except NoSolutionError:
-        return False
-    return any(_circle_residual(z, offset, radius) <= tol for z in cands)
+        return math.inf
+    offset = offset.tolist()
+    return min(_circle_residual(z, offset, radius) for z in cands)
 
 
 def recover_z0(sub: FrogMeasurements, tables: _RowTables, tol: float) -> float:
@@ -180,10 +253,12 @@ def recover_z0(sub: FrogMeasurements, tables: _RowTables, tol: float) -> float:
     s_0 with s_1 = N |y^_{1,0}| / (2 root); only for the true root does the
     k = 2 pair solve give a point on all five planned k = 2 circles. Raises
     DegenerateSignalError when the boundary coefficients vanish or s_1 sits
-    at the floor, InconsistentMeasurementsError when neither root passes.
-    Membership is within tol relative to 1 + radius; the moduli count as
-    equal when |y^_{0,1}| <= tol |y^_{0,0}|. sub and tables are what
-    _scaled made of the planned rows; the k = 2 circles are the table's.
+    at the floor, InconsistentMeasurementsError when neither root passes
+    (its residual is the least misfit over the roots tried, inf when no
+    root's pair solve has candidates); all carry stage "A1". Membership is
+    within tol relative to 1 + radius; the moduli count as equal when
+    |y^_{0,1}| <= tol |y^_{0,0}|. sub and tables are what _scaled made of
+    the planned rows; the k = 2 circles are the table's.
     """
     n = sub.params.N
     floor = tables.floor
@@ -192,20 +267,23 @@ def recover_z0(sub: FrogMeasurements, tables: _RowTables, tol: float) -> float:
     big = math.sqrt(n * (mag00 + mag01) / 2.0)
     if big <= floor:
         raise DegenerateSignalError(
-            "both boundary spectral coefficients are at the noise floor"
+            "both boundary spectral coefficients are at the noise floor", stage="A1"
         )
     if mag01 <= tol * mag00:
         # Boundary moduli coincide; either root works and they are equal.
         return big
     small = math.sqrt(n * max(mag00 - mag01, 0.0) / 2.0)
+    misfits = []
     for root in (big, small):
         if root <= floor:
             break
         t = np.array([root, n * sub.magnitude(1, 0) / (2.0 * root)])
-        if _row2_feasible(tables, t, root, tol):
+        misfits.append(_row2_misfit(tables, t, root))
+        if misfits[-1] <= tol:
             return root
     raise InconsistentMeasurementsError(
-        "neither boundary-modulus root admits a consistent second-row circle system"
+        "neither boundary-modulus root admits a consistent second-row circle system",
+        stage="A1", residual=min(misfits), tol=tol,
     )
 
 
@@ -221,8 +299,14 @@ def recover_tail(sub: FrogMeasurements, tables: _RowTables, z0: float) -> np.nda
     re-polished against the rows that involve them, and at every
     _POLISH_WINDOW-th stage and the last stage all coefficients solved so
     far against all rows consumed so far, so stage roundoff never
-    compounds. Returns the full length-N spectrum (upper half zero). sub
-    and tables are as in recover_z0, and z0 is its root.
+    compounds. Each polished stage gathers the rows of its polish once
+    (_StageRows): their rows k_r = k give the stage's circles, and the
+    polish starts from the same block once s_k is in; stage 3, which has
+    no polish, gathers its own rows, and each k = 4 candidate its own
+    block, the kept one's serving the polish. A refusal carries the stage
+    k and, for a circle miss, its residual and _STAGE_TOL. Returns the
+    full length-N spectrum (upper half zero). sub and tables are as in
+    recover_z0, and z0 is its root.
     """
     n = sub.params.N
     half = n // 2
@@ -230,88 +314,82 @@ def recover_tail(sub: FrogMeasurements, tables: _RowTables, z0: float) -> np.nda
     t[0] = z0
     t[1] = n * sub.magnitude(1, 0) / (2.0 * z0)
 
-    def polish(k: int) -> np.ndarray:
+    radii = _radii(tables, z0)
+
+    def rows(k: int) -> _StageRows:
+        """Stage k's rows: those of its polish, whose window starts at lo."""
         full = k % _POLISH_WINDOW == 0 or k == half
-        lo = 0 if full else max(0, k + 1 - _POLISH_WINDOW)
-        return _polish_coefficients(t, k, tables, lo)
-
-    def stage_point(k: int) -> tuple[complex, float]:
-        offset, radius = _row_circles(tables, t, k, z0)
-        z = solve_three_circles(*offset.tolist(), *radius.tolist())
-        return z, _circle_residual(z, offset, radius)
-
-    def stage_pair(k: int, m: complex) -> tuple[complex, complex]:
-        """Stage k's pair solve along m; both candidates lie on its two circles."""
-        offset, radius = _row_circles(tables, t, k, z0)
-        try:
-            cands = _pair_solve(offset, radius, m)
-        except NoSolutionError as exc:
-            raise InconsistentMeasurementsError(f"stage k={k}: {exc}") from exc
-        res = max(_circle_residual(z, offset[:2], radius[:2]) for z in cands)
-        if res > _STAGE_TOL:
-            raise InconsistentMeasurementsError(
-                f"stage k={k}: two-circle candidate misses a circle by {res:.3e}"
-            )
-        return cands
+        return _StageRows(tables, t, k, 0 if full else max(0, k + 1 - _POLISH_WINDOW))
 
     # k = 2: two circles with real offsets along t1^2 / t[0]; conjugate pair.
-    cands = stage_pair(2, _row2_scale(t, tables.floor))
-    t[2] = cands[0] if cands[0].imag >= 0 else cands[1]
-    t = polish(2)
+    stage = rows(2)
+    cands = stage.pair(radii, _row2_scale(t, tables.floor, 2))
+    stage.settle(cands[0] if cands[0].imag >= 0 else cands[1])
+    _polish_coefficients(t, stage, tables.scale)
     if abs(t[2]) <= tables.floor:
         raise DegenerateSignalError(
-            "third spectral coefficient vanishes; the stage-3 scale degenerates"
+            "third spectral coefficient vanishes; the stage-3 scale degenerates", stage=3
         )
 
     # k = 3: two circles whose offsets are real multiples cos(phi/2) /
     # cos(3 phi/2) of t1 t2 / t0; both candidates go to the k = 4 referee.
-    c3_cands = stage_pair(3, t[1] * t[2] / t[0])
+    # Stage 3 has no polish, so it gathers its own rows only.
+    c3_cands = _StageRows(tables, t, 3, 3).pair(radii, t[1] * t[2] / t[0])
 
-    # k = 4 disambiguates: only the true stage-3 candidate extends.
+    # k = 4 disambiguates: only the true stage-3 candidate extends, and the
+    # rows gathered for it serve the polish.
     outcomes = []
-    singular = 0
+    misses = []
     for cand in c3_cands:
         t[3] = cand
+        stage = rows(4)
         try:
-            z4, res = stage_point(4)
+            z4, res = stage.point(radii)
         except SingularConfigurationError:
-            singular += 1
             continue
         if res <= _STAGE_TOL:
-            outcomes.append((res, cand, z4))
+            outcomes.append((res, cand, z4, stage))
+        else:
+            misses.append(res)
     if not outcomes:
-        if singular == len(c3_cands):
+        if not misses:
             raise DegenerateSignalError(
-                "stage k=4 circle centers are collinear for both stage-3 candidates"
+                "stage k=4 circle centers are collinear for both stage-3 candidates",
+                stage=4,
             )
         raise InconsistentMeasurementsError(
-            "stage k=4 rejects both stage-3 candidates"
+            "stage k=4 rejects both stage-3 candidates",
+            stage=4, residual=min(misses), tol=_STAGE_TOL,
         )
-    _, t[3], t[4] = min(outcomes, key=lambda o: o[0])
-    t = polish(4)
+    _, t[3], z4, stage = min(outcomes, key=lambda o: o[0])
+    stage.settle(z4)
+    _polish_coefficients(t, stage, tables.scale)
 
     for k in range(5, half + 1):
+        stage = rows(k)
         try:
-            z, res = stage_point(k)
+            z, res = stage.point(radii)
         except SingularConfigurationError as exc:
-            raise DegenerateSignalError(f"stage k={k}: {exc}") from exc
+            raise DegenerateSignalError(f"stage k={k}: {exc}", stage=k) from exc
         if res > _STAGE_TOL:
             raise InconsistentMeasurementsError(
-                f"stage k={k} residual {res:.3e} exceeds the stage tolerance"
+                f"stage k={k} residual {res:.3e} exceeds the stage tolerance",
+                stage=k, residual=res, tol=_STAGE_TOL,
             )
-        t[k] = z
-        t = polish(k)
+        stage.settle(z)
+        _polish_coefficients(t, stage, tables.scale)
     return t
 
 
 class _RowTables(NamedTuple):
     """Planned rows (k_r, m_r), sorted by (k, m), expanded in coefficients.
 
-    This is the one place a row is written out: the stage circles, A1, the
-    even-L probe and the polish all read it. Every row is written out over
-    l = 0..max k_r; entries with l > k_r are zero, so the rows
-    lo <= k_r <= k are one run of rows and stage(k, lo) slices that run
-    over columns [:k + 1].
+    This is the one place a row is written out: each tail stage, A1's k = 2
+    test and the even-L probe gather their rows from it once (_StageRows),
+    and the stage's circles and its polish read that gather. Every row is
+    written out over l = 0..max k_r; entries with l > k_r are zero, so the
+    rows lo <= k_r <= k are one run of rows and stage(k, lo) slices that
+    run over columns [:k + 1].
 
     starts: starts[j], for j = 0 .. max k_r + 1, is the first row with
             k_r >= j (the row count for j = max k_r + 1), looked up once
@@ -397,7 +475,10 @@ def _row_values(
     dy[r, l] = d y^_r / d s_l = s_{k_r - l} dw[r, l], and swapping l with
     k_r - l shows sum_l s_l dy[r, l] = 2 y^_r, so y^ needs no second table.
     """
-    dy = tv[mirror]
+    # take converts the int32 mirror to intp in one pass, twice as fast as
+    # tv[mirror]; the polish frees a block before the next is gathered,
+    # so that temporary raises no peak.
+    dy = tv.take(mirror)
     dy *= dw
     return 0.5 * (dy @ tv), dy
 
@@ -439,10 +520,8 @@ def _gauss_newton_step(jac: np.ndarray, fvec: np.ndarray, lo: int) -> np.ndarray
     return np.linalg.solve(gram, rhs)
 
 
-def _polish_coefficients(
-    spectrum: np.ndarray, k_active: int, tables: _RowTables, lo: int = 0
-) -> np.ndarray:
-    """Gauss-Newton polish of s_lo .. s_{k_active} against plan rows lo <= k_r <= k_active.
+def _polish_coefficients(spectrum: np.ndarray, rows: _StageRows, scale: float) -> None:
+    """Gauss-Newton polish of s_lo .. s_k against the stage's rows lo <= k_r <= k.
 
     A raw stage solve inherits the roundoff of every earlier stage through
     its conditioning, and that error compounds fast enough to derail the
@@ -453,45 +532,53 @@ def _polish_coefficients(
     holds fixed, so only the rows k_r >= lo take part; lo = 1 would split
     the gauge and is not a window recover_tail uses.
 
-    The k = 0 rows are deliberately excluded even when k_active = N/2: they
-    hold only in the analytic gauge (s_{N/2} real), while the staged iterate
+    The k = 0 rows are deliberately excluded even when k = N/2: they hold
+    only in the analytic gauge (s_{N/2} real), while the staged iterate
     pins s_1 real instead and reaches the analytic gauge only through the
-    final translation normalization. Polishing against rows 1..k_active
-    keeps the iterate consistent with the gauge it actually lives in; the
-    k = 0 rows already contributed |s_0| through the A1 root choice and are
-    checked by the final verification.
+    final translation normalization. Polishing against rows 1..k keeps the
+    iterate consistent with the gauge it actually lives in; the k = 0 rows
+    already contributed |s_0| through the A1 root choice and are checked by
+    the final verification.
 
     Each iteration linearizes |y^_{k,m}|^2 in the real and imaginary parts
     of the window's coefficients and takes the step of _gauss_newton_step,
     so s_0 and s_1 stay exactly real. Step halving keeps the iteration
     monotone: a step is taken only when it lowers the largest residual over
     the window's rows, so the result is never worse than the input.
-    Singular normal equations count as a step that does not lower it.
+    Singular normal equations count as a step that does not lower it; the
+    iteration stops once that residual is within 1e-15 scale.
 
-    The rows are gathered once at the start (_row_values), and the Jacobian
-    is formed from them only where a step is taken. When 2 lo > k_active,
-    every window coefficient's partner s_{k_r - l} has k_r - l < lo and is
-    held, so the rows are affine in the window: y^ = y^_0 + dy[:, lo:]
-    (s - s_0) with dy[:, lo:] fixed, and a candidate is scored by that
-    update. Every other polish gathers each candidate afresh.
+    The polish starts from the stage's one gather, rows (settled at the
+    solved s_k), and consumes it; the Jacobian is formed from the gathered
+    block only where a step is taken. When 2 lo > k, every window
+    coefficient's partner s_{k_r - l} has k_r - l < lo and is held, so the
+    rows are affine in the window: y^ = y^_0 + dy[:, lo:] (s - s_0) with
+    dy[:, lo:] fixed, and a candidate is scored by that update. Every other
+    polish gathers each candidate afresh. Writes s_0 .. s_k into
+    spectrum[:k + 1].
     """
-    width = k_active + 1
-    target, mirror, dw = tables.stage(k_active, lo)
-    tv = np.asarray(spectrum, dtype=complex)[:width].copy()
-    y, dy = _row_values(tv, mirror, dw)
-    affine = 2 * lo > k_active
+    target, mirror, dw, lo = rows.target, rows.mirror, rows.dw, rows.lo
+    tv, y, dy = rows.tv, rows.y, rows.dy
+    # The polish takes the block over, so that its dy is freed once a fresh
+    # gather replaces it.
+    rows.y = rows.dy = None
+    affine = 2 * lo > tv.size - 1
     fvec = (y * y.conjugate()).real - target
     err = float(np.abs(fvec).max())
     for _ in range(_POLISH_MAX_ITER):
-        if err <= 1e-15 * tables.scale:
+        if err <= 1e-15 * scale:
             break
-        # A full polish (lo = 0, never affine) gathers dy afresh for every
-        # candidate, so its Jacobian may overwrite it.
+        # A polish that is not affine gathers every candidate afresh: a full
+        # one's Jacobian may overwrite dy, and neither stays alive beside the
+        # next gather.
         jac = _jacobian(y, dy[:, lo:], out=dy if lo == 0 else None)
         try:
             step = _gauss_newton_step(jac, fvec, lo).view(np.complex128)
         except np.linalg.LinAlgError:
             break
+        del jac
+        if not affine:
+            dy = None
         improved = False
         damp = 1.0
         for _ in range(4):
@@ -510,9 +597,7 @@ def _polish_coefficients(
             damp *= 0.5
         if not improved:
             break
-    out = np.array(spectrum, dtype=complex, copy=True)
-    out[:width] = tv
-    return out
+    spectrum[: tv.size] = tv
 
 
 def _normalize_gauge(spectrum: np.ndarray) -> np.ndarray:
@@ -561,14 +646,16 @@ def recover(
     has s_0 > 0 (see the module docstring for why the s_0 < 0 start is not
     run) and is returned when its verification residual (relative to the
     largest measurement) is within tol, which also serves A1 (see
-    recover_z0). Raises ValueError for geometries outside the recovery
-    domain (odd N, even L, r < 5, N < 8, N = 6L), a plan for another
-    geometry, missing entries or a tol that is not finite and > 0;
-    propagates DegenerateSignalError and the tail's
-    InconsistentMeasurementsError; and raises InconsistentMeasurementsError
-    when the verification residual exceeds tol. Measurements scaled by
-    2^(4j) give the spectrum scaled by exactly 2^j.
+    recover_z0). Raises ValueError for a tol that is not finite and > 0
+    (checked first), geometries outside the recovery domain (odd N, even L,
+    r < 5, N < 8, N = 6L), a plan for another geometry or missing entries;
+    propagates DegenerateSignalError and InconsistentMeasurementsError from
+    A1 and the tail; and raises InconsistentMeasurementsError with stage
+    "verify" when the verification residual exceeds tol. Their stage,
+    residual and tol fields say where recovery stopped and by how much.
+    Measurements scaled by 2^(4j) give the spectrum scaled by exactly 2^j.
     """
+    _check_positive("tol", tol)
     params = measurements.params
     violations = params.recovery_violations()
     if violations:
@@ -578,7 +665,6 @@ def recover(
     if plan.params != params:
         raise ValueError(f"plan is for {plan.params} but the measurements are for {params}")
     sub, tables, e = _scaled(measurements, plan.rows)
-    _check_positive("tol", tol)
     z0 = recover_z0(sub, tables, tol)
     spectrum = _normalize_gauge(recover_tail(sub, tables, z0))
     # Scaled on the float64 view, which keeps the sign of a zero part. The
@@ -588,7 +674,8 @@ def recover(
     residual = verify_solution(spectrum, measurements)
     if not residual <= tol:  # a NaN residual is refused too
         raise InconsistentMeasurementsError(
-            f"verification residual {residual:.3e} > {tol:.1e}"
+            f"verification residual {residual:.3e} > {tol:.1e}",
+            stage="verify", residual=residual, tol=tol,
         )
     return RecoveryResult(idft(spectrum), spectrum, residual)
 
@@ -630,7 +717,7 @@ def even_l_infeasibility_probe(
     except OverflowError:
         raise ValueError(f"alpha {alpha!r} overflows at the measurements' scale") from None
     if abs(alpha) <= tables.floor:
-        raise DegenerateSignalError("trial leading coefficient is at the noise floor")
+        raise DegenerateSignalError("trial leading coefficient is at the noise floor", stage="A1")
     mu = params.N * sub.magnitude(1, 0) / (2.0 * abs(alpha))
     t = np.array([alpha, mu * complex(math.cos(theta), math.sin(theta))])
-    return not _row2_feasible(tables, t, abs(alpha), tol)
+    return not _row2_misfit(tables, t, abs(alpha)) <= tol

@@ -1,4 +1,4 @@
-"""Row tables: the stage circles read off them, and the table-driven Gauss-Newton polish."""
+"""Row tables: each stage's one gather, its circles, and the table-driven Gauss-Newton polish."""
 
 import hashlib
 import warnings
@@ -17,10 +17,11 @@ from frogpr import (
 )
 from frogpr.recovery import (
     _POLISH_WINDOW,
+    _StageRows,
     _gauss_newton_step,
     _jacobian,
     _polish_coefficients,
-    _row_circles,
+    _radii,
     _row_tables,
     _row_values,
 )
@@ -41,6 +42,15 @@ def _setup(n, l, seed):
 def _tail_tables(meas, plan):
     """The tail solve's table: every planned row with k >= 1."""
     return _row_tables(meas, plan.rows[plan.rows[:, 0] >= 1])
+
+
+def _polish(spectrum, k_active, tables, lo=0):
+    """The stage polish as recover_tail runs it: gather at s_k = 0, set s_k, polish."""
+    rows = _StageRows(tables, spectrum, k_active, lo)
+    rows.settle(spectrum[k_active])
+    out = spectrum.copy()
+    _polish_coefficients(out, rows, tables.scale)
+    return out
 
 
 def _random_coefficients(width, rng):
@@ -119,7 +129,7 @@ def test_polish_converges_from_a_perturbed_exact_spectrum(n, l, k_active, lo, se
         fvec, _ = _residual_and_jacobian(spectrum[:width], *stage)
         return np.abs(fvec).max()
 
-    out = _polish_coefficients(start, k_active, tables, lo)
+    out = _polish(start, k_active, tables, lo)
     # Only the window moves: the held prefix and the unsolved tail come
     # back bitwise unchanged.
     np.testing.assert_array_equal(out[:lo], start[:lo])
@@ -138,9 +148,10 @@ def test_row_circles_match_row_oracle(n, l):
     # its k = 2 rows.
     tables = _tail_tables(meas, plan)
     for k in range(2, n // 2 + 1):
-        offset, radius = _row_circles(tables, t, k, z0)
+        offset, radius = _StageRows(tables, t, k, k).circles(_radii(tables, z0))
         ms = plan.delays(k).tolist()
         ref = np.array([row_circle(meas, t, k, m, z0) for m in ms])
+        radius = np.array(radius)
         assert offset.shape == radius.shape == (len(ms),)
         # Both sums run over the same terms in another order; agreement is
         # to roundoff relative to the largest offset and radius of the row.
@@ -156,12 +167,13 @@ def test_pair_offsets_are_real_multiples_of_the_pair_scale(n, l):
     rng = np.random.default_rng(5 * n)
     t = _random_coefficients(4, rng)
     t[0] = abs(t[0])
-    offset2, _ = _row_circles(tables, t, 2, 1.0)
+    radii = _radii(tables, 1.0)
+    offset2, _ = _StageRows(tables, t, 2, 2).circles(radii)
     v = offset2 / (t[1] * t[1] / t[0])
     ref_v = [offset_v(plan.params, i) for i in plan.delays(2).tolist()]
     np.testing.assert_allclose(v.real, ref_v, rtol=1e-13)
     assert np.abs(v.imag).max() <= 1e-13 * np.abs(v).max()
-    offset3, _ = _row_circles(tables, t, 3, 1.0)
+    offset3, _ = _StageRows(tables, t, 3, 3).circles(radii)
     u = offset3 / (t[1] * t[2] / t[0])
     ref_u = [offset_u(plan.params, i) for i in plan.delays(3).tolist()]
     np.testing.assert_allclose(u.real, ref_u, rtol=1e-13)
@@ -195,7 +207,7 @@ def test_polish_stops_on_singular_normal_equations():
     start = np.zeros(20, dtype=complex)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = _polish_coefficients(start, 6, tables)
+        out = _polish(start, 6, tables)
     np.testing.assert_array_equal(out, start)
 
 
@@ -251,24 +263,59 @@ def test_every_polish_of_a_recovery_is_monotone_under_a_fresh_evaluation(seed, m
     polish = recovery._polish_coefficients
     affine = []
 
-    def fresh_err(spectrum, k_active, tables, lo):
-        target, mirror, dw = tables.stage(k_active, lo)
-        y, _ = _row_values(spectrum[: k_active + 1], mirror, dw)
-        return np.abs((y * y.conjugate()).real - target).max()
+    def fresh_err(coefficients, rows):
+        y, _ = _row_values(coefficients, rows.mirror, rows.dw)
+        return np.abs((y * y.conjugate()).real - rows.target).max()
 
-    def checked(spectrum, k_active, tables, lo=0):
-        out = polish(spectrum, k_active, tables, lo)
-        before = fresh_err(spectrum, k_active, tables, lo)
-        assert fresh_err(out, k_active, tables, lo) <= before + 1e-15 * tables.scale, (k_active, lo)
-        np.testing.assert_array_equal(out[:lo], spectrum[:lo])
-        np.testing.assert_array_equal(out[k_active + 1 :], spectrum[k_active + 1 :])
+    def checked(spectrum, rows, scale):
+        k_active, lo = rows.tv.size - 1, rows.lo
+        # The stage's rows were gathered at the spectrum it hands over.
+        np.testing.assert_array_equal(rows.tv[:k_active], spectrum[:k_active])
+        start, held = rows.tv.copy(), spectrum.copy()
+        before = fresh_err(start, rows)
+        polish(spectrum, rows, scale)
+        after = fresh_err(spectrum[: k_active + 1], rows)
+        assert after <= before + 1e-15 * scale, (k_active, lo)
+        np.testing.assert_array_equal(spectrum[:lo], held[:lo])
+        np.testing.assert_array_equal(spectrum[k_active + 1 :], held[k_active + 1 :])
         affine.append(2 * lo > k_active)
-        return out
 
     monkeypatch.setattr(recovery, "_polish_coefficients", checked)
     recover(meas, plan)
     # Stages 2, 4 .. 128: 8 full polishes, 14 fresh windows, 91 affine ones.
     assert len(affine) == 126 and sum(affine) == 91
+
+
+@pytest.mark.parametrize(
+    "n,l,k", [(64, 11, 31), (256, 11, 5), (256, 11, 16), (256, 11, 100), (256, 11, 128)]
+)
+def test_stage_rows_equal_a_fresh_gather_bitwise(n, l, k):
+    # One gather serves a stage's circles and its polish; both must see
+    # exactly what a gather of their own rows would give.
+    plan, meas, s = _setup(n, l, 8300 + k)
+    tables = _tail_tables(meas, plan)
+    z0 = abs(s[0])
+    t = s * (z0 / s[0])
+    full = k % _POLISH_WINDOW == 0 or k == n // 2
+    lo = 0 if full else max(0, k + 1 - _POLISH_WINDOW)
+    rows = _StageRows(tables, t, k, lo)
+
+    # Before s_k is set: the circles are those of the rows k alone at s_k = 0.
+    target, mirror, dw = tables.stage(k, k)
+    tv = t[: k + 1].copy()
+    tv[k] = 0
+    y, _ = _row_values(tv, mirror, dw)
+    np.testing.assert_array_equal(rows.y[rows.own :], y)
+    offset, radius = rows.circles(_radii(tables, z0))
+    np.testing.assert_array_equal(offset, y / (t[0] * dw[:, 0]))
+    np.testing.assert_array_equal(radius, np.sqrt(target) / (z0 * np.abs(dw[:, 0])))
+
+    # After: the block is a fresh gather of the rows lo..k at s_0 .. s_k.
+    rows.settle(t[k])
+    y, dy = _row_values(t[: k + 1], *tables.stage(k, lo)[1:])
+    np.testing.assert_array_equal(rows.tv, t[: k + 1])
+    np.testing.assert_array_equal(rows.y, y)
+    np.testing.assert_array_equal(rows.dy, dy)
 
 
 # sha256 prefixes of recover(...).spectrum.tobytes() for the signals of

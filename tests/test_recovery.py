@@ -11,6 +11,7 @@ from frogpr import (
     FrogprError,
     FrogParams,
     InconsistentMeasurementsError,
+    SingularConfigurationError,
     dft,
     equivalent_up_to_group,
     even_l_infeasibility_probe,
@@ -307,6 +308,19 @@ def test_recovery_tolerance_must_be_finite_and_positive():
     assert recover(meas, plan, tol=1e-9).verification_residual <= 1e-9
 
 
+def test_recover_checks_tol_before_reading_the_measurements(monkeypatch):
+    # A bad tol is reported even when a planned entry is missing, and
+    # before any row table is built.
+    rng = np.random.default_rng(623)
+    params = FrogParams(16, 3)
+    plan = plan_indices(params)
+    meas = frog_measurements_time(_generic(16, rng), params, plan.pairs())
+    meas.grid[tuple(plan.rows[-1])] = np.nan
+    monkeypatch.setattr(recovery, "_scaled", lambda *args: pytest.fail("_scaled ran"))
+    with pytest.raises(ValueError, match="^tol must be finite and positive, got -1.0$"):
+        recover(meas, plan, tol=-1.0)
+
+
 @pytest.mark.parametrize("stage", [2, 3])
 def test_pair_stage_checks_candidates_on_their_circles(monkeypatch, stage):
     # The circle solvers are pure geometry; recover_tail judges their
@@ -334,8 +348,46 @@ def test_pair_stage_checks_candidates_on_their_circles(monkeypatch, stage):
     with pytest.raises(
         InconsistentMeasurementsError,
         match=f"stage k={stage}: two-circle candidate misses a circle by",
-    ):
+    ) as info:
         recovery.recover_tail(sub, tables, z0)
+    assert (info.value.stage, info.value.tol) == (stage, recovery._STAGE_TOL)
+    assert info.value.residual > info.value.tol
+
+
+@pytest.mark.parametrize("singular", [False, True])
+def test_stage_4_refuses_when_no_stage_3_candidate_extends(monkeypatch, singular):
+    # The k = 4 referee is the first three-circle solve. A point far off its
+    # circles for both candidates is a rejection with the smaller miss;
+    # collinear centers for both are a degenerate signal.
+    rng = np.random.default_rng(623)
+    params = FrogParams(16, 3)
+    plan = plan_indices(params)
+    meas = frog_measurements_time(_generic(16, rng), params, plan.pairs())
+    solve = recovery.solve_three_circles
+    misses = []
+
+    def planted(*args):
+        if singular:
+            raise SingularConfigurationError("planted")
+        z = solve(*args) + 10.0 * (1.0 + abs(args[0]))
+        offset, radius = args[:3], args[3:]
+        misses.append(recovery._circle_residual(z, offset, radius))
+        return z
+
+    monkeypatch.setattr(recovery, "solve_three_circles", planted)
+    if singular:
+        with pytest.raises(DegenerateSignalError) as info:
+            recover(meas, plan)
+        message = "stage k=4 circle centers are collinear for both stage-3 candidates"
+        assert str(info.value) == message
+        assert (info.value.stage, info.value.residual, info.value.tol) == (4, None, None)
+    else:
+        with pytest.raises(InconsistentMeasurementsError) as info:
+            recover(meas, plan)
+        assert str(info.value) == "stage k=4 rejects both stage-3 candidates"
+        assert len(misses) == 2
+        assert (info.value.stage, info.value.tol) == (4, recovery._STAGE_TOL)
+        assert info.value.residual == min(misses) > recovery._STAGE_TOL
 
 
 def test_recover_flags_corrupted_measurements(monkeypatch):
@@ -371,6 +423,68 @@ def test_recover_flags_corrupted_measurements(monkeypatch):
     early[(0, 0)] = early[(0, 0)] * 4.0
     with pytest.raises(InconsistentMeasurementsError):
         recover(FrogMeasurements(params, early), plan)
+
+
+def test_a_refused_stage_entry_names_its_stage_residual_and_tol():
+    rng = np.random.default_rng(607)
+    params = FrogParams(16, 3)
+    plan = plan_indices(params)
+    meas = frog_measurements_time(_generic(16, rng), params, plan.pairs())
+    key = (7, int(plan.delays(7)[1]))
+    meas[key] = 2.5 * meas[key]
+    with pytest.raises(InconsistentMeasurementsError) as info:
+        recover(meas, plan)
+    exc = info.value
+    assert (exc.stage, exc.tol) == (7, recovery._STAGE_TOL)
+    assert exc.residual == pytest.approx(0.2082, rel=1e-3)
+    assert str(exc) == f"stage k=7 residual {exc.residual:.3e} exceeds the stage tolerance"
+
+
+def test_a_refused_off_plan_entry_names_the_verification():
+    params = FrogParams(16, 3)
+    z = _generic_even_signal(16, np.random.default_rng(612))
+    grid = frog_measurements_time(z, params)
+    grid[0, 2] = 100.0 * grid[0, 2] + 5.0
+    with pytest.raises(InconsistentMeasurementsError) as info:
+        recover(grid, tol=1e-6)
+    exc = info.value
+    assert (exc.stage, exc.tol) == ("verify", 1e-6)
+    assert exc.residual == pytest.approx(0.9905, rel=1e-3)
+    assert str(exc) == f"verification residual {exc.residual:.3e} > 1.0e-06"
+
+
+def test_a_refused_root_choice_names_a1_and_its_least_misfit():
+    rng = np.random.default_rng(607)
+    params = FrogParams(16, 3)
+    plan = plan_indices(params)
+    meas = frog_measurements_time(_generic(16, rng), params, plan.pairs())
+    meas[0, 0] = 4.0 * meas[0, 0]
+    with pytest.raises(InconsistentMeasurementsError) as info:
+        recover(meas, plan, tol=1e-6)
+    exc = info.value
+    assert (exc.stage, exc.tol) == ("A1", 1e-6)
+    assert exc.residual > 1e-6
+    assert str(exc) == (
+        "neither boundary-modulus root admits a consistent second-row circle system"
+    )
+
+
+@pytest.mark.parametrize(
+    "s0,shalf,stage",
+    # Separated boundary moduli: A1's k = 2 test meets s_1 = 0 first.
+    # Equal ones: A1 returns without that test, and tail stage 2 meets it.
+    [(2.0, 0.8, "A1"), (1.3, -1.3, 2)],
+)
+def test_a_vanishing_second_coefficient_names_the_stage_that_meets_it(s0, shalf, stage):
+    rng = np.random.default_rng(613)
+    s = _analytic_spectrum(12, rng, s0=s0, shalf=shalf)
+    s[1] = 0.0
+    meas, plan = _planned_measurements(s, FrogParams(12, 1))
+    with pytest.raises(DegenerateSignalError) as info:
+        recover(meas, plan)
+    exc = info.value
+    assert (exc.stage, exc.residual, exc.tol) == (stage, None, None)
+    assert str(exc) == "second spectral coefficient vanishes; the stage solves degenerate"
 
 
 # --- leading-coefficient root choice -------------------------------------------
