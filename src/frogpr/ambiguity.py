@@ -42,9 +42,6 @@ class GroupElement:
     translation: int  # integer shift in [0, N)
     reflected: bool
 
-    def sort_key(self) -> tuple[int, int, bool]:
-        return (self.rotation_sign, self.translation, self.reflected)
-
 
 @dataclass(frozen=True)
 class EquivalenceReport:
@@ -54,7 +51,9 @@ class EquivalenceReport:
 
 
 def rotate(z, theta: float) -> np.ndarray:
-    """Multiply the whole signal by the unit phase e^{i theta}."""
+    """Multiply the whole signal by the unit phase e^{i theta}; theta must be finite."""
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
     return as_signal(z) * np.exp(1j * theta)
 
 
@@ -62,8 +61,10 @@ def translate(z, gamma: float) -> np.ndarray:
     """Shift by gamma samples, defined spectrally for arbitrary real gamma.
 
     Coefficient k is multiplied by e^{2i pi k gamma / N}; for integer gamma
-    this is the exact cyclic shift z[n] -> z[n + gamma].
+    this is the exact cyclic shift z[n] -> z[n + gamma]; gamma must be finite.
     """
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma!r}")
     z = as_signal(z)
     n = z.size
     phases = np.exp(2j * np.pi * np.arange(n) * (gamma / n))

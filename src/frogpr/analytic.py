@@ -54,6 +54,8 @@ def _spectral_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def make_analytic(x) -> np.ndarray:
     """Analytic companion of a real signal (doubled positive frequencies)."""
+    if np.iscomplexobj(x):
+        raise ValueError(f"expected a real signal, got dtype {np.asarray(x).dtype}")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size < 2:
         raise ValueError(f"expected a real 1-D signal of length >= 2, got shape {x.shape}")

@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -138,7 +139,7 @@ class FrogMeasurements(Mapping):
     where (k, m) was not measured; the mapping runs over the measured pairs
     in ascending order. Items of `entries` are stored as by
     `meas[k, m] = value`, which refuses a pair off the integer grid and a
-    value that is not finite and >= 0.
+    value that is not a finite real number >= 0.
     """
 
     def __init__(self, params: FrogParams, entries=()):
@@ -154,7 +155,8 @@ class FrogMeasurements(Mapping):
 
     def __setitem__(self, key, value) -> None:
         k, m = _grid_index(key, self.grid.shape)
-        if not (value >= 0 and math.isfinite(value)):
+        # A str, None, a complex or an array is refused like a negative value.
+        if not (isinstance(value, numbers.Real) and value >= 0 and math.isfinite(value)):
             raise ValueError(f"entry ({k}, {m}) has invalid value {value!r}")
         self.grid[k, m] = value
 
@@ -176,22 +178,12 @@ class FrogMeasurements(Mapping):
     def __len__(self) -> int:
         return int(np.count_nonzero(~np.isnan(self.grid)))
 
-    def magnitude(self, k: int, m: int) -> float:
-        """|y^_{k,m}| (the solvers consume magnitudes, not squares)."""
-        return math.sqrt(self[k, m])
-
     def max_value(self) -> float:
         """The largest measured value, 0.0 when there is none (fmax skips NaN)."""
         return float(np.fmax.reduce(self.grid, axis=None, initial=0.0))
 
     def is_full_grid(self) -> bool:
         return not np.isnan(self.grid).any()
-
-    def require(self, pairs) -> None:
-        """Raise ValueError naming the first absent (k, m) pairs, if any."""
-        missing = [p for p in pairs if p not in self]
-        if missing:
-            raise ValueError(f"measurements missing required entries {missing[:5]}")
 
 
 def frog_grid_time(z, params: FrogParams) -> np.ndarray:

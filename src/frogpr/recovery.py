@@ -35,9 +35,9 @@ recover and the even-L probe first run _scaled, once: it reads the planned
 values, divides them by the power of two 2^(4e) that puts the largest in
 [1, 16), so the solvers' absolute floors see the same numbers at every
 scale, and expands the rows k >= 1 in coefficients in one row table:
-partner indices k - l and unit-root sums (w^{lm} + w^{(k-l)m}) / N. The
-tail stages, A1's k = 2 test and the even-L probe gather their rows from
-that table, once per stage.
+partner indices k - l and unit-root sums (w^{lm} + w^{(k-l)m}) / N, with
+N and the k = 0 values beside them. That table is all A1, the tail and
+the even-L probe read; they gather their rows from it, once per stage.
 
 All of this assumes L odd (so the per-step phase satisfies w^{N/2} = -1 and
 the k = 0 row separates the two boundary coefficients). For even L that row
@@ -60,7 +60,7 @@ from .errors import (
     NoSolutionError,
     SingularConfigurationError,
 )
-from .frog import FrogMeasurements, MeasurementIndexPlan, frog_grid_freq, plan_indices
+from .frog import FrogMeasurements, FrogParams, MeasurementIndexPlan, frog_grid_freq, plan_indices
 from .spectral import as_signal, idft
 
 __all__ = [
@@ -244,7 +244,7 @@ def _row2_misfit(tables: _RowTables, t: np.ndarray, z0: float) -> float:
     return min(_circle_residual(z, offset, radius) for z in cands)
 
 
-def recover_z0(sub: FrogMeasurements, tables: _RowTables, tol: float) -> float:
+def recover_z0(tables: _RowTables, tol: float) -> float:
     """|s_0| from the k = 0 row, disambiguated on the k = 2 row.
 
     The k = 0 row gives max(|s_0|, |s_{N/2}|) = sqrt(N (|y^_{0,0}| +
@@ -257,13 +257,12 @@ def recover_z0(sub: FrogMeasurements, tables: _RowTables, tol: float) -> float:
     (its residual is the least misfit over the roots tried, inf when no
     root's pair solve has candidates); all carry stage "A1". Membership is
     within tol relative to 1 + radius; the moduli count as equal when
-    |y^_{0,1}| <= tol |y^_{0,0}|. sub and tables are what _scaled made of
-    the planned rows; the k = 2 circles are the table's.
+    |y^_{0,1}| <= tol |y^_{0,0}|. tables, what _scaled made of the planned
+    rows, is all A1 reads: the k = 0 values, s_1 and the k = 2 circles.
     """
-    n = sub.params.N
+    n = tables.n
     floor = tables.floor
-    mag00 = sub.magnitude(0, 0)
-    mag01 = sub.magnitude(0, 1)
+    mag00, mag01 = map(math.sqrt, tables.row0)
     big = math.sqrt(n * (mag00 + mag01) / 2.0)
     if big <= floor:
         raise DegenerateSignalError(
@@ -277,7 +276,7 @@ def recover_z0(sub: FrogMeasurements, tables: _RowTables, tol: float) -> float:
     for root in (big, small):
         if root <= floor:
             break
-        t = np.array([root, n * sub.magnitude(1, 0) / (2.0 * root)])
+        t = np.array([root, tables.s1(root)])
         misfits.append(_row2_misfit(tables, t, root))
         if misfits[-1] <= tol:
             return root
@@ -287,7 +286,7 @@ def recover_z0(sub: FrogMeasurements, tables: _RowTables, tol: float) -> float:
     )
 
 
-def recover_tail(sub: FrogMeasurements, tables: _RowTables, z0: float) -> np.ndarray:
+def recover_tail(tables: _RowTables, z0: float) -> np.ndarray:
     """Spectrum s with s_0 = z0 and s_1 .. s_{N/2} solved row by row.
 
     s_1 is pinned real non-negative (spending the continuous translation
@@ -305,14 +304,14 @@ def recover_tail(sub: FrogMeasurements, tables: _RowTables, z0: float) -> np.nda
     no polish, gathers its own rows, and each k = 4 candidate its own
     block, the kept one's serving the polish. A refusal carries the stage
     k and, for a circle miss, its residual and _STAGE_TOL. Returns the
-    full length-N spectrum (upper half zero). sub and tables are as in
-    recover_z0, and z0 is its root.
+    full length-N spectrum (upper half zero). tables, as in recover_z0, and
+    its root z0 are all the tail reads.
     """
-    n = sub.params.N
+    n = tables.n
     half = n // 2
     t = np.zeros(n, dtype=complex)
     t[0] = z0
-    t[1] = n * sub.magnitude(1, 0) / (2.0 * z0)
+    t[1] = tables.s1(z0)
 
     radii = _radii(tables, z0)
 
@@ -384,25 +383,30 @@ def recover_tail(sub: FrogMeasurements, tables: _RowTables, z0: float) -> np.nda
 class _RowTables(NamedTuple):
     """Planned rows (k_r, m_r), sorted by (k, m), expanded in coefficients.
 
-    This is the one place a row is written out: each tail stage, A1's k = 2
-    test and the even-L probe gather their rows from it once (_StageRows),
-    and the stage's circles and its polish read that gather. Every row is
+    This is the one place a row is written out, and all that A1, the tail
+    and the even-L probe read: each of their stages gathers its rows from
+    it once (_StageRows), and the stage's circles and its polish read that
+    gather. The rows have k_r >= 1, and the first is (1, 0). Every row is
     written out over l = 0..max k_r; entries with l > k_r are zero, so the
     rows lo <= k_r <= k are one run of rows and stage(k, lo) slices that
     run over columns [:k + 1].
 
+    n:      the signal length N.
+    row0:   the k = 0 values [|y^_{0,0}|^2, |y^_{0,1}|^2] A1 reads, or [].
     starts: starts[j], for j = 0 .. max k_r + 1, is the first row with
             k_r >= j (the row count for j = max k_r + 1), looked up once
             per table.
     target: the measured |y^_{k_r,m_r}|^2.
     mirror: k_r - l, the index of the partner coefficient s_{k_r - l}.
     dw:     (w^{l m_r} + w^{(k_r - l) m_r}) / N.
-    scale:  the largest measurement value (1 when there is none).
+    scale:  the largest value, k = 0 rows included (1 when there is none).
     floor:  the coefficient floor. Coefficients scale like sqrt(N * |y^|),
             so below the relative genericity floor at that scale a
             spectral coefficient counts as zero.
     """
 
+    n: int
+    row0: list[float]
     starts: list[int]
     target: np.ndarray
     mirror: np.ndarray
@@ -416,14 +420,17 @@ class _RowTables(NamedTuple):
         width = k_active + 1
         return self.target[rows], self.mirror[rows, :width], self.dw[rows, :width]
 
+    def s1(self, z0: float) -> float:
+        """|s_1| = N |y^_{1,0}| / (2 z0) for the leading modulus z0."""
+        return self.n * math.sqrt(self.target[0]) / (2.0 * z0)
 
-def _row_tables(measurements: FrogMeasurements, rows: np.ndarray) -> _RowTables:
-    """Tables of a (k, m)-sorted selection of plan.rows, all with k >= 1."""
-    params = measurements.params
+
+def _row_tables(params: FrogParams, rows: np.ndarray, values: np.ndarray) -> _RowTables:
+    """Tables of a (k, m)-sorted selection of plan.rows and their values, as given."""
     n = params.N
-    k, m = rows.T
+    first = int(rows[:, 0].searchsorted(1))
+    k, m = rows[first:].T
     step = (m * params.L % n)[:, None]
-    target = measurements.grid[k, m]
     roots = params.unit_roots
     l = np.arange(k[-1] + 1)
     mirror = k[:, None] - l
@@ -439,32 +446,29 @@ def _row_tables(measurements: FrogMeasurements, rows: np.ndarray) -> _RowTables:
     dw /= n
     dw[dead] = 0.0
     mirror[dead] = 0
-    top = measurements.max_value()
+    top = float(values.max(initial=0.0))
     floor = _GENERICITY_FLOOR * math.sqrt(n * math.sqrt(top))
     starts = np.searchsorted(k, np.arange(l.size + 1)).tolist()
-    return _RowTables(starts, target, mirror.astype(np.int32), dw, top or 1.0, floor)
+    row0, target = values[:first].tolist(), values[first:]
+    return _RowTables(n, row0, starts, target, mirror.astype(np.int32), dw, top or 1.0, floor)
 
 
-def _scaled(
-    measurements: FrogMeasurements, rows: np.ndarray
-) -> tuple[FrogMeasurements, _RowTables, int]:
-    """The rows' values divided by 2^(4e), their row table, and e.
+def _scaled(measurements: FrogMeasurements, rows: np.ndarray) -> tuple[_RowTables, int]:
+    """The row table of the rows' values divided by 2^(4e), and e.
 
     rows is a (k, m)-sorted selection of plan.rows. Their values are read
-    in one gather; when any is absent, measurements.require names the first
-    absent pairs. The values are quartic in the spectrum, so dividing them
-    by 2^(4e) divides it by 2^e, and e puts the largest in [1, 16): the
-    solvers' absolute floors see the same numbers at every scale. The table
-    holds the rows with k >= 1.
+    in one gather, and a ValueError names the first five absent pairs, if
+    any. The values are quartic in the spectrum, so dividing them by
+    2^(4e) divides it by 2^e, and e puts the largest in [1, 16): the
+    solvers' absolute floors see the same numbers at every scale.
     """
     values = measurements.grid[rows[:, 0], rows[:, 1]]
     absent = np.isnan(values)
     if absent.any():
-        measurements.require(map(tuple, rows[absent].tolist()))
+        missing = list(map(tuple, rows[absent][:5].tolist()))
+        raise ValueError(f"measurements missing required entries {missing}")
     e = (math.frexp(values.max())[1] - 1) // 4
-    sub = FrogMeasurements(measurements.params)
-    sub.grid[rows[:, 0], rows[:, 1]] = np.ldexp(values, -4 * e)
-    return sub, _row_tables(sub, rows[rows[:, 0] >= 1]), e
+    return _row_tables(measurements.params, rows, np.ldexp(values, -4 * e)), e
 
 
 def _row_values(
@@ -664,9 +668,9 @@ def recover(
         plan = plan_indices(params)
     if plan.params != params:
         raise ValueError(f"plan is for {plan.params} but the measurements are for {params}")
-    sub, tables, e = _scaled(measurements, plan.rows)
-    z0 = recover_z0(sub, tables, tol)
-    spectrum = _normalize_gauge(recover_tail(sub, tables, z0))
+    tables, e = _scaled(measurements, plan.rows)
+    z0 = recover_z0(tables, tol)
+    spectrum = _normalize_gauge(recover_tail(tables, z0))
     # Scaled on the float64 view, which keeps the sign of a zero part. The
     # power of two is exact, so on the planned entries the residual is the
     # scaled one's.
@@ -711,13 +715,12 @@ def even_l_infeasibility_probe(
             raise ValueError(f"{name} must be finite, got {value!r}")
     _check_positive("tol", tol)
     rows = plan_indices(params).rows
-    sub, tables, e = _scaled(measurements, rows[(rows[:, 0] == 1) | (rows[:, 0] == 2)])
+    tables, e = _scaled(measurements, rows[(rows[:, 0] == 1) | (rows[:, 0] == 2)])
     try:
         alpha = math.ldexp(alpha, -e)
     except OverflowError:
         raise ValueError(f"alpha {alpha!r} overflows at the measurements' scale") from None
     if abs(alpha) <= tables.floor:
         raise DegenerateSignalError("trial leading coefficient is at the noise floor", stage="A1")
-    mu = params.N * sub.magnitude(1, 0) / (2.0 * abs(alpha))
-    t = np.array([alpha, mu * complex(math.cos(theta), math.sin(theta))])
+    t = np.array([alpha, tables.s1(abs(alpha)) * complex(math.cos(theta), math.sin(theta))])
     return not _row2_misfit(tables, t, abs(alpha)) <= tol

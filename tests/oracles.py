@@ -100,7 +100,7 @@ def row_circle(measurements, t, k, m, z0):
     middle = np.sum(t[1:k] * t[k - 1:0:-1] * wvec)
     denom = 1.0 + params.w_pow(k * m)
     offset = middle / (t[0] * denom)
-    radius = n * measurements.magnitude(k, m) / (z0 * abs(denom))
+    radius = n * np.sqrt(measurements[k, m]) / (z0 * abs(denom))
     return complex(offset), float(radius)
 
 

@@ -77,6 +77,9 @@ def test_make_analytic_rejects_bad_shapes():
         make_analytic(np.zeros((3, 3)))
     with pytest.raises(ValueError):
         make_analytic([1.0])
+    # A complex input is refused, not cut to its real part with a warning.
+    with pytest.raises(ValueError, match="expected a real signal, got dtype complex128"):
+        make_analytic(np.array([1.0, 2.0j, 3.0, 4.0]))
 
 
 def test_is_analytic_flags_violations_with_magnitude():

@@ -97,7 +97,7 @@ def test_unit_root_gathers_match_direct_exp(n, l):
     assert frog_grid_freq(s, params).tobytes() == exp_grid_freq(s, l).tobytes()
     rows = plan_indices(params).rows
     rows = rows[rows[:, 0] >= 1]
-    tables = _row_tables(frog_measurements_freq(s, params, rows), rows)
+    tables = _row_tables(params, rows, frog_grid_freq(s, params)[rows[:, 0], rows[:, 1]])
     assert tables.dw.tobytes() == exp_row_dw(rows, n, l).tobytes()
 
 
@@ -162,7 +162,6 @@ def test_measurement_collection_full_and_subset():
     assert sorted(sub.entries) == sorted(some)
     assert not sub.is_full_grid()
     assert sub[5, 2] == full[5, 2]
-    assert_allclose(sub.magnitude(5, 2), np.sqrt(full[5, 2]), rtol=1e-15)
     with pytest.raises(ValueError):
         frog_measurements_time(z, params, indices=[(0, 0), (99, 0)])
 
@@ -235,18 +234,22 @@ def test_measurements_write_through_the_mapping():
         ((0, -1), 1.0, "outside grid 16x6"),
         ((0, 0), -1.0, "invalid value"),
         ((0, 0), float("inf"), "invalid value"),
+        # Every value that is not a real number gets the same ValueError,
+        # not a TypeError or numpy's ambiguous truth value.
+        ((0, 0), "1.0", "invalid value"),
+        ((0, 0), None, "invalid value"),
+        ((0, 0), 1.0 + 0.0j, "invalid value"),
+        ((0, 0), np.array([1.0, 2.0]), "invalid value"),
     ):
         with pytest.raises(ValueError, match=message):
             meas[key] = value
     np.testing.assert_array_equal(meas.grid, grid)
     empty = frog_measurements_time(z, params, [])
     assert len(empty) == 0 and list(empty) == [] and np.isnan(empty.grid).all()
-    # Membership and require treat a pair off the integer grid as absent.
+    # Membership treats a pair off the integer grid as absent.
     assert (0, 0) in meas and (15, 5) not in meas
     for key in ((1.5, 0), (True, 0), (-1, 0), (16, 0), (10**400, 0), (0, 2**63), 5, "ab"):
         assert key not in meas
-    with pytest.raises(ValueError, match=r"missing required entries \[\(1\.5, 0\)\]"):
-        meas.require([(0, 0), (1.5, 0)])
     with pytest.raises(KeyError):
         meas[1.5, 0]
 

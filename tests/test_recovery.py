@@ -65,13 +65,12 @@ def _planned_measurements(s, params):
 def _tail(meas, plan):
     """The tail's spectrum from A1's root, at the scale recover solves at.
 
-    Returns it with the scaled measurements and the exponent e of their
-    2^(4e) divisor: the staged iterate before the final translation and
-    rescale.
+    Returns it with the scaled row table and the exponent e of its 2^(4e)
+    divisor: the staged iterate before the final translation and rescale.
     """
-    sub, tables, e = recovery._scaled(meas, plan.rows)
-    z0 = recovery.recover_z0(sub, tables, 1e-6)
-    return recovery.recover_tail(sub, tables, z0), sub, e
+    tables, e = recovery._scaled(meas, plan.rows)
+    z0 = recovery.recover_z0(tables, 1e-6)
+    return recovery.recover_tail(tables, z0), tables, e
 
 
 # --- full pipeline -------------------------------------------------------------
@@ -168,6 +167,37 @@ def test_recover_builds_one_row_table(monkeypatch):
     z = _generic(20, np.random.default_rng(643))
     recover(frog_measurements_time(z, params))
     assert len(built) == 1
+
+
+def test_row_table_scale_counts_the_k0_rows():
+    # The k = 0 values are no table rows, but the scale and the floor are
+    # taken over them too: here they are the largest planned values.
+    s = _analytic_spectrum(16, np.random.default_rng(645), s0=30.0, shalf=20.0)
+    meas, plan = _planned_measurements(s, FrogParams(16, 3))
+    tables, e = recovery._scaled(meas, plan.rows)
+    values = np.ldexp(meas.grid[plan.rows[:, 0], plan.rows[:, 1]], -4 * e)
+    assert tables.row0 == values[:2].tolist()
+    assert tables.target.tobytes() == values[2:].tobytes()
+    assert tables.scale == values.max() > tables.target.max()
+    assert tables.floor == recovery._GENERICITY_FLOOR * np.sqrt(16 * np.sqrt(values.max()))
+
+
+def test_recover_builds_no_measurement_set(monkeypatch):
+    # The row table is the recovery's only input: no scaled copy of the
+    # measurements is made on the way to it.
+    params = FrogParams(20, 3)
+    plan = plan_indices(params)
+    meas = frog_measurements_time(_generic(20, np.random.default_rng(644)), params, plan.rows)
+    init = FrogMeasurements.__init__
+    built = []
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FrogMeasurements, "__init__", counted)
+    assert recover(meas, plan).verification_residual < 1e-9
+    assert built == []
 
 
 def _outcome(meas, plan, z):
@@ -331,8 +361,8 @@ def test_pair_stage_checks_candidates_on_their_circles(monkeypatch, stage):
     params = FrogParams(16, 3)
     plan = plan_indices(params)
     meas = frog_measurements_time(_generic(16, rng), params, plan.pairs())
-    sub, tables, _ = recovery._scaled(meas, plan.rows)
-    z0 = recovery.recover_z0(sub, tables, 1e-6)
+    tables, _ = recovery._scaled(meas, plan.rows)
+    z0 = recovery.recover_z0(tables, 1e-6)
     solve = recovery.solve_two_circles_real
     calls = []
 
@@ -349,7 +379,7 @@ def test_pair_stage_checks_candidates_on_their_circles(monkeypatch, stage):
         InconsistentMeasurementsError,
         match=f"stage k={stage}: two-circle candidate misses a circle by",
     ) as info:
-        recovery.recover_tail(sub, tables, z0)
+        recovery.recover_tail(tables, z0)
     assert (info.value.stage, info.value.tol) == (stage, recovery._STAGE_TOL)
     assert info.value.residual > info.value.tol
 
@@ -543,7 +573,7 @@ def test_recover_tail_solves_all_upper_rows():
     s_true = dft(z)
     plan = plan_indices(params)
     meas = frog_measurements_time(z, params, plan.pairs())
-    t, sub, e = _tail(meas, plan)
+    t, tables, e = _tail(meas, plan)
     z0 = np.ldexp(abs(s_true[0]), -e)
     assert t.shape == (16,)
     assert np.all(t[9:] == 0)
@@ -554,10 +584,10 @@ def test_recover_tail_solves_all_upper_rows():
     # Every consumed row with k >= 1 is reproduced (the k = 0 rows pin the
     # remaining translation freedom and are only met after normalization).
     grid = frog_grid_freq(t, params)
-    scale = sub.max_value()
-    for (k, m), val in sub.entries.items():
-        if k >= 1:
-            assert abs(grid[k, m] - val) < 1e-8 * scale
+    rows = plan.rows[plan.rows[:, 0] >= 1]
+    assert tables.target.size == rows.shape[0]
+    deviation = np.abs(grid[rows[:, 0], rows[:, 1]] - tables.target)
+    assert np.all(deviation < 1e-8 * tables.scale)
 
 
 def test_recover_tail_keeps_its_gauge_exactly():
