@@ -26,6 +26,7 @@ import math
 import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -178,6 +179,18 @@ class FrogMeasurements(Mapping):
     def __len__(self) -> int:
         return int(np.count_nonzero(~np.isnan(self.grid)))
 
+    def check_values(self) -> None:
+        """ValueError naming the first entry, in (k, m) order, that is negative or infinite.
+
+        `meas[k, m] = v` refuses such a value, but grid is public and can be
+        written directly. NaN means "not measured" and passes.
+        """
+        grid = self.grid
+        # fmin and fmax skip NaN; the entry is looked for only when there is one.
+        if np.fmin.reduce(grid, axis=None, initial=0.0) < 0 or not math.isfinite(self.max_value()):
+            k, m = np.argwhere((grid < 0) | np.isinf(grid))[0].tolist()
+            raise ValueError(f"entry ({k}, {m}) has invalid value {grid.item(k, m)!r}")
+
     def max_value(self) -> float:
         """The largest measured value, 0.0 when there is none (fmax skips NaN)."""
         return float(np.fmax.reduce(self.grid, axis=None, initial=0.0))
@@ -270,6 +283,58 @@ def _pow_is_minus_one(num: int, den: int, p: int) -> bool:
     return (2 * p * num - den) % (2 * den) == 0
 
 
+class RowExpansion(NamedTuple):
+    """The rows (k_r, m_r) with k_r >= 1 of a (k, m)-sorted row array, in coefficients.
+
+    y^_{k_r,m_r} = (1/N) sum_l s_l s_{k_r - l} w^{l m_r} = (1/2) sum_l s_l
+    s_{mirror} dw over l = 0..max k_r, with these, which depend on the rows
+    alone and not on any measured value:
+
+    first:  the number of k = 0 rows before them.
+    starts: starts[j], for j = 0 .. max k_r + 1, is the first of them with
+            k_r >= j (their count for j = max k_r + 1).
+    mirror: k_r - l, the index of the partner coefficient s_{k_r - l}; int32.
+    dw:     (w^{l m_r} + w^{(k_r - l) m_r}) / N.
+
+    Entries with l > k_r are 0 in mirror and dw. Both are read-only.
+    """
+
+    first: int
+    starts: tuple[int, ...]
+    mirror: np.ndarray
+    dw: np.ndarray
+
+
+def expand_rows(params: FrogParams, rows: np.ndarray) -> RowExpansion:
+    """The RowExpansion of a (k, m)-sorted selection of plan rows that has a row k >= 1."""
+    n = params.N
+    first = int(rows[:, 0].searchsorted(1))
+    k, m = rows[first:].T
+    l = np.arange(k[-1] + 1)
+    # l m L mod N, once per delay m and gathered by each row's delay. The
+    # partner's exponent (k - l) m L is the same residue as the difference
+    # of two of these, which lies in (-N, N) and reads unit_roots through
+    # negative indexing.
+    exps = np.multiply.outer(np.arange(m.max() + 1) * params.L % n, l)
+    exps %= n
+    exps = exps[m]
+    roots = params.unit_roots
+    dw = roots[exps]
+    k_exps = exps[np.arange(k.size), k]  # k m L mod N of each row
+    np.subtract(k_exps[:, None], exps, out=exps)
+    dw += roots[exps]
+    # What dividing the complex array by N computes, on its float64 view.
+    parts = dw.view(np.float64)
+    parts *= 1.0 / n
+    mirror = np.subtract.outer(k, l, dtype=np.int32)
+    dead = mirror < 0
+    dw[dead] = 0.0
+    mirror[dead] = 0
+    mirror.flags.writeable = dw.flags.writeable = False
+    starts = tuple(np.searchsorted(k, np.arange(l.size + 1)).tolist())
+    return RowExpansion(first, starts, mirror, dw)
+
+
 @dataclass(frozen=True, eq=False)
 class MeasurementIndexPlan:
     """The 3N/2 + 1 measurement indices (k, m) consumed by the recovery pipeline.
@@ -281,10 +346,19 @@ class MeasurementIndexPlan:
     every row k >= 2 starts at delay 0. A reader takes slices of rows:
     delays(k) for one row, a mask on rows[:, 0] for a range of rows. Plans
     compare by identity; compare their rows with np.array_equal.
+
+    expansion is expand_rows of the rows, which every recovery through the
+    plan reads; the plan builds it on first use and keeps it, about 1 MB at
+    (256, 11) and 63 MB at (2048, 31).
     """
 
     params: FrogParams
     rows: np.ndarray
+
+    @functools.cached_property
+    def expansion(self) -> RowExpansion:
+        """expand_rows of the plan's rows, built on first use."""
+        return expand_rows(self.params, self.rows)
 
     def delays(self, k: int) -> np.ndarray:
         """The sorted delays m of row k, a read-only view of rows."""

@@ -31,13 +31,15 @@ coefficient through circles |s_k + offset| = radius. Recovery proceeds:
       measurement and keeps A2's Im s_2 >= 0 choice, so the second start
       would reach an equivalent spectrum or fail alike.
 
-recover and the even-L probe first run _scaled, once: it reads the planned
-values, divides them by the power of two 2^(4e) that puts the largest in
-[1, 16), so the solvers' absolute floors see the same numbers at every
-scale, and expands the rows k >= 1 in coefficients in one row table:
-partner indices k - l and unit-root sums (w^{lm} + w^{(k-l)m}) / N, with
-N and the k = 0 values beside them. That table is all A1, the tail and
-the even-L probe read; they gather their rows from it, once per stage.
+The expansion of the planned rows k >= 1 in coefficients, partner indices
+k - l and unit-root sums (w^{lm} + w^{(k-l)m}) / N, depends on the plan
+alone, so the plan builds it once and keeps it (MeasurementIndexPlan.
+expansion). recover and the even-L probe first run _scaled, once: it reads
+the planned values, divides them by the power of two 2^(4e) that puts the
+largest in [1, 16), so the solvers' absolute floors see the same numbers
+at every scale, and attaches them, with N, to the expansion in one row
+table. That table is all A1, the tail and the even-L probe read; they
+gather their rows from it, once per stage.
 
 All of this assumes L odd (so the per-step phase satisfies w^{N/2} = -1 and
 the k = 0 row separates the two boundary coefficients). For even L that row
@@ -60,7 +62,14 @@ from .errors import (
     NoSolutionError,
     SingularConfigurationError,
 )
-from .frog import FrogMeasurements, FrogParams, MeasurementIndexPlan, frog_grid_freq, plan_indices
+from .frog import (
+    FrogMeasurements,
+    MeasurementIndexPlan,
+    RowExpansion,
+    expand_rows,
+    frog_grid_freq,
+    plan_indices,
+)
 from .spectral import as_signal, idft
 
 __all__ = [
@@ -381,24 +390,20 @@ def recover_tail(tables: _RowTables, z0: float) -> np.ndarray:
 
 
 class _RowTables(NamedTuple):
-    """Planned rows (k_r, m_r), sorted by (k, m), expanded in coefficients.
+    """Planned rows (k_r, m_r), sorted by (k, m), with their values attached.
 
-    This is the one place a row is written out, and all that A1, the tail
-    and the even-L probe read: each of their stages gathers its rows from
-    it once (_StageRows), and the stage's circles and its polish read that
-    gather. The rows have k_r >= 1, and the first is (1, 0). Every row is
-    written out over l = 0..max k_r; entries with l > k_r are zero, so the
-    rows lo <= k_r <= k are one run of rows and stage(k, lo) slices that
-    run over columns [:k + 1].
+    All that A1, the tail and the even-L probe read: each of their stages
+    gathers its rows from it once (_StageRows), and the stage's circles and
+    its polish read that gather. The rows have k_r >= 1, and the first is
+    (1, 0). starts, mirror and dw are the fields of the rows' RowExpansion,
+    read-only and shared by every table of the same rows; the rest is one
+    recovery's. Every row is written out over l = 0..max k_r; entries with
+    l > k_r are zero, so the rows lo <= k_r <= k are one run of rows and
+    stage(k, lo) slices that run over columns [:k + 1].
 
     n:      the signal length N.
     row0:   the k = 0 values [|y^_{0,0}|^2, |y^_{0,1}|^2] A1 reads, or [].
-    starts: starts[j], for j = 0 .. max k_r + 1, is the first row with
-            k_r >= j (the row count for j = max k_r + 1), looked up once
-            per table.
     target: the measured |y^_{k_r,m_r}|^2.
-    mirror: k_r - l, the index of the partner coefficient s_{k_r - l}.
-    dw:     (w^{l m_r} + w^{(k_r - l) m_r}) / N.
     scale:  the largest value, k = 0 rows included (1 when there is none).
     floor:  the coefficient floor. Coefficients scale like sqrt(N * |y^|),
             so below the relative genericity floor at that scale a
@@ -407,7 +412,7 @@ class _RowTables(NamedTuple):
 
     n: int
     row0: list[float]
-    starts: list[int]
+    starts: tuple[int, ...]
     target: np.ndarray
     mirror: np.ndarray
     dw: np.ndarray
@@ -425,50 +430,42 @@ class _RowTables(NamedTuple):
         return self.n * math.sqrt(self.target[0]) / (2.0 * z0)
 
 
-def _row_tables(params: FrogParams, rows: np.ndarray, values: np.ndarray) -> _RowTables:
-    """Tables of a (k, m)-sorted selection of plan.rows and their values, as given."""
-    n = params.N
-    first = int(rows[:, 0].searchsorted(1))
-    k, m = rows[first:].T
-    step = (m * params.L % n)[:, None]
-    roots = params.unit_roots
-    l = np.arange(k[-1] + 1)
-    mirror = k[:, None] - l
-    dead = mirror < 0
-    # The exponents are reduced in place: at N = 256 this lowers the peak
-    # memory of a recovery benchmark process by ~0.8 MB (2%).
-    exps = l * step
-    exps %= n
-    dw = roots[exps]
-    np.multiply(mirror, step, out=exps)
-    exps %= n
-    dw += roots[exps]
-    dw /= n
-    dw[dead] = 0.0
-    mirror[dead] = 0
+def _row_tables(n: int, expansion: RowExpansion, values: np.ndarray) -> _RowTables:
+    """The table of the expanded rows' values, as given, for signal length n.
+
+    values holds one value per row the expansion was made of, k = 0 rows
+    included; the table takes them over.
+    """
     top = float(values.max(initial=0.0))
     floor = _GENERICITY_FLOOR * math.sqrt(n * math.sqrt(top))
-    starts = np.searchsorted(k, np.arange(l.size + 1)).tolist()
-    row0, target = values[:first].tolist(), values[first:]
-    return _RowTables(n, row0, starts, target, mirror.astype(np.int32), dw, top or 1.0, floor)
+    first = expansion.first
+    return _RowTables(
+        n, values[:first].tolist(), expansion.starts, values[first:],
+        expansion.mirror, expansion.dw, top or 1.0, floor,
+    )
 
 
-def _scaled(measurements: FrogMeasurements, rows: np.ndarray) -> tuple[_RowTables, int]:
+def _scaled(
+    measurements: FrogMeasurements, rows: np.ndarray, expansion: RowExpansion
+) -> tuple[_RowTables, int]:
     """The row table of the rows' values divided by 2^(4e), and e.
 
-    rows is a (k, m)-sorted selection of plan.rows. Their values are read
-    in one gather, and a ValueError names the first five absent pairs, if
-    any. The values are quartic in the spectrum, so dividing them by
-    2^(4e) divides it by 2^e, and e puts the largest in [1, 16): the
-    solvers' absolute floors see the same numbers at every scale.
+    rows is a (k, m)-sorted selection of plan.rows and expansion is theirs.
+    A ValueError names the first supplied entry that is negative or
+    infinite, if any (check_values). The rows' values are then read in one
+    gather, and a ValueError names the first five absent pairs, if any.
+    The values are quartic in the spectrum, so dividing them by 2^(4e)
+    divides it by 2^e, and e puts the largest in [1, 16): the solvers'
+    absolute floors see the same numbers at every scale.
     """
+    measurements.check_values()
     values = measurements.grid[rows[:, 0], rows[:, 1]]
     absent = np.isnan(values)
     if absent.any():
         missing = list(map(tuple, rows[absent][:5].tolist()))
         raise ValueError(f"measurements missing required entries {missing}")
     e = (math.frexp(values.max())[1] - 1) // 4
-    return _row_tables(measurements.params, rows, np.ldexp(values, -4 * e)), e
+    return _row_tables(measurements.params.N, expansion, np.ldexp(values, -4 * e)), e
 
 
 def _row_values(
@@ -624,6 +621,8 @@ def verify_solution(spectrum, measurements: FrogMeasurements) -> float:
 
     Deviations are absolute differences of |y^|^2 values, reported relative
     to the largest stored value (so the residual is scale-invariant).
+    Raises ValueError for a spectrum of the wrong length, no measurements,
+    or a stored value that is negative or infinite (check_values).
     """
     s = as_signal(spectrum)
     params = measurements.params
@@ -631,6 +630,7 @@ def verify_solution(spectrum, measurements: FrogMeasurements) -> float:
         raise ValueError(f"spectrum length {s.size} != params.N {params.N}")
     if not measurements:
         raise ValueError("no measurements to verify the spectrum against")
+    measurements.check_values()
     deviation = np.abs(frog_grid_freq(s, params) - measurements.grid)
     dev = np.max(deviation, where=~np.isnan(measurements.grid), initial=0.0)
     return float(dev / (measurements.max_value() or 1.0))
@@ -652,7 +652,8 @@ def recover(
     largest measurement) is within tol, which also serves A1 (see
     recover_z0). Raises ValueError for a tol that is not finite and > 0
     (checked first), geometries outside the recovery domain (odd N, even L,
-    r < 5, N < 8, N = 6L), a plan for another geometry or missing entries;
+    r < 5, N < 8, N = 6L), a plan for another geometry, a supplied entry
+    that is negative or infinite, or missing planned entries;
     propagates DegenerateSignalError and InconsistentMeasurementsError from
     A1 and the tail; and raises InconsistentMeasurementsError with stage
     "verify" when the verification residual exceeds tol. Their stage,
@@ -668,7 +669,7 @@ def recover(
         plan = plan_indices(params)
     if plan.params != params:
         raise ValueError(f"plan is for {plan.params} but the measurements are for {params}")
-    tables, e = _scaled(measurements, plan.rows)
+    tables, e = _scaled(measurements, plan.rows, plan.expansion)
     z0 = recover_z0(tables, tol)
     spectrum = _normalize_gauge(recover_tail(tables, z0))
     # Scaled on the float64 view, which keeps the sign of a zero part. The
@@ -702,10 +703,12 @@ def even_l_infeasibility_probe(
     exactly the ambiguity recovery cannot resolve. Membership is within tol
     relative to 1 + radius, as in A1. The k = 1 and k = 2 rows are scaled
     by _scaled, as in recover, and alpha with them, so the verdict does not
-    depend on the scale of the input. Raises ValueError for odd L, a
-    non-finite alpha or theta, a tol that is not finite and > 0, missing
-    rows, or an alpha that overflows when scaled, and DegenerateSignalError
-    when the scaled alpha or the trial |s_1| sits at the coefficient floor.
+    depend on the scale of the input. Only the rows k = 1, 2 are expanded,
+    not the whole plan. Raises ValueError for odd L, a non-finite alpha or
+    theta, a tol that is not finite and > 0, a supplied entry that is
+    negative or infinite, missing rows, or an alpha that overflows when
+    scaled, and DegenerateSignalError when the scaled alpha or the trial
+    |s_1| sits at the coefficient floor.
     """
     params = measurements.params
     if params.L % 2 != 0:
@@ -715,7 +718,8 @@ def even_l_infeasibility_probe(
             raise ValueError(f"{name} must be finite, got {value!r}")
     _check_positive("tol", tol)
     rows = plan_indices(params).rows
-    tables, e = _scaled(measurements, rows[(rows[:, 0] == 1) | (rows[:, 0] == 2)])
+    rows = rows[(rows[:, 0] == 1) | (rows[:, 0] == 2)]
+    tables, e = _scaled(measurements, rows, expand_rows(params, rows))
     try:
         alpha = math.ldexp(alpha, -e)
     except OverflowError:

@@ -21,8 +21,7 @@ from frogpr import (
     recover,
     translate,
 )
-from frogpr.frog import _pow_is_minus_one, _pow_is_one
-from frogpr.recovery import _row_tables
+from frogpr.frog import _pow_is_minus_one, _pow_is_one, expand_rows
 from frogpr.selftest import _generic_even_signal
 from oracles import direct_frog_grid, exp_grid_freq, exp_row_dw
 
@@ -97,8 +96,51 @@ def test_unit_root_gathers_match_direct_exp(n, l):
     assert frog_grid_freq(s, params).tobytes() == exp_grid_freq(s, l).tobytes()
     rows = plan_indices(params).rows
     rows = rows[rows[:, 0] >= 1]
-    tables = _row_tables(params, rows, frog_grid_freq(s, params)[rows[:, 0], rows[:, 1]])
-    assert tables.dw.tobytes() == exp_row_dw(rows, n, l).tobytes()
+    assert expand_rows(params, rows).dw.tobytes() == exp_row_dw(rows, n, l).tobytes()
+
+
+def _expansion_reference(params, rows):
+    """mirror and dw of a plan's rows k >= 1 as first written: exponents reduced row by row."""
+    n = params.N
+    k, m = rows[rows[:, 0] >= 1].T
+    step = (m * params.L % n)[:, None]
+    l = np.arange(k[-1] + 1)
+    mirror = k[:, None] - l
+    dw = params.unit_roots[l * step % n] + params.unit_roots[mirror * step % n]
+    dw /= n
+    dw[mirror < 0] = 0.0
+    mirror[mirror < 0] = 0
+    return mirror.astype(np.int32), dw
+
+
+@pytest.mark.parametrize(
+    "n,l",
+    [(12, 1), (16, 3), (20, 3), (20, 4), (32, 5), (64, 11), (100, 7), (128, 9), (256, 11), (512, 31), (1024, 31)],
+)
+def test_row_expansion_is_bytewise_the_direct_expression(n, l):
+    # expand_rows reduces l m L mod N once per delay and reads the partner
+    # term through negative indexing, and scales on the float64 view; the
+    # bytes are those of the row-by-row expression.
+    params = FrogParams(n, l)
+    rows = plan_indices(params).rows
+    mirror, dw = _expansion_reference(params, rows)
+    expansion = expand_rows(params, rows)
+    assert expansion.mirror.dtype == np.int32
+    assert expansion.mirror.tobytes() == mirror.tobytes()
+    assert expansion.dw.tobytes() == dw.tobytes()
+    assert expansion.first == 2
+    k = rows[2:, 0]
+    assert expansion.starts == tuple(np.searchsorted(k, np.arange(n // 2 + 2)).tolist())
+
+
+def test_plan_keeps_one_read_only_row_expansion():
+    plan = plan_indices(FrogParams(20, 3))
+    expansion = plan.expansion
+    assert plan.expansion is expansion
+    assert expansion._fields == ("first", "starts", "mirror", "dw")
+    for array in (expansion.mirror, expansion.dw):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0
 
 
 def test_params_recovery_violations():

@@ -41,7 +41,7 @@ def _setup(n, l, seed):
 
 def _tail_tables(meas, plan):
     """The tail solve's table, unscaled: every planned row with k >= 1 and the k = 0 values."""
-    return _row_tables(meas.params, plan.rows, meas.grid[plan.rows[:, 0], plan.rows[:, 1]])
+    return _row_tables(meas.params.N, plan.expansion, meas.grid[plan.rows[:, 0], plan.rows[:, 1]])
 
 
 def _polish(spectrum, k_active, tables, lo=0):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from frogpr import recovery
+from frogpr import frog, recovery
 from frogpr import (
     DegenerateSignalError,
     FrogMeasurements,
@@ -68,7 +68,7 @@ def _tail(meas, plan):
     Returns it with the scaled row table and the exponent e of its 2^(4e)
     divisor: the staged iterate before the final translation and rescale.
     """
-    tables, e = recovery._scaled(meas, plan.rows)
+    tables, e = recovery._scaled(meas, plan.rows, plan.expansion)
     z0 = recovery.recover_z0(tables, 1e-6)
     return recovery.recover_tail(tables, z0), tables, e
 
@@ -174,7 +174,7 @@ def test_row_table_scale_counts_the_k0_rows():
     # taken over them too: here they are the largest planned values.
     s = _analytic_spectrum(16, np.random.default_rng(645), s0=30.0, shalf=20.0)
     meas, plan = _planned_measurements(s, FrogParams(16, 3))
-    tables, e = recovery._scaled(meas, plan.rows)
+    tables, e = recovery._scaled(meas, plan.rows, plan.expansion)
     values = np.ldexp(meas.grid[plan.rows[:, 0], plan.rows[:, 1]], -4 * e)
     assert tables.row0 == values[:2].tolist()
     assert tables.target.tobytes() == values[2:].tobytes()
@@ -198,6 +198,62 @@ def test_recover_builds_no_measurement_set(monkeypatch):
     monkeypatch.setattr(FrogMeasurements, "__init__", counted)
     assert recover(meas, plan).verification_residual < 1e-9
     assert built == []
+
+
+def _count_expansions(monkeypatch):
+    """The rows of every expand_rows call, by the plan or by the probe."""
+    expand = frog.expand_rows
+    built = []
+
+    def counted(params, rows):
+        built.append(rows)
+        return expand(params, rows)
+
+    monkeypatch.setattr(frog, "expand_rows", counted)
+    monkeypatch.setattr(recovery, "expand_rows", counted)
+    return built
+
+
+def test_a_plan_expands_its_rows_once(monkeypatch):
+    # The expansion depends on the plan alone: three recoveries through one
+    # plan build it once, and each attaches its own values to it.
+    built = _count_expansions(monkeypatch)
+    params = FrogParams(20, 3)
+    plan = plan_indices(params)
+    rng = np.random.default_rng(646)
+    for _ in range(3):
+        z = _generic(20, rng)
+        rec = recover(frog_measurements_time(z, params, plan.rows), plan)
+        assert equivalent_up_to_group(rec.signal, z, tol=1e-8).equivalent
+    assert len(built) == 1 and built[0] is plan.rows
+
+
+@pytest.mark.parametrize("n,l,seed", [(20, 3, 647), (64, 11, 648), (256, 11, 649)])
+def test_a_reused_plan_recovers_what_a_fresh_plan_does(n, l, seed):
+    # Nothing a recovery measures stays on the plan: recovering several
+    # signals in turn through one plan gives, byte for byte, what a fresh
+    # plan and recover's own plan give for each.
+    params = FrogParams(n, l)
+    plan = plan_indices(params)
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        meas = frog_measurements_time(_generic(n, rng), params, plan.rows)
+        reused = recover(meas, plan)
+        for out in (recover(meas, plan_indices(params)), recover(meas)):
+            assert out.spectrum.tobytes() == reused.spectrum.tobytes()
+            assert out.signal.tobytes() == reused.signal.tobytes()
+            assert out.verification_residual == reused.verification_residual
+
+
+def test_probe_expands_only_its_rows(monkeypatch):
+    # The probe reads the rows k = 1, 2 and expands only those: never the
+    # whole plan, whose table grows as N^2.
+    built = _count_expansions(monkeypatch)
+    params = FrogParams(20, 4)
+    z = _generic_even_signal(20, np.random.default_rng(650))
+    even_l_infeasibility_probe(frog_measurements_time(z, params), float(dft(z)[0].real), 0.3)
+    assert len(built) == 1
+    assert set(built[0][:, 0].tolist()) == {1, 2}
 
 
 def _outcome(meas, plan, z):
@@ -314,6 +370,53 @@ def test_recover_requires_all_planned_entries():
         recover(FrogMeasurements(params, removed), plan)
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [((5, 0), -1.0), ((5, 0), float("inf")), ((5, 0), float("-inf")), ((0, 2), float("inf"))],
+)
+def test_an_invalid_grid_entry_is_refused_by_name(key, value):
+    # grid is public, so a value can bypass meas[k, m] = v's checks. recover
+    # and verify_solution refuse it by name before any arithmetic, planned
+    # ((5, 0)) or not ((0, 2)), instead of warning or blaming the signal.
+    params = FrogParams(20, 3)
+    z = _generic(20, np.random.default_rng(651))
+    meas = frog_measurements_time(z, params)
+    meas.grid[key] = value
+    message = f"^entry \\({key[0]}, {key[1]}\\) has invalid value {value!r}$"
+    with pytest.raises(ValueError, match=message):
+        recover(meas)
+    with pytest.raises(ValueError, match=message):
+        verify_solution(dft(z), meas)
+
+
+def test_the_first_invalid_entry_is_named_and_nan_means_absent():
+    params = FrogParams(20, 3)
+    plan = plan_indices(params)
+    z = _generic(20, np.random.default_rng(652))
+    meas = frog_measurements_time(z, params)
+    meas.grid[9, 1] = -2.0
+    meas.grid[5, 4] = float("inf")
+    with pytest.raises(ValueError, match=r"^entry \(5, 4\) has invalid value inf$"):
+        recover(meas, plan)
+    # NaN is a value not measured: off the plan it is skipped, on the plan
+    # it is a missing entry.
+    meas = frog_measurements_time(z, params)
+    meas.grid[0, 2] = np.nan
+    assert recover(meas, plan).verification_residual < 1e-9
+    meas.grid[5, 0] = np.nan
+    with pytest.raises(ValueError, match=r"missing required entries \[\(5, 0\)\]"):
+        recover(meas, plan)
+
+
+def test_probe_refuses_an_invalid_grid_entry_by_name():
+    params = FrogParams(20, 4)
+    z = _generic_even_signal(20, np.random.default_rng(653))
+    meas = frog_measurements_time(z, params)
+    meas.grid[2, 1] = -1.0
+    with pytest.raises(ValueError, match=r"^entry \(2, 1\) has invalid value -1.0$"):
+        even_l_infeasibility_probe(meas, float(dft(z)[0].real), 0.3)
+
+
 def test_recover_refuses_a_plan_for_another_geometry():
     rng = np.random.default_rng(621)
     params = FrogParams(16, 3)
@@ -361,7 +464,7 @@ def test_pair_stage_checks_candidates_on_their_circles(monkeypatch, stage):
     params = FrogParams(16, 3)
     plan = plan_indices(params)
     meas = frog_measurements_time(_generic(16, rng), params, plan.pairs())
-    tables, _ = recovery._scaled(meas, plan.rows)
+    tables, _ = recovery._scaled(meas, plan.rows, plan.expansion)
     z0 = recovery.recover_z0(tables, 1e-6)
     solve = recovery.solve_two_circles_real
     calls = []
