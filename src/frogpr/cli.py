@@ -3,9 +3,10 @@
 Subcommands: generate | measure | recover | check-equiv | selftest.
 Exit status: 0 success, 1 domain refusal / inequivalence / failed self-test,
 2 usage or parse error. Output files are deterministic for identical
-commands, seeds, and inputs; run reports (stdout JSON) additionally carry
-wall-clock timing. FROGPR_TOL overrides the default tolerance where a
---tol flag exists.
+commands, seeds, and inputs; run reports (stdout JSON, written by
+json.dumps with shortest round-trip floats) additionally carry wall-clock
+timing, and a report value that is not finite is a usage error.
+FROGPR_TOL overrides the default tolerance where a --tol flag exists.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .analytic import is_analytic, make_analytic
 from .errors import FrogprError
 from .frog import FrogParams, frog_measurements_time, plan_indices
 from .jsonio import (
-    dumps_canonical,
     load_measurements,
     load_signal,
     save_measurements,
@@ -67,7 +67,7 @@ def _emit(
         "equivalence": equivalence,
         "elapsed_ms": (time.perf_counter() - started) * 1000.0,
     }
-    sys.stdout.write(dumps_canonical(doc))
+    sys.stdout.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 def _cmd_generate(args) -> int:

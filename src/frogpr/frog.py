@@ -370,15 +370,12 @@ class MeasurementIndexPlan:
         return list(map(tuple, self.rows.tolist()))
 
 
-def plan_indices(params: FrogParams) -> MeasurementIndexPlan:
-    """Deterministic admissible index plan (smallest indices first).
+def plan_rows(params: FrogParams, k_max: int) -> np.ndarray:
+    """The rows k <= k_max of plan_indices(params), a read-only (k, m)-sorted array.
 
-    Preconditions: r >= 5, N even, N/2 >= 4. Rows k = 0 and k = 1 are fixed;
-    each row k >= 2 takes delay 0 and then scans delays upward for the
-    first admissible ones, and the pair of a row k >= 4 additionally
-    prefers non-conjugate phases (see the loop below). Exhausting a scan
-    would contradict the existence guarantee for r >= 5 and signals an
-    implementation bug.
+    The scan of each row k >= 2 depends on k and the geometry alone, so a
+    reader of the first rows (the even-L probe reads k <= 2) stops there;
+    the geometry is checked, with plan_indices's errors, whatever k_max.
     """
     n, l, r = params.N, params.L, params.r
     if n % 2 != 0 or n // 2 < 4:
@@ -387,7 +384,7 @@ def plan_indices(params: FrogParams) -> MeasurementIndexPlan:
         raise ValueError(f"index planning needs r >= 5, got r={r}")
 
     rows = [(0, 0), (0, 1), (1, 0)]
-    for k in range(2, n // 2 + 1):
+    for k in range(2, k_max + 1):
         # Stage k divides by 1 + w^{km}; the k = 2 five-circle family and the
         # k = 3 pair also need w^{pm} != 1 for 0 < p < k, that is
         # w^{(k-1)m} != 1, since w^m = 1 implies w^{2m} = 1.
@@ -415,4 +412,17 @@ def plan_indices(params: FrogParams) -> MeasurementIndexPlan:
     # Built in (k, m) order, as readers that slice rows by k need.
     rows = np.array(rows)
     rows.flags.writeable = False
-    return MeasurementIndexPlan(params, rows)
+    return rows
+
+
+def plan_indices(params: FrogParams) -> MeasurementIndexPlan:
+    """Deterministic admissible index plan (smallest indices first).
+
+    Preconditions: r >= 5, N even, N/2 >= 4. Rows k = 0 and k = 1 are fixed;
+    each row k >= 2 takes delay 0 and then scans delays upward for the
+    first admissible ones, and the pair of a row k >= 4 additionally
+    prefers non-conjugate phases (see the loop in plan_rows). Exhausting a
+    scan would contradict the existence guarantee for r >= 5 and signals an
+    implementation bug.
+    """
+    return MeasurementIndexPlan(params, plan_rows(params, params.N // 2))

@@ -1,10 +1,12 @@
 """Deterministic JSON files for signals and measurements.
 
-Numbers are written with 17 significant digits and keys in a fixed order, so
-identical data produces byte-identical files. A 64-bit float reads back
-exactly, apart from negative zero: -0.0 is written as -0, which JSON reads
-back as the integer 0. That text is kept so that files written before stay
-byte-identical. Schemas:
+Both kinds have one fixed layout, which one writer makes: the integer header
+fields in order, then one or two tables with a row per line, each row made
+by one %-format call. Numbers are written with 17 significant digits and
+keys in a fixed order, so identical data produces byte-identical files. A
+64-bit float reads back exactly, apart from negative zero: -0.0 is written
+as -0, which JSON reads back as the integer 0. That text is kept so that
+files written before stay byte-identical. Schemas:
 
     signal:       { "N": int, "values": [[re, im], ...],
                     "spectrum": [[re, im], ...] }   (spectrum optional)
@@ -24,7 +26,6 @@ from .frog import FrogMeasurements, FrogParams
 from .spectral import as_signal
 
 __all__ = [
-    "dumps_canonical",
     "save_signal",
     "load_signal",
     "save_measurements",
@@ -34,88 +35,43 @@ __all__ = [
 _INF = math.inf
 
 
-def _fmt_number(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite number {x!r}")
-    return format(x, ".17g")
-
-
-def _is_scalar(x) -> bool:
-    return x is None or isinstance(x, (bool, int, float, str, np.integer, np.floating))
-
-
-class _Rows:
-    """Rows of numbers for dumps_canonical, one per line, each made by one
-    %-format call of template (as "[%d, %.17g]") on the Python numbers of
-    tolist(), which gives the text of _fmt_number. Columns are 1-D arrays
-    of one length; the first number in file order that is not finite is
-    refused with the error of _fmt_number.
+def _write(path, header: dict, tables: dict) -> None:
+    """Write the integer header fields in order, then the tables, each row by
+    one %-format call of its template (as "[%d, %.17g]") on the Python
+    numbers of tolist(). A table is (template, *columns), 1-D arrays of one
+    length. The first number in file order that is not finite is refused
+    before the file is opened; each table goes to the file as it is joined.
     """
-
-    def __init__(self, template: str, *columns: np.ndarray):
+    for _, *columns in tables.values():
         finite = [np.isfinite(col) for col in columns]
         if not all(f.all() for f in finite):
             i, j = min((int(f.argmin()), j) for j, f in enumerate(finite) if not f.all())
             raise ValueError(f"cannot serialize non-finite number {float(columns[j][i])!r}")
-        self.template, self.columns = template, columns
-
-    def render(self, indent: int) -> str:
-        # Formatted as they are joined: a list of all row strings, held while
-        # dumps_canonical copies the document, raised peak RSS by 1-3 MB.
-        if not len(self.columns[0]):
-            return "[]"
-        inner = "  " * (indent + 1)
-        lines = map(self.template.__mod__, zip(*(col.tolist() for col in self.columns)))
-        return f"[\n{inner}" + f",\n{inner}".join(lines) + f"\n{'  ' * indent}]"
-
-
-def _render(obj, indent: int) -> str:
-    if isinstance(obj, _Rows):
-        return obj.render(indent)
-    pad, inner = "  " * indent, "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        rows = [f"{inner}{json.dumps(str(k))}: {_render(v, indent + 1)}" for k, v in obj.items()]
-        return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if all(_is_scalar(x) for x in obj):
-            return "[" + ", ".join(_render(x, 0) for x in obj) + "]"
-        rows = [f"{inner}{_render(x, indent + 1)}" for x in obj]
-        return "[\n" + ",\n".join(rows) + f"\n{pad}]"
-    if obj is None:
-        return "null"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    return _fmt_number(obj)
+    fields = [f'  "{key}": {int(value)}' for key, value in header.items()]
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("{\n" + ",\n".join(fields))
+        for key, (template, *columns) in tables.items():
+            rows = ",\n    ".join(map(template.__mod__, zip(*(col.tolist() for col in columns))))
+            fh.write(f',\n  "{key}": [')
+            if rows:
+                fh.writelines(("\n    ", rows, "\n  "))
+            fh.write("]")
+        fh.write("\n}\n")
 
 
-def dumps_canonical(obj) -> str:
-    """Render a JSON document with fixed key order and 17-digit floats."""
-    return _render(obj, 0) + "\n"
-
-
-def _complex_rows(values: np.ndarray) -> _Rows:
-    return _Rows("[%.17g, %.17g]", values.real, values.imag)
+def _complex_rows(values: np.ndarray) -> tuple:
+    return ("[%.17g, %.17g]", values.real, values.imag)
 
 
 def save_signal(path, values, spectrum=None) -> None:
     values = as_signal(values)
-    doc = {"N": int(values.size), "values": _complex_rows(values)}
+    tables = {"values": _complex_rows(values)}
     if spectrum is not None:
         spectrum = as_signal(spectrum)
         if spectrum.size != values.size:
             raise ValueError("spectrum length differs from signal length")
-        doc["spectrum"] = _complex_rows(spectrum)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(dumps_canonical(doc))
+        tables["spectrum"] = _complex_rows(spectrum)
+    _write(path, {"N": values.size}, tables)
 
 
 def _float(x, what: str, idx: int) -> float:
@@ -172,13 +128,12 @@ def load_signal(path) -> np.ndarray:
 
 def save_measurements(path, measurements: FrogMeasurements) -> None:
     k, m = np.nonzero(~np.isnan(measurements.grid))
-    doc = {
-        "N": int(measurements.params.N),
-        "L": int(measurements.params.L),
-        "entries": _Rows("[%d, %d, %.17g]", k, m, measurements.grid[k, m]),
-    }
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(dumps_canonical(doc))
+    params = measurements.params
+    _write(
+        path,
+        {"N": params.N, "L": params.L},
+        {"entries": ("[%d, %d, %.17g]", k, m, measurements.grid[k, m])},
+    )
 
 
 def load_measurements(path) -> FrogMeasurements:

@@ -69,6 +69,7 @@ from .frog import (
     expand_rows,
     frog_grid_freq,
     plan_indices,
+    plan_rows,
 )
 from .spectral import as_signal, idft
 
@@ -622,7 +623,11 @@ def verify_solution(spectrum, measurements: FrogMeasurements) -> float:
     Deviations are absolute differences of |y^|^2 values, reported relative
     to the largest stored value (so the residual is scale-invariant).
     Raises ValueError for a spectrum of the wrong length, no measurements,
-    or a stored value that is negative or infinite (check_values).
+    a stored value that is negative or infinite (check_values), or a
+    spectrum whose grid overflows at a stored entry. The stored values and
+    the spectrum are finite, so only an overflow makes the largest deviation
+    inf or NaN; numpy's warnings for it are silenced and that one maximum is
+    tested instead.
     """
     s = as_signal(spectrum)
     params = measurements.params
@@ -631,9 +636,14 @@ def verify_solution(spectrum, measurements: FrogMeasurements) -> float:
     if not measurements:
         raise ValueError("no measurements to verify the spectrum against")
     measurements.check_values()
-    deviation = np.abs(frog_grid_freq(s, params) - measurements.grid)
-    dev = np.max(deviation, where=~np.isnan(measurements.grid), initial=0.0)
-    return float(dev / (measurements.max_value() or 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        deviation = np.abs(frog_grid_freq(s, params) - measurements.grid)
+    dev = float(np.max(deviation, where=~np.isnan(measurements.grid), initial=0.0))
+    if not math.isfinite(dev):
+        raise ValueError("the spectrum's measurement grid overflows a float")
+    # A Python division: a deviation far above tiny stored values is inf
+    # without a warning.
+    return dev / (measurements.max_value() or 1.0)
 
 
 def recover(
@@ -703,11 +713,12 @@ def even_l_infeasibility_probe(
     exactly the ambiguity recovery cannot resolve. Membership is within tol
     relative to 1 + radius, as in A1. The k = 1 and k = 2 rows are scaled
     by _scaled, as in recover, and alpha with them, so the verdict does not
-    depend on the scale of the input. Only the rows k = 1, 2 are expanded,
-    not the whole plan. Raises ValueError for odd L, a non-finite alpha or
-    theta, a tol that is not finite and > 0, a supplied entry that is
-    negative or infinite, missing rows, or an alpha that overflows when
-    scaled, and DegenerateSignalError when the scaled alpha or the trial
+    depend on the scale of the input. Only the rows k = 1, 2 are planned
+    (plan_rows) and expanded, not the whole plan. Raises ValueError for odd
+    L, a non-finite alpha or theta, a tol that is not finite and > 0, a
+    geometry that plan_indices refuses (with its message), a supplied entry
+    that is negative or infinite, missing rows, or an alpha that overflows
+    when scaled, and DegenerateSignalError when the scaled alpha or the trial
     |s_1| sits at the coefficient floor.
     """
     params = measurements.params
@@ -717,8 +728,8 @@ def even_l_infeasibility_probe(
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
     _check_positive("tol", tol)
-    rows = plan_indices(params).rows
-    rows = rows[(rows[:, 0] == 1) | (rows[:, 0] == 2)]
+    rows = plan_rows(params, 2)
+    rows = rows[rows[:, 0] >= 1]
     tables, e = _scaled(measurements, rows, expand_rows(params, rows))
     try:
         alpha = math.ldexp(alpha, -e)

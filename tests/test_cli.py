@@ -14,8 +14,13 @@ from frogpr import (
     load_signal,
     save_measurements,
 )
+from frogpr import cli
+from frogpr.analytic import AnalyticityReport
 from frogpr.cli import main
+from frogpr.recovery import recover
 from frogpr.selftest import CriterionResult
+
+_REPORT_KEYS = ["command", "inputs", "outputs", "residuals", "equivalence", "elapsed_ms"]
 
 
 def _run(capsys, argv):
@@ -284,6 +289,70 @@ def test_selftest_reporting_and_exit_codes(capsys, monkeypatch):
     code, out, _ = _run(capsys, ["selftest"])
     assert code == 0
     assert "1/1 criteria passed" in out
+
+
+def test_every_report_has_its_keys_in_order(capsys, tmp_path, monkeypatch):
+    sig, _ = _generate(capsys, tmp_path)
+    meas, _ = _measure(capsys, tmp_path, sig, l=3, plan_only=True)
+    fake = [CriterionResult(1, "alpha", True, "fine", 0.01)]
+    monkeypatch.setattr("frogpr.cli.run_all", lambda quick: fake)
+    for argv in (
+        ["generate", "--n", "16", "--seed", "7", "--out", str(tmp_path / "g.json")],
+        ["measure", str(sig), "--l", "3", "--out", str(tmp_path / "m.json")],
+        ["recover", str(meas), "--out", str(tmp_path / "r.json")],
+        ["check-equiv", str(sig), str(tmp_path / "r.json")],
+        ["selftest", "--quick"],
+    ):
+        code, out, err = _run(capsys, argv)
+        assert code == 0, err
+        # The selftest prints its lines before the report.
+        text = out[out.index("{\n"):]
+        assert text.endswith("}\n")
+        doc = json.loads(text)
+        assert list(doc) == _REPORT_KEYS, argv
+        assert doc["command"] == argv[0]
+
+
+def test_recover_report_carries_the_recovered_residual(capsys, tmp_path):
+    sig, _ = _generate(capsys, tmp_path)
+    meas, _ = _measure(capsys, tmp_path, sig, l=3, plan_only=True)
+    code, out, err = _run(capsys, ["recover", str(meas), "--out", str(tmp_path / "r.json")])
+    assert code == 0, err
+    expected = recover(load_measurements(meas)).verification_residual
+    assert _report(out)["residuals"]["verification_residual"] == expected
+
+
+def test_emit_writes_plain_json_with_round_trip_numbers(capsys):
+    values = [np.pi, 1.0 / 3.0, 1e-300, 5e300, 0.1 + 0.2, 1e-6, -0.0, np.float64(2.5)]
+    cli._emit("x", 0.0, {"b": 1.5, "a": [1, 2, 3]}, {"flag": True, "name": "x"}, {"v": values})
+    text = capsys.readouterr().out
+    assert text.endswith("}\n") and not text.endswith("\n\n")
+    doc = json.loads(text)
+    # Insertion order, true and null, and the same doubles back.
+    assert list(doc) == _REPORT_KEYS and list(doc["inputs"]) == ["b", "a"]
+    assert doc["inputs"] == {"b": 1.5, "a": [1, 2, 3]}
+    assert doc["outputs"] == {"flag": True, "name": "x"}
+    assert doc["equivalence"] is None and '"equivalence": null' in text
+    assert '"flag": true' in text and "1e-06" in text
+    assert doc["residuals"]["v"] == values
+    assert [np.signbit(v) for v in doc["residuals"]["v"]] == [np.signbit(v) for v in values]
+
+
+def test_emit_refuses_non_finite_values(capsys):
+    for bad in (float("inf"), -float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            cli._emit("x", 0.0, {}, {}, {"v": bad})
+        with pytest.raises(ValueError):
+            cli._emit("x", 0.0, {"tol": None}, {}, {}, equivalence={"residual": bad})
+    assert capsys.readouterr().out == ""
+
+
+def test_a_non_finite_report_value_is_a_usage_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr("frogpr.cli.is_analytic", lambda s: AnalyticityReport(True, float("nan")))
+    code, out, err = _run(capsys, ["generate", "--n", "16", "--out", str(tmp_path / "g.json")])
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert out == ""
 
 
 def test_argparse_contract():

@@ -20,7 +20,6 @@ from frogpr import (
     save_measurements,
     save_signal,
 )
-from frogpr.jsonio import dumps_canonical
 
 
 def test_signal_round_trip_is_exact(tmp_path):
@@ -275,25 +274,13 @@ def test_save_measurements_refuses_non_finite_values(tmp_path):
     assert path.read_bytes() == before
 
 
-def test_dumps_canonical_formatting():
-    doc = {"b": 1.5, "a": [1, 2, 3], "flag": True, "name": "x", "none": None}
-    text = dumps_canonical(doc)
-    # Insertion order, inline scalar lists, trailing newline.
-    assert text.index('"b"') < text.index('"a"')
-    assert "[1, 2, 3]" in text
-    assert "true" in text and "null" in text
-    assert text.endswith("\n")
-    assert json.loads(text) == doc
-
-
-def test_dumps_canonical_17_digit_round_trip():
-    values = [np.pi, 1.0 / 3.0, 1e-300, 5e300, 0.1 + 0.2]
-    text = dumps_canonical({"v": values})
-    assert json.loads(text)["v"] == values
-
-
-def test_dumps_canonical_rejects_non_finite():
-    with pytest.raises(ValueError):
-        dumps_canonical({"v": float("inf")})
-    with pytest.raises(ValueError):
-        dumps_canonical({"v": float("nan")})
+def test_save_signal_refuses_non_finite_values(tmp_path):
+    # Values and spectrum are both refused before a file is made.
+    path = tmp_path / "sig.json"
+    for bad in (np.nan, np.inf):
+        z = np.array([1.0, complex(2.0, bad), 3.0])
+        with pytest.raises(ValueError, match="signal contains non-finite values"):
+            save_signal(path, z)
+        with pytest.raises(ValueError, match="signal contains non-finite values"):
+            save_signal(path, np.ones(3), z)
+    assert not path.exists()

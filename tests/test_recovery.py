@@ -1,5 +1,7 @@
 """Recovery pipeline: root choice, sequential tail, verification, probe."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -254,6 +256,36 @@ def test_probe_expands_only_its_rows(monkeypatch):
     even_l_infeasibility_probe(frog_measurements_time(z, params), float(dft(z)[0].real), 0.3)
     assert len(built) == 1
     assert set(built[0][:, 0].tolist()) == {1, 2}
+
+
+@pytest.mark.parametrize("n,l", [(12, 2), (20, 4), (32, 6), (2048, 32)])
+def test_probe_plans_and_expands_the_plans_first_rows(monkeypatch, n, l):
+    # The probe scans rows k <= 2 by the plan's own rule, never the whole
+    # plan, and expands its rows k = 1, 2.
+    params = FrogParams(n, l)
+    rows = plan_indices(params).rows
+    rows = rows[(rows[:, 0] >= 1) & (rows[:, 0] <= 2)]
+    z = _generic_even_signal(n, np.random.default_rng(651))
+    meas = frog_measurements_time(z, params, rows)
+
+    def refuse(params):
+        raise AssertionError("the probe planned the whole geometry")
+
+    monkeypatch.setattr(recovery, "plan_indices", refuse)
+    built = _count_expansions(monkeypatch)
+    even_l_infeasibility_probe(meas, float(dft(z)[0].real), 0.3)
+    assert len(built) == 1
+    assert_array_equal(built[0], rows)
+
+
+@pytest.mark.parametrize("n,l", [(12, 4), (9, 2), (6, 2)])
+def test_probe_refuses_an_unplannable_geometry_as_the_plan_does(n, l):
+    params = FrogParams(n, l)
+    with pytest.raises(ValueError) as planned:
+        plan_indices(params)
+    with pytest.raises(ValueError) as probed:
+        even_l_infeasibility_probe(FrogMeasurements(params), 1.0, 0.3)
+    assert str(probed.value) == str(planned.value)
 
 
 def _outcome(meas, plan, z):
@@ -765,6 +797,39 @@ def test_verify_solution_without_measurements_raises():
     params = FrogParams(12, 3)
     with pytest.raises(ValueError, match="no measurements"):
         verify_solution(np.ones(12), FrogMeasurements(params))
+
+
+@pytest.mark.parametrize("factor", [1e100, 1e160])
+def test_verify_solution_refuses_a_spectrum_whose_grid_overflows(factor):
+    z = _generic(16, np.random.default_rng(621))
+    params = FrogParams(16, 3)
+    meas = frog_measurements_time(z, params, plan_indices(params).rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="grid overflows"):
+            verify_solution(factor * dft(z), meas)
+
+
+def test_verify_solution_keeps_the_residual_of_a_finite_grid():
+    # The residual is the same double as the plain expression's, also when
+    # it is inf because the stored values are tiny, then without a warning.
+    rng = np.random.default_rng(622)
+    params = FrogParams(16, 3)
+    z = _generic(16, rng)
+    for meas in (
+        frog_measurements_time(z, params),
+        frog_measurements_time(z, params, plan_indices(params).rows),
+        FrogMeasurements(params, {(0, 0): 5e-324, (3, 1): 0.0}),
+    ):
+        for s in (dft(z), dft(z) * 1e60, dft(_generic(16, rng))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                dev = np.abs(frog_grid_freq(s, params) - meas.grid)
+                dev = np.max(dev, where=~np.isnan(meas.grid), initial=0.0)
+                expected = float(dev / meas.max_value())
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert verify_solution(s, meas) == expected
 
 
 # --- even-stride infeasibility probe ----------------------------------------------
