@@ -323,17 +323,26 @@ def test_recover_report_carries_the_recovered_residual(capsys, tmp_path):
 
 
 def test_emit_writes_plain_json_with_round_trip_numbers(capsys):
-    values = [np.pi, 1.0 / 3.0, 1e-300, 5e300, 0.1 + 0.2, 1e-6, -0.0, np.float64(2.5)]
-    cli._emit("x", 0.0, {"b": 1.5, "a": [1, 2, 3]}, {"flag": True, "name": "x"}, {"v": values})
+    cli._emit("x", 0.0, {"b": 1.5, "a": [1, 2, 3]}, {"flag": True, "name": "x"}, {"v": 0.1 + 0.2})
     text = capsys.readouterr().out
     assert text.endswith("}\n") and not text.endswith("\n\n")
     doc = json.loads(text)
-    # Insertion order, true and null, and the same doubles back.
+    # Insertion order, true and null, and the same values back.
     assert list(doc) == _REPORT_KEYS and list(doc["inputs"]) == ["b", "a"]
     assert doc["inputs"] == {"b": 1.5, "a": [1, 2, 3]}
     assert doc["outputs"] == {"flag": True, "name": "x"}
+    assert doc["residuals"] == {"v": 0.1 + 0.2}
     assert doc["equivalence"] is None and '"equivalence": null' in text
-    assert '"flag": true' in text and "1e-06" in text
+    assert '"flag": true' in text
+
+
+def test_emit_round_trips_17_digit_doubles(capsys):
+    values = [np.pi, 1.0 / 3.0, 1e-300, 5e300, 0.1 + 0.2, 1e-6, -0.0, np.float64(2.5)]
+    cli._emit("x", 0.0, {}, {}, {"v": values})
+    text = capsys.readouterr().out
+    # Shortest round-trip form, the same doubles and signs back.
+    assert "1e-06" in text
+    doc = json.loads(text)
     assert doc["residuals"]["v"] == values
     assert [np.signbit(v) for v in doc["residuals"]["v"]] == [np.signbit(v) for v in values]
 
