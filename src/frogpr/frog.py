@@ -21,7 +21,6 @@ precision.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import numbers
 from collections.abc import Mapping
@@ -222,14 +221,42 @@ def frog_grid_freq(s, params: FrogParams) -> np.ndarray:
     return (np.abs(rows / n) ** 2).T
 
 
+def _index_arrays(indices, shape: tuple[int, int]):
+    """indices as two integer sequences k and m, checked as _grid_index checks a pair.
+
+    An integer (n, 2) array and a list of pairs of ints are checked by array
+    tests; anything else, and any of them that fails the tests, pair by
+    pair, which names the first pair refused.
+    """
+    ks = ms = None
+    if isinstance(indices, np.ndarray):
+        if indices.dtype.kind in "iu" and indices.ndim == 2 and indices.shape[1] == 2:
+            ks, ms = indices.T
+    elif (
+        type(indices) is list
+        and set(map(type, indices)) <= {tuple, list}
+        and set(map(len, indices)) == {2}
+    ):
+        columns = tuple(zip(*indices))
+        if all(set(map(type, col)) == {int} for col in columns):
+            try:
+                ks, ms = (np.fromiter(col, np.int64, len(col)) for col in columns)
+            except OverflowError:
+                pass
+    n, r = shape
+    if ks is not None and ((0 <= ks) & (ks < n) & (0 <= ms) & (ms < r)).all():
+        return ks, ms
+    if isinstance(indices, np.ndarray):
+        indices = indices.tolist()
+    pairs = [_grid_index(index, shape) for index in indices]
+    return tuple(zip(*pairs)) if pairs else ((), ())
+
+
 def _collect(grid: np.ndarray, params: FrogParams, indices) -> FrogMeasurements:
     if indices is None:
         ks, ms = np.indices(grid.shape).reshape(2, -1)
     else:
-        if isinstance(indices, np.ndarray):
-            indices = indices.tolist()  # Python ints take the checks' fast path
-        pairs = [_grid_index(index, grid.shape) for index in indices]
-        ks, ms = zip(*pairs) if pairs else ((), ())
+        ks, ms = _index_arrays(indices, grid.shape)
     values = grid[ks, ms]
     # Never negative, but a signal large enough to overflow makes it inf or NaN.
     bad = np.flatnonzero(~np.isfinite(values))
@@ -273,13 +300,13 @@ def frog_measurements_freq(s, params: FrogParams, indices=None) -> FrogMeasureme
 #     u_m = 1    <=>  (1 - w^m)(1 - w^{2m}) = 0 <=>  w^m = 1 or w^{2m} = 1
 
 
-def _pow_is_one(num: int, den: int, p: int) -> bool:
-    """e^{2i pi num/den} raised to p equals 1."""
+def _pow_is_one(num, den: int, p):
+    """e^{2i pi num/den} raised to p equals 1 (elementwise for integer arrays)."""
     return (p * num) % den == 0
 
 
-def _pow_is_minus_one(num: int, den: int, p: int) -> bool:
-    """e^{2i pi num/den} raised to p equals -1."""
+def _pow_is_minus_one(num, den: int, p):
+    """e^{2i pi num/den} raised to p equals -1 (elementwise for integer arrays)."""
     return (2 * p * num - den) % (2 * den) == 0
 
 
@@ -373,9 +400,9 @@ class MeasurementIndexPlan:
 def plan_rows(params: FrogParams, k_max: int) -> np.ndarray:
     """The rows k <= k_max of plan_indices(params), a read-only (k, m)-sorted array.
 
-    The scan of each row k >= 2 depends on k and the geometry alone, so a
-    reader of the first rows (the even-L probe reads k <= 2) stops there;
-    the geometry is checked, with plan_indices's errors, whatever k_max.
+    The delays of each row k >= 2 depend on k and the geometry alone, so a
+    reader of the first rows (the even-L probe reads k <= 2) computes only
+    those; the geometry is checked, with plan_indices's errors, whatever k_max.
     """
     n, l, r = params.N, params.L, params.r
     if n % 2 != 0 or n // 2 < 4:
@@ -383,34 +410,46 @@ def plan_rows(params: FrogParams, k_max: int) -> np.ndarray:
     if r < 5:
         raise ValueError(f"index planning needs r >= 5, got r={r}")
 
+    m = np.arange(1, r)
+    phase = m * l % n  # w^m = e^{2i pi phase/N}
     rows = [(0, 0), (0, 1), (1, 0)]
-    for k in range(2, k_max + 1):
-        # Stage k divides by 1 + w^{km}; the k = 2 five-circle family and the
-        # k = 3 pair also need w^{pm} != 1 for 0 < p < k, that is
-        # w^{(k-1)m} != 1, since w^m = 1 implies w^{2m} = 1.
-        adm = [
-            m
-            for m in range(1, r)
-            if not _pow_is_minus_one(m * l, n, k) and not (k <= 3 and _pow_is_one(m * l, n, k - 1))
-        ]
-        size = {2: 4, 3: 1}.get(k, 2)
-        if len(adm) < size:  # pragma: no cover - unreachable for admissible geometries
-            raise RuntimeError(f"index scan exhausted for row k={k} (N={n}, L={l}, r={r})")
-        chosen = adm[:size]
-        if k >= 4:
-            # Prefer the first pair whose phases w^{ka}, w^{kb} are not
-            # conjugate (w^{k(a+b)} != 1), so the two non-zero-delay circles
-            # cannot be structurally mirrored. At k = N/2 with r = 6 every
-            # admissible pair is conjugate; fall back to the smallest pair
-            # and leave genuine degeneracy to the solver's collinearity check.
-            for a, b in itertools.combinations(adm, 2):
-                if not _pow_is_one((a + b) * l, n, k):
-                    chosen = (a, b)
-                    break
-        rows += [(k, m) for m in (0, *chosen)]
+    # Stage k divides by 1 + w^{km}; the k = 2 five-circle family and the
+    # k = 3 pair also need w^{pm} != 1 for 0 < p < k, that is
+    # w^{(k-1)m} != 1, since w^m = 1 implies w^{2m} = 1.
+    for k, size in ((2, 4), (3, 1)):
+        if k <= k_max:
+            adm = m[~_pow_is_minus_one(phase, n, k) & ~_pow_is_one(phase, n, k - 1)]
+            if adm.size < size:  # pragma: no cover - unreachable for admissible geometries
+                raise RuntimeError(f"too few admissible delays for row k={k} (N={n}, L={l}, r={r})")
+            rows += [(k, 0), *((k, d) for d in adm[:size].tolist())]
 
+    # A row k >= 4 takes the first pair (a, b) of admissible delays, in
+    # itertools.combinations order, whose phases w^{ka}, w^{kb} are not
+    # conjugate (w^{k(a+b)} != 1), so the two non-zero-delay circles cannot
+    # be structurally mirrored. When every pair is conjugate (at k = N/2
+    # with r = 6, say) it falls back to the smallest pair and leaves genuine
+    # degeneracy to the solver's collinearity check. Delays 1..5 decide:
+    # with d = kL mod N, delay m has x_m = kmL mod N = x_1 + (m - 1)d, is
+    # admissible unless x_m = N/2, and pairs with a when x_a + x_m != 0 mod
+    # N. Two delays in a row are never both inadmissible (that needs d = 0,
+    # and then none is), so the first admissible delay a is 1 or 2 and the
+    # next at most 4. If a pairs with none of a + 1, a + 2, a + 3, their x
+    # are each N/2 or -x_a, so two are equal: d = 0 or 2d = 0, and either
+    # way every admissible x is x_a with 2 x_a = 0, so every pair is
+    # conjugate. (At r = 5 with a = 2 only a + 1 and a + 2 exist, and then
+    # so do only two admissible delays.)
+    k = np.arange(4, k_max + 1)[:, None]
+    near = phase[:5]
+    adm = ~_pow_is_minus_one(near, n, k)
+    a = adm.argmax(axis=1)
+    later = adm & (np.arange(near.size) > a[:, None])
+    mates = later & ~_pow_is_one(near[a][:, None] + near, n, k)
+    b = np.where(mates.any(axis=1), mates.argmax(axis=1), later.argmax(axis=1))
+    tail = np.zeros((a.size, 3, 2), dtype=np.int64)
+    tail[:, :, 0] = k
+    tail[:, 1, 1], tail[:, 2, 1] = m[a], m[b]
     # Built in (k, m) order, as readers that slice rows by k need.
-    rows = np.array(rows)
+    rows = np.concatenate([np.array(rows), tail.reshape(-1, 2)])
     rows.flags.writeable = False
     return rows
 
@@ -419,10 +458,11 @@ def plan_indices(params: FrogParams) -> MeasurementIndexPlan:
     """Deterministic admissible index plan (smallest indices first).
 
     Preconditions: r >= 5, N even, N/2 >= 4. Rows k = 0 and k = 1 are fixed;
-    each row k >= 2 takes delay 0 and then scans delays upward for the
-    first admissible ones, and the pair of a row k >= 4 additionally
-    prefers non-conjugate phases (see the loop in plan_rows). Exhausting a
-    scan would contradict the existence guarantee for r >= 5 and signals an
+    each row k >= 2 takes delay 0 and then the smallest admissible delays,
+    and the pair of a row k >= 4 additionally prefers non-conjugate phases
+    (see plan_rows, which decides admissibility by integer congruences on
+    arrays of delays). A row k = 2 or 3 with too few admissible delays
+    would contradict the existence guarantee for r >= 5 and signals an
     implementation bug.
     """
     return MeasurementIndexPlan(params, plan_rows(params, params.N // 2))

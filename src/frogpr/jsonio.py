@@ -1,12 +1,15 @@
 """Deterministic JSON files for signals and measurements.
 
 Both kinds have one fixed layout, which one writer makes: the integer header
-fields in order, then one or two tables with a row per line, each row made
-by one %-format call. Numbers are written with 17 significant digits and
-keys in a fixed order, so identical data produces byte-identical files. A
-64-bit float reads back exactly, apart from negative zero: -0.0 is written
-as -0, which JSON reads back as the integer 0. That text is kept so that
-files written before stay byte-identical. Schemas:
+fields in order, then one or two tables with a row per line, each block of
+rows made by one %-format call. Numbers are written with 17 significant
+digits and keys in a fixed order, so identical data produces byte-identical
+files. A 64-bit float reads back exactly, apart from negative zero: -0.0 is
+written as -0, which JSON reads back as the integer 0. That text is kept so
+that files written before stay byte-identical. The readers check a table
+in passes over its rows and columns (types, lengths, then array tests of
+range, finiteness, sign and repeats) and walk it entry by entry only when a
+pass finds a fault, to name the first faulty entry. Schemas:
 
     signal:       { "N": int, "values": [[re, im], ...],
                     "spectrum": [[re, im], ...] }   (spectrum optional)
@@ -18,7 +21,6 @@ from __future__ import annotations
 
 import cmath
 import json
-import math
 
 import numpy as np
 
@@ -32,30 +34,34 @@ __all__ = [
     "load_measurements",
 ]
 
-_INF = math.inf
+# Rows per format call of the writer: a call for a whole table holds all its
+# text and numbers at once, which raises the peak memory of a large file.
+_BLOCK = 4096
+_NUMBERS = {int, float}
 
 
 def _write(path, header: dict, tables: dict) -> None:
-    """Write the integer header fields in order, then the tables, each row by
-    one %-format call of its template (as "[%d, %.17g]") on the Python
-    numbers of tolist(). A table is (template, *columns), 1-D arrays of one
-    length. The first number in file order that is not finite is refused
-    before the file is opened; each table goes to the file as it is joined.
+    """Write the integer header fields in order, then the tables. A table is
+    (template, *columns): a row template (as "[%d, %.17g]") and 1-D arrays
+    of one length. Each block of up to _BLOCK rows is one %-format call of
+    the template repeated, on the block's Python numbers from tolist(),
+    interleaved row by row. Callers refuse the numbers that are not finite.
     """
-    for _, *columns in tables.values():
-        finite = [np.isfinite(col) for col in columns]
-        if not all(f.all() for f in finite):
-            i, j = min((int(f.argmin()), j) for j, f in enumerate(finite) if not f.all())
-            raise ValueError(f"cannot serialize non-finite number {float(columns[j][i])!r}")
     fields = [f'  "{key}": {int(value)}' for key, value in header.items()]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("{\n" + ",\n".join(fields))
         for key, (template, *columns) in tables.items():
-            rows = ",\n    ".join(map(template.__mod__, zip(*(col.tolist() for col in columns))))
             fh.write(f',\n  "{key}": [')
-            if rows:
-                fh.writelines(("\n    ", rows, "\n  "))
-            fh.write("]")
+            size, width = columns[0].size, len(columns)
+            row = ",\n    " + template
+            for lo in range(0, size, _BLOCK):
+                values = [None] * (width * min(_BLOCK, size - lo))
+                for j, col in enumerate(columns):
+                    values[j::width] = col[lo : lo + _BLOCK].tolist()
+                text = (row * (len(values) // width)) % tuple(values)
+                # The first row of a table follows the bracket without a comma.
+                fh.write(text[1:] if lo == 0 else text)
+            fh.write("\n  ]" if size else "]")
         fh.write("\n}\n")
 
 
@@ -81,18 +87,38 @@ def _float(x, what: str, idx: int) -> float:
         raise ValueError(f"'{what}'[{idx}] holds an integer too large for a float") from None
 
 
+def _columns(raw: list, width: int):
+    """The columns of raw as tuples, with the set of types in each, when raw
+    is a non-empty list of lists of `width` items; None otherwise."""
+    if raw and set(map(type, raw)) == {list} and set(map(len, raw)) == {width}:
+        columns = tuple(zip(*raw))
+        return columns, [set(map(type, col)) for col in columns]
+    return None
+
+
+def _pairs(raw: list, n: int) -> np.ndarray | None:
+    """raw as n complex numbers when every pair holds two finite numbers; None
+    when a pass over its columns finds a fault."""
+    found = _columns(raw, 2)
+    if found is None or not all(kinds <= _NUMBERS for kinds in found[1]):
+        return None
+    values = np.empty(n, dtype=complex)
+    try:
+        values.real, values.imag = (np.fromiter(col, float, n) for col in found[0])
+    except OverflowError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
 def _parse_pairs(raw, n: int, what: str) -> np.ndarray:
     if not isinstance(raw, list) or len(raw) != n:
         raise ValueError(f"'{what}' must be a list of {n} [re, im] pairs")
+    values = _pairs(raw, n)
+    if values is not None:
+        return values
+    # A pass found a fault; this loop names the first faulty pair.
     out = []
     for idx, pair in enumerate(raw):
-        # Finite floats, as the writer makes them, first: the full checks
-        # below are slow. NaN fails both comparisons.
-        if type(pair) is list and len(pair) == 2:
-            re, im = pair
-            if type(re) is float and type(im) is float and -_INF < re < _INF and -_INF < im < _INF:
-                out.append(complex(re, im))
-                continue
         if (
             not isinstance(pair, list)
             or len(pair) != 2
@@ -127,13 +153,45 @@ def load_signal(path) -> np.ndarray:
 
 
 def save_measurements(path, measurements: FrogMeasurements) -> None:
+    """Write the measured entries, refusing first a value that is not finite,
+    then a negative one (named as load_measurements would name it)."""
     k, m = np.nonzero(~np.isnan(measurements.grid))
+    values = measurements.grid[k, m]
+    # NaN marks an absent entry, so a measured value that is not finite is infinite.
+    infinite = np.isinf(values)
+    if infinite.any():
+        raise ValueError(f"cannot serialize non-finite number {float(values[infinite.argmax()])!r}")
+    measurements.check_values()
     params = measurements.params
     _write(
         path,
         {"N": params.N, "L": params.L},
-        {"entries": ("[%d, %d, %.17g]", k, m, measurements.grid[k, m])},
+        {"entries": ("[%d, %d, %.17g]", k, m, values)},
     )
+
+
+def _entries(raw: list, params: FrogParams) -> FrogMeasurements | None:
+    """The measurements of raw when every entry is a new index on the grid
+    with a finite value >= 0; None when a pass over its columns finds a fault."""
+    found = _columns(raw, 3)
+    if found is None:
+        return None
+    (ks, ms, vs), (k_kinds, m_kinds, v_kinds) = found
+    if not (k_kinds == m_kinds == {int} and v_kinds <= _NUMBERS):
+        return None
+    meas = FrogMeasurements(params)
+    rows, cols = meas.grid.shape
+    try:
+        k, m = (np.fromiter(col, np.int64, len(raw)) for col in (ks, ms))
+        values = np.fromiter(vs, float, len(raw))
+    except OverflowError:
+        return None
+    # NaN fails both value comparisons.
+    if not ((0 <= k) & (k < rows) & (0 <= m) & (m < cols) & (values >= 0) & (values < np.inf)).all():
+        return None
+    meas.grid[k, m] = values
+    # A repeated index leaves fewer measured entries than rows.
+    return meas if len(meas) == len(raw) else None
 
 
 def load_measurements(path) -> FrogMeasurements:
@@ -151,26 +209,15 @@ def load_measurements(path) -> FrogMeasurements:
     raw = doc.get("entries")
     if not isinstance(raw, list):
         raise ValueError("'entries' must be a list of [k, m, value] triples")
-    meas = FrogMeasurements(FrogParams(n, l))
-    grid = meas.grid
-    rows, cols = grid.shape
+    params = FrogParams(n, l)
+    meas = _entries(raw, params)
+    if meas is not None:
+        return meas
+    # A pass found a fault (or the list is empty); this loop names the first
+    # faulty entry. In this order: a triple, a new index, a value that fits a
+    # float, then the container's checks of the index and the value.
+    meas = FrogMeasurements(params)
     for idx, row in enumerate(raw):
-        # A new entry on the grid with a float value, as the writer makes
-        # them, goes straight into the grid: the full checks below are slow.
-        if type(row) is list and len(row) == 3:
-            k, m, value = row
-            if (
-                type(k) is type(m) is int
-                and type(value) is float
-                and 0 <= k < rows
-                and 0 <= m < cols
-                and 0.0 <= value < _INF
-                and math.isnan(grid.item(k, m))
-            ):
-                grid[k, m] = value
-                continue
-        # In this order: a triple, a new index, a value that fits a float,
-        # then the container's checks of the index and the value.
         if (
             not isinstance(row, list)
             or len(row) != 3

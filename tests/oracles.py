@@ -7,6 +7,8 @@ exp_row_dw: they evaluate every unit root by np.exp, in the library's order
 of operations, so the library's table lookups are pinned bitwise.
 """
 
+import itertools
+
 import numpy as np
 
 
@@ -146,3 +148,48 @@ def lstsq_step(jac, fvec):
     """Minimum-norm least-squares Gauss-Newton step, by SVD: jac step ~ -fvec."""
     step, *_ = np.linalg.lstsq(jac, -fvec, rcond=None)
     return step
+
+
+def scan_plan_rows(params, k_max):
+    """The rows k <= k_max of frogpr.plan_indices, by a scan of every delay of every row.
+
+    Row k >= 2 takes delay 0, then the first admissible delays (four at
+    k = 2, one at k = 3), where stage k needs w^{km} != -1 and stages 2
+    and 3 also w^{(k-1)m} != 1. A row k >= 4 takes the first pair of
+    admissible delays, in itertools.combinations order, with
+    w^{k(a+b)} != 1, and the first two admissible delays when there is none.
+    """
+    from frogpr.frog import _pow_is_minus_one, _pow_is_one
+
+    n, l, r = params.N, params.L, params.r
+    rows = [(0, 0), (0, 1), (1, 0)]
+    for k in range(2, k_max + 1):
+        adm = [
+            m
+            for m in range(1, r)
+            if not _pow_is_minus_one(m * l, n, k) and not (k <= 3 and _pow_is_one(m * l, n, k - 1))
+        ]
+        size = {2: 4, 3: 1}.get(k, 2)
+        assert len(adm) >= size, (n, l, k)
+        chosen = adm[:size]
+        if k >= 4:
+            for a, b in itertools.combinations(adm, 2):
+                if not _pow_is_one((a + b) * l, n, k):
+                    chosen = (a, b)
+                    break
+        rows += [(k, m) for m in (0, *chosen)]
+    return np.array(rows)
+
+
+def file_text(header, tables):
+    """The text of a frogpr signal or measurement file, one %-format call per row.
+
+    header: the integer fields in order; tables: name -> (row template,
+    *columns), as frogpr.jsonio writes them.
+    """
+    fields = [f'  "{key}": {int(value)}' for key, value in header.items()]
+    for key, (template, *columns) in tables.items():
+        rows = [template % row for row in zip(*(col.tolist() for col in columns))]
+        body = "\n    " + ",\n    ".join(rows) + "\n  " if rows else ""
+        fields.append(f'  "{key}": [{body}]')
+    return "{\n" + ",\n".join(fields) + "\n}\n"

@@ -1,6 +1,7 @@
 """Measurement synthesis, geometry parameters, and index planning."""
 
 import cmath
+import re
 
 import numpy as np
 import pytest
@@ -21,9 +22,9 @@ from frogpr import (
     recover,
     translate,
 )
-from frogpr.frog import _pow_is_minus_one, _pow_is_one, expand_rows
+from frogpr.frog import _pow_is_minus_one, _pow_is_one, expand_rows, plan_rows
 from frogpr.selftest import _generic_even_signal
-from oracles import direct_frog_grid, exp_grid_freq, exp_row_dw
+from oracles import direct_frog_grid, exp_grid_freq, exp_row_dw, scan_plan_rows
 
 # Frozen values of the worked four-sample example (inputs printed to four
 # decimals; outputs computed exactly from them, pinned at full precision).
@@ -487,3 +488,81 @@ def test_plan_indices_rejects_out_of_domain_geometry():
         plan_indices(FrogParams(6, 1))  # N/2 < 4
     with pytest.raises(ValueError):
         plan_indices(FrogParams(16, 4))  # r = 4 < 5
+
+
+def test_plan_rows_match_the_delay_scan_at_every_small_geometry():
+    # Every even N from 8 to 256 and every stride: the array-built rows are
+    # the scan's, for the even-L probe's k <= 2 and for the whole plan, and
+    # a geometry with r < 5 is refused.
+    for n in range(8, 257, 2):
+        for l in range(1, n + 1):
+            params = FrogParams(n, l)
+            for k_max in (2, n // 2):
+                if params.r < 5:
+                    with pytest.raises(ValueError, match="r >= 5"):
+                        plan_rows(params, k_max)
+                    continue
+                rows = plan_rows(params, k_max)
+                assert rows.dtype == np.int64 and not rows.flags.writeable
+                assert np.array_equal(rows, scan_plan_rows(params, k_max)), (n, l, k_max)
+
+
+@pytest.mark.parametrize("n,l", [(512, 31), (1024, 31), (1024, 32), (2048, 31)])
+def test_plan_rows_match_the_delay_scan_at_large_geometries(n, l):
+    params = FrogParams(n, l)
+    for k_max in (2, n // 2):
+        assert np.array_equal(plan_rows(params, k_max), scan_plan_rows(params, k_max))
+
+
+def test_plan_row_skips_a_conjugate_pair_and_falls_back_when_all_are():
+    # (12, 1), k = 4: delays 1 and 2 are conjugate (w^{4 * 3} = 1), so the
+    # row takes the later pair (1, 3).
+    params = FrogParams(12, 1)
+    assert _pow_is_one(1 + 2, 12, 4) and not _pow_is_one(1 + 3, 12, 4)
+    assert plan_indices(params).delays(4).tolist() == [0, 1, 3]
+    assert np.array_equal(plan_rows(params, 4), scan_plan_rows(params, 4))
+    # (8, 1), k = 4: the admissible delays are 2, 4 and 6 and every pair of
+    # them is conjugate, so the row falls back to the smallest pair.
+    params = FrogParams(8, 1)
+    admissible = [m for m in range(1, 8) if not _pow_is_minus_one(m, 8, 4)]
+    assert admissible == [2, 4, 6]
+    assert all(_pow_is_one(a + b, 8, 4) for a in admissible for b in admissible)
+    assert plan_indices(params).delays(4).tolist() == [0, 2, 4]
+    assert np.array_equal(plan_rows(params, 4), scan_plan_rows(params, 4))
+
+
+def test_synthesis_refuses_bad_indices_in_lists_and_arrays():
+    # The array tests of a list of int pairs and of an integer array refuse
+    # what the pair-by-pair check refuses, with its message for the first
+    # refused pair.
+    params = FrogParams(16, 3)
+    z = random_analytic_signal(16, np.random.default_rng(140))
+    pair, outside = "not a pair of integers", "outside grid 16x6"
+    cases = (
+        ([(0, 0), (True, 0), (99, 0)], re.escape("entry index (True, 0) is ") + pair),
+        ([[0, 0], [0, 1.0]], re.escape("entry index (0, 1.0) is ") + pair),
+        ([(0, 0), (-1, 0)], re.escape("entry index (-1, 0) ") + outside),
+        ([[0, 0], [16, 0], [1.5, 0]], re.escape("entry index (16, 0) ") + outside),
+        ([(0, 0), (0, 6)], re.escape("entry index (0, 6) ") + outside),
+        ([(0, 0), (10**400, 0)], outside),
+        (np.array([[0, 0], [1, 0]], dtype=bool), re.escape("entry index (False, False) is ") + pair),
+        (np.array([[0, 0], [1.0, 0]]), re.escape("entry index (0.0, 0.0) is ") + pair),
+        (np.array([[0, 0], [-1, 0], [99, 0]]), re.escape("entry index (-1, 0) ") + outside),
+        (np.array([[0, 0], [16, 0]], dtype=np.uint8), re.escape("entry index (16, 0) ") + outside),
+        (np.array([[0, 0], [1, 6]], dtype=np.int32), re.escape("entry index (1, 6) ") + outside),
+        (np.array([[0, 0], [2**64 - 1, 0]], dtype=np.uint64), outside),
+        (np.array([[0, 0, 0]]), pair),
+    )
+    for synthesize, x in ((frog_measurements_time, z), (frog_measurements_freq, dft(z))):
+        for indices, message in cases:
+            with pytest.raises(ValueError, match=message):
+                synthesize(x, params, indices)
+        # Accepted forms give the same entries.
+        grid = synthesize(x, params).grid
+        for indices in (
+            [(0, 0), (15, 5)], [[0, 0], [15, 5]], np.array([[0, 0], [15, 5]], dtype=np.uint8),
+            np.array([[0, 0], [15, 5]], dtype=np.int32), ((0, 0), (15, 5)),
+        ):
+            meas = synthesize(x, params, indices)
+            assert list(meas) == [(0, 0), (15, 5)]
+            assert meas[15, 5] == grid[15, 5]

@@ -20,6 +20,8 @@ from frogpr import (
     save_measurements,
     save_signal,
 )
+from frogpr.jsonio import _BLOCK
+from oracles import file_text
 
 
 def test_signal_round_trip_is_exact(tmp_path):
@@ -284,3 +286,133 @@ def test_save_signal_refuses_non_finite_values(tmp_path):
         with pytest.raises(ValueError, match="signal contains non-finite values"):
             save_signal(path, np.ones(3), z)
     assert not path.exists()
+
+
+def test_save_measurements_refuses_a_negative_entry(tmp_path):
+    # The grid can be written directly; the first negative entry in (k, m)
+    # order is refused as load_measurements would refuse it, and no file
+    # is made.
+    meas = FrogMeasurements(FrogParams(8, 3), {(0, 0): 1.0, (1, 0): 2.0, (2, 1): 3.0})
+    meas.grid[2, 1] = -2.0
+    meas.grid[1, 0] = -1.0
+    path = tmp_path / "meas.json"
+    message = re.escape("entry (1, 0) has invalid value -1.0")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        save_measurements(path, meas)
+    assert not path.exists()
+    entries = [[0, 0, 1.0], [1, 0, -1.0], [2, 1, -2.0]]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _load_text(tmp_path, load_measurements, {"N": 8, "L": 3, "entries": entries})
+    # A value that is not finite is still named first.
+    meas.grid[2, 1] = np.inf
+    with pytest.raises(ValueError, match=r"^cannot serialize non-finite number inf$"):
+        save_measurements(path, meas)
+    assert not path.exists()
+
+
+# Numbers whose text is awkward: signed zero, the smallest subnormal, the
+# extremes, integer-valued floats and a float that prints 17 digits.
+AWKWARD = (-0.0, 5e-324, 1e300, -1e300, 3.0, -2.0, 1e16, 0.1)
+
+
+@pytest.mark.parametrize("size", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+def test_writer_matches_a_row_by_row_writer_across_blocks(tmp_path, size):
+    rng = np.random.default_rng(706 + size)
+    path = tmp_path / "file.json"
+    # Entries in the first `size` grid cells, in (k, m) order; a measured
+    # value is >= 0, so only the non-negative awkward numbers go in.
+    meas = FrogMeasurements(FrogParams(8200, 2050))
+    values = np.ldexp(rng.random(size), rng.integers(-1074, 1000, size))
+    values[::5] = np.resize([x for x in AWKWARD if not x < 0], values[::5].size)
+    meas.grid.flat[:size] = values
+    save_measurements(path, meas)
+    k, m = np.nonzero(~np.isnan(meas.grid))
+    expected = file_text({"N": 8200, "L": 2050}, {"entries": ("[%d, %d, %.17g]", k, m, values)})
+    assert path.read_bytes() == expected.encode("ascii")
+    # A signal has at least two values.
+    n = max(size, 2)
+    z = np.ldexp(rng.random(n) - 0.5, rng.integers(-1074, 1000, n)) + 1j * np.resize(AWKWARD, n)
+    save_signal(path, z, z[::-1])
+    expected = file_text(
+        {"N": n},
+        {
+            "values": ("[%.17g, %.17g]", z.real, z.imag),
+            "spectrum": ("[%.17g, %.17g]", z[::-1].real, z[::-1].imag),
+        },
+    )
+    assert path.read_bytes() == expected.encode("ascii")
+
+
+def test_writer_matches_a_row_by_row_writer_on_a_full_grid(tmp_path):
+    params = FrogParams(1024, 31)
+    meas = frog_measurements_time(random_analytic_signal(1024, np.random.default_rng(707)), params)
+    path = tmp_path / "grid.json"
+    save_measurements(path, meas)
+    k, m = np.nonzero(~np.isnan(meas.grid))
+    expected = file_text({"N": 1024, "L": 31}, {"entries": ("[%d, %d, %.17g]", k, m, meas.grid[k, m])})
+    assert path.read_bytes() == expected.encode("ascii")
+
+
+# A 5,000-row table of each kind, with one faulty row first, in the middle
+# or last. Each fault, with the message the reader names it by: its row i,
+# the (k, m) the row had, and the faulty row itself.
+_TRIPLE = "'entries'[{i}] is not a [k, m, value] triple"
+MEASUREMENT_FAULTS = {
+    "not a list": (lambda k, m: {"k": k}, _TRIPLE),
+    "wrong length": (lambda k, m: [k, m], _TRIPLE),
+    "bool index": (lambda k, m: [True, m, 1.0], _TRIPLE),
+    "float index": (lambda k, m: [float(k), m, 1.0], _TRIPLE),
+    "string": (lambda k, m: [k, m, "1.0"], _TRIPLE),
+    "10**400": (lambda k, m: [k, m, 10**400], "'entries'[{i}] holds an integer too large for a float"),
+    "NaN": (lambda k, m: [k, m, float("nan")], "entry ({k}, {m}) has invalid value nan"),
+    "Infinity": (lambda k, m: [k, m, float("inf")], "entry ({k}, {m}) has invalid value inf"),
+    "negative value": (lambda k, m: [k, m, -1.0], "entry ({k}, {m}) has invalid value -1.0"),
+    "index off the grid": (lambda k, m: [2500, m, 1.0], "entry index (2500, {m}) outside grid 2500x2"),
+    # The index of the row before.
+    "repeated index": (
+        lambda k, m: [k, 0, 1.0] if m else [k - 1, 1, 1.0],
+        "'entries'[{i}] repeats index ({row[0]}, {row[1]})",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MEASUREMENT_FAULTS))
+def test_measurement_reader_names_a_fault_anywhere_in_a_large_table(tmp_path, kind):
+    fault, message = MEASUREMENT_FAULTS[kind]
+    # (2500, 1250) has r = 2: the 5,000 rows fill the grid.
+    for i in (1 if kind == "repeated index" else 0, 2500, 4999):
+        entries = [[j // 2, j % 2, 0.5 + j] for j in range(5000)]
+        k, m = entries[i][:2]
+        entries[i] = row = fault(k, m)
+        text = message.format(i=i, k=k, m=m, row=row)
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            _load_text(tmp_path, load_measurements, {"N": 2500, "L": 1250, "entries": entries})
+
+
+_PAIR = "'{what}'[{i}] is not a [re, im] number pair"
+_NOT_FINITE = "'{what}'[{i}] holds a number that is not finite"
+# The faults a pair of numbers can have; a float or a negative number is a
+# valid part, and a signal has no index to repeat or to place off a grid.
+SIGNAL_FAULTS = {
+    "not a list": (lambda re_, im: {"re": re_}, _PAIR),
+    "wrong length": (lambda re_, im: [re_], _PAIR),
+    "bool": (lambda re_, im: [re_, True], _PAIR),
+    "string": (lambda re_, im: ["1.0", im], _PAIR),
+    "10**400": (lambda re_, im: [re_, -(10**400)], "'{what}'[{i}] holds an integer too large for a float"),
+    "NaN": (lambda re_, im: [float("nan"), im], _NOT_FINITE),
+    "Infinity": (lambda re_, im: [re_, float("inf")], _NOT_FINITE),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SIGNAL_FAULTS))
+def test_signal_reader_names_a_fault_anywhere_in_a_large_table(tmp_path, kind):
+    fault, message = SIGNAL_FAULTS[kind]
+    for what in ("values", "spectrum"):
+        for i in (0, 2500, 4999):
+            pairs = [[0.5 * j, -0.25 * j] for j in range(5000)]
+            faulty = [list(p) for p in pairs]
+            faulty[i] = fault(*faulty[i])
+            doc = {"N": 5000, "values": pairs, "spectrum": pairs, what: faulty}
+            text = message.format(what=what, i=i)
+            with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+                _load_text(tmp_path, load_signal, doc)

@@ -260,7 +260,7 @@ def test_probe_expands_only_its_rows(monkeypatch):
 
 @pytest.mark.parametrize("n,l", [(12, 2), (20, 4), (32, 6), (2048, 32)])
 def test_probe_plans_and_expands_the_plans_first_rows(monkeypatch, n, l):
-    # The probe scans rows k <= 2 by the plan's own rule, never the whole
+    # The probe plans rows k <= 2 by the plan's own rule, never the whole
     # plan, and expands its rows k = 1, 2.
     params = FrogParams(n, l)
     rows = plan_indices(params).rows
