@@ -138,13 +138,11 @@ def equivalent_up_to_group(z, w, tol: float = 1e-6) -> EquivalenceReport:
     margin = 64 * z.size * np.finfo(float).eps * total
     shortlist = np.argwhere(estimate <= estimate.min() + margin).tolist()
 
-    def residual(g: GroupElement) -> float:
-        return float(np.linalg.norm(apply_element(g, z) - w)) / scale
+    def scored(s: int, l: int, b: int) -> tuple[float, GroupElement]:
+        g = GroupElement(2 * s - 1, l, bool(b))
+        return float(np.linalg.norm(apply_element(g, z) - w)) / scale, g
 
-    # min keeps the first of equal residuals, the lexicographically least.
-    best = min(
-        (GroupElement(2 * s - 1, l, bool(b)) for s, l, b in shortlist),
-        key=residual,
-    )
-    best_res = residual(best)
+    # Each element is scored once; min keeps the first of equal residuals,
+    # the lexicographically least.
+    best_res, best = min((scored(*index) for index in shortlist), key=lambda pair: pair[0])
     return EquivalenceReport(bool(best_res <= tol), best, best_res)

@@ -178,17 +178,19 @@ class FrogMeasurements(Mapping):
     def __len__(self) -> int:
         return int(np.count_nonzero(~np.isnan(self.grid)))
 
-    def check_values(self) -> None:
+    def check_values(self) -> float:
         """ValueError naming the first entry, in (k, m) order, that is negative or infinite.
 
         `meas[k, m] = v` refuses such a value, but grid is public and can be
-        written directly. NaN means "not measured" and passes.
+        written directly. NaN means "not measured" and passes. Returns max_value().
         """
         grid = self.grid
+        top = self.max_value()
         # fmin and fmax skip NaN; the entry is looked for only when there is one.
-        if np.fmin.reduce(grid, axis=None, initial=0.0) < 0 or not math.isfinite(self.max_value()):
+        if np.fmin.reduce(grid, axis=None, initial=0.0) < 0 or not math.isfinite(top):
             k, m = np.argwhere((grid < 0) | np.isinf(grid))[0].tolist()
             raise ValueError(f"entry ({k}, {m}) has invalid value {grid.item(k, m)!r}")
+        return top
 
     def max_value(self) -> float:
         """The largest measured value, 0.0 when there is none (fmax skips NaN)."""
@@ -198,10 +200,10 @@ class FrogMeasurements(Mapping):
         return not np.isnan(self.grid).any()
 
 
-def frog_grid_time(z, params: FrogParams) -> np.ndarray:
-    """Full measurement grid from the time-domain product form, shape (N, r)."""
+def _time_rows(z, params: FrogParams, r: int) -> np.ndarray:
+    """The delays m < r of frog_grid_time's grid, shape (N, r), with the full grid's values."""
     z = as_signal(z)
-    n, r = params.N, params.r
+    n = params.N
     if z.size != n:
         raise ValueError(f"signal length {z.size} != params.N {n}")
     shifted = z[(np.arange(n)[None, :] + params.L * np.arange(r)[:, None]) % n]
@@ -209,16 +211,26 @@ def frog_grid_time(z, params: FrogParams) -> np.ndarray:
     return (np.abs(rows) ** 2).T
 
 
-def frog_grid_freq(s, params: FrogParams) -> np.ndarray:
-    """Full measurement grid from the spectrum via circular convolution, (N, r)."""
+def _freq_rows(s, params: FrogParams, r: int) -> np.ndarray:
+    """The delays m < r of frog_grid_freq's grid, shape (N, r), with the full grid's values."""
     s = as_signal(s)
-    n, r = params.N, params.r
+    n = params.N
     if s.size != n:
         raise ValueError(f"spectrum length {s.size} != params.N {n}")
     exps = (np.arange(n)[None, :] * (params.L * np.arange(r)[:, None])) % n
     modulated = s[None, :] * params.unit_roots[exps]
     rows = np.fft.ifft(np.fft.fft(modulated, axis=1) * np.fft.fft(s)[None, :], axis=1)
     return (np.abs(rows / n) ** 2).T
+
+
+def frog_grid_time(z, params: FrogParams) -> np.ndarray:
+    """Full measurement grid from the time-domain product form, shape (N, r)."""
+    return _time_rows(z, params, params.r)
+
+
+def frog_grid_freq(s, params: FrogParams) -> np.ndarray:
+    """Full measurement grid from the spectrum via circular convolution, (N, r)."""
+    return _freq_rows(s, params, params.r)
 
 
 def _index_arrays(indices, shape: tuple[int, int]):
@@ -252,16 +264,23 @@ def _index_arrays(indices, shape: tuple[int, int]):
     return tuple(zip(*pairs)) if pairs else ((), ())
 
 
-def _collect(grid: np.ndarray, params: FrogParams, indices) -> FrogMeasurements:
+def _collect(rows_of, x, params: FrogParams, indices) -> FrogMeasurements:
+    """x's entries at indices (all when None) from rows_of(x, params, r), r the delays needed."""
+    # Never negative, but a signal large enough to overflow makes an entry inf or NaN.
     if indices is None:
-        ks, ms = np.indices(grid.shape).reshape(2, -1)
-    else:
-        ks, ms = _index_arrays(indices, grid.shape)
-    values = grid[ks, ms]
-    # Never negative, but a signal large enough to overflow makes it inf or NaN.
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        i = bad[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            grid = rows_of(x, params, params.r)
+        if not np.isfinite(grid).all():
+            k, m = np.argwhere(~np.isfinite(grid))[0].tolist()
+            raise ValueError(f"entry ({k}, {m}) has invalid value {grid.item(k, m)!r}")
+        meas = FrogMeasurements(params)
+        meas.grid = grid
+        return meas
+    ks, ms = _index_arrays(indices, (params.N, params.r))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = rows_of(x, params, int(np.max(ms)) + 1 if len(ms) else 0)[ks, ms]
+    if not np.isfinite(values).all():
+        i = np.flatnonzero(~np.isfinite(values))[0]
         raise ValueError(f"entry ({ks[i]}, {ms[i]}) has invalid value {float(values[i])!r}")
     meas = FrogMeasurements(params)
     meas.grid[ks, ms] = values
@@ -272,19 +291,16 @@ def frog_measurements_time(z, params: FrogParams, indices=None) -> FrogMeasureme
     """Measurements |y^_{k,m}|^2 from the time-domain definition.
 
     indices: optional iterable of (k, m) pairs; the full N x r grid when
-    omitted. An entry that overflows is refused with ValueError, and its
-    overflow is not warned about first.
+    omitted. Only delays up to the largest requested one are computed. An
+    entry that overflows is refused with ValueError naming the first, and
+    its overflow is not warned about first.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        grid = frog_grid_time(z, params)
-    return _collect(grid, params, indices)
+    return _collect(_time_rows, z, params, indices)
 
 
 def frog_measurements_freq(s, params: FrogParams, indices=None) -> FrogMeasurements:
     """Measurements from the spectrum; agrees with frog_measurements_time(idft(s))."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        grid = frog_grid_freq(s, params)
-    return _collect(grid, params, indices)
+    return _collect(_freq_rows, s, params, indices)
 
 
 # --- exact admissibility predicates -----------------------------------------
@@ -317,16 +333,16 @@ class RowExpansion(NamedTuple):
     s_{mirror} dw over l = 0..max k_r, with these, which depend on the rows
     alone and not on any measured value:
 
-    first:  the number of k = 0 rows before them.
-    starts: starts[j], for j = 0 .. max k_r + 1, is the first of them with
-            k_r >= j (their count for j = max k_r + 1).
+    rows:   the row array itself, k = 0 rows included; plan.rows for a plan.
+    starts: starts[j], for j = 0 .. max k_r + 1, is the first expanded row
+            with k_r >= j (their count for j = max k_r + 1).
     mirror: k_r - l, the index of the partner coefficient s_{k_r - l}; int32.
     dw:     (w^{l m_r} + w^{(k_r - l) m_r}) / N.
 
     Entries with l > k_r are 0 in mirror and dw. Both are read-only.
     """
 
-    first: int
+    rows: np.ndarray
     starts: tuple[int, ...]
     mirror: np.ndarray
     dw: np.ndarray
@@ -335,8 +351,7 @@ class RowExpansion(NamedTuple):
 def expand_rows(params: FrogParams, rows: np.ndarray) -> RowExpansion:
     """The RowExpansion of a (k, m)-sorted selection of plan rows that has a row k >= 1."""
     n = params.N
-    first = int(rows[:, 0].searchsorted(1))
-    k, m = rows[first:].T
+    k, m = rows[rows[:, 0].searchsorted(1) :].T
     l = np.arange(k[-1] + 1)
     # l m L mod N, once per delay m and gathered by each row's delay. The
     # partner's exponent (k - l) m L is the same residue as the difference
@@ -359,7 +374,7 @@ def expand_rows(params: FrogParams, rows: np.ndarray) -> RowExpansion:
     mirror[dead] = 0
     mirror.flags.writeable = dw.flags.writeable = False
     starts = tuple(np.searchsorted(k, np.arange(l.size + 1)).tolist())
-    return RowExpansion(first, starts, mirror, dw)
+    return RowExpansion(rows, starts, mirror, dw)
 
 
 @dataclass(frozen=True, eq=False)

@@ -34,12 +34,13 @@ coefficient through circles |s_k + offset| = radius. Recovery proceeds:
 The expansion of the planned rows k >= 1 in coefficients, partner indices
 k - l and unit-root sums (w^{lm} + w^{(k-l)m}) / N, depends on the plan
 alone, so the plan builds it once and keeps it (MeasurementIndexPlan.
-expansion). recover and the even-L probe first run _scaled, once: it reads
-the planned values, divides them by the power of two 2^(4e) that puts the
+expansion); it carries the rows it was built from. recover and the even-L
+probe first run _scaled on one expansion, once: it reads the values of the
+expansion's rows, divides them by the power of two 2^(4e) that puts the
 largest in [1, 16), so the solvers' absolute floors see the same numbers
-at every scale, and attaches them, with N, to the expansion in one row
-table. That table is all A1, the tail and the even-L probe read; they
-gather their rows from it, once per stage.
+at every scale, and keeps them, with N, in one row table that holds the
+expansion by reference. That table is all A1, the tail and the even-L
+probe read; they gather their rows from it, once per stage.
 
 All of this assumes L odd (so the per-step phase satisfies w^{N/2} = -1 and
 the k = 0 row separates the two boundary coefficients). For even L that row
@@ -66,8 +67,8 @@ from .frog import (
     FrogMeasurements,
     MeasurementIndexPlan,
     RowExpansion,
+    _freq_rows,
     expand_rows,
-    frog_grid_freq,
     plan_indices,
     plan_rows,
 )
@@ -145,9 +146,9 @@ class _StageRows:
     def __init__(self, tables: _RowTables, t: np.ndarray, k: int, lo: int):
         self.target, self.mirror, self.dw = tables.stage(k, lo)
         self.lo = lo
-        self.own = tables.starts[k] - tables.starts[lo]
+        starts = tables.expansion.starts
+        self.own, self.rim = starts[k] - starts[lo], slice(starts[k], starts[k + 1])
         self.edge = self.dw[self.own :, 0]
-        self.rim = slice(tables.starts[k], tables.starts[k + 1])
         self.tv = np.zeros(k + 1, dtype=complex)
         self.tv[:k] = t[:k]
         self.y, self.dy = _row_values(self.tv, self.mirror, self.dw)
@@ -198,7 +199,7 @@ def _radii(tables: _RowTables, z0: float) -> list[float]:
     which the polish may have moved in its last bits), so a recovery
     computes all of them at once, as the Python floats the solvers take.
     """
-    return (np.sqrt(tables.target) / (z0 * np.abs(tables.dw[:, 0]))).tolist()
+    return (np.sqrt(tables.target) / (z0 * np.abs(tables.expansion.dw[:, 0]))).tolist()
 
 
 def _circle_residual(z: complex, offset, radius) -> float:
@@ -391,67 +392,44 @@ def recover_tail(tables: _RowTables, z0: float) -> np.ndarray:
 
 
 class _RowTables(NamedTuple):
-    """Planned rows (k_r, m_r), sorted by (k, m), with their values attached.
+    """One recovery's values of an expansion's rows (k_r, m_r), sorted by (k, m).
 
-    All that A1, the tail and the even-L probe read: each of their stages
-    gathers its rows from it once (_StageRows), and the stage's circles and
-    its polish read that gather. The rows have k_r >= 1, and the first is
-    (1, 0). starts, mirror and dw are the fields of the rows' RowExpansion,
-    read-only and shared by every table of the same rows; the rest is one
-    recovery's. Every row is written out over l = 0..max k_r; entries with
-    l > k_r are zero, so the rows lo <= k_r <= k are one run of rows and
-    stage(k, lo) slices that run over columns [:k + 1].
+    expansion is the rows' RowExpansion, held by reference and shared by
+    every table of the same rows; the rest is one recovery's. The expanded
+    rows have k_r >= 1, and the first is (1, 0). Each is written out over
+    l = 0..max k_r; entries with l > k_r are zero, so the rows lo <= k_r <= k
+    are one run of rows and stage(k, lo) slices that run over columns [:k + 1].
 
     n:      the signal length N.
-    row0:   the k = 0 values [|y^_{0,0}|^2, |y^_{0,1}|^2] A1 reads, or [].
-    target: the measured |y^_{k_r,m_r}|^2.
+    row0:   the k = 0 rows' values [|y^_{0,0}|^2, |y^_{0,1}|^2] A1 reads, or [].
+    target: the measured |y^_{k_r,m_r}|^2 of the expanded rows.
     scale:  the largest value, k = 0 rows included (1 when there is none).
     floor:  the coefficient floor. Coefficients scale like sqrt(N * |y^|),
             so below the relative genericity floor at that scale a
             spectral coefficient counts as zero.
     """
 
+    expansion: RowExpansion
     n: int
     row0: list[float]
-    starts: tuple[int, ...]
     target: np.ndarray
-    mirror: np.ndarray
-    dw: np.ndarray
     scale: float
     floor: float
 
     def stage(self, k_active: int, lo: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """target, mirror and dw of the rows lo <= k_r <= k_active, over l <= k_active."""
-        rows = slice(self.starts[lo], self.starts[k_active + 1])
-        width = k_active + 1
-        return self.target[rows], self.mirror[rows, :width], self.dw[rows, :width]
+        _, starts, mirror, dw = self.expansion
+        rows, width = slice(starts[lo], starts[k_active + 1]), k_active + 1
+        return self.target[rows], mirror[rows, :width], dw[rows, :width]
 
     def s1(self, z0: float) -> float:
         """|s_1| = N |y^_{1,0}| / (2 z0) for the leading modulus z0."""
         return self.n * math.sqrt(self.target[0]) / (2.0 * z0)
 
 
-def _row_tables(n: int, expansion: RowExpansion, values: np.ndarray) -> _RowTables:
-    """The table of the expanded rows' values, as given, for signal length n.
+def _scaled(measurements: FrogMeasurements, expansion: RowExpansion) -> tuple[_RowTables, int]:
+    """The row table of the expansion's rows, their values divided by 2^(4e), and e.
 
-    values holds one value per row the expansion was made of, k = 0 rows
-    included; the table takes them over.
-    """
-    top = float(values.max(initial=0.0))
-    floor = _GENERICITY_FLOOR * math.sqrt(n * math.sqrt(top))
-    first = expansion.first
-    return _RowTables(
-        n, values[:first].tolist(), expansion.starts, values[first:],
-        expansion.mirror, expansion.dw, top or 1.0, floor,
-    )
-
-
-def _scaled(
-    measurements: FrogMeasurements, rows: np.ndarray, expansion: RowExpansion
-) -> tuple[_RowTables, int]:
-    """The row table of the rows' values divided by 2^(4e), and e.
-
-    rows is a (k, m)-sorted selection of plan.rows and expansion is theirs.
     A ValueError names the first supplied entry that is negative or
     infinite, if any (check_values). The rows' values are then read in one
     gather, and a ValueError names the first five absent pairs, if any.
@@ -460,13 +438,18 @@ def _scaled(
     absolute floors see the same numbers at every scale.
     """
     measurements.check_values()
+    rows = expansion.rows
     values = measurements.grid[rows[:, 0], rows[:, 1]]
     absent = np.isnan(values)
     if absent.any():
         missing = list(map(tuple, rows[absent][:5].tolist()))
         raise ValueError(f"measurements missing required entries {missing}")
     e = (math.frexp(values.max())[1] - 1) // 4
-    return _row_tables(measurements.params.N, expansion, np.ldexp(values, -4 * e)), e
+    values = np.ldexp(values, -4 * e)
+    n, top = measurements.params.N, float(values.max(initial=0.0))
+    floor = _GENERICITY_FLOOR * math.sqrt(n * math.sqrt(top))
+    first = len(rows) - len(expansion.dw)  # the k = 0 rows, which are not expanded
+    return _RowTables(expansion, n, values[:first].tolist(), values[first:], top or 1.0, floor), e
 
 
 def _row_values(
@@ -627,23 +610,26 @@ def verify_solution(spectrum, measurements: FrogMeasurements) -> float:
     spectrum whose grid overflows at a stored entry. The stored values and
     the spectrum are finite, so only an overflow makes the largest deviation
     inf or NaN; numpy's warnings for it are silenced and that one maximum is
-    tested instead.
+    tested instead. The grid is evaluated only over the delays up to the
+    last one measured.
     """
     s = as_signal(spectrum)
     params = measurements.params
     if s.size != params.N:
         raise ValueError(f"spectrum length {s.size} != params.N {params.N}")
-    if not measurements:
+    measured = ~np.isnan(measurements.grid)
+    delays = np.flatnonzero(measured.any(axis=0))
+    if not delays.size:
         raise ValueError("no measurements to verify the spectrum against")
-    measurements.check_values()
+    top, r = measurements.check_values(), int(delays[-1]) + 1
     with np.errstate(over="ignore", invalid="ignore"):
-        deviation = np.abs(frog_grid_freq(s, params) - measurements.grid)
-    dev = float(np.max(deviation, where=~np.isnan(measurements.grid), initial=0.0))
+        deviation = np.abs(_freq_rows(s, params, r) - measurements.grid[:, :r])
+    dev = float(np.max(deviation, where=measured[:, :r], initial=0.0))
     if not math.isfinite(dev):
         raise ValueError("the spectrum's measurement grid overflows a float")
     # A Python division: a deviation far above tiny stored values is inf
     # without a warning.
-    return dev / (measurements.max_value() or 1.0)
+    return dev / (top or 1.0)
 
 
 def recover(
@@ -679,7 +665,7 @@ def recover(
         plan = plan_indices(params)
     if plan.params != params:
         raise ValueError(f"plan is for {plan.params} but the measurements are for {params}")
-    tables, e = _scaled(measurements, plan.rows, plan.expansion)
+    tables, e = _scaled(measurements, plan.expansion)
     z0 = recover_z0(tables, tol)
     spectrum = _normalize_gauge(recover_tail(tables, z0))
     # Scaled on the float64 view, which keeps the sign of a zero part. The
@@ -729,8 +715,7 @@ def even_l_infeasibility_probe(
             raise ValueError(f"{name} must be finite, got {value!r}")
     _check_positive("tol", tol)
     rows = plan_rows(params, 2)
-    rows = rows[rows[:, 0] >= 1]
-    tables, e = _scaled(measurements, rows, expand_rows(params, rows))
+    tables, e = _scaled(measurements, expand_rows(params, rows[rows[:, 0] >= 1]))
     try:
         alpha = math.ldexp(alpha, -e)
     except OverflowError:

@@ -53,6 +53,18 @@ def exp_grid_freq(s, L):
     return (np.abs(rows / n) ** 2).T
 
 
+def full_grid_residual(spectrum, measurements):
+    """verify_solution's residual over exp_grid_freq's full grid, every measured entry.
+
+    The largest |grid - stored| where an entry is stored, relative to the
+    largest stored value (1 when there is none).
+    """
+    stored = measurements.grid
+    deviation = np.abs(exp_grid_freq(spectrum, measurements.params.L) - stored)
+    dev = float(np.max(deviation, where=~np.isnan(stored), initial=0.0))
+    return dev / (float(np.fmax.reduce(stored, axis=None, initial=0.0)) or 1.0)
+
+
 def exp_row_dw(rows, n, L):
     """(w^{lm} + w^{(k-l)m}) / N over l = 0..max k for rows (k, m), 0 where l > k."""
     k, m = np.asarray(rows).T

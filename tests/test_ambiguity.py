@@ -225,3 +225,26 @@ def test_equivalence_matches_the_exhaustive_search(n, seed):
             assert report.best_element == ref.best_element, case
             assert report.residual == ref.residual, case
             assert report.equivalent == ref.equivalent, case
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_equivalence_scores_each_shortlisted_element_once(n, monkeypatch):
+    # The winner's residual is the one its scoring found, not computed
+    # again; constant signals shortlist every translation, and ties still
+    # go to the lexicographically least element.
+    from frogpr import ambiguity
+
+    apply = ambiguity.apply_element
+    scored = []
+
+    def counted(g, z):
+        scored.append(g)
+        return apply(g, z)
+
+    monkeypatch.setattr(ambiguity, "apply_element", counted)
+    for case, (z, w) in enumerate(_oracle_cases(n, 360)):
+        scored.clear()
+        report = equivalent_up_to_group(z, w, tol=1e-6)
+        assert len(scored) == len(set(scored)) >= 1, case
+        assert scored == sorted(scored, key=lambda g: (g.rotation_sign, g.translation, g.reflected))
+        assert report == exhaustive_equivalence(z, w, 1e-6), case

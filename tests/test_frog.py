@@ -2,6 +2,7 @@
 
 import cmath
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,7 +130,8 @@ def test_row_expansion_is_bytewise_the_direct_expression(n, l):
     assert expansion.mirror.dtype == np.int32
     assert expansion.mirror.tobytes() == mirror.tobytes()
     assert expansion.dw.tobytes() == dw.tobytes()
-    assert expansion.first == 2
+    # The two k = 0 rows come first and are not expanded.
+    assert expansion.rows is rows and len(rows) - len(dw) == 2
     k = rows[2:, 0]
     assert expansion.starts == tuple(np.searchsorted(k, np.arange(n // 2 + 2)).tolist())
 
@@ -138,7 +140,9 @@ def test_plan_keeps_one_read_only_row_expansion():
     plan = plan_indices(FrogParams(20, 3))
     expansion = plan.expansion
     assert plan.expansion is expansion
-    assert expansion._fields == ("first", "starts", "mirror", "dw")
+    assert expansion._fields == ("rows", "starts", "mirror", "dw")
+    # The expansion holds the plan's rows themselves, not a copy.
+    assert expansion.rows is plan.rows
     for array in (expansion.mirror, expansion.dw):
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0] = 0
@@ -389,6 +393,22 @@ def test_synthesis_refuses_overflow_without_warning():
                 synthesize(x, params, indices)
 
 
+def test_synthesis_names_the_first_overflowing_entry():
+    # Scaled so that only the largest entries overflow: the one named is the
+    # first of them in (k, m) order for the full grid, and in their own
+    # order for indices.
+    params = FrogParams(16, 3)
+    z = random_analytic_signal(16, np.random.default_rng(143))
+    z = z * (1e308 / frog_grid_time(z, params).max()) ** 0.25 * 1.2
+    with np.errstate(over="ignore"):
+        grid = frog_grid_time(z, params)
+    over = np.argwhere(np.isinf(grid)).tolist()
+    assert 1 <= len(over) < grid.size // 2
+    for indices, (k, m) in ((None, over[0]), ([(0, 0), *over[::-1]], over[-1])):
+        with pytest.raises(ValueError, match=rf"^entry \({k}, {m}\) has invalid value inf$"):
+            frog_measurements_time(z, params, indices)
+
+
 def test_grid_rejects_length_mismatch():
     with pytest.raises(ValueError):
         frog_grid_time(np.ones(6), FrogParams(8, 1))
@@ -566,3 +586,58 @@ def test_synthesis_refuses_bad_indices_in_lists_and_arrays():
             meas = synthesize(x, params, indices)
             assert list(meas) == [(0, 0), (15, 5)]
             assert meas[15, 5] == grid[15, 5]
+
+
+def _index_sets(params):
+    """Index sets of one geometry: the plan's rows (or, when it has no plan,
+    a few small delays), the full grid (None), the plan with a large
+    off-plan delay, and a large delay alone."""
+    n, r = params.N, params.r
+    try:
+        rows = plan_indices(params).rows
+    except ValueError:
+        rows = np.array([[0, 0], [1, 0], [n - 1, min(1, r - 1)]])
+    return [rows, None, np.concatenate([rows, [[n - 1, r - 1], [1, r // 2]]]), [(3 % n, r - 1)]]
+
+
+@pytest.mark.parametrize(
+    "n,l",
+    [(8, 1), (9, 2), (12, 1), (15, 4), (16, 3), (20, 4), (64, 11), (256, 11), (1024, 1), (1024, 31)],
+)
+def test_synthesized_entries_are_bytewise_the_full_grids(n, l):
+    # Synthesis computes only the delays up to the largest requested one;
+    # each entry it keeps has the bytes of the full grid's, and every other
+    # entry is absent.
+    params = FrogParams(n, l)
+    z = random_analytic_signal(n, np.random.default_rng(141 + n))
+    s = dft(z)
+    for synthesize, x, full in (
+        (frog_measurements_time, z, frog_grid_time(z, params)),
+        (frog_measurements_freq, s, exp_grid_freq(s, l)),
+    ):
+        for indices in _index_sets(params):
+            expected = full
+            if indices is not None:
+                ks, ms = np.asarray(indices).T
+                expected = np.full(full.shape, np.nan)
+                expected[ks, ms] = full[ks, ms]
+            assert synthesize(x, params, indices).grid.tobytes() == expected.tobytes()
+
+
+def test_planned_synthesis_at_4096_computes_only_the_planned_delays():
+    # The plan of (4096, 1) reads delays 0..5 of a 4096-delay grid. Only the
+    # measurement set's own (N, r) grid, 134 MB, is of the grid's size; the
+    # whole grid would take several times that.
+    params = FrogParams(4096, 1)
+    rows = plan_indices(params).rows
+    z = random_analytic_signal(4096, np.random.default_rng(142))
+    for synthesize, x in ((frog_measurements_time, z), (frog_measurements_freq, dft(z))):
+        tracemalloc.start()
+        try:
+            meas = synthesize(x, params, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(meas) == 6145
+        assert peak < 200e6, peak
+        del meas

@@ -22,8 +22,8 @@ from frogpr.recovery import (
     _jacobian,
     _polish_coefficients,
     _radii,
-    _row_tables,
     _row_values,
+    _scaled,
 )
 from oracles import lstsq_step, offset_u, offset_v, polish_residual_and_jacobian, row_circle
 
@@ -39,9 +39,19 @@ def _setup(n, l, seed):
     return plan, meas, dft(z)
 
 
-def _tail_tables(meas, plan):
-    """The tail solve's table, unscaled: every planned row with k >= 1 and the k = 0 values."""
-    return _row_tables(meas.params.N, plan.expansion, meas.grid[plan.rows[:, 0], plan.rows[:, 1]])
+def _tail_setup(n, l, seed):
+    """_setup at the scale the tail solves at, and the tail's row table.
+
+    The measurements are divided by 2^(4e) and the spectrum by 2^e, with e
+    the exponent _scaled finds, so the table _scaled builds of them holds
+    their planned values as they are, and the spectrum reproduces them.
+    """
+    plan, meas, s = _setup(n, l, seed)
+    _, e = _scaled(meas, plan.expansion)
+    meas.grid = np.ldexp(meas.grid, -4 * e)
+    tables, again = _scaled(meas, plan.expansion)
+    assert again == 0
+    return plan, meas, np.ldexp(s.view(np.float64), -e).view(np.complex128), tables
 
 
 def _polish(spectrum, k_active, tables, lo=0):
@@ -65,8 +75,7 @@ def _residual_and_jacobian(tv, target, mirror, dw, lo=0):
 
 @pytest.mark.parametrize("n,l,k_active", CASES)
 def test_tables_match_row_oracle(n, l, k_active):
-    plan, meas, _ = _setup(n, l, 1000 + n + k_active)
-    tables = _tail_tables(meas, plan)
+    plan, meas, _, tables = _tail_setup(n, l, 1000 + n + k_active)
     target, mirror, dw = tables.stage(k_active)
     rows = [(k, m) for (k, m) in plan.pairs() if 1 <= k <= k_active]
     ref_target = np.array([meas[k, m] for (k, m) in rows])
@@ -85,8 +94,7 @@ def test_tables_match_row_oracle(n, l, k_active):
 
 @pytest.mark.parametrize("n,l,k_active", CASES)
 def test_jacobian_matches_central_differences(n, l, k_active):
-    plan, meas, _ = _setup(n, l, 2000 + n + k_active)
-    target, mirror, dw = _tail_tables(meas, plan).stage(k_active)
+    target, mirror, dw = _tail_setup(n, l, 2000 + n + k_active)[3].stage(k_active)
     tv = _random_coefficients(k_active + 1, np.random.default_rng(7 * n + k_active))
     _, jac = _residual_and_jacobian(tv, target, mirror, dw)
 
@@ -117,8 +125,7 @@ def test_jacobian_matches_central_differences(n, l, k_active):
 )
 @pytest.mark.parametrize("seed", range(5))
 def test_polish_converges_from_a_perturbed_exact_spectrum(n, l, k_active, lo, seed):
-    plan, meas, s = _setup(n, l, 3000 + 10 * seed + n)
-    tables = _tail_tables(meas, plan)
+    _, _, s, tables = _tail_setup(n, l, 3000 + 10 * seed + n)
     stage = tables.stage(k_active, lo)
     width = k_active + 1
     rng = np.random.default_rng(seed)
@@ -140,13 +147,12 @@ def test_polish_converges_from_a_perturbed_exact_spectrum(n, l, k_active, lo, se
 
 @pytest.mark.parametrize("n,l", GEOMETRIES)
 def test_row_circles_match_row_oracle(n, l):
-    plan, meas, s = _setup(n, l, 4000 + n)
+    plan, meas, s, tables = _tail_setup(n, l, 4000 + n)
     rng = np.random.default_rng(n)
     t = s[: n // 2 + 1] + 1e-2 * np.abs(s).max() * _random_coefficients(n // 2 + 1, rng)
     z0 = abs(s[0])
     # Every stage of the tail solve's table; A1 and the even-L probe read
     # its k = 2 rows.
-    tables = _tail_tables(meas, plan)
     for k in range(2, n // 2 + 1):
         offset, radius = _StageRows(tables, t, k, k).circles(_radii(tables, z0))
         ms = plan.delays(k).tolist()
@@ -162,8 +168,7 @@ def test_row_circles_match_row_oracle(n, l):
 
 @pytest.mark.parametrize("n,l", GEOMETRIES)
 def test_pair_offsets_are_real_multiples_of_the_pair_scale(n, l):
-    plan, meas, _ = _setup(n, l, 5000 + n)
-    tables = _tail_tables(meas, plan)
+    plan, _, _, tables = _tail_setup(n, l, 5000 + n)
     rng = np.random.default_rng(5 * n)
     t = _random_coefficients(4, rng)
     t[0] = abs(t[0])
@@ -182,7 +187,7 @@ def test_pair_offsets_are_real_multiples_of_the_pair_scale(n, l):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_gauge_fixed_step_makes_the_least_squares_prediction(seed):
-    plan, meas, s = _setup(64, 11, 6000 + seed)
+    _, _, s, tables = _tail_setup(64, 11, 6000 + seed)
     # The tail's gauge: s_0 real (rotation), then s_1 real (translation).
     s = s * (abs(s[0]) / s[0])
     s = s * np.exp(-1j * np.angle(s[1]) * np.arange(64))
@@ -190,7 +195,7 @@ def test_gauge_fixed_step_makes_the_least_squares_prediction(seed):
     rng = np.random.default_rng(seed)
     tv = s[:width] + 1e-6 * np.abs(s).max() * _random_coefficients(width, rng)
     tv[:2] = tv[:2].real
-    fvec, jac = _residual_and_jacobian(tv, *_tail_tables(meas, plan).stage(k_active))
+    fvec, jac = _residual_and_jacobian(tv, *tables.stage(k_active))
     # The full window: the Im s_0 and Im s_1 columns are zeroed in the step.
     step = _gauss_newton_step(jac, fvec, 0)
     ref = jac @ lstsq_step(jac, fvec)
@@ -202,8 +207,7 @@ def test_polish_stops_on_singular_normal_equations():
     # At an all-zero spectrum prefix the Jacobian vanishes, so the normal
     # equations are singular: the polish keeps its input and warns about
     # nothing.
-    plan, meas, _ = _setup(20, 3, 7000)
-    tables = _tail_tables(meas, plan)
+    tables = _tail_setup(20, 3, 7000)[3]
     start = np.zeros(20, dtype=complex)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -218,9 +222,9 @@ def _affine_misses(n, l, k_active, seed, factors):
     is dy[:, lo:] at x, the exact spectrum; each miss is relative to the
     largest fresh row value.
     """
-    plan, meas, s = _setup(n, l, seed)
+    _, _, s, tables = _tail_setup(n, l, seed)
     lo = k_active + 1 - _POLISH_WINDOW
-    _, mirror, dw = _tail_tables(meas, plan).stage(k_active, lo)
+    _, mirror, dw = tables.stage(k_active, lo)
     x = s[: k_active + 1]
     y, dy = _row_values(x, mirror, dw)
     rng = np.random.default_rng(n)
@@ -292,8 +296,7 @@ def test_every_polish_of_a_recovery_is_monotone_under_a_fresh_evaluation(seed, m
 def test_stage_rows_equal_a_fresh_gather_bitwise(n, l, k):
     # One gather serves a stage's circles and its polish; both must see
     # exactly what a gather of their own rows would give.
-    plan, meas, s = _setup(n, l, 8300 + k)
-    tables = _tail_tables(meas, plan)
+    _, _, s, tables = _tail_setup(n, l, 8300 + k)
     z0 = abs(s[0])
     t = s * (z0 / s[0])
     full = k % _POLISH_WINDOW == 0 or k == n // 2

@@ -28,6 +28,7 @@ from frogpr import (
     verify_solution,
 )
 from frogpr.selftest import _generic_even_signal
+from oracles import full_grid_residual
 
 
 def _generic(n, rng, floor=0.1, gap=0.05):
@@ -70,7 +71,7 @@ def _tail(meas, plan):
     Returns it with the scaled row table and the exponent e of its 2^(4e)
     divisor: the staged iterate before the final translation and rescale.
     """
-    tables, e = recovery._scaled(meas, plan.rows, plan.expansion)
+    tables, e = recovery._scaled(meas, plan.expansion)
     z0 = recovery.recover_z0(tables, 1e-6)
     return recovery.recover_tail(tables, z0), tables, e
 
@@ -156,32 +157,68 @@ def test_recover_does_not_depend_on_the_scale_of_its_input(n, l, seed):
 
 
 def test_recover_builds_one_row_table(monkeypatch):
-    # One scaled preparation per recovery: A1 and the tail read one table.
-    build = recovery._row_tables
+    # One scaled preparation per recovery: A1 and the tail read one table,
+    # which holds the plan's expansion itself, rows and all.
+    build = recovery._scaled
     built = []
 
     def counted(*args):
-        built.append(build(*args))
-        return built[-1]
+        built.append((args, build(*args)))
+        return built[-1][1]
 
-    monkeypatch.setattr(recovery, "_row_tables", counted)
+    monkeypatch.setattr(recovery, "_scaled", counted)
     params = FrogParams(20, 3)
+    plan = plan_indices(params)
     z = _generic(20, np.random.default_rng(643))
-    recover(frog_measurements_time(z, params))
+    recover(frog_measurements_time(z, params), plan)
     assert len(built) == 1
+    (_, expansion), (tables, _) = built[0]
+    assert expansion is plan.expansion and expansion.rows is plan.rows
+    assert tables.expansion is expansion
+    assert tables._fields == ("expansion", "n", "row0", "target", "scale", "floor")
 
 
 def test_row_table_scale_counts_the_k0_rows():
-    # The k = 0 values are no table rows, but the scale and the floor are
+    # The k = 0 values are no expanded rows, but the scale and the floor are
     # taken over them too: here they are the largest planned values.
     s = _analytic_spectrum(16, np.random.default_rng(645), s0=30.0, shalf=20.0)
     meas, plan = _planned_measurements(s, FrogParams(16, 3))
-    tables, e = recovery._scaled(meas, plan.rows, plan.expansion)
+    tables, e = recovery._scaled(meas, plan.expansion)
     values = np.ldexp(meas.grid[plan.rows[:, 0], plan.rows[:, 1]], -4 * e)
+    assert 1 <= values.max() < 16
+    assert tables.n == 16
     assert tables.row0 == values[:2].tolist()
     assert tables.target.tobytes() == values[2:].tobytes()
     assert tables.scale == values.max() > tables.target.max()
     assert tables.floor == recovery._GENERICITY_FLOOR * np.sqrt(16 * np.sqrt(values.max()))
+
+
+@pytest.mark.parametrize("n,l", [(12, 2), (20, 4), (64, 8)])
+def test_a_table_of_the_probes_rows_reads_exactly_those_rows(n, l):
+    # A table is built for any (k, m)-sorted row set from one call: here the
+    # probe's rows k = 1, 2, which have no k = 0 rows. It reads their values
+    # and nothing else, and its stages slice them.
+    params = FrogParams(n, l)
+    rows = recovery.plan_rows(params, 2)
+    rows = rows[rows[:, 0] >= 1]
+    z = _generic_even_signal(n, np.random.default_rng(654))
+    meas = frog_measurements_time(z, params, rows)
+    expansion = recovery.expand_rows(params, rows)
+    tables, e = recovery._scaled(meas, expansion)
+    assert tables.expansion is expansion and expansion.rows is rows
+    values = np.ldexp(meas.grid[rows[:, 0], rows[:, 1]], -4 * e)
+    assert tables.row0 == []
+    assert tables.target.tobytes() == values.tobytes()
+    assert tables.scale == values.max()
+    assert tables.stage(1)[0].tobytes() == values[:1].tobytes()
+    assert tables.stage(2, 2)[0].tobytes() == values[1:].tobytes()
+    assert expansion.starts == (0, 0, 1, rows.shape[0])
+    # Any entry off those rows may be absent; one of them may not.
+    meas.grid[0] = meas.grid[3:] = np.nan
+    assert recovery._scaled(meas, expansion)[0].target.tobytes() == values.tobytes()
+    meas.grid[tuple(rows[-1])] = np.nan
+    with pytest.raises(ValueError, match=rf"missing required entries \[\(2, {rows[-1, 1]}\)\]"):
+        recovery._scaled(meas, expansion)
 
 
 def test_recover_builds_no_measurement_set(monkeypatch):
@@ -496,7 +533,7 @@ def test_pair_stage_checks_candidates_on_their_circles(monkeypatch, stage):
     params = FrogParams(16, 3)
     plan = plan_indices(params)
     meas = frog_measurements_time(_generic(16, rng), params, plan.pairs())
-    tables, _ = recovery._scaled(meas, plan.rows, plan.expansion)
+    tables, _ = recovery._scaled(meas, plan.expansion)
     z0 = recovery.recover_z0(tables, 1e-6)
     solve = recovery.solve_two_circles_real
     calls = []
@@ -791,6 +828,42 @@ def test_verify_solution_length_mismatch_raises():
     meas = frog_measurements_time(random_analytic_signal(12, rng), params)
     with pytest.raises(ValueError):
         verify_solution(np.ones(10), meas)
+
+
+@pytest.mark.parametrize("n,l", [(12, 1), (16, 3), (64, 11), (256, 11)])
+def test_verification_residual_is_bytewise_the_full_grids(n, l, monkeypatch):
+    # verify_solution evaluates the grid only up to the last measured delay
+    # (a plan from N = 64 on reads delays 0..4 alone); its residual has the
+    # bytes of one taken over the full grid, for the
+    # exact spectrum and a bent one, on a plan-only set, the full grid, and
+    # sets with a large off-plan delay.
+    params = FrogParams(n, l)
+    r = params.r
+    rows = plan_indices(params).rows
+    z = _generic_even_signal(n, np.random.default_rng(655))
+    s = dft(z)
+    bent = s.copy()
+    bent[3] += 1e-3 * np.abs(s).max()
+    freq_rows = recovery._freq_rows
+    evaluated = []
+
+    def counted(spectrum, params, r):
+        evaluated.append(r)
+        return freq_rows(spectrum, params, r)
+
+    monkeypatch.setattr(recovery, "_freq_rows", counted)
+    for indices, delays in (
+        (rows, 5 if n >= 64 else rows[:, 1].max() + 1),
+        (None, r),
+        (np.concatenate([rows, [[n - 1, r - 1]]]), r),
+        ([(1, 0), (5, r - 2)], r - 1),
+    ):
+        meas = frog_measurements_time(z, params, indices)
+        for spectrum in (s, bent):
+            evaluated.clear()
+            residual = verify_solution(spectrum, meas)
+            assert residual.hex() == full_grid_residual(spectrum, meas).hex()
+            assert evaluated == [delays]
 
 
 def test_verify_solution_without_measurements_raises():
