@@ -34,8 +34,6 @@ from .frog import (
     FrogMeasurements,
     FrogParams,
     MeasurementIndexPlan,
-    frog_grid_freq,
-    frog_grid_time,
     frog_measurements_freq,
     frog_measurements_time,
     plan_indices,
@@ -74,8 +72,6 @@ __all__ = [
     "dft",
     "equivalent_up_to_group",
     "even_l_infeasibility_probe",
-    "frog_grid_freq",
-    "frog_grid_time",
     "frog_measurements_freq",
     "frog_measurements_time",
     "group_elements",

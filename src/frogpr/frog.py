@@ -36,8 +36,6 @@ __all__ = [
     "FrogMeasurements",
     "MeasurementIndexPlan",
     "plan_indices",
-    "frog_grid_time",
-    "frog_grid_freq",
     "frog_measurements_time",
     "frog_measurements_freq",
 ]
@@ -182,26 +180,23 @@ class FrogMeasurements(Mapping):
         """ValueError naming the first entry, in (k, m) order, that is negative or infinite.
 
         `meas[k, m] = v` refuses such a value, but grid is public and can be
-        written directly. NaN means "not measured" and passes. Returns max_value().
+        written directly. NaN means "not measured" and passes. Returns the
+        largest measured value, 0.0 when there is none.
         """
         grid = self.grid
-        top = self.max_value()
         # fmin and fmax skip NaN; the entry is looked for only when there is one.
+        top = float(np.fmax.reduce(grid, axis=None, initial=0.0))
         if np.fmin.reduce(grid, axis=None, initial=0.0) < 0 or not math.isfinite(top):
             k, m = np.argwhere((grid < 0) | np.isinf(grid))[0].tolist()
             raise ValueError(f"entry ({k}, {m}) has invalid value {grid.item(k, m)!r}")
         return top
-
-    def max_value(self) -> float:
-        """The largest measured value, 0.0 when there is none (fmax skips NaN)."""
-        return float(np.fmax.reduce(self.grid, axis=None, initial=0.0))
 
     def is_full_grid(self) -> bool:
         return not np.isnan(self.grid).any()
 
 
 def _time_rows(z, params: FrogParams, r: int) -> np.ndarray:
-    """The delays m < r of frog_grid_time's grid, shape (N, r), with the full grid's values."""
+    """|y^_{k,m}|^2 for m < r from the time-domain product form, shape (N, r)."""
     z = as_signal(z)
     n = params.N
     if z.size != n:
@@ -212,7 +207,7 @@ def _time_rows(z, params: FrogParams, r: int) -> np.ndarray:
 
 
 def _freq_rows(s, params: FrogParams, r: int) -> np.ndarray:
-    """The delays m < r of frog_grid_freq's grid, shape (N, r), with the full grid's values."""
+    """|y^_{k,m}|^2 for m < r from the spectrum via circular convolution, shape (N, r)."""
     s = as_signal(s)
     n = params.N
     if s.size != n:
@@ -221,16 +216,6 @@ def _freq_rows(s, params: FrogParams, r: int) -> np.ndarray:
     modulated = s[None, :] * params.unit_roots[exps]
     rows = np.fft.ifft(np.fft.fft(modulated, axis=1) * np.fft.fft(s)[None, :], axis=1)
     return (np.abs(rows / n) ** 2).T
-
-
-def frog_grid_time(z, params: FrogParams) -> np.ndarray:
-    """Full measurement grid from the time-domain product form, shape (N, r)."""
-    return _time_rows(z, params, params.r)
-
-
-def frog_grid_freq(s, params: FrogParams) -> np.ndarray:
-    """Full measurement grid from the spectrum via circular convolution, (N, r)."""
-    return _freq_rows(s, params, params.r)
 
 
 def _index_arrays(indices, shape: tuple[int, int]):

@@ -153,15 +153,11 @@ def load_signal(path) -> np.ndarray:
 
 
 def save_measurements(path, measurements: FrogMeasurements) -> None:
-    """Write the measured entries, refusing first a value that is not finite,
-    then a negative one (named as load_measurements would name it)."""
+    """Write the measured entries, refusing the first, in (k, m) order, that is
+    negative or infinite (check_values, named as load_measurements would name it)."""
+    measurements.check_values()
     k, m = np.nonzero(~np.isnan(measurements.grid))
     values = measurements.grid[k, m]
-    # NaN marks an absent entry, so a measured value that is not finite is infinite.
-    infinite = np.isinf(values)
-    if infinite.any():
-        raise ValueError(f"cannot serialize non-finite number {float(values[infinite.argmax()])!r}")
-    measurements.check_values()
     params = measurements.params
     _write(
         path,

@@ -492,17 +492,15 @@ def _gauss_newton_step(jac: np.ndarray, fvec: np.ndarray, lo: int) -> np.ndarray
     entries of the step are exactly 0. A window with lo >= 2 holds s_0 and
     s_1 fixed and has no null space. The system is solved through its
     normal equations (Golub & Van Loan, Matrix Computations, 5.3). Raises
-    numpy.linalg.LinAlgError when they are singular.
+    numpy.linalg.LinAlgError when they are singular. Zeroes jac's gauge
+    columns in place when lo = 0.
     """
-    gram, rhs = jac.T @ jac, jac.T @ -fvec
     if lo == 0:
-        # Zeroed gauge columns: their rows and columns of gram and their
-        # entries of rhs vanish.
-        gauge = [1, 3]
-        gram[gauge, :] = gram[:, gauge] = 0.0
-        gram[gauge, gauge] = 1.0
-        rhs[gauge] = 0.0
-    return np.linalg.solve(gram, rhs)
+        jac[:, 1] = jac[:, 3] = 0.0
+    gram = jac.T @ jac
+    if lo == 0:
+        gram[1, 1] = gram[3, 3] = 1.0
+    return np.linalg.solve(gram, jac.T @ -fvec)
 
 
 def _polish_coefficients(spectrum: np.ndarray, rows: _StageRows, scale: float) -> None:

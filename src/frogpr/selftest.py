@@ -19,7 +19,6 @@ from .analytic import random_analytic_signal
 from .errors import FrogprError
 from .frog import (
     FrogParams,
-    frog_grid_time,
     frog_measurements_time,
     plan_indices,
     _pow_is_minus_one,
@@ -90,9 +89,9 @@ def criterion_1(quick: bool = False) -> CriterionResult:
     def compute(xv):
         """The six example values: spectrum, then both (0, 0) entries."""
         z = make_analytic(xv)
-        y00 = frog_grid_time(z, params)[0, 0]
+        y00 = frog_measurements_time(z, params).grid[0, 0]
         zg = translate(z, 2.0 / np.pi)
-        yg00 = frog_grid_time(zg, params)[0, 0]
+        yg00 = frog_measurements_time(zg, params).grid[0, 0]
         return np.append(dft(z), [y00, yg00])
 
     def residual(xv):
@@ -218,10 +217,10 @@ def criterion_3(quick: bool = False) -> CriterionResult:
         l = strides[idx % len(strides)]
         params = FrogParams(n, l)
         z = random_analytic_signal(n, rng)
-        grid = frog_grid_time(z, params)
+        grid = frog_measurements_time(z, params).grid
         gmax = grid.max()
         for g in group_elements(n):
-            dev = np.abs(frog_grid_time(apply_element(g, z), params) - grid).max()
+            dev = np.abs(frog_measurements_time(apply_element(g, z), params).grid - grid).max()
             worst_even = max(worst_even, dev / gmax)
     worst_odd = 0.0
     for idx in range(50):
@@ -229,11 +228,11 @@ def criterion_3(quick: bool = False) -> CriterionResult:
         l = strides[idx % len(strides)]
         params = FrogParams(n, l)
         z = random_analytic_signal(n, rng)
-        grid = frog_grid_time(z, params)
+        grid = frog_measurements_time(z, params).grid
         gmax = grid.max()
         for _ in range(10):
             zt = translate(z, float(rng.uniform(0.0, n)))
-            dev = np.abs(frog_grid_time(zt, params) - grid).max()
+            dev = np.abs(frog_measurements_time(zt, params).grid - grid).max()
             worst_odd = max(worst_odd, dev / gmax)
     passed = worst_even <= 1e-8 and worst_odd <= 1e-8
     details = (
@@ -262,8 +261,9 @@ def criterion_4(quick: bool = False) -> CriterionResult:
         l = strides[idx % len(strides)]
         params = FrogParams(n, l)
         z = _generic_even_signal(n, rng, floor1=0.0, floor2=0.0, gap=0.0)
-        grid = frog_grid_time(z, params)
-        moved = frog_grid_time(translate(z, gamma=float(rng.uniform(0.1, 0.9))), params)
+        grid = frog_measurements_time(z, params).grid
+        zt = translate(z, gamma=float(rng.uniform(0.1, 0.9)))
+        moved = frog_measurements_time(zt, params).grid
         # Per-entry relative change; entries below the noise floor cannot
         # contribute (rows k >= 1 differ only by roundoff).
         denom = np.maximum(np.maximum(grid, moved), 1e-9 * grid.max())

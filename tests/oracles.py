@@ -43,7 +43,7 @@ def exp_unit_roots(exps, n):
 
 
 def exp_grid_freq(s, L):
-    """The (N, r) grid of frogpr.frog_grid_freq, its delay modulation by np.exp."""
+    """The grid of frogpr.frog_measurements_freq(s, params), its delay modulation by np.exp."""
     s = np.asarray(s, dtype=complex)
     n = s.size
     r = -(-n // L)

@@ -13,8 +13,6 @@ from frogpr import (
     FrogParams,
     InconsistentMeasurementsError,
     dft,
-    frog_grid_freq,
-    frog_grid_time,
     frog_measurements_freq,
     frog_measurements_time,
     make_analytic,
@@ -95,7 +93,7 @@ def test_unit_root_gathers_match_direct_exp(n, l):
     # are bitwise what evaluating each root by np.exp gives.
     params = FrogParams(n, l)
     s = dft(_generic_even_signal(n, np.random.default_rng(n + l)))
-    assert frog_grid_freq(s, params).tobytes() == exp_grid_freq(s, l).tobytes()
+    assert frog_measurements_freq(s, params).grid.tobytes() == exp_grid_freq(s, l).tobytes()
     rows = plan_indices(params).rows
     rows = rows[rows[:, 0] >= 1]
     assert expand_rows(params, rows).dw.tobytes() == exp_row_dw(rows, n, l).tobytes()
@@ -165,7 +163,7 @@ def test_grid_matches_direct_summation():
     rng = np.random.default_rng(401)
     for n, l in ((4, 1), (5, 2), (8, 3), (9, 4), (12, 5)):
         z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        grid = frog_grid_time(z, FrogParams(n, l))
+        grid = frog_measurements_time(z, FrogParams(n, l)).grid
         ref = direct_frog_grid(z, l)
         assert grid.shape == ref.shape
         assert_allclose(grid, ref, rtol=0, atol=1e-10 * max(1.0, ref.max()))
@@ -176,17 +174,17 @@ def test_time_and_frequency_forms_agree():
     for n, l in ((8, 1), (12, 5), (16, 3), (20, 7), (15, 4)):
         z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         params = FrogParams(n, l)
-        gt = frog_grid_time(z, params)
-        gf = frog_grid_freq(dft(z), params)
+        gt = frog_measurements_time(z, params).grid
+        gf = frog_measurements_freq(dft(z), params).grid
         assert_allclose(gf, gt, rtol=0, atol=1e-10 * max(1.0, gt.max()))
 
 
 def test_worked_example_measurement_entries():
     params = FrogParams(4, 1)
     z = make_analytic(X4)
-    grid = frog_grid_time(z, params)
+    grid = frog_measurements_time(z, params).grid
     assert_allclose(grid[0, 0], Y00, rtol=1e-12)
-    moved = frog_grid_time(translate(z, 2.0 / np.pi), params)
+    moved = frog_measurements_time(translate(z, 2.0 / np.pi), params).grid
     assert_allclose(moved[0, 0], Y00_TRANSLATED, rtol=1e-12)
     # Both sit ~1e-3 from the published 4-decimal renderings (the reference
     # inputs are themselves rounded), which pins the conventions.
@@ -201,8 +199,7 @@ def test_measurement_collection_full_and_subset():
     full = frog_measurements_time(z, params)
     assert full.is_full_grid()
     assert len(full.entries) == params.N * params.r
-    assert_allclose(full.grid, frog_grid_time(z, params), rtol=1e-14)
-    assert full.max_value() == max(full.entries.values())
+    assert full.check_values() == max(full.entries.values())
 
     some = [(0, 0), (1, 1), (5, 2)]
     sub = frog_measurements_time(z, params, indices=some)
@@ -220,7 +217,7 @@ def test_measurements_from_spectrum_match_time_domain():
     a = frog_measurements_time(z, params)
     b = frog_measurements_freq(dft(z), params)
     assert a.entries.keys() == b.entries.keys()
-    scale = a.max_value()
+    scale = a.check_values()
     for key, val in a.entries.items():
         assert abs(val - b.entries[key]) < 1e-10 * scale
 
@@ -343,7 +340,7 @@ def test_lookup_agrees_with_membership_on_odd_keys():
         ((10**400, 0), outside),
         ((0, 2**63), outside),
     )
-    grid = frog_grid_time(z, params)
+    grid = frog_measurements_time(z, params).grid
     written = FrogMeasurements(params)
     for key, message in keys:
         if message is None:
@@ -396,24 +393,28 @@ def test_synthesis_refuses_overflow_without_warning():
 def test_synthesis_names_the_first_overflowing_entry():
     # Scaled so that only the largest entries overflow: the one named is the
     # first of them in (k, m) order for the full grid, and in their own
-    # order for indices.
+    # order for indices. Each entry synthesized alone says whether it does.
     params = FrogParams(16, 3)
     z = random_analytic_signal(16, np.random.default_rng(143))
-    z = z * (1e308 / frog_grid_time(z, params).max()) ** 0.25 * 1.2
-    with np.errstate(over="ignore"):
-        grid = frog_grid_time(z, params)
-    over = np.argwhere(np.isinf(grid)).tolist()
-    assert 1 <= len(over) < grid.size // 2
+    z = z * (1e308 / frog_measurements_time(z, params).grid.max()) ** 0.25 * 1.2
+    over = []
+    for key in np.ndindex(params.N, params.r):
+        try:
+            frog_measurements_time(z, params, [key])
+        except ValueError as exc:
+            assert str(exc) == f"entry {key} has invalid value inf"
+            over.append(list(key))
+    assert 1 <= len(over) < params.N * params.r // 2
     for indices, (k, m) in ((None, over[0]), ([(0, 0), *over[::-1]], over[-1])):
         with pytest.raises(ValueError, match=rf"^entry \({k}, {m}\) has invalid value inf$"):
             frog_measurements_time(z, params, indices)
 
 
 def test_grid_rejects_length_mismatch():
-    with pytest.raises(ValueError):
-        frog_grid_time(np.ones(6), FrogParams(8, 1))
-    with pytest.raises(ValueError):
-        frog_grid_freq(np.ones(6), FrogParams(8, 1))
+    with pytest.raises(ValueError, match="signal length 6 != params.N 8"):
+        frog_measurements_time(np.ones(6), FrogParams(8, 1))
+    with pytest.raises(ValueError, match="spectrum length 6 != params.N 8"):
+        frog_measurements_freq(np.ones(6), FrogParams(8, 1))
 
 
 def test_constraint_checks_match_numeric_predicates():
@@ -612,7 +613,7 @@ def test_synthesized_entries_are_bytewise_the_full_grids(n, l):
     z = random_analytic_signal(n, np.random.default_rng(141 + n))
     s = dft(z)
     for synthesize, x, full in (
-        (frog_measurements_time, z, frog_grid_time(z, params)),
+        (frog_measurements_time, z, frog_measurements_time(z, params).grid),
         (frog_measurements_freq, s, exp_grid_freq(s, l)),
     ):
         for indices in _index_sets(params):

@@ -17,6 +17,7 @@ from frogpr import (
     load_signal,
     plan_indices,
     random_analytic_signal,
+    recover,
     save_measurements,
     save_signal,
 )
@@ -235,6 +236,15 @@ def _load_text(tmp_path, loader, doc):
     return loader(path)
 
 
+def test_an_empty_entry_list_loads_as_an_empty_set(tmp_path):
+    meas = _load_text(tmp_path, load_measurements, {"N": 16, "L": 3, "entries": []})
+    assert meas.params == FrogParams(16, 3) and len(meas) == 0
+    # recover names the first five planned entries it misses.
+    missing = re.escape("measurements missing required entries [(0, 0), (0, 1), (1, 0), (2, 0), (2, 1)]")
+    with pytest.raises(ValueError, match=f"^{missing}$"):
+        recover(meas)
+
+
 def test_measurement_reader_names_the_first_faulty_row(tmp_path):
     # A NaN value in row 1 and a string in row 3.
     entries = [[0, 0, 1.0], [1, 0, float("nan")], [2, 0, 1.0], [3, 0, "x"]]
@@ -268,12 +278,16 @@ def test_save_measurements_refuses_non_finite_values(tmp_path):
     save_measurements(path, meas)
     before = path.read_bytes()
     # The grid can be written directly; the first bad value in file order
-    # is named, and the file is left as it was.
+    # is named as load_measurements names it, and the file is left as it was.
     meas.grid[5, 0] = -np.inf
     meas.grid[2, 1] = np.inf
-    with pytest.raises(ValueError, match=r"^cannot serialize non-finite number inf$"):
+    message = re.escape("entry (2, 1) has invalid value inf")
+    with pytest.raises(ValueError, match=f"^{message}$"):
         save_measurements(path, meas)
     assert path.read_bytes() == before
+    entries = [[0, 0, 1.0], [2, 1, float("inf")], [5, 0, -float("inf")]]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _load_text(tmp_path, load_measurements, {"N": 8, "L": 3, "entries": entries})
 
 
 def test_save_signal_refuses_non_finite_values(tmp_path):
@@ -303,9 +317,12 @@ def test_save_measurements_refuses_a_negative_entry(tmp_path):
     entries = [[0, 0, 1.0], [1, 0, -1.0], [2, 1, -2.0]]
     with pytest.raises(ValueError, match=f"^{message}$"):
         _load_text(tmp_path, load_measurements, {"N": 8, "L": 3, "entries": entries})
-    # A value that is not finite is still named first.
+    # An infinite value is named by the same rule: first in (k, m) order.
     meas.grid[2, 1] = np.inf
-    with pytest.raises(ValueError, match=r"^cannot serialize non-finite number inf$"):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        save_measurements(path, meas)
+    meas.grid[0, 0] = np.inf
+    with pytest.raises(ValueError, match=r"^entry \(0, 0\) has invalid value inf$"):
         save_measurements(path, meas)
     assert not path.exists()
 

@@ -13,11 +13,11 @@ from frogpr import (
     FrogprError,
     FrogParams,
     InconsistentMeasurementsError,
+    NoSolutionError,
     SingularConfigurationError,
     dft,
     equivalent_up_to_group,
     even_l_infeasibility_probe,
-    frog_grid_freq,
     frog_measurements_freq,
     frog_measurements_time,
     idft,
@@ -689,6 +689,67 @@ def test_a_vanishing_second_coefficient_names_the_stage_that_meets_it(s0, shalf,
     assert str(exc) == "second spectral coefficient vanishes; the stage solves degenerate"
 
 
+@pytest.mark.parametrize(
+    "shalf,key",
+    # Equal boundary moduli: A1 returns without its k = 2 test, and tail
+    # stage 2 meets the corrupted row. Separated ones: A1 passes on the
+    # exact k = 2 row, and stage 3 meets the corrupted one.
+    [(-1.3, (2, 0)), (0.6, (3, 0))],
+)
+def test_a_pair_solve_whose_circles_do_not_meet_names_its_stage(shalf, key):
+    s = _analytic_spectrum(12, np.random.default_rng(614), s0=1.3, shalf=shalf)
+    meas, plan = _planned_measurements(s, FrogParams(12, 1))
+    meas[key] = 1e4 * meas[key]
+    with pytest.raises(InconsistentMeasurementsError) as info:
+        recover(meas, plan)
+    exc, k = info.value, key[0]
+    assert isinstance(exc.__cause__, NoSolutionError)
+    assert (exc.stage, exc.residual, exc.tol) == (k, None, None)
+    assert str(exc).startswith(f"stage k={k}: circles do not intersect")
+
+
+def test_a1_refuses_without_trying_a_smaller_root_at_the_floor(monkeypatch):
+    # Equal k = 0 magnitudes make the smaller boundary modulus 0: once the
+    # larger root fails the k = 2 test, A1 refuses with that root's misfit.
+    params = FrogParams(16, 3)
+    plan = plan_indices(params)
+    meas = frog_measurements_time(_generic(16, np.random.default_rng(615)), params, plan.rows)
+    meas[0, 1] = meas[0, 0]
+    misfit = recovery._row2_misfit
+    tried = []
+
+    def spy(tables, t, z0):
+        tried.append(misfit(tables, t, z0))
+        return tried[-1]
+
+    monkeypatch.setattr(recovery, "_row2_misfit", spy)
+    with pytest.raises(InconsistentMeasurementsError) as info:
+        recover(meas, plan)
+    exc = info.value
+    assert len(tried) == 1
+    assert (exc.stage, exc.residual, exc.tol) == ("A1", tried[0], 1e-6)
+    assert tried[0] > 1e-6
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_collinear_centers_at_a_later_stage_name_it(k):
+    # Stage k's centers are real combinations of the products s_l s_{k-l},
+    # 0 < l < k, over s_0: when all of them are real multiples of one
+    # complex number, the centers lie on a line through the origin.
+    s = _analytic_spectrum(16, np.random.default_rng(616), s0=1.3, shalf=0.6)
+    if k == 5:
+        s[4] = 0.7 * s[2] * s[3] / s[1]
+    else:
+        s[4], s[5] = 0.7 * s[3] ** 2 / s[2], 0.9 * s[3] ** 2 / s[1]
+    meas, plan = _planned_measurements(s, FrogParams(16, 3))
+    with pytest.raises(DegenerateSignalError) as info:
+        recover(meas, plan)
+    exc = info.value
+    assert isinstance(exc.__cause__, SingularConfigurationError)
+    assert (exc.stage, exc.residual, exc.tol) == (k, None, None)
+    assert str(exc) == f"stage k={k}: circle centers are collinear; the linear system is singular"
+
+
 # --- leading-coefficient root choice -------------------------------------------
 
 
@@ -755,7 +816,7 @@ def test_recover_tail_solves_all_upper_rows():
     assert t[1].real >= 0 and abs(t[1].imag) < 1e-9 * abs(t[1])
     # Every consumed row with k >= 1 is reproduced (the k = 0 rows pin the
     # remaining translation freedom and are only met after normalization).
-    grid = frog_grid_freq(t, params)
+    grid = frog_measurements_freq(t, params).grid
     rows = plan.rows[plan.rows[:, 0] >= 1]
     assert tables.target.size == rows.shape[0]
     deviation = np.abs(grid[rows[:, 0], rows[:, 1]] - tables.target)
@@ -897,9 +958,9 @@ def test_verify_solution_keeps_the_residual_of_a_finite_grid():
         for s in (dft(z), dft(z) * 1e60, dft(_generic(16, rng))):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                dev = np.abs(frog_grid_freq(s, params) - meas.grid)
+                dev = np.abs(frog_measurements_freq(s, params).grid - meas.grid)
                 dev = np.max(dev, where=~np.isnan(meas.grid), initial=0.0)
-                expected = float(dev / meas.max_value())
+                expected = float(dev / meas.check_values())
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 assert verify_solution(s, meas) == expected
