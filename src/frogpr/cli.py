@@ -6,7 +6,6 @@ Exit status: 0 success, 1 domain refusal / inequivalence / failed self-test,
 commands, seeds, and inputs; run reports (stdout JSON, written by
 json.dumps with shortest round-trip floats) additionally carry wall-clock
 timing, and a report value that is not finite is a usage error.
-FROGPR_TOL overrides the default tolerance where a --tol flag exists.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 
@@ -35,20 +33,6 @@ from .selftest import format_line, run_all
 from .spectral import dft
 
 __all__ = ["main"]
-
-
-def _env_tol() -> float | None:
-    raw = os.environ.get("FROGPR_TOL")
-    if raw is None:
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"FROGPR_TOL is not a number: {raw!r}") from None
-
-
-def _pick_tol(flag_value: float | None) -> float | None:
-    return flag_value if flag_value is not None else _env_tol()
 
 
 def _emit(
@@ -125,8 +109,7 @@ def _cmd_recover(args) -> int:
     if violations:
         print("refused: " + "; ".join(violations), file=sys.stderr)
         return 1
-    tol = _pick_tol(args.tol)
-    result = recover(meas, tol=1e-6 if tol is None else tol)
+    result = recover(meas, tol=1e-6 if args.tol is None else args.tol)
     save_signal(args.out, result.signal, result.spectrum)
     _emit(
         "recover",
@@ -135,7 +118,7 @@ def _cmd_recover(args) -> int:
             "measurements": str(args.measurements),
             "n": meas.params.N,
             "l": meas.params.L,
-            "tol": tol,
+            "tol": args.tol,
         },
         outputs={"signal": str(args.out)},
         residuals={"verification_residual": result.verification_residual},
@@ -147,13 +130,12 @@ def _cmd_check_equiv(args) -> int:
     started = time.perf_counter()
     a = load_signal(args.a)
     b = load_signal(args.b)
-    tol = _pick_tol(args.tol)
-    report = equivalent_up_to_group(a, b, tol=1e-6 if tol is None else tol)
+    report = equivalent_up_to_group(a, b, tol=1e-6 if args.tol is None else args.tol)
     best = report.best_element
     _emit(
         "check-equiv",
         started,
-        inputs={"a": str(args.a), "b": str(args.b), "tol": tol},
+        inputs={"a": str(args.a), "b": str(args.b), "tol": args.tol},
         outputs={},
         residuals={"equivalence_residual": report.residual},
         equivalence={

@@ -6,8 +6,8 @@ no wrapped products in rows k = 1..N/2 and each row constrains one new
 coefficient through circles |s_k + offset| = radius. Recovery proceeds:
 
   A1  recover_z0:  |s_0| from the k = 0 row (which mixes only s_0^2 and
-      s_{N/2}^2); the right root is the one whose k = 2 pair solve lands on
-      all five planned k = 2 circles.
+      s_{N/2}^2); of its two roots, A1 takes the one whose k = 2 pair solve
+      comes nearest to all five planned k = 2 circles.
   A2  recover_tail: s_1 .. s_{N/2} sequentially; k = 2 and k = 3 are
       two-circle solves with a conjugate / candidate-pair branch that k = 4
       disambiguates, later stages are three-circle solves. Each stage is
@@ -91,6 +91,10 @@ __all__ = [
 # caller's tol.
 _STAGE_TOL = 1e-2
 
+# The even-L probe's bound on a trial pair's k = 2 misfit: a trial within it
+# of all five k = 2 circles counts as feasible.
+_PROBE_TOL = 1e-6
+
 # Iteration limit of each stage's Gauss-Newton polish.
 _POLISH_MAX_ITER = 10
 
@@ -129,7 +133,7 @@ class _StageRows:
     The one gather of a stage: it is taken at s_0 .. s_{k-1} with s_k = 0,
     so its last rows (k_r = k) hold the part y of y^_{k,m} that does not
     involve s_k, which enters as s_k t0 (1 + w^{km}) / N through the l = 0
-    column of dw. circles reads the stage's circles off those rows; settle
+    column of dw. offsets reads the stage's circles off those rows; settle
     puts the solved s_k in, which changes only those rows; the polish then
     starts from the block. Every row k_r < k has a zero dw entry at l = k,
     so it is the same at s_k = 0 as at the solved s_k.
@@ -153,12 +157,12 @@ class _StageRows:
         self.tv[:k] = t[:k]
         self.y, self.dy = _row_values(self.tv, self.mirror, self.dw)
 
-    def circles(self, radii: list[float]) -> tuple[np.ndarray, list[float]]:
+    def offsets(self) -> np.ndarray:
         """The rows k_r = k as circles |s_k + offset| = radius in the unknown s_k.
 
-        radii is _radii of the table the rows came from.
+        Their radii are _radii of the table over rim.
         """
-        return self.y[self.own :] / (self.tv[0] * self.edge), radii[self.rim]
+        return self.y[self.own :] / (self.tv[0] * self.edge)
 
     def settle(self, z: complex) -> None:
         """Set s_k = z: the rows k_r = k get dy[:, 0] = z edge and their y again."""
@@ -169,15 +173,14 @@ class _StageRows:
 
     def point(self, radii: list[float]) -> tuple[complex, float]:
         """The three-circle point of the stage's circles, and its circle residual."""
-        offset, radius = self.circles(radii)
-        offset = offset.tolist()
+        offset, radius = self.offsets().tolist(), radii[self.rim]
         z = solve_three_circles(*offset, *radius)
         return z, _circle_residual(z, offset, radius)
 
     def pair(self, radii: list[float], m: complex) -> tuple[complex, complex]:
         """The stage's pair solve along m; both candidates lie on its first two circles."""
         k = self.tv.size - 1
-        offset, radius = self.circles(radii)
+        offset, radius = self.offsets(), radii[self.rim]
         try:
             cands = _pair_solve(offset, radius, m)
         except NoSolutionError as exc:
@@ -192,14 +195,15 @@ class _StageRows:
         return cands
 
 
-def _radii(tables: _RowTables, z0: float) -> list[float]:
-    """Every table row's circle radius sqrt(target) / (z0 |dw[:, 0]|).
+def _radii(tables: _RowTables, z0: float, rows: slice = slice(None)) -> list[float]:
+    """The circle radii sqrt(target) / (z0 |dw[:, 0]|) of the table's rows, all by default.
 
     A radius depends on its row and the A1 modulus z0 only (not on |t[0]|,
-    which the polish may have moved in its last bits), so a recovery
-    computes all of them at once, as the Python floats the solvers take.
+    which the polish may have moved in its last bits), so the tail computes
+    all of them at once, as the Python floats the solvers take; A1 computes
+    the five of the k = 2 rows it scores a root on.
     """
-    return (np.sqrt(tables.target) / (z0 * np.abs(tables.expansion.dw[:, 0]))).tolist()
+    return (np.sqrt(tables.target[rows]) / (z0 * np.abs(tables.expansion.dw[rows, 0]))).tolist()
 
 
 def _circle_residual(z: complex, offset, radius) -> float:
@@ -246,7 +250,8 @@ def _row2_misfit(tables: _RowTables, t: np.ndarray, z0: float) -> float:
 
     inf when the pair solve has no candidates.
     """
-    offset, radius = _StageRows(tables, t, 2, 2).circles(_radii(tables, z0))
+    stage = _StageRows(tables, t, 2, 2)
+    offset, radius = stage.offsets(), _radii(tables, z0, stage.rim)
     try:
         cands = _pair_solve(offset, radius, _row2_scale(t, tables.floor, "A1"))
     except NoSolutionError:
@@ -255,21 +260,21 @@ def _row2_misfit(tables: _RowTables, t: np.ndarray, z0: float) -> float:
     return min(_circle_residual(z, offset, radius) for z in cands)
 
 
-def recover_z0(tables: _RowTables, tol: float) -> float:
+def recover_z0(tables: _RowTables) -> float:
     """|s_0| from the k = 0 row, disambiguated on the k = 2 row.
 
     The k = 0 row gives max(|s_0|, |s_{N/2}|) = sqrt(N (|y^_{0,0}| +
     |y^_{0,1}|) / 2) and the other boundary modulus from the difference.
-    When the two are separated, each root in turn (larger first) is taken as
-    s_0 with s_1 = N |y^_{1,0}| / (2 root); only for the true root does the
-    k = 2 pair solve give a point on all five planned k = 2 circles. Raises
-    DegenerateSignalError when the boundary coefficients vanish or s_1 sits
-    at the floor, InconsistentMeasurementsError when neither root passes
-    (its residual is the least misfit over the roots tried, inf when no
-    root's pair solve has candidates); all carry stage "A1". Membership is
-    within tol relative to 1 + radius; the moduli count as equal when
-    |y^_{0,1}| <= tol |y^_{0,0}|. tables, what _scaled made of the planned
-    rows, is all A1 reads: the k = 0 values, s_1 and the k = 2 circles.
+    Each distinct root above the floor (larger first; equal moduli are one
+    root) is taken as s_0 with s_1 = N |y^_{1,0}| / (2 root) and scored by
+    _row2_misfit: only for the true root does the k = 2 pair solve give a
+    point on all five planned k = 2 circles, so A1 returns the root with
+    the least misfit, the larger on a tie, and no threshold decides it.
+    Raises DegenerateSignalError when the boundary coefficients vanish or
+    s_1 sits at the floor, and InconsistentMeasurementsError, with residual
+    inf, when no root's pair solve has candidates; both carry stage "A1".
+    tables, what _scaled made of the planned rows, is all A1 reads: the
+    k = 0 values, s_1 and the k = 2 circles.
     """
     n = tables.n
     floor = tables.floor
@@ -279,22 +284,19 @@ def recover_z0(tables: _RowTables, tol: float) -> float:
         raise DegenerateSignalError(
             "both boundary spectral coefficients are at the noise floor", stage="A1"
         )
-    if mag01 <= tol * mag00:
-        # Boundary moduli coincide; either root works and they are equal.
-        return big
     small = math.sqrt(n * max(mag00 - mag01, 0.0) / 2.0)
-    misfits = []
-    for root in (big, small):
-        if root <= floor:
-            break
-        t = np.array([root, tables.s1(root)])
-        misfits.append(_row2_misfit(tables, t, root))
-        if misfits[-1] <= tol:
-            return root
-    raise InconsistentMeasurementsError(
-        "neither boundary-modulus root admits a consistent second-row circle system",
-        stage="A1", residual=min(misfits), tol=tol,
-    )
+    misfits = {
+        root: _row2_misfit(tables, np.array([root, tables.s1(root)]), root)
+        for root in dict.fromkeys((big, small))
+        if root > floor
+    }
+    root = min(misfits, key=misfits.get)
+    if misfits[root] == math.inf:
+        raise InconsistentMeasurementsError(
+            "no boundary-modulus root admits a second-row pair solve",
+            stage="A1", residual=math.inf,
+        )
+    return root
 
 
 def recover_tail(tables: _RowTables, z0: float) -> np.ndarray:
@@ -643,16 +645,17 @@ def recover(
     the plan that the spectrum does not reproduce is refused. The result
     has s_0 > 0 (see the module docstring for why the s_0 < 0 start is not
     run) and is returned when its verification residual (relative to the
-    largest measurement) is within tol, which also serves A1 (see
-    recover_z0). Raises ValueError for a tol that is not finite and > 0
-    (checked first), geometries outside the recovery domain (odd N, even L,
-    r < 5, N < 8, N = 6L), a plan for another geometry, a supplied entry
-    that is negative or infinite, or missing planned entries;
-    propagates DegenerateSignalError and InconsistentMeasurementsError from
-    A1 and the tail; and raises InconsistentMeasurementsError with stage
-    "verify" when the verification residual exceeds tol. Their stage,
-    residual and tol fields say where recovery stopped and by how much.
-    Measurements scaled by 2^(4j) give the spectrum scaled by exactly 2^j.
+    largest measurement) is within tol. tol bounds only that verification:
+    A1 takes the root of least misfit (see recover_z0). Raises ValueError
+    for a tol that is not finite and > 0 (checked first), geometries
+    outside the recovery domain (odd N, even L, r < 5, N < 8, N = 6L), a
+    plan for another geometry, a supplied entry that is negative or
+    infinite, or missing planned entries; propagates DegenerateSignalError
+    and InconsistentMeasurementsError from A1 and the tail; and raises
+    InconsistentMeasurementsError with stage "verify" when the
+    verification residual exceeds tol. Their stage, residual and tol fields
+    say where recovery stopped and by how much. Measurements scaled by
+    2^(4j) give the spectrum scaled by exactly 2^j.
     """
     _check_positive("tol", tol)
     params = measurements.params
@@ -664,7 +667,7 @@ def recover(
     if plan.params != params:
         raise ValueError(f"plan is for {plan.params} but the measurements are for {params}")
     tables, e = _scaled(measurements, plan.expansion)
-    z0 = recover_z0(tables, tol)
+    z0 = recover_z0(tables)
     spectrum = _normalize_gauge(recover_tail(tables, z0))
     # Scaled on the float64 view, which keeps the sign of a zero part. The
     # power of two is exact, so on the planned entries the residual is the
@@ -683,8 +686,6 @@ def even_l_infeasibility_probe(
     measurements: FrogMeasurements,
     alpha: float,
     theta: float,
-    *,
-    tol: float = 1e-6,
 ) -> bool:
     """True when no s_2 is consistent with the k = 2 row for the trial pair.
 
@@ -694,16 +695,16 @@ def even_l_infeasibility_probe(
     * e^{i theta} and runs A1's k = 2 test on that pair: does the pair solve
     give a point on all five planned k = 2 circles? For alpha = +-(true s_0)
     it does for every theta; generic other trials are infeasible, which is
-    exactly the ambiguity recovery cannot resolve. Membership is within tol
-    relative to 1 + radius, as in A1. The k = 1 and k = 2 rows are scaled
+    exactly the ambiguity recovery cannot resolve. Membership is within
+    _PROBE_TOL relative to 1 + radius. The k = 1 and k = 2 rows are scaled
     by _scaled, as in recover, and alpha with them, so the verdict does not
     depend on the scale of the input. Only the rows k = 1, 2 are planned
     (plan_rows) and expanded, not the whole plan. Raises ValueError for odd
-    L, a non-finite alpha or theta, a tol that is not finite and > 0, a
-    geometry that plan_indices refuses (with its message), a supplied entry
-    that is negative or infinite, missing rows, or an alpha that overflows
-    when scaled, and DegenerateSignalError when the scaled alpha or the trial
-    |s_1| sits at the coefficient floor.
+    L, a non-finite alpha or theta, a geometry that plan_indices refuses
+    (with its message), a supplied entry that is negative or infinite,
+    missing rows, or an alpha that overflows when scaled, and
+    DegenerateSignalError when the scaled alpha or the trial |s_1| sits at
+    the coefficient floor.
     """
     params = measurements.params
     if params.L % 2 != 0:
@@ -711,7 +712,6 @@ def even_l_infeasibility_probe(
     for name, value in (("alpha", alpha), ("theta", theta)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
-    _check_positive("tol", tol)
     rows = plan_rows(params, 2)
     tables, e = _scaled(measurements, expand_rows(params, rows[rows[:, 0] >= 1]))
     try:
@@ -721,4 +721,4 @@ def even_l_infeasibility_probe(
     if abs(alpha) <= tables.floor:
         raise DegenerateSignalError("trial leading coefficient is at the noise floor", stage="A1")
     t = np.array([alpha, tables.s1(abs(alpha)) * complex(math.cos(theta), math.sin(theta))])
-    return not _row2_misfit(tables, t, abs(alpha)) <= tol
+    return not _row2_misfit(tables, t, abs(alpha)) <= _PROBE_TOL

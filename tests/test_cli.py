@@ -206,23 +206,17 @@ def test_check_equiv_rejects_different_signals(capsys, tmp_path):
     assert _report(out)["equivalence"]["equivalent"] is False
 
 
-def test_tolerance_env_override_and_flag_priority(capsys, tmp_path, monkeypatch):
+def test_tolerance_flag_decides_check_equiv(capsys, tmp_path):
     a, _ = _generate(capsys, tmp_path, "a.json", seed=1)
     b, _ = _generate(capsys, tmp_path, "b.json", seed=2)
-    # A huge tolerance from the environment turns inequivalence into a pass.
-    monkeypatch.setenv("FROGPR_TOL", "10.0")
-    code, _, _ = _run(capsys, ["check-equiv", str(a), str(b)])
+    # A huge tolerance turns inequivalence into a pass, a tiny one back.
+    code, _, _ = _run(capsys, ["check-equiv", str(a), str(b), "--tol", "10"])
     assert code == 0
-    # An explicit flag beats the environment.
     code, _, _ = _run(capsys, ["check-equiv", str(a), str(b), "--tol", "1e-9"])
     assert code == 1
-    monkeypatch.setenv("FROGPR_TOL", "not-a-number")
-    code, _, err = _run(capsys, ["check-equiv", str(a), str(b)])
-    assert code == 2
-    assert "FROGPR_TOL" in err
 
 
-def test_bad_tolerances_are_usage_errors_and_write_nothing(capsys, tmp_path, monkeypatch):
+def test_bad_tolerances_are_usage_errors_and_write_nothing(capsys, tmp_path):
     sig, _ = _generate(capsys, tmp_path)
     meas, _ = _measure(capsys, tmp_path, sig, l=3, plan_only=True)
     out = tmp_path / "rec.json"
@@ -231,10 +225,6 @@ def test_bad_tolerances_are_usage_errors_and_write_nothing(capsys, tmp_path, mon
         assert code == 2, bad
         assert "tol must be finite and positive" in err
         assert stdout == "" and not out.exists()
-    monkeypatch.setenv("FROGPR_TOL", "nan")
-    code, _, err = _run(capsys, ["recover", str(meas), "--out", str(out)])
-    assert code == 2 and "tol" in err and not out.exists()
-    monkeypatch.delenv("FROGPR_TOL")
     code, stdout, err = _run(capsys, ["check-equiv", str(sig), str(sig), "--tol", "nan"])
     assert code == 2 and "tol must be finite and >= 0" in err and stdout == ""
 

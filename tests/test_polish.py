@@ -153,8 +153,12 @@ def test_row_circles_match_row_oracle(n, l):
     z0 = abs(s[0])
     # Every stage of the tail solve's table; A1 and the even-L probe read
     # its k = 2 rows.
+    radii = _radii(tables, z0)
     for k in range(2, n // 2 + 1):
-        offset, radius = _StageRows(tables, t, k, k).circles(_radii(tables, z0))
+        stage = _StageRows(tables, t, k, k)
+        offset, radius = stage.offsets(), _radii(tables, z0, stage.rim)
+        # A1's radii of one row slice are the tail's, bit for bit.
+        assert radius == radii[stage.rim], k
         ms = plan.delays(k).tolist()
         ref = np.array([row_circle(meas, t, k, m, z0) for m in ms])
         radius = np.array(radius)
@@ -172,13 +176,12 @@ def test_pair_offsets_are_real_multiples_of_the_pair_scale(n, l):
     rng = np.random.default_rng(5 * n)
     t = _random_coefficients(4, rng)
     t[0] = abs(t[0])
-    radii = _radii(tables, 1.0)
-    offset2, _ = _StageRows(tables, t, 2, 2).circles(radii)
+    offset2 = _StageRows(tables, t, 2, 2).offsets()
     v = offset2 / (t[1] * t[1] / t[0])
     ref_v = [offset_v(plan.params, i) for i in plan.delays(2).tolist()]
     np.testing.assert_allclose(v.real, ref_v, rtol=1e-13)
     assert np.abs(v.imag).max() <= 1e-13 * np.abs(v).max()
-    offset3, _ = _StageRows(tables, t, 3, 3).circles(radii)
+    offset3 = _StageRows(tables, t, 3, 3).offsets()
     u = offset3 / (t[1] * t[2] / t[0])
     ref_u = [offset_u(plan.params, i) for i in plan.delays(3).tolist()]
     np.testing.assert_allclose(u.real, ref_u, rtol=1e-13)
@@ -310,7 +313,7 @@ def test_stage_rows_equal_a_fresh_gather_bitwise(n, l, k):
     tv[k] = 0
     y, _ = _row_values(tv, mirror, dw)
     np.testing.assert_array_equal(rows.y[rows.own :], y)
-    offset, radius = rows.circles(_radii(tables, z0))
+    offset, radius = rows.offsets(), _radii(tables, z0, rows.rim)
     np.testing.assert_array_equal(offset, y / (t[0] * dw[:, 0]))
     np.testing.assert_array_equal(radius, np.sqrt(target) / (z0 * np.abs(dw[:, 0])))
 
