@@ -29,6 +29,7 @@ from .errors import (
     InconsistentMeasurementsError,
     NoSolutionError,
     SingularConfigurationError,
+    UnsupportedGeometryError,
 )
 from .frog import (
     FrogMeasurements,
@@ -67,6 +68,7 @@ __all__ = [
     "NoSolutionError",
     "RecoveryResult",
     "SingularConfigurationError",
+    "UnsupportedGeometryError",
     "apply_element",
     "as_signal",
     "dft",

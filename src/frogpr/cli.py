@@ -2,10 +2,12 @@
 
 Subcommands: generate | measure | recover | check-equiv | selftest.
 Exit status: 0 success, 1 domain refusal / inequivalence / failed self-test,
-2 usage or parse error. Output files are deterministic for identical
-commands, seeds, and inputs; run reports (stdout JSON, written by
-json.dumps with shortest round-trip floats) additionally carry wall-clock
-timing, and a report value that is not finite is a usage error.
+2 usage or parse error; handlers raise, and main alone maps an error to a
+message and a code (UnsupportedGeometryError to "refused: ..." and 1).
+Output files are deterministic for identical commands, seeds, and inputs;
+run reports (stdout JSON, written by json.dumps with shortest round-trip
+floats) additionally carry wall-clock timing, and a report value that is
+not finite is a usage error.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import time
 import numpy as np
 
 from .ambiguity import equivalent_up_to_group
-from .analytic import is_analytic, make_analytic
-from .errors import FrogprError
+from .analytic import is_analytic, random_analytic_signal
+from .errors import FrogprError, UnsupportedGeometryError
 from .frog import FrogParams, frog_measurements_time, plan_indices
 from .jsonio import (
     load_measurements,
@@ -59,7 +61,7 @@ def _cmd_generate(args) -> int:
     if args.n < 2 or args.n % 2 != 0:
         raise ValueError(f"--n must be an even integer >= 2, got {args.n}")
     rng = np.random.default_rng(args.seed)
-    z = make_analytic(rng.standard_normal(args.n))
+    z = random_analytic_signal(args.n, rng)
     s = dft(z)
     report = is_analytic(s)
     save_signal(args.out, z, s)
@@ -77,14 +79,7 @@ def _cmd_measure(args) -> int:
     started = time.perf_counter()
     z = load_signal(args.signal)
     params = FrogParams(z.size, args.l)
-    if args.plan_only:
-        try:
-            indices = plan_indices(params).rows
-        except ValueError as exc:
-            print(f"refused: {exc}", file=sys.stderr)
-            return 1
-    else:
-        indices = None
+    indices = plan_indices(params).rows if args.plan_only else None
     meas = frog_measurements_time(z, params, indices)
     save_measurements(args.out, meas)
     _emit(
@@ -105,10 +100,6 @@ def _cmd_measure(args) -> int:
 def _cmd_recover(args) -> int:
     started = time.perf_counter()
     meas = load_measurements(args.measurements)
-    violations = meas.params.recovery_violations()
-    if violations:
-        print("refused: " + "; ".join(violations), file=sys.stderr)
-        return 1
     result = recover(meas, tol=1e-6 if args.tol is None else args.tol)
     save_signal(args.out, result.signal, result.spectrum)
     _emit(
@@ -224,6 +215,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
+    except UnsupportedGeometryError as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return 1
     except FrogprError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -5,6 +5,10 @@ class FrogprError(Exception):
     """Base class for all library-specific errors."""
 
 
+class UnsupportedGeometryError(FrogprError, ValueError):
+    """A geometry outside the domain FrogParams.plan_violations or recovery_violations states."""
+
+
 class SingularConfigurationError(FrogprError):
     """A circle system is degenerate: collinear centers, m = 0 or v1 = v2."""
 

@@ -29,6 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import UnsupportedGeometryError
 from .spectral import as_signal
 
 __all__ = [
@@ -74,8 +75,8 @@ class FrogParams:
     Derived quantities: r = ceil(N/L) delay steps, and the table unit_roots
     of the N-th roots of unity, from which every power of the per-step
     phase factor w = e^{2i pi L/N} is read.
-    Forward synthesis accepts any integers N >= 2, 1 <= L <= N; the recovery
-    pipeline additionally needs N even >= 8, L odd, r >= 5 and N != 6L.
+    Forward synthesis accepts any integers N >= 2, 1 <= L <= N; the plan's
+    and recovery's domains are stated by plan_violations and recovery_violations.
     """
 
     N: int
@@ -106,21 +107,26 @@ class FrogParams:
         """w^j with the exponent reduced exactly: unit_roots[jL mod N]."""
         return complex(self.unit_roots[(j * self.L) % self.N])
 
-    def recovery_violations(self) -> list[str]:
-        """Reasons this geometry is outside the recovery pipeline's domain."""
+    def plan_violations(self) -> list[str]:
+        """Reasons plan_indices has no plan for this geometry: N odd, N < 8, r < 5."""
         problems = []
         if self.N % 2 != 0:
             problems.append(f"N={self.N} is odd (recovery handles even lengths)")
         if self.N < 8:
             problems.append(f"N={self.N} < 8 (need N/2 >= 4 solver stages)")
+        if self.r < 5:
+            problems.append(f"r=ceil(N/L)={self.r} < 5 (too few delay steps to plan)")
+        return problems
+
+    def recovery_violations(self) -> list[str]:
+        """Reasons this geometry is outside recovery's domain: plan_violations, L even, N = 6L."""
+        problems = self.plan_violations()
         if self.L % 2 == 0:
             problems.append(
                 f"L={self.L} is even (delay phases satisfy w^(N/2) = +1, so the "
                 "measurements cannot separate the two boundary coefficients and "
                 "recovery is infeasible; see even_l_infeasibility_probe)"
             )
-        if self.r < 5:
-            problems.append(f"r=ceil(N/L)={self.r} < 5 (too few delay steps to plan)")
         if self.N == 6 * self.L:
             problems.append(
                 f"N={self.N} = 6L (w is a primitive 6th root of unity, so at every "
@@ -397,19 +403,20 @@ class MeasurementIndexPlan:
         return list(map(tuple, self.rows.tolist()))
 
 
-def plan_rows(params: FrogParams, k_max: int) -> np.ndarray:
-    """The rows k <= k_max of plan_indices(params), a read-only (k, m)-sorted array.
+def plan_indices(params: FrogParams) -> MeasurementIndexPlan:
+    """Deterministic admissible index plan (smallest indices first).
 
-    The delays of each row k >= 2 depend on k and the geometry alone, so a
-    reader of the first rows (the even-L probe reads k <= 2) computes only
-    those; the geometry is checked, with plan_indices's errors, whatever k_max.
+    Raises UnsupportedGeometryError listing params.plan_violations(). Rows
+    k = 0 and k = 1 are fixed; each row k >= 2 takes delay 0 and then the
+    smallest admissible delays, decided by integer congruences, and the
+    pair of a row k >= 4 additionally prefers non-conjugate phases. A row
+    k = 2 or 3 with too few admissible delays would contradict the
+    existence guarantee for r >= 5 and signals an implementation bug.
     """
+    violations = params.plan_violations()
+    if violations:
+        raise UnsupportedGeometryError("; ".join(violations))
     n, l, r = params.N, params.L, params.r
-    if n % 2 != 0 or n // 2 < 4:
-        raise ValueError(f"index planning needs even N with N/2 >= 4, got N={n}")
-    if r < 5:
-        raise ValueError(f"index planning needs r >= 5, got r={r}")
-
     m = np.arange(1, r)
     phase = m * l % n  # w^m = e^{2i pi phase/N}
     rows = [(0, 0), (0, 1), (1, 0)]
@@ -417,11 +424,10 @@ def plan_rows(params: FrogParams, k_max: int) -> np.ndarray:
     # k = 3 pair also need w^{pm} != 1 for 0 < p < k, that is
     # w^{(k-1)m} != 1, since w^m = 1 implies w^{2m} = 1.
     for k, size in ((2, 4), (3, 1)):
-        if k <= k_max:
-            adm = m[~_pow_is_minus_one(phase, n, k) & ~_pow_is_one(phase, n, k - 1)]
-            if adm.size < size:  # pragma: no cover - unreachable for admissible geometries
-                raise RuntimeError(f"too few admissible delays for row k={k} (N={n}, L={l}, r={r})")
-            rows += [(k, 0), *((k, d) for d in adm[:size].tolist())]
+        adm = m[~_pow_is_minus_one(phase, n, k) & ~_pow_is_one(phase, n, k - 1)]
+        if adm.size < size:  # pragma: no cover - unreachable for admissible geometries
+            raise RuntimeError(f"too few admissible delays for row k={k} (N={n}, L={l}, r={r})")
+        rows += [(k, 0), *((k, d) for d in adm[:size].tolist())]
 
     # A row k >= 4 takes the first pair (a, b) of admissible delays, in
     # itertools.combinations order, whose phases w^{ka}, w^{kb} are not
@@ -438,7 +444,7 @@ def plan_rows(params: FrogParams, k_max: int) -> np.ndarray:
     # way every admissible x is x_a with 2 x_a = 0, so every pair is
     # conjugate. (At r = 5 with a = 2 only a + 1 and a + 2 exist, and then
     # so do only two admissible delays.)
-    k = np.arange(4, k_max + 1)[:, None]
+    k = np.arange(4, n // 2 + 1)[:, None]
     near = phase[:5]
     adm = ~_pow_is_minus_one(near, n, k)
     a = adm.argmax(axis=1)
@@ -451,18 +457,4 @@ def plan_rows(params: FrogParams, k_max: int) -> np.ndarray:
     # Built in (k, m) order, as readers that slice rows by k need.
     rows = np.concatenate([np.array(rows), tail.reshape(-1, 2)])
     rows.flags.writeable = False
-    return rows
-
-
-def plan_indices(params: FrogParams) -> MeasurementIndexPlan:
-    """Deterministic admissible index plan (smallest indices first).
-
-    Preconditions: r >= 5, N even, N/2 >= 4. Rows k = 0 and k = 1 are fixed;
-    each row k >= 2 takes delay 0 and then the smallest admissible delays,
-    and the pair of a row k >= 4 additionally prefers non-conjugate phases
-    (see plan_rows, which decides admissibility by integer congruences on
-    arrays of delays). A row k = 2 or 3 with too few admissible delays
-    would contradict the existence guarantee for r >= 5 and signals an
-    implementation bug.
-    """
-    return MeasurementIndexPlan(params, plan_rows(params, params.N // 2))
+    return MeasurementIndexPlan(params, rows)

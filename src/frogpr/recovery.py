@@ -62,6 +62,7 @@ from .errors import (
     InconsistentMeasurementsError,
     NoSolutionError,
     SingularConfigurationError,
+    UnsupportedGeometryError,
 )
 from .frog import (
     FrogMeasurements,
@@ -70,7 +71,6 @@ from .frog import (
     _freq_rows,
     expand_rows,
     plan_indices,
-    plan_rows,
 )
 from .spectral import as_signal, idft
 
@@ -226,18 +226,18 @@ def _pair_solve(
     return solve_two_circles_real(v1, v2, m, n1, n2)
 
 
-def _row2_scale(t: np.ndarray, floor: float, stage: int | str) -> complex:
+def _row2_scale(t: np.ndarray, floor: float) -> complex:
     """t1^2 / t0, the scale m of the k = 2 pair solve.
 
     All k = 2 offsets are real multiples 1 / (2 cos phi) of t1^2 / t0 (t0
     real), so the s_2 candidates are a two-circle solve along that line.
-    Raises DegenerateSignalError, labelled with stage, when |t1| is at the
-    floor, where that scale vanishes and the solve says nothing.
+    Raises DegenerateSignalError at stage "A1" when |t1| is at the floor,
+    where that scale vanishes. A1 scores every root it returns, so the tail never raises it.
     """
     if abs(t[1]) <= floor:
         raise DegenerateSignalError(
             "second spectral coefficient vanishes; the stage solves degenerate",
-            stage=stage,
+            stage="A1",
         )
     # Python complex division by a real divides each part exactly; numpy's
     # multiplies by the reciprocal, which would move the last bit.
@@ -253,7 +253,7 @@ def _row2_misfit(tables: _RowTables, t: np.ndarray, z0: float) -> float:
     stage = _StageRows(tables, t, 2, 2)
     offset, radius = stage.offsets(), _radii(tables, z0, stage.rim)
     try:
-        cands = _pair_solve(offset, radius, _row2_scale(t, tables.floor, "A1"))
+        cands = _pair_solve(offset, radius, _row2_scale(t, tables.floor))
     except NoSolutionError:
         return math.inf
     offset = offset.tolist()
@@ -335,7 +335,7 @@ def recover_tail(tables: _RowTables, z0: float) -> np.ndarray:
 
     # k = 2: two circles with real offsets along t1^2 / t[0]; conjugate pair.
     stage = rows(2)
-    cands = stage.pair(radii, _row2_scale(t, tables.floor, 2))
+    cands = stage.pair(radii, _row2_scale(t, tables.floor))
     stage.settle(cands[0] if cands[0].imag >= 0 else cands[1])
     _polish_coefficients(t, stage, tables.scale)
     if abs(t[2]) <= tables.floor:
@@ -647,8 +647,9 @@ def recover(
     run) and is returned when its verification residual (relative to the
     largest measurement) is within tol. tol bounds only that verification:
     A1 takes the root of least misfit (see recover_z0). Raises ValueError
-    for a tol that is not finite and > 0 (checked first), geometries
-    outside the recovery domain (odd N, even L, r < 5, N < 8, N = 6L), a
+    for a tol that is not finite and > 0 (checked first), then
+    UnsupportedGeometryError, a ValueError too, for a geometry outside the
+    recovery domain (FrogParams.recovery_violations), and ValueError for a
     plan for another geometry, a supplied entry that is negative or
     infinite, or missing planned entries; propagates DegenerateSignalError
     and InconsistentMeasurementsError from A1 and the tail; and raises
@@ -661,7 +662,7 @@ def recover(
     params = measurements.params
     violations = params.recovery_violations()
     if violations:
-        raise ValueError("; ".join(violations))
+        raise UnsupportedGeometryError("; ".join(violations))
     if plan is None:
         plan = plan_indices(params)
     if plan.params != params:
@@ -698,13 +699,12 @@ def even_l_infeasibility_probe(
     exactly the ambiguity recovery cannot resolve. Membership is within
     _PROBE_TOL relative to 1 + radius. The k = 1 and k = 2 rows are scaled
     by _scaled, as in recover, and alpha with them, so the verdict does not
-    depend on the scale of the input. Only the rows k = 1, 2 are planned
-    (plan_rows) and expanded, not the whole plan. Raises ValueError for odd
-    L, a non-finite alpha or theta, a geometry that plan_indices refuses
-    (with its message), a supplied entry that is negative or infinite,
-    missing rows, or an alpha that overflows when scaled, and
-    DegenerateSignalError when the scaled alpha or the trial |s_1| sits at
-    the coefficient floor.
+    depend on the scale of the input. Only the plan's rows k = 1, 2 are
+    expanded, not the whole plan. Raises ValueError for odd L, a non-finite
+    alpha or theta, a supplied entry that is negative or infinite, missing
+    rows, or an alpha that overflows when scaled; UnsupportedGeometryError
+    for a geometry plan_indices refuses; and DegenerateSignalError when the
+    scaled alpha or the trial |s_1| sits at the coefficient floor.
     """
     params = measurements.params
     if params.L % 2 != 0:
@@ -712,8 +712,8 @@ def even_l_infeasibility_probe(
     for name, value in (("alpha", alpha), ("theta", theta)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
-    rows = plan_rows(params, 2)
-    tables, e = _scaled(measurements, expand_rows(params, rows[rows[:, 0] >= 1]))
+    rows = plan_indices(params).rows
+    tables, e = _scaled(measurements, expand_rows(params, rows[np.isin(rows[:, 0], (1, 2))]))
     try:
         alpha = math.ldexp(alpha, -e)
     except OverflowError:

@@ -12,6 +12,7 @@ from frogpr import (
     is_analytic,
     load_measurements,
     load_signal,
+    random_analytic_signal,
     save_measurements,
 )
 from frogpr import cli
@@ -69,6 +70,17 @@ def test_generate_is_deterministic_per_seed(capsys, tmp_path):
     assert p1.read_bytes() != p3.read_bytes()
 
 
+def test_generate_draws_again_below_the_genericity_floor(capsys, tmp_path):
+    # At N = 2 the first draw of seed 3133832 has |s_0| = 4.5e-7 max|s|,
+    # below the library sampler's 1e-6 floor: generate draws again, as
+    # random_analytic_signal does, and writes a generic signal.
+    path, _ = _generate(capsys, tmp_path, n=2, seed=3133832)
+    z = load_signal(path)
+    assert np.array_equal(z, random_analytic_signal(2, np.random.default_rng(3133832)))
+    mods = np.abs(dft(z))
+    assert min(mods[0], mods[1]) >= 1e-6 * mods.max()
+
+
 def test_generate_rejects_odd_length(capsys, tmp_path):
     code, _, err = _run(capsys, ["generate", "--n", "9", "--out", str(tmp_path / "x.json")])
     assert code == 2
@@ -119,7 +131,8 @@ def test_measure_plan_only_refuses_unplannable_geometry(capsys, tmp_path):
         ["measure", "--plan-only", str(sig), "--l", "5", "--out", str(tmp_path / "m.json")],
     )
     assert code == 1
-    assert "refused" in err
+    assert err == "refused: r=ceil(N/L)=4 < 5 (too few delay steps to plan)\n"
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_recover_round_trip_and_determinism(capsys, tmp_path):
@@ -155,6 +168,12 @@ def test_recover_refuses_six_l_geometry(capsys, tmp_path):
     code, _, err = _run(capsys, ["recover", str(meas), "--out", str(tmp_path / "r.json")])
     assert code == 1
     assert "refused" in err and "6L" in err
+    assert not (tmp_path / "r.json").exists()
+    # recover checks tol before the geometry, so a bad --tol is a usage
+    # error there too: exit 2, not a refusal.
+    argv = ["recover", str(meas), "--out", str(tmp_path / "r.json"), "--tol", "-1"]
+    code, _, err = _run(capsys, argv)
+    assert code == 2 and err == "error: tol must be finite and positive, got -1.0\n"
     assert not (tmp_path / "r.json").exists()
 
 

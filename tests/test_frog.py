@@ -11,7 +11,9 @@ from numpy.testing import assert_allclose
 from frogpr import (
     FrogMeasurements,
     FrogParams,
+    FrogprError,
     InconsistentMeasurementsError,
+    UnsupportedGeometryError,
     dft,
     frog_measurements_freq,
     frog_measurements_time,
@@ -21,7 +23,7 @@ from frogpr import (
     recover,
     translate,
 )
-from frogpr.frog import _pow_is_minus_one, _pow_is_one, expand_rows, plan_rows
+from frogpr.frog import _pow_is_minus_one, _pow_is_one, expand_rows
 from frogpr.selftest import _generic_even_signal
 from oracles import direct_frog_grid, exp_grid_freq, exp_row_dw, scan_plan_rows
 
@@ -157,6 +159,23 @@ def test_params_recovery_violations():
         assert [v for v in FrogParams(n, l).recovery_violations() if "6L" in v], (n, l)
     for n, l in ((14, 3), (16, 3), (20, 3), (64, 11)):
         assert FrogParams(n, l).recovery_violations() == [], (n, l)
+
+
+def test_recovery_violations_are_the_plan_violations_then_l_and_6l():
+    # The plan's domain is stated once: recovery's reasons are the plan's,
+    # in the same order and words, followed by even L and then N = 6L.
+    assert FrogParams(9, 1).plan_violations() == ["N=9 is odd (recovery handles even lengths)"]
+    assert FrogParams(16, 2).plan_violations() == FrogParams(18, 3).plan_violations() == []
+    for n, l in ((9, 2), (6, 2), (12, 4), (16, 4), (18, 3), (24, 4), (12, 1), (7, 7)):
+        params = FrogParams(n, l)
+        plan, recovery = params.plan_violations(), params.recovery_violations()
+        assert recovery[: len(plan)] == plan, (n, l)
+        rest = recovery[len(plan) :]
+        assert len(rest) == (l % 2 == 0) + (n == 6 * l), (n, l)
+        if l % 2 == 0:
+            assert rest[0].startswith(f"L={l} is even"), (n, l)
+        if n == 6 * l:
+            assert rest[-1].startswith(f"N={n} = 6L"), (n, l)
 
 
 def test_grid_matches_direct_summation():
@@ -503,36 +522,41 @@ def test_plan_indices_is_deterministic():
 
 
 def test_plan_indices_rejects_out_of_domain_geometry():
-    with pytest.raises(ValueError):
-        plan_indices(FrogParams(15, 1))  # odd N
-    with pytest.raises(ValueError):
-        plan_indices(FrogParams(6, 1))  # N/2 < 4
-    with pytest.raises(ValueError):
-        plan_indices(FrogParams(16, 4))  # r = 4 < 5
+    # The refusal lists FrogParams.plan_violations and is a FrogprError that
+    # callers catching ValueError still catch.
+    odd = "N=9 is odd (recovery handles even lengths)"
+    r3 = "r=ceil(N/L)=3 < 5 (too few delay steps to plan)"
+    for n, l, reasons in (
+        (15, 1, ["N=15 is odd (recovery handles even lengths)"]),
+        (6, 1, ["N=6 < 8 (need N/2 >= 4 solver stages)"]),
+        (16, 4, ["r=ceil(N/L)=4 < 5 (too few delay steps to plan)"]),
+        (9, 3, [odd, r3]),
+    ):
+        with pytest.raises(UnsupportedGeometryError) as info:
+            plan_indices(FrogParams(n, l))
+        assert str(info.value) == "; ".join(reasons)
+        assert isinstance(info.value, FrogprError) and isinstance(info.value, ValueError)
 
 
 def test_plan_rows_match_the_delay_scan_at_every_small_geometry():
-    # Every even N from 8 to 256 and every stride: the array-built rows are
-    # the scan's, for the even-L probe's k <= 2 and for the whole plan, and
-    # a geometry with r < 5 is refused.
+    # Every even N from 8 to 256 and every stride: the array-built plan is
+    # the scan's, and a geometry with r < 5 is refused with its reason.
     for n in range(8, 257, 2):
         for l in range(1, n + 1):
             params = FrogParams(n, l)
-            for k_max in (2, n // 2):
-                if params.r < 5:
-                    with pytest.raises(ValueError, match="r >= 5"):
-                        plan_rows(params, k_max)
-                    continue
-                rows = plan_rows(params, k_max)
-                assert rows.dtype == np.int64 and not rows.flags.writeable
-                assert np.array_equal(rows, scan_plan_rows(params, k_max)), (n, l, k_max)
+            if params.r < 5:
+                with pytest.raises(UnsupportedGeometryError, match=rf"^r=ceil\(N/L\)={params.r} < 5 "):
+                    plan_indices(params)
+                continue
+            rows = plan_indices(params).rows
+            assert rows.dtype == np.int64 and not rows.flags.writeable
+            assert np.array_equal(rows, scan_plan_rows(params, n // 2)), (n, l)
 
 
 @pytest.mark.parametrize("n,l", [(512, 31), (1024, 31), (1024, 32), (2048, 31)])
 def test_plan_rows_match_the_delay_scan_at_large_geometries(n, l):
     params = FrogParams(n, l)
-    for k_max in (2, n // 2):
-        assert np.array_equal(plan_rows(params, k_max), scan_plan_rows(params, k_max))
+    assert np.array_equal(plan_indices(params).rows, scan_plan_rows(params, n // 2))
 
 
 def test_plan_row_skips_a_conjugate_pair_and_falls_back_when_all_are():
@@ -541,7 +565,7 @@ def test_plan_row_skips_a_conjugate_pair_and_falls_back_when_all_are():
     params = FrogParams(12, 1)
     assert _pow_is_one(1 + 2, 12, 4) and not _pow_is_one(1 + 3, 12, 4)
     assert plan_indices(params).delays(4).tolist() == [0, 1, 3]
-    assert np.array_equal(plan_rows(params, 4), scan_plan_rows(params, 4))
+    assert np.array_equal(plan_indices(params).rows, scan_plan_rows(params, 6))
     # (8, 1), k = 4: the admissible delays are 2, 4 and 6 and every pair of
     # them is conjugate, so the row falls back to the smallest pair.
     params = FrogParams(8, 1)
@@ -549,7 +573,7 @@ def test_plan_row_skips_a_conjugate_pair_and_falls_back_when_all_are():
     assert admissible == [2, 4, 6]
     assert all(_pow_is_one(a + b, 8, 4) for a in admissible for b in admissible)
     assert plan_indices(params).delays(4).tolist() == [0, 2, 4]
-    assert np.array_equal(plan_rows(params, 4), scan_plan_rows(params, 4))
+    assert np.array_equal(plan_indices(params).rows, scan_plan_rows(params, 4))
 
 
 def test_synthesis_refuses_bad_indices_in_lists_and_arrays():

@@ -1,6 +1,7 @@
 """Recovery pipeline: root choice, sequential tail, verification, probe."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from frogpr import (
     InconsistentMeasurementsError,
     NoSolutionError,
     SingularConfigurationError,
+    UnsupportedGeometryError,
     dft,
     equivalent_up_to_group,
     even_l_infeasibility_probe,
@@ -200,8 +202,8 @@ def test_a_table_of_the_probes_rows_reads_exactly_those_rows(n, l):
     # probe's rows k = 1, 2, which have no k = 0 rows. It reads their values
     # and nothing else, and its stages slice them.
     params = FrogParams(n, l)
-    rows = recovery.plan_rows(params, 2)
-    rows = rows[rows[:, 0] >= 1]
+    rows = plan_indices(params).rows
+    rows = rows[np.isin(rows[:, 0], (1, 2))]
     z = _generic_even_signal(n, np.random.default_rng(654))
     meas = frog_measurements_time(z, params, rows)
     expansion = recovery.expand_rows(params, rows)
@@ -298,22 +300,43 @@ def test_probe_expands_only_its_rows(monkeypatch):
 
 @pytest.mark.parametrize("n,l", [(12, 2), (20, 4), (32, 6), (2048, 32)])
 def test_probe_plans_and_expands_the_plans_first_rows(monkeypatch, n, l):
-    # The probe plans rows k <= 2 by the plan's own rule, never the whole
-    # plan, and expands its rows k = 1, 2.
+    # The probe reads rows k = 1, 2 of plan_indices and expands exactly
+    # those, from a measurement set that holds nothing else.
     params = FrogParams(n, l)
     rows = plan_indices(params).rows
     rows = rows[(rows[:, 0] >= 1) & (rows[:, 0] <= 2)]
     z = _generic_even_signal(n, np.random.default_rng(651))
     meas = frog_measurements_time(z, params, rows)
-
-    def refuse(params):
-        raise AssertionError("the probe planned the whole geometry")
-
-    monkeypatch.setattr(recovery, "plan_indices", refuse)
     built = _count_expansions(monkeypatch)
     even_l_infeasibility_probe(meas, float(dft(z)[0].real), 0.3)
     assert len(built) == 1
     assert_array_equal(built[0], rows)
+
+
+@pytest.mark.parametrize(
+    "n,l,reason",
+    [
+        (15, 1, "N=15 is odd (recovery handles even lengths)"),
+        (16, 4, "r=ceil(N/L)=4 < 5 (too few delay steps to plan)"),
+        (16, 2, "L=2 is even (delay phases satisfy w^(N/2) = +1"),
+        (18, 3, "N=18 = 6L (w is a primitive 6th root of unity"),
+    ],
+    ids=["odd-n", "r-below-5", "even-l", "six-l"],
+)
+def test_recover_refuses_an_unsupported_geometry_with_its_reason(n, l, reason):
+    # recover refuses before it reads an entry, with one error that is both
+    # a FrogprError and, for callers that catch it, a ValueError; the plan
+    # refuses the geometries without a plan (odd N, r < 5) alike.
+    params = FrogParams(n, l)
+    with pytest.raises(UnsupportedGeometryError) as info:
+        recover(FrogMeasurements(params))
+    assert str(info.value).startswith(reason)
+    assert isinstance(info.value, FrogprError) and isinstance(info.value, ValueError)
+    if params.plan_violations():
+        with pytest.raises(UnsupportedGeometryError, match=re.escape(reason)):
+            plan_indices(params)
+    else:
+        assert len(plan_indices(params).rows) == 3 * n // 2 + 1
 
 
 @pytest.mark.parametrize("n,l", [(12, 4), (9, 2), (6, 2)])
