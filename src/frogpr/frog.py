@@ -20,7 +20,9 @@ precision.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 import numbers
 from collections.abc import Mapping
@@ -92,7 +94,7 @@ class FrogParams:
         if not 1 <= self.L <= self.N:
             raise ValueError(f"L must be in [1, N={self.N}], got {self.L}")
 
-    @property
+    @functools.cached_property
     def r(self) -> int:
         return -(-self.N // self.L)
 
@@ -139,66 +141,101 @@ class FrogParams:
 class FrogMeasurements(Mapping):
     """The measured |y^_{k,m}|^2 of one geometry, as a mapping (k, m) -> value.
 
-    The values live in `grid`, a float (N, r) array indexed [k, m] with NaN
-    where (k, m) was not measured; the mapping runs over the measured pairs
-    in ascending order. Items of `entries` are stored as by
-    `meas[k, m] = value`, which refuses a pair off the integer grid and a
-    value that is not a finite real number >= 0.
+    A set is its entries: rows, a read-only integer (n, 2) array of the
+    measured pairs sorted by (k, m), each once (the form of plan.rows), and
+    values, the float array aligned with it; a full set's values.reshape(N, r)
+    is its grid. Items of `entries` are stored as by `meas[k, m] = value`,
+    which refuses a pair off the grid or a value that is not a finite real
+    >= 0, and overwrites a pair in place or inserts it in order.
     """
 
     def __init__(self, params: FrogParams, entries=()):
-        self.params = params
-        self.grid = np.full((params.N, params.r), np.nan)
-        for key, value in dict(entries).items():
-            self[key] = value
+        entries = dict(entries)
+        rows = [_entry(key, value, (params.N, params.r)) for key, value in entries.items()]
+        self._store(params, rows, [*entries.values()])
 
-    @property
-    def entries(self) -> "FrogMeasurements":
-        """The measurement set itself: the (k, m) -> value mapping."""
+    def _store(self, params: FrogParams, rows, values) -> FrogMeasurements:
+        """Hold the checked entries rows[i] -> values[i] sorted by (k, m), rows as a copy and
+        a repeated pair once (its first value); sorted, unique rows (plan.rows) take one pass."""
+        if params.N >= 2**63:
+            raise ValueError(f"N={params.N} exceeds the int64 index range")
+        rows, values = np.array(rows, np.int64).reshape(-1, 2), np.asarray(values, float)
+        self.params, keys = params, _ranks(params, rows)
+        if not (keys[1:] > keys[:-1]).all():
+            keys, first = np.unique(keys, return_index=True)
+            rows, values = rows[first], values[first]
+        rows.flags.writeable = False
+        self.rows, self.values, self._keys, self._key_list = rows, values, keys, None
         return self
 
+    entries = property(lambda self: self)  # the set itself, as the (k, m) -> value mapping
+
+    def _find(self, k: int, m: int) -> tuple[int, bool]:
+        """Where (k, m) is in rows and whether it is there, by its rank."""
+        rank = k * self.params.r + m
+        if self._key_list is None:  # bisect on a list: numpy's cost per call is 4x the search
+            self._key_list = self._keys.tolist()
+        i = bisect.bisect_left(self._key_list, rank)
+        return i, i < len(self._key_list) and self._key_list[i] == rank
+
+    def _positions(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Where each pair of an (n, 2) array on the grid is in rows, and whether it is there."""
+        ranks, keys = _ranks(self.params, rows), self._keys
+        at = keys.searchsorted(ranks)
+        # take clips a rank past the last key onto that key, which differs from it.
+        return at, (keys.take(at, mode="clip") == ranks) if keys.size else np.zeros(at.shape, bool)
+
     def __setitem__(self, key, value) -> None:
-        k, m = _grid_index(key, self.grid.shape)
-        # A str, None, a complex or an array is refused like a negative value.
-        if not (isinstance(value, numbers.Real) and value >= 0 and math.isfinite(value)):
-            raise ValueError(f"entry ({k}, {m}) has invalid value {value!r}")
-        self.grid[k, m] = value
+        k, m = _entry(key, value, (self.params.N, self.params.r))
+        i, found = self._find(k, m)
+        if found:
+            self.values[i] = value
+        else:
+            self._store(self.params, np.vstack([self.rows, (k, m)]), np.append(self.values, value))
 
     def __getitem__(self, key) -> float:
-        # Mapping's `in` and `get` call this, so every key that is not a
-        # measured pair on the grid raises KeyError.
+        # Mapping's `in` and `get` call this: any key but a measured pair raises KeyError.
         try:
-            value = self.grid.item(_grid_index(key, self.grid.shape))
+            i, found = self._find(*_grid_index(key, (self.params.N, self.params.r)))
         except ValueError:
             raise KeyError(key) from None
-        if math.isnan(value):
+        if not found:
             raise KeyError(key)
-        return value
+        return self.values.item(i)
 
     def __iter__(self):
-        k, m = np.nonzero(~np.isnan(self.grid))
-        return zip(k.tolist(), m.tolist())
+        return zip(*self.rows.T.tolist())
 
     def __len__(self) -> int:
-        return int(np.count_nonzero(~np.isnan(self.grid)))
+        return self.values.size
 
     def check_values(self) -> float:
-        """ValueError naming the first entry, in (k, m) order, that is negative or infinite.
-
-        `meas[k, m] = v` refuses such a value, but grid is public and can be
-        written directly. NaN means "not measured" and passes. Returns the
-        largest measured value, 0.0 when there is none.
-        """
-        grid = self.grid
-        # fmin and fmax skip NaN; the entry is looked for only when there is one.
-        top = float(np.fmax.reduce(grid, axis=None, initial=0.0))
-        if np.fmin.reduce(grid, axis=None, initial=0.0) < 0 or not math.isfinite(top):
-            k, m = np.argwhere((grid < 0) | np.isinf(grid))[0].tolist()
-            raise ValueError(f"entry ({k}, {m}) has invalid value {grid.item(k, m)!r}")
+        """The largest value, 0.0 for none; ValueError names the first entry, in (k, m) order,
+        that is negative, infinite or NaN, which values, being public, can hold."""
+        values, top = self.values, float(self.values.max(initial=0.0))  # NaN if one is
+        if not (values.min(initial=0.0) >= 0 and top < math.inf):
+            i = np.flatnonzero(~((values >= 0) & (values < np.inf)))[0]
+            k, m = self.rows[i].tolist()
+            raise ValueError(f"entry ({k}, {m}) has invalid value {values.item(i)!r}")
         return top
 
     def is_full_grid(self) -> bool:
-        return not np.isnan(self.grid).any()
+        return len(self) == self.params.N * self.params.r
+
+
+def _ranks(params: FrogParams, rows: np.ndarray) -> np.ndarray:
+    """k r + m of each row (k, m), its place in (k, m) order: int64 while N r fits, else ints."""
+    k, m = rows.T
+    return k.astype(np.int64 if params.N * params.r < 2**63 else object) * params.r + m
+
+
+def _entry(key, value, shape: tuple[int, int]) -> tuple[int, int]:
+    """key as (k, m) by _grid_index; ValueError unless value is a finite real >= 0."""
+    k, m = _grid_index(key, shape)
+    # A str, None, a complex or an array is refused like a negative value.
+    if not (isinstance(value, numbers.Real) and value >= 0 and math.isfinite(value)):
+        raise ValueError(f"entry ({k}, {m}) has invalid value {value!r}")
+    return k, m
 
 
 def _time_rows(z, params: FrogParams, r: int) -> np.ndarray:
@@ -224,58 +261,36 @@ def _freq_rows(s, params: FrogParams, r: int) -> np.ndarray:
     return (np.abs(rows / n) ** 2).T
 
 
-def _index_arrays(indices, shape: tuple[int, int]):
-    """indices as two integer sequences k and m, checked as _grid_index checks a pair.
-
-    An integer (n, 2) array and a list of pairs of ints are checked by array
-    tests; anything else, and any of them that fails the tests, pair by
-    pair, which names the first pair refused.
-    """
-    ks = ms = None
+def _index_rows(indices, shape: tuple[int, int]) -> np.ndarray:
+    """indices (every pair for None) as an integer (n, 2) array, checked as _grid_index checks a
+    pair: an integer (n, 2) array by array tests, returned as it is; anything else, or an array
+    that fails them, pair by pair, naming the first pair refused."""
+    n, r = shape
+    if indices is None:
+        return np.indices((n, r)).reshape(2, -1).T
     if isinstance(indices, np.ndarray):
         if indices.dtype.kind in "iu" and indices.ndim == 2 and indices.shape[1] == 2:
             ks, ms = indices.T
-    elif (
-        type(indices) is list
-        and set(map(type, indices)) <= {tuple, list}
-        and set(map(len, indices)) == {2}
-    ):
-        columns = tuple(zip(*indices))
-        if all(set(map(type, col)) == {int} for col in columns):
-            try:
-                ks, ms = (np.fromiter(col, np.int64, len(col)) for col in columns)
-            except OverflowError:
-                pass
-    n, r = shape
-    if ks is not None and ((0 <= ks) & (ks < n) & (0 <= ms) & (ms < r)).all():
-        return ks, ms
-    if isinstance(indices, np.ndarray):
+            if not indices.size or (indices.min() >= 0 and ks.max() < n and ms.max() < r):
+                return indices
         indices = indices.tolist()
-    pairs = [_grid_index(index, shape) for index in indices]
-    return tuple(zip(*pairs)) if pairs else ((), ())
+    pairs = itertools.chain.from_iterable([_grid_index(index, shape) for index in indices])
+    return np.fromiter(pairs, np.int64).reshape(-1, 2)
 
 
 def _collect(rows_of, x, params: FrogParams, indices) -> FrogMeasurements:
     """x's entries at indices (all when None) from rows_of(x, params, r), r the delays needed."""
+    rows = _index_rows(indices, (params.N, params.r))
+    ks, ms = rows.T
     # Never negative, but a signal large enough to overflow makes an entry inf or NaN.
-    if indices is None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            grid = rows_of(x, params, params.r)
-        if not np.isfinite(grid).all():
-            k, m = np.argwhere(~np.isfinite(grid))[0].tolist()
-            raise ValueError(f"entry ({k}, {m}) has invalid value {grid.item(k, m)!r}")
-        meas = FrogMeasurements(params)
-        meas.grid = grid
-        return meas
-    ks, ms = _index_arrays(indices, (params.N, params.r))
     with np.errstate(over="ignore", invalid="ignore"):
-        values = rows_of(x, params, int(np.max(ms)) + 1 if len(ms) else 0)[ks, ms]
+        values = rows_of(x, params, int(ms.max()) + 1 if len(ms) else 0)[ks, ms]
+    # The first in (k, m) order for the full grid, in their own order for indices.
     if not np.isfinite(values).all():
         i = np.flatnonzero(~np.isfinite(values))[0]
-        raise ValueError(f"entry ({ks[i]}, {ms[i]}) has invalid value {float(values[i])!r}")
-    meas = FrogMeasurements(params)
-    meas.grid[ks, ms] = values
-    return meas
+        k, m = rows[i].tolist()
+        raise ValueError(f"entry ({k}, {m}) has invalid value {values.item(i)!r}")
+    return FrogMeasurements.__new__(FrogMeasurements)._store(params, rows, values)
 
 
 def frog_measurements_time(z, params: FrogParams, indices=None) -> FrogMeasurements:
@@ -324,7 +339,6 @@ class RowExpansion(NamedTuple):
     s_{mirror} dw over l = 0..max k_r, with these, which depend on the rows
     alone and not on any measured value:
 
-    rows:   the row array itself, k = 0 rows included; plan.rows for a plan.
     starts: starts[j], for j = 0 .. max k_r + 1, is the first expanded row
             with k_r >= j (their count for j = max k_r + 1).
     mirror: k_r - l, the index of the partner coefficient s_{k_r - l}; int32.
@@ -333,7 +347,6 @@ class RowExpansion(NamedTuple):
     Entries with l > k_r are 0 in mirror and dw. Both are read-only.
     """
 
-    rows: np.ndarray
     starts: tuple[int, ...]
     mirror: np.ndarray
     dw: np.ndarray
@@ -365,7 +378,7 @@ def expand_rows(params: FrogParams, rows: np.ndarray) -> RowExpansion:
     mirror[dead] = 0
     mirror.flags.writeable = dw.flags.writeable = False
     starts = tuple(np.searchsorted(k, np.arange(l.size + 1)).tolist())
-    return RowExpansion(rows, starts, mirror, dw)
+    return RowExpansion(starts, mirror, dw)
 
 
 @dataclass(frozen=True, eq=False)

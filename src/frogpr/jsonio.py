@@ -24,7 +24,7 @@ import json
 
 import numpy as np
 
-from .frog import FrogMeasurements, FrogParams
+from .frog import FrogMeasurements, FrogParams, _entry, _index_rows
 from .spectral import as_signal
 
 __all__ = [
@@ -154,15 +154,13 @@ def load_signal(path) -> np.ndarray:
 
 def save_measurements(path, measurements: FrogMeasurements) -> None:
     """Write the measured entries, refusing the first, in (k, m) order, that is
-    negative or infinite (check_values, named as load_measurements would name it)."""
+    negative, infinite or NaN (check_values, named as load_measurements would name it)."""
     measurements.check_values()
-    k, m = np.nonzero(~np.isnan(measurements.grid))
-    values = measurements.grid[k, m]
     params = measurements.params
     _write(
         path,
         {"N": params.N, "L": params.L},
-        {"entries": ("[%d, %d, %.17g]", k, m, values)},
+        {"entries": ("[%d, %d, %.17g]", *measurements.rows.T, measurements.values)},
     )
 
 
@@ -175,17 +173,12 @@ def _entries(raw: list, params: FrogParams) -> FrogMeasurements | None:
     (ks, ms, vs), (k_kinds, m_kinds, v_kinds) = found
     if not (k_kinds == m_kinds == {int} and v_kinds <= _NUMBERS):
         return None
-    meas = FrogMeasurements(params)
-    rows, cols = meas.grid.shape
     try:
-        k, m = (np.fromiter(col, np.int64, len(raw)) for col in (ks, ms))
-        values = np.fromiter(vs, float, len(raw))
-    except OverflowError:
+        rows = _index_rows(np.array((ks, ms), np.int64).T, (params.N, params.r))
+        meas = FrogMeasurements.__new__(FrogMeasurements)
+        meas._store(params, rows, np.fromiter(vs, float, len(raw))).check_values()
+    except (OverflowError, ValueError):
         return None
-    # NaN fails both value comparisons.
-    if not ((0 <= k) & (k < rows) & (0 <= m) & (m < cols) & (values >= 0) & (values < np.inf)).all():
-        return None
-    meas.grid[k, m] = values
     # A repeated index leaves fewer measured entries than rows.
     return meas if len(meas) == len(raw) else None
 
@@ -212,7 +205,7 @@ def load_measurements(path) -> FrogMeasurements:
     # A pass found a fault (or the list is empty); this loop names the first
     # faulty entry. In this order: a triple, a new index, a value that fits a
     # float, then the container's checks of the index and the value.
-    meas = FrogMeasurements(params)
+    entries = {}
     for idx, row in enumerate(raw):
         if (
             not isinstance(row, list)
@@ -222,7 +215,8 @@ def load_measurements(path) -> FrogMeasurements:
         ):
             raise ValueError(f"'entries'[{idx}] is not a [k, m, value] triple")
         key = (row[0], row[1])
-        if key in meas:
+        if key in entries:
             raise ValueError(f"'entries'[{idx}] repeats index {key}")
-        meas[key] = _float(row[2], "entries", idx)
-    return meas
+        entries[key] = _float(row[2], "entries", idx)
+        _entry(key, entries[key], (params.N, params.r))
+    return FrogMeasurements(params, entries)

@@ -34,13 +34,11 @@ coefficient through circles |s_k + offset| = radius. Recovery proceeds:
 The expansion of the planned rows k >= 1 in coefficients, partner indices
 k - l and unit-root sums (w^{lm} + w^{(k-l)m}) / N, depends on the plan
 alone, so the plan builds it once and keeps it (MeasurementIndexPlan.
-expansion); it carries the rows it was built from. recover and the even-L
-probe first run _scaled on one expansion, once: it reads the values of the
-expansion's rows, divides them by the power of two 2^(4e) that puts the
-largest in [1, 16), so the solvers' absolute floors see the same numbers
-at every scale, and keeps them, with N, in one row table that holds the
-expansion by reference. That table is all A1, the tail and the even-L
-probe read; they gather their rows from it, once per stage.
+expansion). recover and the even-L probe first run _scaled on one plan,
+once: it looks the plan's rows up in the measurement set, scales their
+values and keeps them in one row table with the expansion. That table is
+all A1, the tail and the even-L probe read; they gather their rows from
+it, once per stage.
 
 All of this assumes L odd (so the per-step phase satisfies w^{N/2} = -1 and
 the k = 0 row separates the two boundary coefficients). For even L that row
@@ -69,7 +67,6 @@ from .frog import (
     MeasurementIndexPlan,
     RowExpansion,
     _freq_rows,
-    expand_rows,
     plan_indices,
 )
 from .spectral import as_signal, idft
@@ -420,7 +417,7 @@ class _RowTables(NamedTuple):
 
     def stage(self, k_active: int, lo: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """target, mirror and dw of the rows lo <= k_r <= k_active, over l <= k_active."""
-        _, starts, mirror, dw = self.expansion
+        starts, mirror, dw = self.expansion
         rows, width = slice(starts[lo], starts[k_active + 1]), k_active + 1
         return self.target[rows], mirror[rows, :width], dw[rows, :width]
 
@@ -429,28 +426,27 @@ class _RowTables(NamedTuple):
         return self.n * math.sqrt(self.target[0]) / (2.0 * z0)
 
 
-def _scaled(measurements: FrogMeasurements, expansion: RowExpansion) -> tuple[_RowTables, int]:
-    """The row table of the expansion's rows, their values divided by 2^(4e), and e.
+def _scaled(measurements: FrogMeasurements, plan: MeasurementIndexPlan) -> tuple[_RowTables, int]:
+    """The row table of the plan's rows, their values divided by 2^(4e), and e.
 
-    A ValueError names the first supplied entry that is negative or
-    infinite, if any (check_values). The rows' values are then read in one
-    gather, and a ValueError names the first five absent pairs, if any.
-    The values are quartic in the spectrum, so dividing them by 2^(4e)
-    divides it by 2^e, and e puts the largest in [1, 16): the solvers'
-    absolute floors see the same numbers at every scale.
+    ValueError names the first supplied entry that is negative, infinite or
+    NaN (check_values), then the first five planned pairs the set lacks,
+    before plan.expansion is read. The values are quartic in the spectrum,
+    so dividing them by 2^(4e) divides it by 2^e; e puts the largest in
+    [1, 16), so the solvers' absolute floors see the same numbers at every scale.
     """
     measurements.check_values()
-    rows = expansion.rows
-    values = measurements.grid[rows[:, 0], rows[:, 1]]
-    absent = np.isnan(values)
-    if absent.any():
-        missing = list(map(tuple, rows[absent][:5].tolist()))
+    at, found = measurements._positions(plan.rows)
+    if not found.all():
+        missing = list(map(tuple, plan.rows[~found][:5].tolist()))
         raise ValueError(f"measurements missing required entries {missing}")
+    values = measurements.values[at]
     e = (math.frexp(values.max())[1] - 1) // 4
     values = np.ldexp(values, -4 * e)
     n, top = measurements.params.N, float(values.max(initial=0.0))
     floor = _GENERICITY_FLOOR * math.sqrt(n * math.sqrt(top))
-    first = len(rows) - len(expansion.dw)  # the k = 0 rows, which are not expanded
+    expansion = plan.expansion
+    first = len(plan.rows) - len(expansion.dw)  # the k = 0 rows, which are not expanded
     return _RowTables(expansion, n, values[:first].tolist(), values[first:], top or 1.0, floor), e
 
 
@@ -605,26 +601,23 @@ def verify_solution(spectrum, measurements: FrogMeasurements) -> float:
 
     Deviations are absolute differences of |y^|^2 values, reported relative
     to the largest stored value (so the residual is scale-invariant).
-    Raises ValueError for a spectrum of the wrong length, no measurements,
-    a stored value that is negative or infinite (check_values), or a
-    spectrum whose grid overflows at a stored entry. The stored values and
-    the spectrum are finite, so only an overflow makes the largest deviation
-    inf or NaN; numpy's warnings for it are silenced and that one maximum is
-    tested instead. The grid is evaluated only over the delays up to the
-    last one measured.
+    Only the stored entries are evaluated, over the delays up to the last
+    one measured. Raises ValueError for a spectrum of the wrong length, no
+    measurements, a stored value that is negative, infinite or NaN
+    (check_values), or a spectrum whose grid overflows at a stored entry:
+    the stored values and the spectrum are finite, so only an overflow makes
+    the largest deviation inf or NaN, which is tested without numpy's warnings.
     """
     s = as_signal(spectrum)
     params = measurements.params
     if s.size != params.N:
         raise ValueError(f"spectrum length {s.size} != params.N {params.N}")
-    measured = ~np.isnan(measurements.grid)
-    delays = np.flatnonzero(measured.any(axis=0))
-    if not delays.size:
+    if not len(measurements):
         raise ValueError("no measurements to verify the spectrum against")
-    top, r = measurements.check_values(), int(delays[-1]) + 1
+    top, (k, m) = measurements.check_values(), measurements.rows.T
     with np.errstate(over="ignore", invalid="ignore"):
-        deviation = np.abs(_freq_rows(s, params, r) - measurements.grid[:, :r])
-    dev = float(np.max(deviation, where=measured[:, :r], initial=0.0))
+        deviation = np.abs(_freq_rows(s, params, int(m.max()) + 1)[k, m] - measurements.values)
+    dev = float(deviation.max())
     if not math.isfinite(dev):
         raise ValueError("the spectrum's measurement grid overflows a float")
     # A Python division: a deviation far above tiny stored values is inf
@@ -650,11 +643,11 @@ def recover(
     for a tol that is not finite and > 0 (checked first), then
     UnsupportedGeometryError, a ValueError too, for a geometry outside the
     recovery domain (FrogParams.recovery_violations), and ValueError for a
-    plan for another geometry, a supplied entry that is negative or
-    infinite, or missing planned entries; propagates DegenerateSignalError
-    and InconsistentMeasurementsError from A1 and the tail; and raises
-    InconsistentMeasurementsError with stage "verify" when the
-    verification residual exceeds tol. Their stage, residual and tol fields
+    plan for another geometry, a supplied entry that is negative, infinite
+    or NaN, or missing planned entries (before the plan's expansion is
+    built); propagates DegenerateSignalError and InconsistentMeasurementsError
+    from A1 and the tail; and raises InconsistentMeasurementsError with stage
+    "verify" when the verification residual exceeds tol. Their stage, residual and tol fields
     say where recovery stopped and by how much. Measurements scaled by
     2^(4j) give the spectrum scaled by exactly 2^j.
     """
@@ -667,7 +660,7 @@ def recover(
         plan = plan_indices(params)
     if plan.params != params:
         raise ValueError(f"plan is for {plan.params} but the measurements are for {params}")
-    tables, e = _scaled(measurements, plan.expansion)
+    tables, e = _scaled(measurements, plan)
     z0 = recover_z0(tables)
     spectrum = _normalize_gauge(recover_tail(tables, z0))
     # Scaled on the float64 view, which keeps the sign of a zero part. The
@@ -701,10 +694,10 @@ def even_l_infeasibility_probe(
     by _scaled, as in recover, and alpha with them, so the verdict does not
     depend on the scale of the input. Only the plan's rows k = 1, 2 are
     expanded, not the whole plan. Raises ValueError for odd L, a non-finite
-    alpha or theta, a supplied entry that is negative or infinite, missing
-    rows, or an alpha that overflows when scaled; UnsupportedGeometryError
-    for a geometry plan_indices refuses; and DegenerateSignalError when the
-    scaled alpha or the trial |s_1| sits at the coefficient floor.
+    alpha or theta, a supplied entry that is negative, infinite or NaN, missing
+    rows, or an alpha that overflows when scaled; UnsupportedGeometryError for
+    a geometry plan_indices refuses; and DegenerateSignalError when the scaled
+    alpha or the trial |s_1| sits at the coefficient floor.
     """
     params = measurements.params
     if params.L % 2 != 0:
@@ -713,7 +706,8 @@ def even_l_infeasibility_probe(
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
     rows = plan_indices(params).rows
-    tables, e = _scaled(measurements, expand_rows(params, rows[np.isin(rows[:, 0], (1, 2))]))
+    sub = MeasurementIndexPlan(params, rows[np.isin(rows[:, 0], (1, 2))])
+    tables, e = _scaled(measurements, sub)
     try:
         alpha = math.ldexp(alpha, -e)
     except OverflowError:

@@ -89,10 +89,8 @@ def criterion_1(quick: bool = False) -> CriterionResult:
     def compute(xv):
         """The six example values: spectrum, then both (0, 0) entries."""
         z = make_analytic(xv)
-        y00 = frog_measurements_time(z, params).grid[0, 0]
-        zg = translate(z, 2.0 / np.pi)
-        yg00 = frog_measurements_time(zg, params).grid[0, 0]
-        return np.append(dft(z), [y00, yg00])
+        y00 = [frog_measurements_time(v, params)[0, 0] for v in (z, translate(z, 2.0 / np.pi))]
+        return np.append(dft(z), y00)
 
     def residual(xv):
         d = compute(xv) - refs
@@ -217,10 +215,10 @@ def criterion_3(quick: bool = False) -> CriterionResult:
         l = strides[idx % len(strides)]
         params = FrogParams(n, l)
         z = random_analytic_signal(n, rng)
-        grid = frog_measurements_time(z, params).grid
+        grid = frog_measurements_time(z, params).values
         gmax = grid.max()
         for g in group_elements(n):
-            dev = np.abs(frog_measurements_time(apply_element(g, z), params).grid - grid).max()
+            dev = np.abs(frog_measurements_time(apply_element(g, z), params).values - grid).max()
             worst_even = max(worst_even, dev / gmax)
     worst_odd = 0.0
     for idx in range(50):
@@ -228,11 +226,11 @@ def criterion_3(quick: bool = False) -> CriterionResult:
         l = strides[idx % len(strides)]
         params = FrogParams(n, l)
         z = random_analytic_signal(n, rng)
-        grid = frog_measurements_time(z, params).grid
+        grid = frog_measurements_time(z, params).values
         gmax = grid.max()
         for _ in range(10):
             zt = translate(z, float(rng.uniform(0.0, n)))
-            dev = np.abs(frog_measurements_time(zt, params).grid - grid).max()
+            dev = np.abs(frog_measurements_time(zt, params).values - grid).max()
             worst_odd = max(worst_odd, dev / gmax)
     passed = worst_even <= 1e-8 and worst_odd <= 1e-8
     details = (
@@ -261,9 +259,9 @@ def criterion_4(quick: bool = False) -> CriterionResult:
         l = strides[idx % len(strides)]
         params = FrogParams(n, l)
         z = _generic_even_signal(n, rng, floor1=0.0, floor2=0.0, gap=0.0)
-        grid = frog_measurements_time(z, params).grid
+        grid = frog_measurements_time(z, params).values
         zt = translate(z, gamma=float(rng.uniform(0.1, 0.9)))
-        moved = frog_measurements_time(zt, params).grid
+        moved = frog_measurements_time(zt, params).values
         # Per-entry relative change; entries below the noise floor cannot
         # contribute (rows k >= 1 differ only by roundoff).
         denom = np.maximum(np.maximum(grid, moved), 1e-9 * grid.max())

@@ -59,10 +59,10 @@ def full_grid_residual(spectrum, measurements):
     The largest |grid - stored| where an entry is stored, relative to the
     largest stored value (1 when there is none).
     """
-    stored = measurements.grid
-    deviation = np.abs(exp_grid_freq(spectrum, measurements.params.L) - stored)
-    dev = float(np.max(deviation, where=~np.isnan(stored), initial=0.0))
-    return dev / (float(np.fmax.reduce(stored, axis=None, initial=0.0)) or 1.0)
+    k, m = measurements.rows.T
+    stored = measurements.values
+    deviation = np.abs(exp_grid_freq(spectrum, measurements.params.L)[k, m] - stored)
+    return float(deviation.max(initial=0.0)) / (float(stored.max(initial=0.0)) or 1.0)
 
 
 def exp_row_dw(rows, n, L):

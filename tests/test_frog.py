@@ -1,6 +1,7 @@
 """Measurement synthesis, geometry parameters, and index planning."""
 
 import cmath
+import fractions
 import re
 import tracemalloc
 
@@ -91,11 +92,12 @@ def test_w_pow_reads_the_read_only_unit_root_table(n, l):
 
 @pytest.mark.parametrize("n,l", [(16, 3), (20, 4), (64, 11), (256, 11)])
 def test_unit_root_gathers_match_direct_exp(n, l):
-    # The grid and the row table read their unit roots off the table; both
-    # are bitwise what evaluating each root by np.exp gives.
+    # The synthesis and the row table read their unit roots off the table;
+    # both are bitwise what evaluating each root by np.exp gives. A full
+    # set's values, in (k, m) order, are its grid.
     params = FrogParams(n, l)
     s = dft(_generic_even_signal(n, np.random.default_rng(n + l)))
-    assert frog_measurements_freq(s, params).grid.tobytes() == exp_grid_freq(s, l).tobytes()
+    assert frog_measurements_freq(s, params).values.tobytes() == exp_grid_freq(s, l).tobytes()
     rows = plan_indices(params).rows
     rows = rows[rows[:, 0] >= 1]
     assert expand_rows(params, rows).dw.tobytes() == exp_row_dw(rows, n, l).tobytes()
@@ -131,7 +133,7 @@ def test_row_expansion_is_bytewise_the_direct_expression(n, l):
     assert expansion.mirror.tobytes() == mirror.tobytes()
     assert expansion.dw.tobytes() == dw.tobytes()
     # The two k = 0 rows come first and are not expanded.
-    assert expansion.rows is rows and len(rows) - len(dw) == 2
+    assert len(rows) - len(dw) == 2
     k = rows[2:, 0]
     assert expansion.starts == tuple(np.searchsorted(k, np.arange(n // 2 + 2)).tolist())
 
@@ -140,9 +142,8 @@ def test_plan_keeps_one_read_only_row_expansion():
     plan = plan_indices(FrogParams(20, 3))
     expansion = plan.expansion
     assert plan.expansion is expansion
-    assert expansion._fields == ("rows", "starts", "mirror", "dw")
-    # The expansion holds the plan's rows themselves, not a copy.
-    assert expansion.rows is plan.rows
+    # The rows are the plan's; the expansion holds only what they expand to.
+    assert expansion._fields == ("starts", "mirror", "dw")
     for array in (expansion.mirror, expansion.dw):
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0] = 0
@@ -182,7 +183,7 @@ def test_grid_matches_direct_summation():
     rng = np.random.default_rng(401)
     for n, l in ((4, 1), (5, 2), (8, 3), (9, 4), (12, 5)):
         z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        grid = frog_measurements_time(z, FrogParams(n, l)).grid
+        grid = frog_measurements_time(z, FrogParams(n, l)).values.reshape(n, -1)
         ref = direct_frog_grid(z, l)
         assert grid.shape == ref.shape
         assert_allclose(grid, ref, rtol=0, atol=1e-10 * max(1.0, ref.max()))
@@ -193,17 +194,17 @@ def test_time_and_frequency_forms_agree():
     for n, l in ((8, 1), (12, 5), (16, 3), (20, 7), (15, 4)):
         z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         params = FrogParams(n, l)
-        gt = frog_measurements_time(z, params).grid
-        gf = frog_measurements_freq(dft(z), params).grid
+        gt = frog_measurements_time(z, params).values
+        gf = frog_measurements_freq(dft(z), params).values
         assert_allclose(gf, gt, rtol=0, atol=1e-10 * max(1.0, gt.max()))
 
 
 def test_worked_example_measurement_entries():
     params = FrogParams(4, 1)
     z = make_analytic(X4)
-    grid = frog_measurements_time(z, params).grid
+    grid = frog_measurements_time(z, params)
     assert_allclose(grid[0, 0], Y00, rtol=1e-12)
-    moved = frog_measurements_time(translate(z, 2.0 / np.pi), params).grid
+    moved = frog_measurements_time(translate(z, 2.0 / np.pi), params)
     assert_allclose(moved[0, 0], Y00_TRANSLATED, rtol=1e-12)
     # Both sit ~1e-3 from the published 4-decimal renderings (the reference
     # inputs are themselves rounded), which pins the conventions.
@@ -218,7 +219,7 @@ def test_measurement_collection_full_and_subset():
     full = frog_measurements_time(z, params)
     assert full.is_full_grid()
     assert len(full.entries) == params.N * params.r
-    assert full.check_values() == max(full.entries.values())
+    assert full.check_values() == max(full[key] for key in full.entries) == full.values.max()
 
     some = [(0, 0), (1, 1), (5, 2)]
     sub = frog_measurements_time(z, params, indices=some)
@@ -281,15 +282,16 @@ def test_measurements_write_through_the_mapping():
     meas = frog_measurements_time(z, params, pairs)
     assert recover(meas).verification_residual < 1e-9
     # A value planted through `entries`, as the benchmark's corrupted-entry
-    # check does, reaches the grid that recovery reads.
+    # check does, reaches the values that recovery reads, in place.
     key = next(p for p in pairs if p[0] == 2 and p[1] > 0)
-    before = meas[key]
+    before, rows, values = meas[key], meas.rows, meas.values
     meas.entries[key] *= 1.5
-    assert meas.grid[key] == meas[key] == 1.5 * before
+    assert meas.rows is rows and meas.values is values
+    assert values[pairs.index(key)] == meas[key] == 1.5 * before
     with pytest.raises(InconsistentMeasurementsError):
         recover(meas)
-    # Assignment keeps the constructor's checks and leaves the grid as it was.
-    grid = meas.grid.copy()
+    # Assignment keeps the constructor's checks and leaves the set as it was.
+    values = values.copy()
     for key, value, message in (
         ((1.5, 0), 1.0, "not a pair of integers"),
         ((True, 0), 1.0, "not a pair of integers"),
@@ -306,9 +308,15 @@ def test_measurements_write_through_the_mapping():
     ):
         with pytest.raises(ValueError, match=message):
             meas[key] = value
-    np.testing.assert_array_equal(meas.grid, grid)
+    assert meas.rows is rows
+    np.testing.assert_array_equal(meas.values, values)
+    # A new pair is inserted in (k, m) order.
+    meas[15, 4] = fractions.Fraction(1, 4)
+    assert list(meas) == sorted([*pairs, (15, 4)]) and meas[15, 4] == 0.25
+    assert meas.values.dtype == np.float64
+    assert not meas.rows.flags.writeable and meas.values.size == len(pairs) + 1
     empty = frog_measurements_time(z, params, [])
-    assert len(empty) == 0 and list(empty) == [] and np.isnan(empty.grid).all()
+    assert len(empty) == 0 and list(empty) == [] and empty.rows.shape == (0, 2)
     # Membership treats a pair off the integer grid as absent.
     assert (0, 0) in meas and (15, 5) not in meas
     for key in ((1.5, 0), (True, 0), (-1, 0), (16, 0), (10**400, 0), (0, 2**63), 5, "ab"):
@@ -323,9 +331,10 @@ def test_lookup_agrees_with_membership_on_odd_keys():
     # message, is absent.
     params = FrogParams(16, 3)
     z = random_analytic_signal(16, np.random.default_rng(137))
-    meas = frog_measurements_time(z, params)
+    full = frog_measurements_time(z, params)
+    grid = full.values.reshape(16, 6)
     gap = (4, 2)
-    meas.grid[gap] = np.nan
+    meas = FrogMeasurements(params, {key: value for key, value in full.items() if key != gap})
     pair, outside = "not a pair of integers", "outside grid 16x6"
     keys = (
         ([2, 1], None),
@@ -359,7 +368,6 @@ def test_lookup_agrees_with_membership_on_odd_keys():
         ((10**400, 0), outside),
         ((0, 2**63), outside),
     )
-    grid = frog_measurements_time(z, params).grid
     written = FrogMeasurements(params)
     for key, message in keys:
         if message is None:
@@ -370,11 +378,11 @@ def test_lookup_agrees_with_membership_on_odd_keys():
                     meas[key]
             else:
                 assert key in meas
-                assert meas[key] == meas.grid[k, m]
+                assert meas[key] == grid[k, m]
                 assert type(meas[key]) is float
             written[key] = 1.0
-            assert written.grid[k, m] == 1.0
-            assert frog_measurements_time(z, params, [key]).grid[k, m] == grid[k, m]
+            assert written[k, m] == 1.0
+            assert frog_measurements_time(z, params, [key])[k, m] == grid[k, m]
             continue
         assert key not in meas
         with pytest.raises(KeyError):
@@ -395,7 +403,8 @@ def test_synthesis_reads_plan_rows_as_pairs():
         from_rows = synthesize(x, params, plan.rows)
         from_pairs = synthesize(x, params, plan.pairs())
         assert list(from_rows) == plan.pairs()
-        assert from_rows.grid.tobytes() == from_pairs.grid.tobytes()
+        assert from_rows.rows.tobytes() == from_pairs.rows.tobytes() == plan.rows.tobytes()
+        assert from_rows.values.tobytes() == from_pairs.values.tobytes()
 
 
 def test_synthesis_refuses_overflow_without_warning():
@@ -415,7 +424,7 @@ def test_synthesis_names_the_first_overflowing_entry():
     # order for indices. Each entry synthesized alone says whether it does.
     params = FrogParams(16, 3)
     z = random_analytic_signal(16, np.random.default_rng(143))
-    z = z * (1e308 / frog_measurements_time(z, params).grid.max()) ** 0.25 * 1.2
+    z = z * (1e308 / frog_measurements_time(z, params).values.max()) ** 0.25 * 1.2
     over = []
     for key in np.ndindex(params.N, params.r):
         try:
@@ -603,14 +612,15 @@ def test_synthesis_refuses_bad_indices_in_lists_and_arrays():
             with pytest.raises(ValueError, match=message):
                 synthesize(x, params, indices)
         # Accepted forms give the same entries.
-        grid = synthesize(x, params).grid
+        full = synthesize(x, params)
         for indices in (
             [(0, 0), (15, 5)], [[0, 0], [15, 5]], np.array([[0, 0], [15, 5]], dtype=np.uint8),
             np.array([[0, 0], [15, 5]], dtype=np.int32), ((0, 0), (15, 5)),
+            np.array([[15, 5], [0, 0]], dtype=np.uint64),
         ):
             meas = synthesize(x, params, indices)
             assert list(meas) == [(0, 0), (15, 5)]
-            assert meas[15, 5] == grid[15, 5]
+            assert meas[15, 5] == full[15, 5]
 
 
 def _index_sets(params):
@@ -631,28 +641,29 @@ def _index_sets(params):
 )
 def test_synthesized_entries_are_bytewise_the_full_grids(n, l):
     # Synthesis computes only the delays up to the largest requested one;
-    # each entry it keeps has the bytes of the full grid's, and every other
-    # entry is absent.
+    # it keeps the requested pairs, sorted by (k, m), each with the bytes of
+    # the full grid's entry, and no other.
     params = FrogParams(n, l)
     z = random_analytic_signal(n, np.random.default_rng(141 + n))
     s = dft(z)
     for synthesize, x, full in (
-        (frog_measurements_time, z, frog_measurements_time(z, params).grid),
+        (frog_measurements_time, z, frog_measurements_time(z, params).values.reshape(n, -1)),
         (frog_measurements_freq, s, exp_grid_freq(s, l)),
     ):
         for indices in _index_sets(params):
-            expected = full
-            if indices is not None:
-                ks, ms = np.asarray(indices).T
-                expected = np.full(full.shape, np.nan)
-                expected[ks, ms] = full[ks, ms]
-            assert synthesize(x, params, indices).grid.tobytes() == expected.tobytes()
+            if indices is None:
+                rows = np.argwhere(np.ones(full.shape, bool))
+            else:
+                rows = np.unique(np.asarray(indices), axis=0)
+            meas = synthesize(x, params, indices)
+            assert meas.rows.tobytes() == rows.astype(np.int64).tobytes()
+            assert meas.values.tobytes() == full[tuple(rows.T)].tobytes()
 
 
 def test_planned_synthesis_at_4096_computes_only_the_planned_delays():
-    # The plan of (4096, 1) reads delays 0..5 of a 4096-delay grid. Only the
-    # measurement set's own (N, r) grid, 134 MB, is of the grid's size; the
-    # whole grid would take several times that.
+    # The plan of (4096, 1) reads delays 0..5 of a 4096-delay grid, and the
+    # set keeps its 6,145 entries only: nothing of the grid's 16.8 M entries
+    # is allocated (the whole grid would take several hundred MB).
     params = FrogParams(4096, 1)
     rows = plan_indices(params).rows
     z = random_analytic_signal(4096, np.random.default_rng(142))
@@ -664,5 +675,5 @@ def test_planned_synthesis_at_4096_computes_only_the_planned_delays():
         finally:
             tracemalloc.stop()
         assert len(meas) == 6145
-        assert peak < 200e6, peak
+        assert peak < 5e6, peak
         del meas

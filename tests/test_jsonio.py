@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,9 +196,9 @@ def test_full_grid_file_bytes_are_pinned(tmp_path):
     # with ldexp so that they are the same on every platform.
     rng = np.random.default_rng(1211)
     params = FrogParams(256, 11)
-    meas = FrogMeasurements(params)
-    shape = meas.grid.shape
-    meas.grid[:] = np.ldexp(rng.random(shape), rng.integers(-1074, 1000, shape))
+    shape = (params.N, params.r)
+    values = np.ldexp(rng.random(shape), rng.integers(-1074, 1000, shape))
+    meas = FrogMeasurements(params, zip(np.ndindex(*shape), values.ravel().tolist()))
     path = tmp_path / "grid.json"
     save_measurements(path, meas)
     data = path.read_bytes()
@@ -217,8 +218,9 @@ def test_measurement_round_trip_is_bitwise(tmp_path, n, l):
         save_measurements(path, meas)
         back = load_measurements(path)
         assert back.params == params
-        # NaN marks the entries that are absent, at the same positions.
-        assert back.grid.tobytes() == meas.grid.tobytes()
+        # The same pairs, with the same value bits.
+        assert back.rows.tobytes() == meas.rows.tobytes()
+        assert back.values.tobytes() == meas.values.tobytes()
 
 
 def test_signal_round_trip_is_bitwise(tmp_path):
@@ -243,6 +245,46 @@ def test_an_empty_entry_list_loads_as_an_empty_set(tmp_path):
     missing = re.escape("measurements missing required entries [(0, 0), (0, 1), (1, 0), (2, 0), (2, 1)]")
     with pytest.raises(ValueError, match=f"^{missing}$"):
         recover(meas)
+
+
+def test_a_one_line_file_of_a_huge_geometry_loads_in_kilobytes(tmp_path):
+    # A set is its entries: the 46-byte file of an empty (2e7, 2e7) set
+    # allocates nothing of its grid's size (a dense (N, r) grid was 160 MB).
+    path = tmp_path / "huge.json"
+    path.write_text('{"N": 20000000, "L": 20000000, "entries": []}')
+    tracemalloc.start()
+    try:
+        meas = load_measurements(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, peak
+    assert meas.params == FrogParams(20_000_000, 20_000_000) and len(meas) == 0
+    assert meas.rows.shape == (0, 2) and meas.values.shape == (0,)
+
+
+def test_a_set_whose_ranks_pass_int64_is_looked_up_iterated_and_saved(tmp_path):
+    # At (2^40, 1), k r + m reaches 2^80: the ranks are exact Python ints,
+    # so the corner pair and a pair inserted before it are found, iterated
+    # in (k, m) order and written to the right bytes.
+    n = 2**40
+    params = FrogParams(n, 1)
+    meas = FrogMeasurements(params, {(n - 1, n - 1): 1.5})
+    meas[3, n - 2] = 0.25
+    assert meas[n - 1, n - 1] == 1.5 and meas[3, n - 2] == 0.25
+    assert (n - 1, n - 2) not in meas and (3, n - 1) not in meas and (4, 0) not in meas
+    assert list(meas) == [(3, n - 2), (n - 1, n - 1)]
+    assert meas.rows.tolist() == [[3, n - 2], [n - 1, n - 1]]
+    path = tmp_path / "corner.json"
+    save_measurements(path, meas)
+    text = (
+        '{\n  "N": 1099511627776,\n  "L": 1,\n  "entries": [\n'
+        "    [3, 1099511627774, 0.25],\n    [1099511627775, 1099511627775, 1.5]\n  ]\n}\n"
+    )
+    assert path.read_text() == text
+    back = load_measurements(path)
+    assert back.params == params and back == meas
+    assert back.rows.tobytes() == meas.rows.tobytes()
 
 
 def test_measurement_reader_names_the_first_faulty_row(tmp_path):
@@ -277,10 +319,10 @@ def test_save_measurements_refuses_non_finite_values(tmp_path):
     path = tmp_path / "meas.json"
     save_measurements(path, meas)
     before = path.read_bytes()
-    # The grid can be written directly; the first bad value in file order
+    # The values can be written directly; the first bad value in file order
     # is named as load_measurements names it, and the file is left as it was.
-    meas.grid[5, 0] = -np.inf
-    meas.grid[2, 1] = np.inf
+    meas.values[2] = -np.inf  # (5, 0)
+    meas.values[1] = np.inf  # (2, 1)
     message = re.escape("entry (2, 1) has invalid value inf")
     with pytest.raises(ValueError, match=f"^{message}$"):
         save_measurements(path, meas)
@@ -303,12 +345,12 @@ def test_save_signal_refuses_non_finite_values(tmp_path):
 
 
 def test_save_measurements_refuses_a_negative_entry(tmp_path):
-    # The grid can be written directly; the first negative entry in (k, m)
-    # order is refused as load_measurements would refuse it, and no file
-    # is made.
+    # The values can be written directly; the first negative entry in
+    # (k, m) order is refused as load_measurements would refuse it, and no
+    # file is made.
     meas = FrogMeasurements(FrogParams(8, 3), {(0, 0): 1.0, (1, 0): 2.0, (2, 1): 3.0})
-    meas.grid[2, 1] = -2.0
-    meas.grid[1, 0] = -1.0
+    meas.values[2] = -2.0  # (2, 1)
+    meas.values[1] = -1.0  # (1, 0)
     path = tmp_path / "meas.json"
     message = re.escape("entry (1, 0) has invalid value -1.0")
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -318,10 +360,10 @@ def test_save_measurements_refuses_a_negative_entry(tmp_path):
     with pytest.raises(ValueError, match=f"^{message}$"):
         _load_text(tmp_path, load_measurements, {"N": 8, "L": 3, "entries": entries})
     # An infinite value is named by the same rule: first in (k, m) order.
-    meas.grid[2, 1] = np.inf
+    meas.values[2] = np.inf
     with pytest.raises(ValueError, match=f"^{message}$"):
         save_measurements(path, meas)
-    meas.grid[0, 0] = np.inf
+    meas.values[0] = np.inf
     with pytest.raises(ValueError, match=r"^entry \(0, 0\) has invalid value inf$"):
         save_measurements(path, meas)
     assert not path.exists()
@@ -336,14 +378,13 @@ AWKWARD = (-0.0, 5e-324, 1e300, -1e300, 3.0, -2.0, 1e16, 0.1)
 def test_writer_matches_a_row_by_row_writer_across_blocks(tmp_path, size):
     rng = np.random.default_rng(706 + size)
     path = tmp_path / "file.json"
-    # Entries in the first `size` grid cells, in (k, m) order; a measured
-    # value is >= 0, so only the non-negative awkward numbers go in.
-    meas = FrogMeasurements(FrogParams(8200, 2050))
+    # Entries in the first `size` grid cells (r = 4), in (k, m) order; a
+    # measured value is >= 0, so only the non-negative awkward numbers go in.
     values = np.ldexp(rng.random(size), rng.integers(-1074, 1000, size))
     values[::5] = np.resize([x for x in AWKWARD if not x < 0], values[::5].size)
-    meas.grid.flat[:size] = values
+    k, m = np.divmod(np.arange(size), 4)
+    meas = FrogMeasurements(FrogParams(8200, 2050), zip(zip(k.tolist(), m.tolist()), values.tolist()))
     save_measurements(path, meas)
-    k, m = np.nonzero(~np.isnan(meas.grid))
     expected = file_text({"N": 8200, "L": 2050}, {"entries": ("[%d, %d, %.17g]", k, m, values)})
     assert path.read_bytes() == expected.encode("ascii")
     # A signal has at least two values.
@@ -365,8 +406,9 @@ def test_writer_matches_a_row_by_row_writer_on_a_full_grid(tmp_path):
     meas = frog_measurements_time(random_analytic_signal(1024, np.random.default_rng(707)), params)
     path = tmp_path / "grid.json"
     save_measurements(path, meas)
-    k, m = np.nonzero(~np.isnan(meas.grid))
-    expected = file_text({"N": 1024, "L": 31}, {"entries": ("[%d, %d, %.17g]", k, m, meas.grid[k, m])})
+    k, m = np.divmod(np.arange(1024 * 34), 34)
+    grid = meas.values.reshape(1024, 34)
+    expected = file_text({"N": 1024, "L": 31}, {"entries": ("[%d, %d, %.17g]", k, m, grid[k, m])})
     assert path.read_bytes() == expected.encode("ascii")
 
 

@@ -47,9 +47,9 @@ def _tail_setup(n, l, seed):
     their planned values as they are, and the spectrum reproduces them.
     """
     plan, meas, s = _setup(n, l, seed)
-    _, e = _scaled(meas, plan.expansion)
-    meas.grid = np.ldexp(meas.grid, -4 * e)
-    tables, again = _scaled(meas, plan.expansion)
+    _, e = _scaled(meas, plan)
+    meas.values = np.ldexp(meas.values, -4 * e)
+    tables, again = _scaled(meas, plan)
     assert again == 0
     return plan, meas, np.ldexp(s.view(np.float64), -e).view(np.complex128), tables
 

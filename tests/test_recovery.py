@@ -2,6 +2,8 @@
 
 import math
 import re
+import timeit
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +17,7 @@ from frogpr import (
     FrogprError,
     FrogParams,
     InconsistentMeasurementsError,
+    MeasurementIndexPlan,
     NoSolutionError,
     SingularConfigurationError,
     UnsupportedGeometryError,
@@ -28,6 +31,7 @@ from frogpr import (
     plan_indices,
     random_analytic_signal,
     recover,
+    save_measurements,
     verify_solution,
 )
 from frogpr.selftest import _generic_even_signal
@@ -74,7 +78,7 @@ def _tail(meas, plan):
     Returns it with the scaled row table and the exponent e of its 2^(4e)
     divisor: the staged iterate before the final translation and rescale.
     """
-    tables, e = recovery._scaled(meas, plan.expansion)
+    tables, e = recovery._scaled(meas, plan)
     z0 = recovery.recover_z0(tables)
     return recovery.recover_tail(tables, z0), tables, e
 
@@ -147,8 +151,7 @@ def test_recover_does_not_depend_on_the_scale_of_its_input(n, l, seed):
     meas = frog_measurements_time(z, params, plan.rows)
     rec = recover(meas, plan)
     for j in (-50, -7, 3, 60):
-        scaled = FrogMeasurements(params)
-        scaled.grid[:] = _ldexp(meas.grid, 4 * j)
+        scaled = FrogMeasurements(params, zip(meas, _ldexp(meas.values, 4 * j).tolist()))
         out = recover(scaled, plan)
         assert out.spectrum.tobytes() == _ldexp(rec.spectrum, j).tobytes()
         assert out.signal.tobytes() == _ldexp(rec.signal, j).tobytes()
@@ -175,9 +178,8 @@ def test_recover_builds_one_row_table(monkeypatch):
     z = _generic(20, np.random.default_rng(643))
     recover(frog_measurements_time(z, params), plan)
     assert len(built) == 1
-    (_, expansion), (tables, _) = built[0]
-    assert expansion is plan.expansion and expansion.rows is plan.rows
-    assert tables.expansion is expansion
+    (_, used), (tables, _) = built[0]
+    assert used is plan and tables.expansion is plan.expansion
     assert tables._fields == ("expansion", "n", "row0", "target", "scale", "floor")
 
 
@@ -186,8 +188,8 @@ def test_row_table_scale_counts_the_k0_rows():
     # taken over them too: here they are the largest planned values.
     s = _analytic_spectrum(16, np.random.default_rng(645), s0=30.0, shalf=20.0)
     meas, plan = _planned_measurements(s, FrogParams(16, 3))
-    tables, e = recovery._scaled(meas, plan.expansion)
-    values = np.ldexp(meas.grid[plan.rows[:, 0], plan.rows[:, 1]], -4 * e)
+    tables, e = recovery._scaled(meas, plan)
+    values = np.ldexp(np.array([meas[p] for p in plan.pairs()]), -4 * e)
     assert 1 <= values.max() < 16
     assert tables.n == 16
     assert tables.row0 == values[:2].tolist()
@@ -206,22 +208,22 @@ def test_a_table_of_the_probes_rows_reads_exactly_those_rows(n, l):
     rows = rows[np.isin(rows[:, 0], (1, 2))]
     z = _generic_even_signal(n, np.random.default_rng(654))
     meas = frog_measurements_time(z, params, rows)
-    expansion = recovery.expand_rows(params, rows)
-    tables, e = recovery._scaled(meas, expansion)
-    assert tables.expansion is expansion and expansion.rows is rows
-    values = np.ldexp(meas.grid[rows[:, 0], rows[:, 1]], -4 * e)
+    sub = MeasurementIndexPlan(params, rows)
+    tables, e = recovery._scaled(meas, sub)
+    assert tables.expansion is sub.expansion and sub.rows is rows
+    values = np.ldexp(meas.values, -4 * e)
     assert tables.row0 == []
     assert tables.target.tobytes() == values.tobytes()
     assert tables.scale == values.max()
     assert tables.stage(1)[0].tobytes() == values[:1].tobytes()
     assert tables.stage(2, 2)[0].tobytes() == values[1:].tobytes()
-    assert expansion.starts == (0, 0, 1, rows.shape[0])
-    # Any entry off those rows may be absent; one of them may not.
-    meas.grid[0] = meas.grid[3:] = np.nan
-    assert recovery._scaled(meas, expansion)[0].target.tobytes() == values.tobytes()
-    meas.grid[tuple(rows[-1])] = np.nan
+    assert sub.expansion.starts == (0, 0, 1, rows.shape[0])
+    # Entries off those rows are not read; one of them may not be absent.
+    full = frog_measurements_time(z, params)
+    assert recovery._scaled(full, sub)[0].target.tobytes() == values.tobytes()
+    short = frog_measurements_time(z, params, rows[:-1])
     with pytest.raises(ValueError, match=rf"missing required entries \[\(2, {rows[-1, 1]}\)\]"):
-        recovery._scaled(meas, expansion)
+        recovery._scaled(short, sub)
 
 
 def test_recover_builds_no_measurement_set(monkeypatch):
@@ -252,7 +254,6 @@ def _count_expansions(monkeypatch):
         return expand(params, rows)
 
     monkeypatch.setattr(frog, "expand_rows", counted)
-    monkeypatch.setattr(recovery, "expand_rows", counted)
     return built
 
 
@@ -377,7 +378,7 @@ def test_windowed_polish_keeps_the_full_polish_outcomes(n, l, seeds, monkeypatch
             inputs.append((z, exact))
             for sigma in (1e-9, 1e-7):
                 noise = 1 + sigma * rng.standard_normal(len(exact.entries))
-                entries = dict(zip(exact.entries, np.abs(list(exact.entries.values()) * noise)))
+                entries = dict(zip(exact.entries, np.abs(exact.values * noise)))
                 inputs.append((z, FrogMeasurements(params, entries)))
     windowed = [_outcome(meas, plan, z) for z, meas in inputs]
     monkeypatch.setattr(recovery, "_POLISH_WINDOW", n // 2 + 1)
@@ -468,13 +469,14 @@ def test_recover_requires_all_planned_entries():
     [((5, 0), -1.0), ((5, 0), float("inf")), ((5, 0), float("-inf")), ((0, 2), float("inf"))],
 )
 def test_an_invalid_grid_entry_is_refused_by_name(key, value):
-    # grid is public, so a value can bypass meas[k, m] = v's checks. recover
-    # and verify_solution refuse it by name before any arithmetic, planned
-    # ((5, 0)) or not ((0, 2)), instead of warning or blaming the signal.
+    # values is public, so a value can bypass meas[k, m] = v's checks.
+    # recover and verify_solution refuse it by name before any arithmetic,
+    # planned ((5, 0)) or not ((0, 2)), instead of warning or blaming the
+    # signal. A full set's values.reshape(N, r) is its grid.
     params = FrogParams(20, 3)
     z = _generic(20, np.random.default_rng(651))
     meas = frog_measurements_time(z, params)
-    meas.grid[key] = value
+    meas.values.reshape(20, -1)[key] = value
     message = f"^entry \\({key[0]}, {key[1]}\\) has invalid value {value!r}$"
     with pytest.raises(ValueError, match=message):
         recover(meas)
@@ -482,30 +484,90 @@ def test_an_invalid_grid_entry_is_refused_by_name(key, value):
         verify_solution(dft(z), meas)
 
 
-def test_the_first_invalid_entry_is_named_and_nan_means_absent():
+def test_the_first_invalid_entry_is_named_and_an_absent_one_is_skipped():
     params = FrogParams(20, 3)
     plan = plan_indices(params)
     z = _generic(20, np.random.default_rng(652))
     meas = frog_measurements_time(z, params)
-    meas.grid[9, 1] = -2.0
-    meas.grid[5, 4] = float("inf")
+    grid = meas.values.reshape(20, -1)
+    grid[9, 1] = -2.0
+    grid[5, 4] = float("inf")
     with pytest.raises(ValueError, match=r"^entry \(5, 4\) has invalid value inf$"):
         recover(meas, plan)
-    # NaN is a value not measured: off the plan it is skipped, on the plan
-    # it is a missing entry.
-    meas = frog_measurements_time(z, params)
-    meas.grid[0, 2] = np.nan
+    # An entry not measured is absent from the set: off the plan it is
+    # skipped, on the plan it is a missing entry.
+    full = frog_measurements_time(z, params)
+    meas = FrogMeasurements(params, {key: v for key, v in full.items() if key != (0, 2)})
     assert recover(meas, plan).verification_residual < 1e-9
-    meas.grid[5, 0] = np.nan
+    meas = FrogMeasurements(params, {key: v for key, v in meas.items() if key != (5, 0)})
     with pytest.raises(ValueError, match=r"missing required entries \[\(5, 0\)\]"):
         recover(meas, plan)
+
+
+def test_a_nan_planted_in_values_is_refused_by_name(tmp_path):
+    # NaN is no longer "not measured": a NaN in values is an invalid value,
+    # refused by name by every reader that checks the values, before any
+    # arithmetic, and no file is written.
+    message = r"^entry \(5, 0\) has invalid value nan$"
+    for l in (3, 4):
+        params = FrogParams(20, l)
+        z = _generic_even_signal(20, np.random.default_rng(656))
+        meas = frog_measurements_time(z, params)
+        meas.values.reshape(20, -1)[5, 0] = np.nan
+        with pytest.raises(ValueError, match=message):
+            verify_solution(dft(z), meas)
+        with pytest.raises(ValueError, match=message):
+            save_measurements(tmp_path / "nan.json", meas)
+        assert not (tmp_path / "nan.json").exists()
+        with pytest.raises(ValueError, match=message):
+            if l % 2:
+                recover(meas)
+            else:
+                even_l_infeasibility_probe(meas, float(dft(z)[0].real), 0.3)
+
+
+def test_recover_refuses_a_set_without_the_plan_before_expanding_it():
+    # The planned entries are looked up before the plan's expansion is
+    # built: an empty (2048, 1) set is refused within a few hundred kB
+    # (building the expansion first peaked at 160 MB traced).
+    params = FrogParams(2048, 1)
+    plan = plan_indices(params)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^measurements missing required entries \[\(0, 0\), "):
+            recover(FrogMeasurements(params), plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6, peak
+    assert "expansion" not in vars(plan)
+
+
+def test_verify_solution_on_a_sparse_set_reads_only_its_entries():
+    # The (4096, 1) plan-only set holds 6,145 of 16.8 M grid entries:
+    # verify_solution evaluates delays 0..5 and gathers those entries, in
+    # a few ms and about a MB (scanning a dense grid took 56 ms).
+    params = FrogParams(4096, 1)
+    z = random_analytic_signal(4096, np.random.default_rng(657))
+    meas = frog_measurements_time(z, params, plan_indices(params).rows)
+    s = dft(z)
+    tracemalloc.start()
+    try:
+        residual = verify_solution(s, meas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert residual < 1e-12
+    assert peak < 5e6, peak
+    seconds = min(timeit.repeat(lambda: verify_solution(s, meas), number=1, repeat=5))
+    assert seconds < 0.02, seconds
 
 
 def test_probe_refuses_an_invalid_grid_entry_by_name():
     params = FrogParams(20, 4)
     z = _generic_even_signal(20, np.random.default_rng(653))
     meas = frog_measurements_time(z, params)
-    meas.grid[2, 1] = -1.0
+    meas.values.reshape(20, -1)[2, 1] = -1.0
     with pytest.raises(ValueError, match=r"^entry \(2, 1\) has invalid value -1.0$"):
         even_l_infeasibility_probe(meas, float(dft(z)[0].real), 0.3)
 
@@ -537,8 +599,7 @@ def test_recover_checks_tol_before_reading_the_measurements(monkeypatch):
     rng = np.random.default_rng(623)
     params = FrogParams(16, 3)
     plan = plan_indices(params)
-    meas = frog_measurements_time(_generic(16, rng), params, plan.pairs())
-    meas.grid[tuple(plan.rows[-1])] = np.nan
+    meas = frog_measurements_time(_generic(16, rng), params, plan.rows[:-1])
     monkeypatch.setattr(recovery, "_scaled", lambda *args: pytest.fail("_scaled ran"))
     with pytest.raises(ValueError, match="^tol must be finite and positive, got -1.0$"):
         recover(meas, plan, tol=-1.0)
@@ -554,7 +615,7 @@ def test_pair_stage_checks_candidates_on_their_circles(monkeypatch, stage):
     params = FrogParams(16, 3)
     plan = plan_indices(params)
     meas = frog_measurements_time(_generic(16, rng), params, plan.pairs())
-    tables, _ = recovery._scaled(meas, plan.expansion)
+    tables, _ = recovery._scaled(meas, plan)
     z0 = recovery.recover_z0(tables)
     solve = recovery.solve_two_circles_real
     calls = []
@@ -828,7 +889,8 @@ def test_a1_takes_the_least_misfit_root_on_noisy_plan_data(seed):
     plan = plan_indices(params)
     z = _generic_even_signal(16, rng)
     meas = frog_measurements_time(z, params, plan.rows)
-    meas.grid *= 1.0 + 1e-7 * rng.standard_normal(meas.grid.shape)
+    noise = rng.standard_normal((16, params.r))  # one draw per grid entry
+    meas.values *= 1.0 + 1e-7 * noise[tuple(meas.rows.T)]
     rec = recover(meas, plan)
     assert rec.verification_residual <= 1e-6
     assert equivalent_up_to_group(rec.signal, z, tol=1e-5).equivalent
@@ -878,7 +940,7 @@ def test_recover_tail_solves_all_upper_rows():
     assert t[1].real >= 0 and abs(t[1].imag) < 1e-9 * abs(t[1])
     # Every consumed row with k >= 1 is reproduced (the k = 0 rows pin the
     # remaining translation freedom and are only met after normalization).
-    grid = frog_measurements_freq(t, params).grid
+    grid = frog_measurements_freq(t, params).values.reshape(16, -1)
     rows = plan.rows[plan.rows[:, 0] >= 1]
     assert tables.target.size == rows.shape[0]
     deviation = np.abs(grid[rows[:, 0], rows[:, 1]] - tables.target)
@@ -1020,8 +1082,8 @@ def test_verify_solution_keeps_the_residual_of_a_finite_grid():
         for s in (dft(z), dft(z) * 1e60, dft(_generic(16, rng))):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                dev = np.abs(frog_measurements_freq(s, params).grid - meas.grid)
-                dev = np.max(dev, where=~np.isnan(meas.grid), initial=0.0)
+                grid = frog_measurements_freq(s, params).values.reshape(16, -1)
+                dev = np.max(np.abs(grid[tuple(meas.rows.T)] - meas.values))
                 expected = float(dev / meas.check_values())
             with warnings.catch_warnings():
                 warnings.simplefilter("error")

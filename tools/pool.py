@@ -55,13 +55,14 @@ def build(frogpr) -> list[tuple[str, int, int, np.ndarray, float]]:
     pool = []
 
     def grids(z, n, l) -> dict[str, np.ndarray]:
-        """The plan-only and the full grid of z."""
+        """The plan-only and the full grid of z, NaN where nothing was measured."""
         params = frogpr.FrogParams(n, l)
-        plan = frogpr.plan_indices(params)
-        return {
-            "plan": frogpr.frog_measurements_time(z, params, plan.rows).grid,
-            "full": frogpr.frog_measurements_time(z, params).grid,
-        }
+        out = {}
+        for kind, rows in (("plan", frogpr.plan_indices(params).rows), ("full", None)):
+            meas = frogpr.frog_measurements_time(z, params, rows)
+            out[kind] = np.full((n, params.r), np.nan)
+            out[kind][tuple(meas.rows.T)] = meas.values
+        return out
 
     for n, l in EXACT:
         for seed in range(3):
@@ -113,9 +114,14 @@ def build(frogpr) -> list[tuple[str, int, int, np.ndarray, float]]:
 
 
 def outcome(frogpr, n: int, l: int, grid: np.ndarray, tol: float) -> dict:
-    """What recover makes of one input: its result's digest or its error's fields."""
-    meas = frogpr.FrogMeasurements(frogpr.FrogParams(n, l))
-    meas.grid[...] = grid
+    """What recover makes of one input: its result's digest or its error's fields.
+
+    The set holds the grid's cells that are not NaN, built through the
+    constructor, which every revision of frogpr accepts.
+    """
+    k, m = np.nonzero(~np.isnan(grid))
+    entries = dict(zip(zip(k.tolist(), m.tolist()), grid[k, m].tolist()))
+    meas = frogpr.FrogMeasurements(frogpr.FrogParams(n, l), entries)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
