@@ -2,8 +2,10 @@
 
 Subcommands: generate | measure | recover | check-equiv | selftest.
 Exit status: 0 success, 1 domain refusal / inequivalence / failed self-test,
-2 usage or parse error; handlers raise, and main alone maps an error to a
-message and a code (UnsupportedGeometryError to "refused: ..." and 1).
+2 usage or parse error. A handler returns its exit code and the fields of
+its run report, or raises; main alone times and writes the report and maps
+an error to a message and a code (UnsupportedGeometryError to "refused: ..."
+and 1).
 Output files are deterministic for identical commands, seeds, and inputs;
 run reports (stdout JSON, written by json.dumps with shortest round-trip
 floats) additionally carry wall-clock timing, and a report value that is
@@ -56,8 +58,7 @@ def _emit(
     sys.stdout.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
-def _cmd_generate(args) -> int:
-    started = time.perf_counter()
+def _cmd_generate(args) -> tuple[int, dict]:
     if args.n < 2 or args.n % 2 != 0:
         raise ValueError(f"--n must be an even integer >= 2, got {args.n}")
     rng = np.random.default_rng(args.seed)
@@ -65,26 +66,20 @@ def _cmd_generate(args) -> int:
     s = dft(z)
     report = is_analytic(s)
     save_signal(args.out, z, s)
-    _emit(
-        "generate",
-        started,
+    return 0, dict(
         inputs={"n": args.n, "seed": args.seed},
         outputs={"signal": str(args.out)},
         residuals={"analyticity_max_violation": report.max_violation},
     )
-    return 0
 
 
-def _cmd_measure(args) -> int:
-    started = time.perf_counter()
+def _cmd_measure(args) -> tuple[int, dict]:
     z = load_signal(args.signal)
     params = FrogParams(z.size, args.l)
     indices = plan_indices(params).rows if args.plan_only else None
     meas = frog_measurements_time(z, params, indices)
     save_measurements(args.out, meas)
-    _emit(
-        "measure",
-        started,
+    return 0, dict(
         inputs={
             "signal": str(args.signal),
             "n": params.N,
@@ -94,17 +89,13 @@ def _cmd_measure(args) -> int:
         outputs={"measurements": str(args.out)},
         residuals={},
     )
-    return 0
 
 
-def _cmd_recover(args) -> int:
-    started = time.perf_counter()
+def _cmd_recover(args) -> tuple[int, dict]:
     meas = load_measurements(args.measurements)
-    result = recover(meas, tol=1e-6 if args.tol is None else args.tol)
+    result = recover(meas, tol=args.tol)
     save_signal(args.out, result.signal, result.spectrum)
-    _emit(
-        "recover",
-        started,
+    return 0, dict(
         inputs={
             "measurements": str(args.measurements),
             "n": meas.params.N,
@@ -114,18 +105,14 @@ def _cmd_recover(args) -> int:
         outputs={"signal": str(args.out)},
         residuals={"verification_residual": result.verification_residual},
     )
-    return 0
 
 
-def _cmd_check_equiv(args) -> int:
-    started = time.perf_counter()
+def _cmd_check_equiv(args) -> tuple[int, dict]:
     a = load_signal(args.a)
     b = load_signal(args.b)
-    report = equivalent_up_to_group(a, b, tol=1e-6 if args.tol is None else args.tol)
+    report = equivalent_up_to_group(a, b, tol=args.tol)
     best = report.best_element
-    _emit(
-        "check-equiv",
-        started,
+    return 0 if report.equivalent else 1, dict(
         inputs={"a": str(args.a), "b": str(args.b), "tol": args.tol},
         outputs={},
         residuals={"equivalence_residual": report.residual},
@@ -139,24 +126,19 @@ def _cmd_check_equiv(args) -> int:
             },
         },
     )
-    return 0 if report.equivalent else 1
 
 
-def _cmd_selftest(args) -> int:
-    started = time.perf_counter()
-    results = run_all(quick=bool(args.quick))
+def _cmd_selftest(args) -> tuple[int, dict]:
+    results = run_all()
     for res in results:
         print(format_line(res))
     npass = sum(res.passed for res in results)
     print(f"{npass}/{len(results)} criteria passed")
-    _emit(
-        "selftest",
-        started,
-        inputs={"quick": bool(args.quick)},
+    return 0 if npass == len(results) else 1, dict(
+        inputs={},
         outputs={},
         residuals={f"criterion_{res.number}": 1.0 if res.passed else 0.0 for res in results},
     )
-    return 0 if npass == len(results) else 1
 
 
 @functools.cache
@@ -189,15 +171,14 @@ def _build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("recover", help="recover a signal from measurements")
     r.add_argument("measurements", help="input measurement JSON path")
     r.add_argument("--out", required=True, help="output signal JSON path")
-    r.add_argument("--tol", type=float, default=None, help="recovery tolerance")
+    r.add_argument("--tol", type=float, default=1e-6, help="recovery tolerance")
 
     c = sub.add_parser("check-equiv", help="compare two signals up to ambiguity")
     c.add_argument("a", help="first signal JSON path")
     c.add_argument("b", help="second signal JSON path")
-    c.add_argument("--tol", type=float, default=None, help="equivalence tolerance")
+    c.add_argument("--tol", type=float, default=1e-6, help="equivalence tolerance")
 
-    s = sub.add_parser("selftest", help="run the acceptance criteria")
-    s.add_argument("--quick", action="store_true", help="N <= 20 subset, < 5 s")
+    sub.add_parser("selftest", help="run the acceptance criteria")
     return parser
 
 
@@ -211,10 +192,14 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    """Run one command; the one place an exception becomes a message and an exit code."""
+    """Run one command and write its run report; the one place an exception becomes a
+    message and an exit code."""
     args = _build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return _HANDLERS[args.command](args)
+        code, report = _HANDLERS[args.command](args)
+        _emit(args.command, started, **report)
+        return code
     except UnsupportedGeometryError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 1

@@ -160,12 +160,12 @@ class FrogMeasurements(Mapping):
         if params.N >= 2**63:
             raise ValueError(f"N={params.N} exceeds the int64 index range")
         rows, values = np.array(rows, np.int64).reshape(-1, 2), np.asarray(values, float)
-        self.params, keys = params, _ranks(params, rows)
+        keys = _ranks(params, rows)
         if not (keys[1:] > keys[:-1]).all():
-            keys, first = np.unique(keys, return_index=True)
+            first = np.unique(keys, return_index=True)[1]
             rows, values = rows[first], values[first]
         rows.flags.writeable = False
-        self.rows, self.values, self._keys, self._key_list = rows, values, keys, None
+        self.params, self.rows, self.values, self._key_list = params, rows, values, None
         return self
 
     entries = property(lambda self: self)  # the set itself, as the (k, m) -> value mapping
@@ -174,13 +174,13 @@ class FrogMeasurements(Mapping):
         """Where (k, m) is in rows and whether it is there, by its rank."""
         rank = k * self.params.r + m
         if self._key_list is None:  # bisect on a list: numpy's cost per call is 4x the search
-            self._key_list = self._keys.tolist()
+            self._key_list = _ranks(self.params, self.rows).tolist()
         i = bisect.bisect_left(self._key_list, rank)
         return i, i < len(self._key_list) and self._key_list[i] == rank
 
     def _positions(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Where each pair of an (n, 2) array on the grid is in rows, and whether it is there."""
-        ranks, keys = _ranks(self.params, rows), self._keys
+        ranks, keys = _ranks(self.params, rows), _ranks(self.params, self.rows)
         at = keys.searchsorted(ranks)
         # take clips a rank past the last key onto that key, which differs from it.
         return at, (keys.take(at, mode="clip") == ranks) if keys.size else np.zeros(at.shape, bool)
@@ -212,15 +212,21 @@ class FrogMeasurements(Mapping):
     def check_values(self) -> float:
         """The largest value, 0.0 for none; ValueError names the first entry, in (k, m) order,
         that is negative, infinite or NaN, which values, being public, can hold."""
-        values, top = self.values, float(self.values.max(initial=0.0))  # NaN if one is
-        if not (values.min(initial=0.0) >= 0 and top < math.inf):
-            i = np.flatnonzero(~((values >= 0) & (values < np.inf)))[0]
-            k, m = self.rows[i].tolist()
-            raise ValueError(f"entry ({k}, {m}) has invalid value {values.item(i)!r}")
-        return top
+        return _checked_max(self.rows, self.values)
 
     def is_full_grid(self) -> bool:
         return len(self) == self.params.N * self.params.r
+
+
+def _checked_max(rows: np.ndarray, values: np.ndarray) -> float:
+    """The largest of values, 0.0 for none; ValueError names the first rows[i], in rows' order,
+    whose values[i] is negative, infinite or NaN."""
+    top = float(values.max(initial=0.0))  # NaN if one is
+    if not (values.min(initial=0.0) >= 0 and top < math.inf):
+        i = np.flatnonzero(~((values >= 0) & (values < np.inf)))[0]
+        k, m = rows[i].tolist()
+        raise ValueError(f"entry ({k}, {m}) has invalid value {values.item(i)!r}")
+    return top
 
 
 def _ranks(params: FrogParams, rows: np.ndarray) -> np.ndarray:
@@ -278,18 +284,20 @@ def _index_rows(indices, shape: tuple[int, int]) -> np.ndarray:
     return np.fromiter(pairs, np.int64).reshape(-1, 2)
 
 
-def _collect(rows_of, x, params: FrogParams, indices) -> FrogMeasurements:
-    """x's entries at indices (all when None) from rows_of(x, params, r), r the delays needed."""
-    rows = _index_rows(indices, (params.N, params.r))
+def _gather(rows_of, x, params: FrogParams, rows: np.ndarray) -> np.ndarray:
+    """x's entries at the pairs of an (n, 2) array, rows_of(x, params, r)[k, m] with r the
+    delays needed; ValueError names the first, in rows' order, that overflowed to inf or NaN."""
     ks, ms = rows.T
-    # Never negative, but a signal large enough to overflow makes an entry inf or NaN.
     with np.errstate(over="ignore", invalid="ignore"):
         values = rows_of(x, params, int(ms.max()) + 1 if len(ms) else 0)[ks, ms]
-    # The first in (k, m) order for the full grid, in their own order for indices.
-    if not np.isfinite(values).all():
-        i = np.flatnonzero(~np.isfinite(values))[0]
-        k, m = rows[i].tolist()
-        raise ValueError(f"entry ({k}, {m}) has invalid value {values.item(i)!r}")
+    _checked_max(rows, values)
+    return values
+
+
+def _collect(rows_of, x, params: FrogParams, indices) -> FrogMeasurements:
+    """x's entries at indices (all when None, in (k, m) order) by _gather."""
+    rows = _index_rows(indices, (params.N, params.r))
+    values = _gather(rows_of, x, params, rows)
     return FrogMeasurements.__new__(FrogMeasurements)._store(params, rows, values)
 
 

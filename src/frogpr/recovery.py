@@ -67,6 +67,7 @@ from .frog import (
     MeasurementIndexPlan,
     RowExpansion,
     _freq_rows,
+    _gather,
     plan_indices,
 )
 from .spectral import as_signal, idft
@@ -604,9 +605,9 @@ def verify_solution(spectrum, measurements: FrogMeasurements) -> float:
     Only the stored entries are evaluated, over the delays up to the last
     one measured. Raises ValueError for a spectrum of the wrong length, no
     measurements, a stored value that is negative, infinite or NaN
-    (check_values), or a spectrum whose grid overflows at a stored entry:
-    the stored values and the spectrum are finite, so only an overflow makes
-    the largest deviation inf or NaN, which is tested without numpy's warnings.
+    (check_values), or a spectrum whose value at a stored entry overflows:
+    the first such entry in (k, m) order is named as synthesis names it,
+    "entry (k, m) has invalid value inf", without numpy's warnings.
     """
     s = as_signal(spectrum)
     params = measurements.params
@@ -614,12 +615,10 @@ def verify_solution(spectrum, measurements: FrogMeasurements) -> float:
         raise ValueError(f"spectrum length {s.size} != params.N {params.N}")
     if not len(measurements):
         raise ValueError("no measurements to verify the spectrum against")
-    top, (k, m) = measurements.check_values(), measurements.rows.T
-    with np.errstate(over="ignore", invalid="ignore"):
-        deviation = np.abs(_freq_rows(s, params, int(m.max()) + 1)[k, m] - measurements.values)
-    dev = float(deviation.max())
-    if not math.isfinite(dev):
-        raise ValueError("the spectrum's measurement grid overflows a float")
+    top = measurements.check_values()
+    # Both are finite and >= 0, so their difference is finite.
+    computed = _gather(_freq_rows, s, params, measurements.rows)
+    dev = float(np.abs(computed - measurements.values).max())
     # A Python division: a deviation far above tiny stored values is inf
     # without a warning.
     return dev / (top or 1.0)

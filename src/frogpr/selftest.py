@@ -1,8 +1,9 @@
 """Acceptance suite: eight desk-scale criteria, shared by the CLI and tests.
 
-Each criterion function returns a CriterionResult with a pass flag and a
-one-line account of what was measured. Seeds are fixed, so runs are
-reproducible. quick=True shrinks the sweeps to N <= 20 configurations.
+Each criterion is a check that returns (passed, details): a pass flag and a
+one-line account of what was measured. CRITERIA holds them as (name, check)
+in order, so a criterion's number is its position, and run_criterion times
+one into a CriterionResult. Seeds are fixed, so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .frog import (
 from .recovery import even_l_infeasibility_probe, recover, verify_solution
 from .spectral import dft
 
-__all__ = ["CriterionResult", "run_all", "format_line", "CRITERIA"]
+__all__ = ["CriterionResult", "run_criterion", "run_all", "format_line", "CRITERIA"]
 
 _EPS = float(np.finfo(float).eps)
 
@@ -64,7 +65,7 @@ def _generic_even_signal(n, rng, floor0=0.1, floor1=0.1, floor2=0.05, gap=0.05):
             return z
 
 
-def criterion_1(quick: bool = False) -> CriterionResult:
+def example_reproduction() -> tuple[bool, str]:
     """Worked four-sample example: analytic extension, spectrum, translation
     by 2/pi, and the (0, 0) measurement of both signals against the
     4-decimal reference values.
@@ -77,7 +78,6 @@ def criterion_1(quick: bool = False) -> CriterionResult:
     their references, in under a millisecond (best of 5 warm runs)."""
     from .analytic import make_analytic
 
-    start = time.perf_counter()
     x = np.array([0.3252, -0.7549, 1.3703, -1.7115])
     params = FrogParams(4, 1)
     refs = np.array(
@@ -136,19 +136,15 @@ def criterion_1(quick: bool = False) -> CriterionResult:
         if not runtime_ok:
             parts.append(f"core runtime {core_elapsed * 1e3:.3f}ms >= 1ms")
         details = "; ".join(parts) + f" [{measured}]"
-    return CriterionResult(
-        1, "example-reproduction", passed, details, time.perf_counter() - start
-    )
+    return passed, details
 
 
-def criterion_2(quick: bool = False) -> CriterionResult:
+def end_to_end_recovery() -> tuple[bool, str]:
     """End-to-end: 100 generic signals per configuration recover to a
     group-equivalent signal with equivalence and verification residuals
     below 1e-6, from exactly 3N/2 + 1 measurements, in under 30 s."""
     start = time.perf_counter()
     configs = [(12, 1), (16, 3), (20, 3), (32, 5), (64, 11)]
-    if quick:
-        configs = [(n, l) for n, l in configs if n <= 20]
     trials = 100
     rng = np.random.default_rng(20260201)
     failures: list[str] = []
@@ -197,60 +193,52 @@ def criterion_2(quick: bool = False) -> CriterionResult:
             details += f" (first: {failures[0]})"
         if not in_budget:
             details += f"; elapsed {elapsed:.1f}s >= 30s"
-    return CriterionResult(2, "end-to-end-recovery", passed, details, elapsed)
+    return passed, details
 
 
-def criterion_3(quick: bool = False) -> CriterionResult:
+def ambiguity_invariance() -> tuple[bool, str]:
     """Invariance: all 4N group elements preserve every full-grid entry for
     50 even-length signals; arbitrary real translations do for 50
     odd-length signals; both within 1e-8 relative to the grid maximum."""
-    start = time.perf_counter()
     rng = np.random.default_rng(20260202)
-    even_sizes = [8, 10, 12, 16, 18, 20] if quick else [8, 10, 12, 16, 20, 24, 32]
-    odd_sizes = [9, 11, 13, 15, 17, 19]
     strides = [1, 3, 5]
-    worst_even = 0.0
-    for idx in range(50):
-        n = even_sizes[idx % len(even_sizes)]
-        l = strides[idx % len(strides)]
-        params = FrogParams(n, l)
-        z = random_analytic_signal(n, rng)
-        grid = frog_measurements_time(z, params).values
-        gmax = grid.max()
-        for g in group_elements(n):
-            dev = np.abs(frog_measurements_time(apply_element(g, z), params).values - grid).max()
-            worst_even = max(worst_even, dev / gmax)
-    worst_odd = 0.0
-    for idx in range(50):
-        n = odd_sizes[idx % len(odd_sizes)]
-        l = strides[idx % len(strides)]
-        params = FrogParams(n, l)
-        z = random_analytic_signal(n, rng)
-        grid = frog_measurements_time(z, params).values
-        gmax = grid.max()
-        for _ in range(10):
-            zt = translate(z, float(rng.uniform(0.0, n)))
-            dev = np.abs(frog_measurements_time(zt, params).values - grid).max()
-            worst_odd = max(worst_odd, dev / gmax)
+
+    def group_variants(z):
+        return (apply_element(g, z) for g in group_elements(z.size))
+
+    def translations(z):
+        return (translate(z, float(rng.uniform(0.0, z.size))) for _ in range(10))
+
+    def worst_deviation(sizes, variants):
+        worst = 0.0
+        for idx in range(50):
+            params = FrogParams(sizes[idx % len(sizes)], strides[idx % len(strides)])
+            z = random_analytic_signal(params.N, rng)
+            grid = frog_measurements_time(z, params).values
+            gmax = grid.max()
+            for zv in variants(z):
+                dev = np.abs(frog_measurements_time(zv, params).values - grid).max()
+                worst = max(worst, dev / gmax)
+        return worst
+
+    worst_even = worst_deviation([8, 10, 12, 16, 20, 24, 32], group_variants)
+    worst_odd = worst_deviation([9, 11, 13, 15, 17, 19], translations)
     passed = worst_even <= 1e-8 and worst_odd <= 1e-8
     details = (
         f"worst relative deviation {worst_even:.2e} over 4N elements x 50 even "
         f"signals, {worst_odd:.2e} over 10 real translations x 50 odd signals"
     )
-    return CriterionResult(
-        3, "ambiguity-invariance", passed, details, time.perf_counter() - start
-    )
+    return passed, details
 
 
-def criterion_4(quick: bool = False) -> CriterionResult:
+def translation_sensitivity() -> tuple[bool, str]:
     """Sensitivity: a non-integer translation of an even-length signal with
     nonvanishing boundary coefficient changes some grid entry by more than
     1e-3 relative to that entry in at least 99 of 100 trials (the same
     behavior as the worked four-point example, whose (0,0) entry moves by
     about ten percent of itself)."""
-    start = time.perf_counter()
     rng = np.random.default_rng(20260203)
-    sizes = [8, 12, 16, 20] if quick else [8, 12, 16, 20, 24]
+    sizes = [8, 12, 16, 20, 24]
     strides = [1, 3]
     hits = 0
     smallest = math.inf
@@ -274,19 +262,16 @@ def criterion_4(quick: bool = False) -> CriterionResult:
         f"{hits}/100 translations changed an entry by > 1e-3 of itself "
         f"(smallest observed change {smallest:.2e})"
     )
-    return CriterionResult(
-        4, "translation-sensitivity", passed, details, time.perf_counter() - start
-    )
+    return passed, details
 
 
-def criterion_5(quick: bool = False) -> CriterionResult:
+def solver_oracles() -> tuple[bool, str]:
     """Solver oracles: 1000 planted instances per solver recover the planted
     point (or its predicted partner) within 1e-8; the real-scale pair is
     exactly conjugate and the complex-scale pair is conjugate after dividing
     out the scale (to complex-division rounding, a few ulp)."""
     from .circles import solve_three_circles, solve_two_circles_real
 
-    start = time.perf_counter()
     rng = np.random.default_rng(20260204)
     failures: list[str] = []
     worst = 0.0
@@ -309,45 +294,41 @@ def criterion_5(quick: bool = False) -> CriterionResult:
         if err > 1e-8:
             failures.append(f"three-circle trial {trial}: error {err:.2e}")
 
-    for trial in range(1000):
-        m = float(rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0]))
-        v1 = float(rng.standard_normal())
-        v2 = v1 + float(rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0]))
-        w = complex(rng.standard_normal(), rng.uniform(0.1, 2.0))
-        z = m * w
-        cands = solve_two_circles_real(
-            v1, v2, m, abs(z + m * v1), abs(z + m * v2)
-        )
-        err = min(abs(c - z) for c in cands) / max(1.0, abs(z))
-        worst = max(worst, err)
-        if err > 1e-8:
-            failures.append(f"real-scale trial {trial}: error {err:.2e}")
-        if cands[0].conjugate() != cands[1]:
-            failures.append(f"real-scale trial {trial}: pair not exactly conjugate")
+    def real_scale():
+        return float(rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0]))
 
-    for trial in range(1000):
+    def complex_scale():
         m = cplx()
         while abs(m) < 0.3:
             m = cplx()
-        v1 = float(rng.standard_normal())
-        v2 = v1 + float(rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0]))
-        w = complex(rng.standard_normal(), rng.uniform(0.1, 2.0))
-        z = m * w
-        cands = solve_two_circles_real(
-            v1, v2, m, abs(z + m * v1), abs(z + m * v2)
-        )
-        err = min(abs(c - z) for c in cands) / max(1.0, abs(z))
-        worst = max(worst, err)
-        if err > 1e-8:
-            failures.append(f"complex-scale trial {trial}: error {err:.2e}")
-        # The pair is m times an exactly conjugate pair by construction, but
-        # recovering that pair divides by m, and complex multiply-then-divide
-        # round trips carry up to ~2 eps of rounding (measured); 4 eps of
-        # headroom is the rounding floor of the check itself, not a solver
-        # tolerance.
-        u0, u1 = cands[0] / m, cands[1] / m
-        if abs(u0.conjugate() - u1) > 4.0 * _EPS * max(abs(u0), abs(u1)):
-            failures.append(f"complex-scale trial {trial}: pair/m not conjugate")
+        return m
+
+    for kind, scale in (("real-scale", real_scale), ("complex-scale", complex_scale)):
+        for trial in range(1000):
+            m = scale()
+            v1 = float(rng.standard_normal())
+            v2 = v1 + float(rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0]))
+            w = complex(rng.standard_normal(), rng.uniform(0.1, 2.0))
+            z = m * w
+            cands = solve_two_circles_real(
+                v1, v2, m, abs(z + m * v1), abs(z + m * v2)
+            )
+            err = min(abs(c - z) for c in cands) / max(1.0, abs(z))
+            worst = max(worst, err)
+            if err > 1e-8:
+                failures.append(f"{kind} trial {trial}: error {err:.2e}")
+            if isinstance(m, float):
+                if cands[0].conjugate() != cands[1]:
+                    failures.append(f"{kind} trial {trial}: pair not exactly conjugate")
+                continue
+            # The pair is m times an exactly conjugate pair by construction,
+            # but recovering that pair divides by m, and complex
+            # multiply-then-divide round trips carry up to ~2 eps of rounding
+            # (measured); 4 eps of headroom is the rounding floor of the
+            # check itself, not a solver tolerance.
+            u0, u1 = cands[0] / m, cands[1] / m
+            if abs(u0.conjugate() - u1) > 4.0 * _EPS * max(abs(u0), abs(u1)):
+                failures.append(f"{kind} trial {trial}: pair/m not conjugate")
 
     passed = not failures
     details = (
@@ -355,9 +336,7 @@ def criterion_5(quick: bool = False) -> CriterionResult:
         if passed
         else f"{len(failures)} failures (first: {failures[0]})"
     )
-    return CriterionResult(
-        5, "solver-oracles", passed, details, time.perf_counter() - start
-    )
+    return passed, details
 
 
 def _check(cond: bool, message: str, *args) -> None:
@@ -403,16 +382,14 @@ def _validate_plan(plan) -> None:
             _check([a, b] == adm[:2], "row {} fallback ({}, {}) not minimal", k, a, b)
 
 
-def criterion_6(quick: bool = False) -> CriterionResult:
+def index_plan_validity() -> tuple[bool, str]:
     """Index plans for every admissible geometry with N <= 128 and r in
     5..64 satisfy all exact admissibility congruences and have 3N/2 + 1
     distinct entries; every r in 5..64 is exercised."""
-    start = time.perf_counter()
-    n_max = 20 if quick else 128
     covered: set[int] = set()
     count = 0
     failures: list[str] = []
-    for n in range(8, n_max + 1, 2):
+    for n in range(8, 129, 2):
         for l in range(1, n + 1):
             params = FrogParams(n, l)
             r = params.r
@@ -426,7 +403,7 @@ def criterion_6(quick: bool = False) -> CriterionResult:
                 continue
             covered.add(r)
             count += 1
-    missing = set() if quick else set(range(5, 65)) - covered
+    missing = set(range(5, 65)) - covered
     passed = not failures and not missing
     if passed:
         details = f"{count} plans validated, r coverage {min(covered)}..{max(covered)}"
@@ -436,18 +413,15 @@ def criterion_6(quick: bool = False) -> CriterionResult:
             details += f" (first: {failures[0]})"
         if missing:
             details += f"; r values never exercised: {sorted(missing)}"
-    return CriterionResult(
-        6, "index-plan-validity", passed, details, time.perf_counter() - start
-    )
+    return passed, details
 
 
-def criterion_7(quick: bool = False) -> CriterionResult:
+def modulus_rigidity() -> tuple[bool, str]:
     """Rigidity: swapping the two boundary moduli of a generic spectrum
     pushes the verification residual above 1e-3 in 100/100 trials, while
     the true spectrum and its group variants stay below 1e-8."""
-    start = time.perf_counter()
     rng = np.random.default_rng(20260205)
-    sizes = [8, 10, 12, 16, 20] if quick else [8, 10, 12, 16, 20, 24]
+    sizes = [8, 10, 12, 16, 20, 24]
     strides = [1, 3, 5]
     swap_misses: list[str] = []
     variant_misses: list[str] = []
@@ -490,20 +464,15 @@ def criterion_7(quick: bool = False) -> CriterionResult:
         )
     else:
         details = "; ".join((swap_misses + variant_misses)[:2])
-    return CriterionResult(
-        7, "modulus-rigidity", passed, details, time.perf_counter() - start
-    )
+    return passed, details
 
 
-def criterion_8(quick: bool = False) -> CriterionResult:
+def even_stride_infeasibility() -> tuple[bool, str]:
     """Even-stride probe: with L even, a trial leading coefficient away from
     +-(the true one) leaves the five-circle system infeasible in >= 99/100
     trials, while the true value (either sign, any phase) stays feasible."""
-    start = time.perf_counter()
     rng = np.random.default_rng(20260206)
-    configs = [(12, 2), (16, 2), (20, 2), (20, 4)]
-    if not quick:
-        configs += [(24, 4), (32, 6)]
+    configs = [(12, 2), (16, 2), (20, 2), (20, 4), (24, 4), (32, 6)]
     infeasible = 0
     feasible_misses: list[str] = []
     for idx in range(100):
@@ -536,22 +505,31 @@ def criterion_8(quick: bool = False) -> CriterionResult:
         else f"{infeasible}/100 infeasible; "
         + (feasible_misses[0] if feasible_misses else "")
     )
-    return CriterionResult(
-        8, "even-stride-infeasibility", passed, details, time.perf_counter() - start
-    )
+    return passed, details
 
 
 CRITERIA = [
-    criterion_1,
-    criterion_2,
-    criterion_3,
-    criterion_4,
-    criterion_5,
-    criterion_6,
-    criterion_7,
-    criterion_8,
+    (check.__name__.replace("_", "-"), check)
+    for check in (
+        example_reproduction,
+        end_to_end_recovery,
+        ambiguity_invariance,
+        translation_sensitivity,
+        solver_oracles,
+        index_plan_validity,
+        modulus_rigidity,
+        even_stride_infeasibility,
+    )
 ]
 
 
-def run_all(quick: bool = False) -> list[CriterionResult]:
-    return [fn(quick) for fn in CRITERIA]
+def run_criterion(number: int) -> CriterionResult:
+    """Criterion `number`, counted from 1, timed."""
+    name, check = CRITERIA[number - 1]
+    start = time.perf_counter()
+    passed, details = check()
+    return CriterionResult(number, name, passed, details, time.perf_counter() - start)
+
+
+def run_all() -> list[CriterionResult]:
+    return [run_criterion(number) for number in range(1, len(CRITERIA) + 1)]

@@ -7,10 +7,12 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from frogpr import (
+    FrogParams,
     GroupElement,
     apply_element,
     dft,
     equivalent_up_to_group,
+    frog_measurements_time,
     group_elements,
     random_analytic_signal,
     reflect,
@@ -107,6 +109,17 @@ def test_apply_element_matches_primitive_composition():
         base = reflect(z) if g.reflected else z
         expected = g.rotation_sign * np.roll(base, -g.translation)
         assert_array_equal(apply_element(g, z), expected)
+
+
+def test_group_elements_preserve_the_measurements_at_a_6l_geometry():
+    # N = 6L is outside recovery's domain, not the forward map's; criterion
+    # 3's sweep has no such geometry.
+    z = _signal(18, 318)
+    params = FrogParams(18, 3)
+    grid = frog_measurements_time(z, params).values
+    for g in group_elements(18):
+        dev = np.abs(frog_measurements_time(apply_element(g, z), params).values - grid).max()
+        assert dev <= 1e-8 * grid.max(), g
 
 
 def test_equivalence_recovers_planted_elements():

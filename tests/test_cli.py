@@ -281,36 +281,42 @@ def test_oversized_json_integers_are_usage_errors(capsys, tmp_path):
 
 
 def test_selftest_reporting_and_exit_codes(capsys, monkeypatch):
-    seen = []
     fake = [
         CriterionResult(1, "alpha", True, "fine", 0.01),
         CriterionResult(2, "beta", False, "broken", 0.02),
     ]
-    monkeypatch.setattr("frogpr.cli.run_all", lambda quick: seen.append(quick) or fake)
-    code, out, _ = _run(capsys, ["selftest", "--quick"])
+    monkeypatch.setattr("frogpr.cli.run_all", lambda: fake)
+    code, out, _ = _run(capsys, ["selftest"])
     assert code == 1
-    assert seen == [True]
     assert "criterion 1 PASS alpha" in out
     assert "criterion 2 FAIL beta" in out
     assert "1/2 criteria passed" in out
+    assert json.loads(out[out.index("{\n"):])["residuals"] == {"criterion_1": 1.0, "criterion_2": 0.0}
 
-    monkeypatch.setattr("frogpr.cli.run_all", lambda quick: fake[:1])
+    monkeypatch.setattr("frogpr.cli.run_all", lambda: fake[:1])
     code, out, _ = _run(capsys, ["selftest"])
     assert code == 0
     assert "1/1 criteria passed" in out
+
+
+def test_selftest_has_one_configuration(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--quick"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --quick" in capsys.readouterr().err
 
 
 def test_every_report_has_its_keys_in_order(capsys, tmp_path, monkeypatch):
     sig, _ = _generate(capsys, tmp_path)
     meas, _ = _measure(capsys, tmp_path, sig, l=3, plan_only=True)
     fake = [CriterionResult(1, "alpha", True, "fine", 0.01)]
-    monkeypatch.setattr("frogpr.cli.run_all", lambda quick: fake)
+    monkeypatch.setattr("frogpr.cli.run_all", lambda: fake)
     for argv in (
         ["generate", "--n", "16", "--seed", "7", "--out", str(tmp_path / "g.json")],
         ["measure", str(sig), "--l", "3", "--out", str(tmp_path / "m.json")],
         ["recover", str(meas), "--out", str(tmp_path / "r.json")],
         ["check-equiv", str(sig), str(tmp_path / "r.json")],
-        ["selftest", "--quick"],
+        ["selftest"],
     ):
         code, out, err = _run(capsys, argv)
         assert code == 0, err
@@ -320,6 +326,22 @@ def test_every_report_has_its_keys_in_order(capsys, tmp_path, monkeypatch):
         doc = json.loads(text)
         assert list(doc) == _REPORT_KEYS, argv
         assert doc["command"] == argv[0]
+
+
+def test_reports_carry_the_tolerance_used(capsys, tmp_path):
+    sig, _ = _generate(capsys, tmp_path)
+    meas, _ = _measure(capsys, tmp_path, sig, l=3, plan_only=True)
+    rec = str(tmp_path / "r.json")
+    for argv, tol in (
+        (["recover", str(meas), "--out", rec], 1e-6),
+        (["check-equiv", str(sig), rec], 1e-6),
+        (["recover", str(meas), "--out", rec, "--tol", "0.5"], 0.5),
+        (["check-equiv", str(sig), rec, "--tol", "0.001"], 0.001),
+    ):
+        code, out, err = _run(capsys, argv)
+        assert code == 0, err
+        assert _report(out)["inputs"]["tol"] == tol, argv
+        assert f'"tol": {tol!r}' in out, argv
 
 
 def test_recover_report_carries_the_recovered_residual(capsys, tmp_path):

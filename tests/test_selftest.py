@@ -15,7 +15,7 @@ import frogpr
 import frogpr.analytic
 import frogpr.selftest
 from frogpr import FrogParams, MeasurementIndexPlan, plan_indices
-from frogpr.selftest import _validate_plan, criterion_1, criterion_6, format_line
+from frogpr.selftest import _validate_plan, format_line, run_criterion
 from frogpr.spectral import dft, idft
 
 
@@ -50,7 +50,7 @@ def test_criterion_1_fails_under_a_wrong_convention(
     monkeypatch, module, name, wrong, broken
 ):
     monkeypatch.setattr(module, name, wrong)
-    result = criterion_1()
+    result = run_criterion(1)
     assert not result.passed
     assert broken in result.details, format_line(result)
 
@@ -62,7 +62,7 @@ CORRUPTED_ROWS = [(0, 0), (0, 1), (1, 0)] + [(2, 0)] * 5 + [(3, 0), (3, 1)]
 def test_criterion_6_fails_on_a_corrupted_plan(monkeypatch):
     rows = np.array(CORRUPTED_ROWS)
     monkeypatch.setattr(frogpr.selftest, "plan_indices", lambda p: MeasurementIndexPlan(p, rows))
-    result = criterion_6(quick=True)
+    result = run_criterion(6)
     assert not result.passed
     assert "rows have shape (10, 2)" in result.details, format_line(result)
     # A plan of the right shape and order with one inadmissible delay: at
@@ -85,7 +85,7 @@ def test_criterion_6_fails_on_a_corrupted_plan_under_python_O():
         from frogpr import MeasurementIndexPlan
         rows = np.array({CORRUPTED_ROWS!r})
         frogpr.selftest.plan_indices = lambda p: MeasurementIndexPlan(p, rows)
-        print(__debug__, frogpr.selftest.criterion_6(quick=True).passed)
+        print(__debug__, frogpr.selftest.run_criterion(6).passed)
         """
     )
     src = os.path.dirname(os.path.dirname(frogpr.__file__))
