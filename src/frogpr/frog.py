@@ -27,7 +27,6 @@ import math
 import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -340,55 +339,6 @@ def _pow_is_minus_one(num, den: int, p):
     return (2 * p * num - den) % (2 * den) == 0
 
 
-class RowExpansion(NamedTuple):
-    """The rows (k_r, m_r) with k_r >= 1 of a (k, m)-sorted row array, in coefficients.
-
-    y^_{k_r,m_r} = (1/N) sum_l s_l s_{k_r - l} w^{l m_r} = (1/2) sum_l s_l
-    s_{mirror} dw over l = 0..max k_r, with these, which depend on the rows
-    alone and not on any measured value:
-
-    starts: starts[j], for j = 0 .. max k_r + 1, is the first expanded row
-            with k_r >= j (their count for j = max k_r + 1).
-    mirror: k_r - l, the index of the partner coefficient s_{k_r - l}; int32.
-    dw:     (w^{l m_r} + w^{(k_r - l) m_r}) / N.
-
-    Entries with l > k_r are 0 in mirror and dw. Both are read-only.
-    """
-
-    starts: tuple[int, ...]
-    mirror: np.ndarray
-    dw: np.ndarray
-
-
-def expand_rows(params: FrogParams, rows: np.ndarray) -> RowExpansion:
-    """The RowExpansion of a (k, m)-sorted selection of plan rows that has a row k >= 1."""
-    n = params.N
-    k, m = rows[rows[:, 0].searchsorted(1) :].T
-    l = np.arange(k[-1] + 1)
-    # l m L mod N, once per delay m and gathered by each row's delay. The
-    # partner's exponent (k - l) m L is the same residue as the difference
-    # of two of these, which lies in (-N, N) and reads unit_roots through
-    # negative indexing.
-    exps = np.multiply.outer(np.arange(m.max() + 1) * params.L % n, l)
-    exps %= n
-    exps = exps[m]
-    roots = params.unit_roots
-    dw = roots[exps]
-    k_exps = exps[np.arange(k.size), k]  # k m L mod N of each row
-    np.subtract(k_exps[:, None], exps, out=exps)
-    dw += roots[exps]
-    # What dividing the complex array by N computes, on its float64 view.
-    parts = dw.view(np.float64)
-    parts *= 1.0 / n
-    mirror = np.subtract.outer(k, l, dtype=np.int32)
-    dead = mirror < 0
-    dw[dead] = 0.0
-    mirror[dead] = 0
-    mirror.flags.writeable = dw.flags.writeable = False
-    starts = tuple(np.searchsorted(k, np.arange(l.size + 1)).tolist())
-    return RowExpansion(starts, mirror, dw)
-
-
 @dataclass(frozen=True, eq=False)
 class MeasurementIndexPlan:
     """The 3N/2 + 1 measurement indices (k, m) consumed by the recovery pipeline.
@@ -400,19 +350,10 @@ class MeasurementIndexPlan:
     every row k >= 2 starts at delay 0. A reader takes slices of rows:
     delays(k) for one row, a mask on rows[:, 0] for a range of rows. Plans
     compare by identity; compare their rows with np.array_equal.
-
-    expansion is expand_rows of the rows, which every recovery through the
-    plan reads; the plan builds it on first use and keeps it, about 1 MB at
-    (256, 11) and 63 MB at (2048, 31).
     """
 
     params: FrogParams
     rows: np.ndarray
-
-    @functools.cached_property
-    def expansion(self) -> RowExpansion:
-        """expand_rows of the plan's rows, built on first use."""
-        return expand_rows(self.params, self.rows)
 
     def delays(self, k: int) -> np.ndarray:
         """The sorted delays m of row k, a read-only view of rows."""
@@ -434,17 +375,27 @@ def plan_indices(params: FrogParams) -> MeasurementIndexPlan:
     k = 2 or 3 with too few admissible delays would contradict the
     existence guarantee for r >= 5 and signals an implementation bug.
     """
+    return _plan(params, params.N // 2)
+
+
+def _plan(params: FrogParams, last: int) -> MeasurementIndexPlan:
+    """The rows k <= last (2 <= last <= N/2) of plan_indices(params), in O(last) work and memory."""
     violations = params.plan_violations()
     if violations:
         raise UnsupportedGeometryError("; ".join(violations))
     n, l, r = params.N, params.L, params.r
-    m = np.arange(1, r)
+    # Every row reads delays 1..5 at most. With L < N/4 (r >= 5), delay m
+    # fails row k = 2's tests below only when 2mL is N/2 or 3N/2, or mL is
+    # N; two of 1..5 failing would need L = N/6 or N/8 from the first and
+    # L = N/5 from the second, and none of those makes a second one fail.
+    # Row k = 3 passes delay 1 or 2.
+    m = np.arange(1, min(r, 6))
     phase = m * l % n  # w^m = e^{2i pi phase/N}
     rows = [(0, 0), (0, 1), (1, 0)]
     # Stage k divides by 1 + w^{km}; the k = 2 five-circle family and the
     # k = 3 pair also need w^{pm} != 1 for 0 < p < k, that is
     # w^{(k-1)m} != 1, since w^m = 1 implies w^{2m} = 1.
-    for k, size in ((2, 4), (3, 1)):
+    for k, size in ((2, 4), (3, 1))[: last - 1]:  # the rows k = 2, 3 up to last
         adm = m[~_pow_is_minus_one(phase, n, k) & ~_pow_is_one(phase, n, k - 1)]
         if adm.size < size:  # pragma: no cover - unreachable for admissible geometries
             raise RuntimeError(f"too few admissible delays for row k={k} (N={n}, L={l}, r={r})")
@@ -465,12 +416,11 @@ def plan_indices(params: FrogParams) -> MeasurementIndexPlan:
     # way every admissible x is x_a with 2 x_a = 0, so every pair is
     # conjugate. (At r = 5 with a = 2 only a + 1 and a + 2 exist, and then
     # so do only two admissible delays.)
-    k = np.arange(4, n // 2 + 1)[:, None]
-    near = phase[:5]
-    adm = ~_pow_is_minus_one(near, n, k)
+    k = np.arange(4, last + 1)[:, None]
+    adm = ~_pow_is_minus_one(phase, n, k)
     a = adm.argmax(axis=1)
-    later = adm & (np.arange(near.size) > a[:, None])
-    mates = later & ~_pow_is_one(near[a][:, None] + near, n, k)
+    later = adm & (np.arange(phase.size) > a[:, None])
+    mates = later & ~_pow_is_one(phase[a][:, None] + phase, n, k)
     b = np.where(mates.any(axis=1), mates.argmax(axis=1), later.argmax(axis=1))
     tail = np.zeros((a.size, 3, 2), dtype=np.int64)
     tail[:, :, 0] = k

@@ -7,7 +7,9 @@ coefficient through circles |s_k + offset| = radius. Recovery proceeds:
 
   A1  recover_z0:  |s_0| from the k = 0 row (which mixes only s_0^2 and
       s_{N/2}^2); of its two roots, A1 takes the one whose k = 2 pair solve
-      comes nearest to all five planned k = 2 circles.
+      comes nearest to all five planned k = 2 circles. It scores each root
+      on the tail's own stage-2 block and hands the chosen one's block and
+      radii to the tail.
   A2  recover_tail: s_1 .. s_{N/2} sequentially; k = 2 and k = 3 are
       two-circle solves with a conjugate / candidate-pair branch that k = 4
       disambiguates, later stages are three-circle solves. Each stage is
@@ -15,13 +17,13 @@ coefficient through circles |s_k + offset| = radius. Recovery proceeds:
       from compounding: stage k polishes its last 16 coefficients against
       the rows that involve them, and every 16th stage and the last stage
       polish all coefficients solved so far against all rows. Each stage
-      gathers those rows once, with s_k = 0: the rows k_r = k give its
-      circles, setting the solved s_k changes only them, and the polish
-      starts from the same block. From k = 31 on, a window s_lo .. s_k has
-      2 lo > k, so no row pairs two of its coefficients and its rows are
-      affine in it: the polish scores each candidate by a matrix-vector
-      update of that block. Every polish forms its Jacobian only for a
-      step it takes.
+      gathers those rows once, with s_k = 0 (stage 2's is A1's): the rows
+      k_r = k give its circles, setting the solved s_k changes only them,
+      and the stage polishes the same block. From k = 31 on, a window
+      s_lo .. s_k has 2 lo > k, so no row pairs two of its coefficients
+      and its rows are affine in it: the polish scores each candidate by a
+      matrix-vector update of that block. Every polish forms its Jacobian
+      only for a step it takes.
   A3  recover:     run A2 once with s_0 = +|s_0|, translate s_{N/2} onto
       the positive real axis, and verify the result against every
       supplied measurement, planned or not.
@@ -31,14 +33,14 @@ coefficient through circles |s_k + offset| = radius. Recovery proceeds:
       measurement and keeps A2's Im s_2 >= 0 choice, so the second start
       would reach an equivalent spectrum or fail alike.
 
-The expansion of the planned rows k >= 1 in coefficients, partner indices
-k - l and unit-root sums (w^{lm} + w^{(k-l)m}) / N, depends on the plan
-alone, so the plan builds it once and keeps it (MeasurementIndexPlan.
-expansion). recover and the even-L probe first run _scaled on one plan,
-once: it looks the plan's rows up in the measurement set, scales their
-values and keeps them in one row table with the expansion. That table is
-all A1, the tail and the even-L probe read; they gather their rows from
-it, once per stage.
+A plan is its rows. Their expansion in coefficients, the rows k >= 1 as
+partner indices k - l and unit-root sums (w^{lm} + w^{(k-l)m}) / N,
+depends on the plan alone, so the first recovery through a plan builds it
+(_expand) and later ones share it until the plan is freed. recover and the
+even-L probe first run _scaled on one plan, once: it looks the plan's rows
+up in the measurement set, scales their values and puts them in one row
+table beside the expansion. That table is all A1, the tail and the even-L
+probe read; they gather their rows from it, once per stage.
 
 All of this assumes L odd (so the per-step phase satisfies w^{N/2} = -1 and
 the k = 0 row separates the two boundary coefficients). For even L that row
@@ -49,6 +51,7 @@ unsolvability with the same k = 2 test A1 uses.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -64,10 +67,11 @@ from .errors import (
 )
 from .frog import (
     FrogMeasurements,
+    FrogParams,
     MeasurementIndexPlan,
-    RowExpansion,
     _freq_rows,
     _gather,
+    _plan,
     plan_indices,
 )
 from .spectral import as_signal, idft
@@ -132,12 +136,12 @@ class _StageRows:
     so its last rows (k_r = k) hold the part y of y^_{k,m} that does not
     involve s_k, which enters as s_k t0 (1 + w^{km}) / N through the l = 0
     column of dw. offsets reads the stage's circles off those rows; settle
-    puts the solved s_k in, which changes only those rows; the polish then
-    starts from the block. Every row k_r < k has a zero dw entry at l = k,
-    so it is the same at s_k = 0 as at the solved s_k.
+    puts the solved s_k in, which changes only those rows; polish then
+    works on the block in place. Every row k_r < k has a zero dw entry at
+    l = k, so it is the same at s_k = 0 as at the solved s_k.
 
     tv:     s_0 .. s_k, with s_k = 0 until settle.
-    y, dy:  _row_values of the rows at tv.
+    y, dy:  _row_values of the rows at tv; None once polish has run.
     own:    the first row with k_r = k.
     edge:   dw[own:, 0], the weight of s_k t0 in those rows.
     rim:    the table's slice of those rows, where their radii are.
@@ -148,7 +152,7 @@ class _StageRows:
     def __init__(self, tables: _RowTables, t: np.ndarray, k: int, lo: int):
         self.target, self.mirror, self.dw = tables.stage(k, lo)
         self.lo = lo
-        starts = tables.expansion.starts
+        starts = tables.starts
         self.own, self.rim = starts[k] - starts[lo], slice(starts[k], starts[k + 1])
         self.edge = self.dw[self.own :, 0]
         self.tv = np.zeros(k + 1, dtype=complex)
@@ -192,16 +196,93 @@ class _StageRows:
             )
         return cands
 
+    def polish(self, spectrum: np.ndarray, scale: float) -> None:
+        """Gauss-Newton polish of s_lo .. s_k against the stage's rows lo <= k_r <= k.
 
-def _radii(tables: _RowTables, z0: float, rows: slice = slice(None)) -> list[float]:
-    """The circle radii sqrt(target) / (z0 |dw[:, 0]|) of the table's rows, all by default.
+        A raw stage solve inherits the roundoff of every earlier stage
+        through its conditioning, and that error compounds fast enough to
+        derail the later stages of larger systems even on exact
+        measurements. Re-solving the squared-magnitude system after each
+        stage resets the coefficients to least-squares accuracy, so every
+        stage starts from machine-accurate inputs. A row k_r < lo involves
+        only s_0 .. s_{k_r}, which the polish holds fixed, so only the rows
+        k_r >= lo take part; lo = 1 would split the gauge and is not a
+        window recover_tail uses.
+
+        The k = 0 rows are deliberately excluded even when k = N/2: they
+        hold only in the analytic gauge (s_{N/2} real), while the staged
+        iterate pins s_1 real instead and reaches the analytic gauge only
+        through the final translation normalization. Polishing against rows
+        1..k keeps the iterate consistent with the gauge it actually lives
+        in; the k = 0 rows already contributed |s_0| through the A1 root
+        choice and are checked by the final verification.
+
+        Each iteration linearizes |y^_{k,m}|^2 in the real and imaginary
+        parts of the window's coefficients and takes the step of
+        _gauss_newton_step, so s_0 and s_1 stay exactly real. Step halving
+        keeps the iteration monotone: a step is taken only when it lowers
+        the largest residual over the window's rows, so the result is never
+        worse than the input. Singular normal equations count as a step that
+        does not lower it; the iteration stops once that residual is within
+        1e-15 scale.
+
+        It works on the block in place, settled at the solved s_k, and
+        forms the Jacobian only where it takes a step. When 2 lo > k, every
+        window coefficient's partner s_{k_r - l} has k_r - l < lo and is
+        held, so the rows are affine in the window: y^ = y^_0 + dy[:, lo:]
+        (s - s_0) with dy[:, lo:] fixed, and a candidate is scored by that
+        update. Every other polish gathers each candidate afresh. Writes
+        s_0 .. s_k into spectrum[:k + 1] and drops y and dy, so that the
+        block is freed before the next stage gathers its own.
+        """
+        lo, affine = self.lo, 2 * self.lo > self.tv.size - 1
+        fvec = (self.y * self.y.conjugate()).real - self.target
+        err = float(np.abs(fvec).max())
+        for _ in range(_POLISH_MAX_ITER):
+            if err <= 1e-15 * scale:
+                break
+            # A polish that is not affine gathers every candidate afresh: a
+            # full one's Jacobian may overwrite dy, and neither stays alive
+            # beside the next gather.
+            jac = _jacobian(self.y, self.dy[:, lo:], out=self.dy if lo == 0 else None)
+            try:
+                step = _gauss_newton_step(jac, fvec, lo).view(np.complex128)
+            except np.linalg.LinAlgError:
+                break
+            del jac
+            if not affine:
+                self.dy = None
+            improved = False
+            damp = 1.0
+            for _ in range(4):
+                cand = self.tv.copy()
+                cand[lo:] += damp * step
+                if affine:
+                    cand_y = self.y + self.dy[:, lo:] @ (damp * step)
+                else:
+                    cand_y, self.dy = _row_values(cand, self.mirror, self.dw)
+                cand_f = (cand_y * cand_y.conjugate()).real - self.target
+                cand_err = float(np.abs(cand_f).max())
+                if cand_err < err:
+                    self.tv, self.y, fvec, err = cand, cand_y, cand_f, cand_err
+                    improved = True
+                    break
+                damp *= 0.5
+            if not improved:
+                break
+        spectrum[: self.tv.size] = self.tv
+        self.y = self.dy = None
+
+
+def _radii(tables: _RowTables, z0: float) -> list[float]:
+    """The circle radii sqrt(target) / (z0 |dw[:, 0]|) of the table's rows.
 
     A radius depends on its row and the A1 modulus z0 only (not on |t[0]|,
-    which the polish may have moved in its last bits), so the tail computes
-    all of them at once, as the Python floats the solvers take; A1 computes
-    the five of the k = 2 rows it scores a root on.
+    which the polish may have moved in its last bits), so A1 computes all
+    of them at once for each root it scores, as the Python floats the
+    solvers take, and the tail reads the chosen root's.
     """
-    return (np.sqrt(tables.target[rows]) / (z0 * np.abs(tables.expansion.dw[rows, 0]))).tolist()
+    return (np.sqrt(tables.target) / (z0 * np.abs(tables.dw[:, 0]))).tolist()
 
 
 def _circle_residual(z: complex, offset, radius) -> float:
@@ -243,31 +324,33 @@ def _row2_scale(t: np.ndarray, floor: float) -> complex:
     return t1 * t1 / t[0].real
 
 
-def _row2_misfit(tables: _RowTables, t: np.ndarray, z0: float) -> float:
-    """A1's k = 2 test: the least residual of a pair candidate on all five k = 2 circles.
+def _row2_misfit(stage: _StageRows, radii: list[float], floor: float) -> float:
+    """A1's k = 2 test on a stage-2 block: the least residual of a pair candidate on all
+    five k = 2 circles, whose radii are radii[stage.rim].
 
     inf when the pair solve has no candidates.
     """
-    stage = _StageRows(tables, t, 2, 2)
-    offset, radius = stage.offsets(), _radii(tables, z0, stage.rim)
+    offset, radius = stage.offsets(), radii[stage.rim]
     try:
-        cands = _pair_solve(offset, radius, _row2_scale(t, tables.floor))
+        cands = _pair_solve(offset, radius, _row2_scale(stage.tv, floor))
     except NoSolutionError:
         return math.inf
     offset = offset.tolist()
     return min(_circle_residual(z, offset, radius) for z in cands)
 
 
-def recover_z0(tables: _RowTables) -> float:
-    """|s_0| from the k = 0 row, disambiguated on the k = 2 row.
+def recover_z0(tables: _RowTables) -> tuple[_StageRows, list[float]]:
+    """|s_0| from the k = 0 row, disambiguated on the k = 2 row, as the tail's start.
 
     The k = 0 row gives max(|s_0|, |s_{N/2}|) = sqrt(N (|y^_{0,0}| +
     |y^_{0,1}|) / 2) and the other boundary modulus from the difference.
     Each distinct root above the floor (larger first; equal moduli are one
-    root) is taken as s_0 with s_1 = N |y^_{1,0}| / (2 root) and scored by
-    _row2_misfit: only for the true root does the k = 2 pair solve give a
-    point on all five planned k = 2 circles, so A1 returns the root with
-    the least misfit, the larger on a tie, and no threshold decides it.
+    root) is taken as s_0 with s_1 = N |y^_{1,0}| / (2 root), and scored by
+    _row2_misfit on the tail's stage-2 block (rows 1 <= k_r <= 2, lo = 0)
+    with its radii: only for the true root does the k = 2 pair solve give
+    a point on all five planned k = 2 circles, so A1 takes the root with
+    the least misfit, the larger on a tie, and no threshold decides it. It
+    returns that root's block, whose tv[0] is the root, and radii.
     Raises DegenerateSignalError when the boundary coefficients vanish or
     s_1 sits at the floor, and InconsistentMeasurementsError, with residual
     inf, when no root's pair solve has candidates; both carry stage "A1".
@@ -283,22 +366,23 @@ def recover_z0(tables: _RowTables) -> float:
             "both boundary spectral coefficients are at the noise floor", stage="A1"
         )
     small = math.sqrt(n * max(mag00 - mag01, 0.0) / 2.0)
-    misfits = {
-        root: _row2_misfit(tables, np.array([root, tables.s1(root)]), root)
-        for root in dict.fromkeys((big, small))
-        if root > floor
-    }
-    root = min(misfits, key=misfits.get)
-    if misfits[root] == math.inf:
+    scored = []
+    for root in dict.fromkeys((big, small)):
+        if root > floor:
+            stage = _StageRows(tables, np.array([root, tables.s1(root)]), 2, 0)
+            radii = _radii(tables, root)
+            scored.append((_row2_misfit(stage, radii, floor), stage, radii))
+    misfit, stage, radii = min(scored, key=lambda score: score[0])
+    if misfit == math.inf:
         raise InconsistentMeasurementsError(
             "no boundary-modulus root admits a second-row pair solve",
             stage="A1", residual=math.inf,
         )
-    return root
+    return stage, radii
 
 
-def recover_tail(tables: _RowTables, z0: float) -> np.ndarray:
-    """Spectrum s with s_0 = z0 and s_1 .. s_{N/2} solved row by row.
+def recover_tail(tables: _RowTables, stage: _StageRows, radii: list[float]) -> np.ndarray:
+    """Spectrum s with s_0 = z0 and s_1 .. s_{N/2} solved row by row, from A1's start.
 
     s_1 is pinned real non-negative (spending the continuous translation
     freedom), the k = 2 conjugate pair is resolved to the non-negative
@@ -311,31 +395,28 @@ def recover_tail(tables: _RowTables, z0: float) -> np.ndarray:
     far against all rows consumed so far, so stage roundoff never
     compounds. Each polished stage gathers the rows of its polish once
     (_StageRows): their rows k_r = k give the stage's circles, and the
-    polish starts from the same block once s_k is in; stage 3, which has
-    no polish, gathers its own rows, and each k = 4 candidate its own
-    block, the kept one's serving the polish. A refusal carries the stage
-    k and, for a circle miss, its residual and _STAGE_TOL. Returns the
-    full length-N spectrum (upper half zero). tables, as in recover_z0, and
-    its root z0 are all the tail reads.
+    stage polishes the same block once s_k is in; stage 3, which has no
+    polish, gathers its own rows, and each k = 4 candidate its own block,
+    the kept one's being polished. A refusal carries the stage k and, for
+    a circle miss, its residual and _STAGE_TOL. Returns the full length-N
+    spectrum (upper half zero). tables, as in recover_z0, and A1's stage-2
+    block and radii, at z0 = stage.tv[0], are all the tail reads.
     """
     n = tables.n
     half = n // 2
     t = np.zeros(n, dtype=complex)
-    t[0] = z0
-    t[1] = tables.s1(z0)
-
-    radii = _radii(tables, z0)
+    t[:2] = stage.tv[:2]
 
     def rows(k: int) -> _StageRows:
         """Stage k's rows: those of its polish, whose window starts at lo."""
         full = k % _POLISH_WINDOW == 0 or k == half
         return _StageRows(tables, t, k, 0 if full else max(0, k + 1 - _POLISH_WINDOW))
 
-    # k = 2: two circles with real offsets along t1^2 / t[0]; conjugate pair.
-    stage = rows(2)
+    # k = 2: A1's block (lo = 0, as rows(2) has it); two circles with real
+    # offsets along t1^2 / t[0]; conjugate pair.
     cands = stage.pair(radii, _row2_scale(t, tables.floor))
     stage.settle(cands[0] if cands[0].imag >= 0 else cands[1])
-    _polish_coefficients(t, stage, tables.scale)
+    stage.polish(t, tables.scale)
     if abs(t[2]) <= tables.floor:
         raise DegenerateSignalError(
             "third spectral coefficient vanishes; the stage-3 scale degenerates", stage=3
@@ -373,7 +454,7 @@ def recover_tail(tables: _RowTables, z0: float) -> np.ndarray:
         )
     _, t[3], z4, stage = min(outcomes, key=lambda o: o[0])
     stage.settle(z4)
-    _polish_coefficients(t, stage, tables.scale)
+    stage.polish(t, tables.scale)
 
     for k in range(5, half + 1):
         stage = rows(k)
@@ -387,29 +468,35 @@ def recover_tail(tables: _RowTables, z0: float) -> np.ndarray:
                 stage=k, residual=res, tol=_STAGE_TOL,
             )
         stage.settle(z)
-        _polish_coefficients(t, stage, tables.scale)
+        stage.polish(t, tables.scale)
     return t
 
 
 class _RowTables(NamedTuple):
-    """One recovery's values of an expansion's rows (k_r, m_r), sorted by (k, m).
+    """One recovery's table of a plan's rows (k_r, m_r) with k_r >= 1, sorted by (k, m).
 
-    expansion is the rows' RowExpansion, held by reference and shared by
-    every table of the same rows; the rest is one recovery's. The expanded
-    rows have k_r >= 1, and the first is (1, 0). Each is written out over
-    l = 0..max k_r; entries with l > k_r are zero, so the rows lo <= k_r <= k
-    are one run of rows and stage(k, lo) slices that run over columns [:k + 1].
+    y^_{k_r,m_r} = (1/N) sum_l s_l s_{k_r - l} w^{l m_r} = (1/2) sum_l s_l
+    s_{mirror} dw over l = 0..max k_r. starts, mirror and dw depend on the
+    rows alone (_expand) and are the plan's; the rest is one recovery's.
+    The first row is (1, 0). Entries with l > k_r are zero, so the rows
+    lo <= k_r <= k are one run and stage(k, lo) slices it over [:k + 1].
 
+    starts: starts[j], for j = 0 .. max k_r + 1, is the first row with
+            k_r >= j (the row count for j = max k_r + 1).
+    mirror: k_r - l, the index of the partner coefficient s_{k_r - l}; int32.
+    dw:     (w^{l m_r} + w^{(k_r - l) m_r}) / N.
     n:      the signal length N.
     row0:   the k = 0 rows' values [|y^_{0,0}|^2, |y^_{0,1}|^2] A1 reads, or [].
-    target: the measured |y^_{k_r,m_r}|^2 of the expanded rows.
+    target: the measured |y^_{k_r,m_r}|^2 of the rows.
     scale:  the largest value, k = 0 rows included (1 when there is none).
     floor:  the coefficient floor. Coefficients scale like sqrt(N * |y^|),
             so below the relative genericity floor at that scale a
             spectral coefficient counts as zero.
     """
 
-    expansion: RowExpansion
+    starts: tuple[int, ...]
+    mirror: np.ndarray
+    dw: np.ndarray
     n: int
     row0: list[float]
     target: np.ndarray
@@ -418,13 +505,46 @@ class _RowTables(NamedTuple):
 
     def stage(self, k_active: int, lo: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """target, mirror and dw of the rows lo <= k_r <= k_active, over l <= k_active."""
-        starts, mirror, dw = self.expansion
-        rows, width = slice(starts[lo], starts[k_active + 1]), k_active + 1
-        return self.target[rows], mirror[rows, :width], dw[rows, :width]
+        rows, width = slice(self.starts[lo], self.starts[k_active + 1]), k_active + 1
+        return self.target[rows], self.mirror[rows, :width], self.dw[rows, :width]
 
     def s1(self, z0: float) -> float:
         """|s_1| = N |y^_{1,0}| / (2 z0) for the leading modulus z0."""
         return self.n * math.sqrt(self.target[0]) / (2.0 * z0)
+
+
+def _expand(params: FrogParams, rows: np.ndarray) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """starts, mirror and dw (see _RowTables) of the rows k >= 1 of (k, m)-sorted plan rows,
+    mirror and dw read-only."""
+    n = params.N
+    k, m = rows[rows[:, 0].searchsorted(1) :].T
+    l = np.arange(k[-1] + 1)
+    # l m L mod N, once per delay m and gathered by each row's delay. The
+    # partner's exponent (k - l) m L is the same residue as the difference
+    # of two of these, which lies in (-N, N) and reads unit_roots through
+    # negative indexing.
+    exps = np.multiply.outer(np.arange(m.max() + 1) * params.L % n, l)
+    exps %= n
+    exps = exps[m]
+    roots = params.unit_roots
+    dw = roots[exps]
+    k_exps = exps[np.arange(k.size), k]  # k m L mod N of each row
+    np.subtract(k_exps[:, None], exps, out=exps)
+    dw += roots[exps]
+    # What dividing the complex array by N computes, on its float64 view.
+    parts = dw.view(np.float64)
+    parts *= 1.0 / n
+    mirror = np.subtract.outer(k, l, dtype=np.int32)
+    dead = mirror < 0
+    dw[dead] = 0.0
+    mirror[dead] = 0
+    mirror.flags.writeable = dw.flags.writeable = False
+    return tuple(np.searchsorted(k, np.arange(l.size + 1)).tolist()), mirror, dw
+
+
+# _expand of each plan's rows, built on the first recovery through the plan,
+# shared by later ones, and freed with the plan.
+_EXPANSIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _scaled(measurements: FrogMeasurements, plan: MeasurementIndexPlan) -> tuple[_RowTables, int]:
@@ -432,9 +552,10 @@ def _scaled(measurements: FrogMeasurements, plan: MeasurementIndexPlan) -> tuple
 
     ValueError names the first supplied entry that is negative, infinite or
     NaN (check_values), then the first five planned pairs the set lacks,
-    before plan.expansion is read. The values are quartic in the spectrum,
-    so dividing them by 2^(4e) divides it by 2^e; e puts the largest in
-    [1, 16), so the solvers' absolute floors see the same numbers at every scale.
+    before the plan's rows are expanded. The values are quartic in the
+    spectrum, so dividing them by 2^(4e) divides it by 2^e; e puts the
+    largest in [1, 16), so the solvers' absolute floors see the same
+    numbers at every scale.
     """
     measurements.check_values()
     at, found = measurements._positions(plan.rows)
@@ -446,9 +567,12 @@ def _scaled(measurements: FrogMeasurements, plan: MeasurementIndexPlan) -> tuple
     values = np.ldexp(values, -4 * e)
     n, top = measurements.params.N, float(values.max(initial=0.0))
     floor = _GENERICITY_FLOOR * math.sqrt(n * math.sqrt(top))
-    expansion = plan.expansion
-    first = len(plan.rows) - len(expansion.dw)  # the k = 0 rows, which are not expanded
-    return _RowTables(expansion, n, values[:first].tolist(), values[first:], top or 1.0, floor), e
+    expansion = _EXPANSIONS.get(plan)
+    if expansion is None:
+        expansion = _EXPANSIONS[plan] = _expand(plan.params, plan.rows)
+    first = len(plan.rows) - len(expansion[2])  # the k = 0 rows, which are not expanded
+    row0, target = values[:first].tolist(), values[first:]
+    return _RowTables(*expansion, n, row0, target, top or 1.0, floor), e
 
 
 def _row_values(
@@ -500,86 +624,6 @@ def _gauss_newton_step(jac: np.ndarray, fvec: np.ndarray, lo: int) -> np.ndarray
     if lo == 0:
         gram[1, 1] = gram[3, 3] = 1.0
     return np.linalg.solve(gram, jac.T @ -fvec)
-
-
-def _polish_coefficients(spectrum: np.ndarray, rows: _StageRows, scale: float) -> None:
-    """Gauss-Newton polish of s_lo .. s_k against the stage's rows lo <= k_r <= k.
-
-    A raw stage solve inherits the roundoff of every earlier stage through
-    its conditioning, and that error compounds fast enough to derail the
-    later stages of larger systems even on exact measurements. Re-solving
-    the squared-magnitude system after each stage resets the coefficients
-    to least-squares accuracy, so every stage starts from machine-accurate
-    inputs. A row k_r < lo involves only s_0 .. s_{k_r}, which the polish
-    holds fixed, so only the rows k_r >= lo take part; lo = 1 would split
-    the gauge and is not a window recover_tail uses.
-
-    The k = 0 rows are deliberately excluded even when k = N/2: they hold
-    only in the analytic gauge (s_{N/2} real), while the staged iterate
-    pins s_1 real instead and reaches the analytic gauge only through the
-    final translation normalization. Polishing against rows 1..k keeps the
-    iterate consistent with the gauge it actually lives in; the k = 0 rows
-    already contributed |s_0| through the A1 root choice and are checked by
-    the final verification.
-
-    Each iteration linearizes |y^_{k,m}|^2 in the real and imaginary parts
-    of the window's coefficients and takes the step of _gauss_newton_step,
-    so s_0 and s_1 stay exactly real. Step halving keeps the iteration
-    monotone: a step is taken only when it lowers the largest residual over
-    the window's rows, so the result is never worse than the input.
-    Singular normal equations count as a step that does not lower it; the
-    iteration stops once that residual is within 1e-15 scale.
-
-    The polish starts from the stage's one gather, rows (settled at the
-    solved s_k), and consumes it; the Jacobian is formed from the gathered
-    block only where a step is taken. When 2 lo > k, every window
-    coefficient's partner s_{k_r - l} has k_r - l < lo and is held, so the
-    rows are affine in the window: y^ = y^_0 + dy[:, lo:] (s - s_0) with
-    dy[:, lo:] fixed, and a candidate is scored by that update. Every other
-    polish gathers each candidate afresh. Writes s_0 .. s_k into
-    spectrum[:k + 1].
-    """
-    target, mirror, dw, lo = rows.target, rows.mirror, rows.dw, rows.lo
-    tv, y, dy = rows.tv, rows.y, rows.dy
-    # The polish takes the block over, so that its dy is freed once a fresh
-    # gather replaces it.
-    rows.y = rows.dy = None
-    affine = 2 * lo > tv.size - 1
-    fvec = (y * y.conjugate()).real - target
-    err = float(np.abs(fvec).max())
-    for _ in range(_POLISH_MAX_ITER):
-        if err <= 1e-15 * scale:
-            break
-        # A polish that is not affine gathers every candidate afresh: a full
-        # one's Jacobian may overwrite dy, and neither stays alive beside the
-        # next gather.
-        jac = _jacobian(y, dy[:, lo:], out=dy if lo == 0 else None)
-        try:
-            step = _gauss_newton_step(jac, fvec, lo).view(np.complex128)
-        except np.linalg.LinAlgError:
-            break
-        del jac
-        if not affine:
-            dy = None
-        improved = False
-        damp = 1.0
-        for _ in range(4):
-            cand = tv.copy()
-            cand[lo:] += damp * step
-            if affine:
-                cand_y = y + dy[:, lo:] @ (damp * step)
-            else:
-                cand_y, dy = _row_values(cand, mirror, dw)
-            cand_f = (cand_y * cand_y.conjugate()).real - target
-            cand_err = float(np.abs(cand_f).max())
-            if cand_err < err:
-                tv, y, fvec, err = cand, cand_y, cand_f, cand_err
-                improved = True
-                break
-            damp *= 0.5
-        if not improved:
-            break
-    spectrum[: tv.size] = tv
 
 
 def _normalize_gauge(spectrum: np.ndarray) -> np.ndarray:
@@ -643,12 +687,14 @@ def recover(
     UnsupportedGeometryError, a ValueError too, for a geometry outside the
     recovery domain (FrogParams.recovery_violations), and ValueError for a
     plan for another geometry, a supplied entry that is negative, infinite
-    or NaN, or missing planned entries (before the plan's expansion is
-    built); propagates DegenerateSignalError and InconsistentMeasurementsError
-    from A1 and the tail; and raises InconsistentMeasurementsError with stage
-    "verify" when the verification residual exceeds tol. Their stage, residual and tol fields
-    say where recovery stopped and by how much. Measurements scaled by
-    2^(4j) give the spectrum scaled by exactly 2^j.
+    or NaN, or missing planned entries (before the plan's rows are
+    expanded; given no plan, recover plans only the rows that name them
+    for a set smaller than a plan); propagates DegenerateSignalError and
+    InconsistentMeasurementsError from A1 and the tail; and raises
+    InconsistentMeasurementsError with stage "verify" when the
+    verification residual exceeds tol. Their stage, residual and tol
+    fields say where recovery stopped and by how much. Measurements scaled
+    by 2^(4j) give the spectrum scaled by exactly 2^j.
     """
     _check_positive("tol", tol)
     params = measurements.params
@@ -656,12 +702,17 @@ def recover(
     if violations:
         raise UnsupportedGeometryError("; ".join(violations))
     if plan is None:
-        plan = plan_indices(params)
+        # A set smaller than the plan lacks a planned pair, and the rows
+        # k <= n + 4 hold 3n + 14 planned pairs, so the first five it lacks
+        # are among them: a refusal plans no more rows than that.
+        n = len(measurements)
+        full = n > 3 * params.N // 2
+        plan = plan_indices(params) if full else _plan(params, min(params.N // 2, n + 4))
     if plan.params != params:
         raise ValueError(f"plan is for {plan.params} but the measurements are for {params}")
     tables, e = _scaled(measurements, plan)
-    z0 = recover_z0(tables)
-    spectrum = _normalize_gauge(recover_tail(tables, z0))
+    stage, radii = recover_z0(tables)
+    spectrum = _normalize_gauge(recover_tail(tables, stage, radii))
     # Scaled on the float64 view, which keeps the sign of a zero part. The
     # power of two is exact, so on the planned entries the residual is the
     # scaled one's.
@@ -691,8 +742,8 @@ def even_l_infeasibility_probe(
     exactly the ambiguity recovery cannot resolve. Membership is within
     _PROBE_TOL relative to 1 + radius. The k = 1 and k = 2 rows are scaled
     by _scaled, as in recover, and alpha with them, so the verdict does not
-    depend on the scale of the input. Only the plan's rows k = 1, 2 are
-    expanded, not the whole plan. Raises ValueError for odd L, a non-finite
+    depend on the scale of the input. Only the plan's rows k <= 2 are
+    planned and its rows k = 1, 2 expanded, not the whole plan. Raises ValueError for odd L, a non-finite
     alpha or theta, a supplied entry that is negative, infinite or NaN, missing
     rows, or an alpha that overflows when scaled; UnsupportedGeometryError for
     a geometry plan_indices refuses; and DegenerateSignalError when the scaled
@@ -704,9 +755,8 @@ def even_l_infeasibility_probe(
     for name, value in (("alpha", alpha), ("theta", theta)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
-    rows = plan_indices(params).rows
-    sub = MeasurementIndexPlan(params, rows[np.isin(rows[:, 0], (1, 2))])
-    tables, e = _scaled(measurements, sub)
+    rows = _plan(params, 2).rows
+    tables, e = _scaled(measurements, MeasurementIndexPlan(params, rows[rows[:, 0] >= 1]))
     try:
         alpha = math.ldexp(alpha, -e)
     except OverflowError:
@@ -714,4 +764,5 @@ def even_l_infeasibility_probe(
     if abs(alpha) <= tables.floor:
         raise DegenerateSignalError("trial leading coefficient is at the noise floor", stage="A1")
     t = np.array([alpha, tables.s1(abs(alpha)) * complex(math.cos(theta), math.sin(theta))])
-    return not _row2_misfit(tables, t, abs(alpha)) <= _PROBE_TOL
+    stage = _StageRows(tables, t, 2, 0)
+    return not _row2_misfit(stage, _radii(tables, abs(alpha)), tables.floor) <= _PROBE_TOL

@@ -177,6 +177,17 @@ def test_recover_refuses_six_l_geometry(capsys, tmp_path):
     assert not (tmp_path / "r.json").exists()
 
 
+def test_recover_names_the_missing_entries_of_an_empty_huge_set(capsys, tmp_path):
+    # (2^40, 1) is in the recovery domain; recover plans only the rows that
+    # name the set's first missing pairs, a usage error (exit 2).
+    path = tmp_path / "big.json"
+    path.write_text('{"N": 1099511627776, "L": 1, "entries": []}')
+    code, _, err = _run(capsys, ["recover", str(path), "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert err == "error: measurements missing required entries [(0, 0), (0, 1), (1, 0), (2, 0), (2, 1)]\n"
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_recover_reports_corrupted_measurements(capsys, tmp_path):
     sig, _ = _generate(capsys, tmp_path)
     meas, _ = _measure(capsys, tmp_path, sig, l=3, plan_only=True)

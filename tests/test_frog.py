@@ -24,7 +24,8 @@ from frogpr import (
     recover,
     translate,
 )
-from frogpr.frog import _pow_is_minus_one, _pow_is_one, expand_rows
+from frogpr.frog import _pow_is_minus_one, _pow_is_one
+from frogpr.recovery import _expand
 from frogpr.selftest import _generic_even_signal
 from oracles import direct_frog_grid, exp_grid_freq, exp_row_dw, scan_plan_rows
 
@@ -100,7 +101,7 @@ def test_unit_root_gathers_match_direct_exp(n, l):
     assert frog_measurements_freq(s, params).values.tobytes() == exp_grid_freq(s, l).tobytes()
     rows = plan_indices(params).rows
     rows = rows[rows[:, 0] >= 1]
-    assert expand_rows(params, rows).dw.tobytes() == exp_row_dw(rows, n, l).tobytes()
+    assert _expand(params, rows)[2].tobytes() == exp_row_dw(rows, n, l).tobytes()
 
 
 def _expansion_reference(params, rows):
@@ -122,29 +123,30 @@ def _expansion_reference(params, rows):
     [(12, 1), (16, 3), (20, 3), (20, 4), (32, 5), (64, 11), (100, 7), (128, 9), (256, 11), (512, 31), (1024, 31)],
 )
 def test_row_expansion_is_bytewise_the_direct_expression(n, l):
-    # expand_rows reduces l m L mod N once per delay and reads the partner
-    # term through negative indexing, and scales on the float64 view; the
-    # bytes are those of the row-by-row expression.
+    # The recovery's _expand reduces l m L mod N once per delay and reads
+    # the partner term through negative indexing, and scales on the float64
+    # view; the bytes are those of the row-by-row expression.
     params = FrogParams(n, l)
     rows = plan_indices(params).rows
     mirror, dw = _expansion_reference(params, rows)
-    expansion = expand_rows(params, rows)
-    assert expansion.mirror.dtype == np.int32
-    assert expansion.mirror.tobytes() == mirror.tobytes()
-    assert expansion.dw.tobytes() == dw.tobytes()
+    starts, got_mirror, got_dw = _expand(params, rows)
+    assert got_mirror.dtype == np.int32
+    assert got_mirror.tobytes() == mirror.tobytes()
+    assert got_dw.tobytes() == dw.tobytes()
     # The two k = 0 rows come first and are not expanded.
     assert len(rows) - len(dw) == 2
     k = rows[2:, 0]
-    assert expansion.starts == tuple(np.searchsorted(k, np.arange(n // 2 + 2)).tolist())
+    assert starts == tuple(np.searchsorted(k, np.arange(n // 2 + 2)).tolist())
 
 
-def test_plan_keeps_one_read_only_row_expansion():
-    plan = plan_indices(FrogParams(20, 3))
-    expansion = plan.expansion
-    assert plan.expansion is expansion
-    # The rows are the plan's; the expansion holds only what they expand to.
-    assert expansion._fields == ("starts", "mirror", "dw")
-    for array in (expansion.mirror, expansion.dw):
+def test_a_plan_is_its_rows_and_their_expansion_is_read_only():
+    # A plan holds its geometry and its rows, nothing the recovery derives
+    # from them; the recovery's expansion of the rows is read-only.
+    params = FrogParams(20, 3)
+    plan = plan_indices(params)
+    assert vars(plan).keys() == {"params", "rows"}
+    _, mirror, dw = _expand(params, plan.rows)
+    for array in (plan.rows, mirror, dw):
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0] = 0
 

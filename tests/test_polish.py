@@ -20,7 +20,6 @@ from frogpr.recovery import (
     _StageRows,
     _gauss_newton_step,
     _jacobian,
-    _polish_coefficients,
     _radii,
     _row_values,
     _scaled,
@@ -59,7 +58,7 @@ def _polish(spectrum, k_active, tables, lo=0):
     rows = _StageRows(tables, spectrum, k_active, lo)
     rows.settle(spectrum[k_active])
     out = spectrum.copy()
-    _polish_coefficients(out, rows, tables.scale)
+    rows.polish(out, tables.scale)
     return out
 
 
@@ -156,9 +155,7 @@ def test_row_circles_match_row_oracle(n, l):
     radii = _radii(tables, z0)
     for k in range(2, n // 2 + 1):
         stage = _StageRows(tables, t, k, k)
-        offset, radius = stage.offsets(), _radii(tables, z0, stage.rim)
-        # A1's radii of one row slice are the tail's, bit for bit.
-        assert radius == radii[stage.rim], k
+        offset, radius = stage.offsets(), radii[stage.rim]
         ms = plan.delays(k).tolist()
         ref = np.array([row_circle(meas, t, k, m, z0) for m in ms])
         radius = np.array(radius)
@@ -268,27 +265,27 @@ def test_every_polish_of_a_recovery_is_monotone_under_a_fresh_evaluation(seed, m
     # evaluation must confirm every polish, and the coefficients outside
     # its window come back bitwise.
     plan, meas, _ = _setup(256, 11, 8200 + seed)
-    polish = recovery._polish_coefficients
+    polish = recovery._StageRows.polish
     affine = []
 
     def fresh_err(coefficients, rows):
         y, _ = _row_values(coefficients, rows.mirror, rows.dw)
         return np.abs((y * y.conjugate()).real - rows.target).max()
 
-    def checked(spectrum, rows, scale):
+    def checked(rows, spectrum, scale):
         k_active, lo = rows.tv.size - 1, rows.lo
         # The stage's rows were gathered at the spectrum it hands over.
         np.testing.assert_array_equal(rows.tv[:k_active], spectrum[:k_active])
         start, held = rows.tv.copy(), spectrum.copy()
         before = fresh_err(start, rows)
-        polish(spectrum, rows, scale)
+        polish(rows, spectrum, scale)
         after = fresh_err(spectrum[: k_active + 1], rows)
         assert after <= before + 1e-15 * scale, (k_active, lo)
         np.testing.assert_array_equal(spectrum[:lo], held[:lo])
         np.testing.assert_array_equal(spectrum[k_active + 1 :], held[k_active + 1 :])
         affine.append(2 * lo > k_active)
 
-    monkeypatch.setattr(recovery, "_polish_coefficients", checked)
+    monkeypatch.setattr(recovery._StageRows, "polish", checked)
     recover(meas, plan)
     # Stages 2, 4 .. 128: 8 full polishes, 14 fresh windows, 91 affine ones.
     assert len(affine) == 126 and sum(affine) == 91
@@ -313,7 +310,7 @@ def test_stage_rows_equal_a_fresh_gather_bitwise(n, l, k):
     tv[k] = 0
     y, _ = _row_values(tv, mirror, dw)
     np.testing.assert_array_equal(rows.y[rows.own :], y)
-    offset, radius = rows.offsets(), _radii(tables, z0, rows.rim)
+    offset, radius = rows.offsets(), _radii(tables, z0)[rows.rim]
     np.testing.assert_array_equal(offset, y / (t[0] * dw[:, 0]))
     np.testing.assert_array_equal(radius, np.sqrt(target) / (z0 * np.abs(dw[:, 0])))
 

@@ -1,16 +1,18 @@
 """Recovery pipeline: root choice, sequential tail, verification, probe."""
 
+import gc
 import math
 import re
 import timeit
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from frogpr import frog, recovery
+from frogpr import recovery
 from frogpr import (
     DegenerateSignalError,
     FrogMeasurements,
@@ -79,8 +81,7 @@ def _tail(meas, plan):
     divisor: the staged iterate before the final translation and rescale.
     """
     tables, e = recovery._scaled(meas, plan)
-    z0 = recovery.recover_z0(tables)
-    return recovery.recover_tail(tables, z0), tables, e
+    return recovery.recover_tail(tables, *recovery.recover_z0(tables)), tables, e
 
 
 # --- full pipeline -------------------------------------------------------------
@@ -164,7 +165,7 @@ def test_recover_does_not_depend_on_the_scale_of_its_input(n, l, seed):
 
 def test_recover_builds_one_row_table(monkeypatch):
     # One scaled preparation per recovery: A1 and the tail read one table,
-    # which holds the plan's expansion itself, rows and all.
+    # which holds the expansion of the plan's rows itself.
     build = recovery._scaled
     built = []
 
@@ -179,8 +180,9 @@ def test_recover_builds_one_row_table(monkeypatch):
     recover(frog_measurements_time(z, params), plan)
     assert len(built) == 1
     (_, used), (tables, _) = built[0]
-    assert used is plan and tables.expansion is plan.expansion
-    assert tables._fields == ("expansion", "n", "row0", "target", "scale", "floor")
+    assert used is plan and tables[:3] == recovery._EXPANSIONS[plan]
+    fields = ("starts", "mirror", "dw", "n", "row0", "target", "scale", "floor")
+    assert tables._fields == fields
 
 
 def test_row_table_scale_counts_the_k0_rows():
@@ -210,14 +212,14 @@ def test_a_table_of_the_probes_rows_reads_exactly_those_rows(n, l):
     meas = frog_measurements_time(z, params, rows)
     sub = MeasurementIndexPlan(params, rows)
     tables, e = recovery._scaled(meas, sub)
-    assert tables.expansion is sub.expansion and sub.rows is rows
+    assert sub.rows is rows
     values = np.ldexp(meas.values, -4 * e)
     assert tables.row0 == []
     assert tables.target.tobytes() == values.tobytes()
     assert tables.scale == values.max()
     assert tables.stage(1)[0].tobytes() == values[:1].tobytes()
     assert tables.stage(2, 2)[0].tobytes() == values[1:].tobytes()
-    assert sub.expansion.starts == (0, 0, 1, rows.shape[0])
+    assert tables.starts == (0, 0, 1, rows.shape[0])
     # Entries off those rows are not read; one of them may not be absent.
     full = frog_measurements_time(z, params)
     assert recovery._scaled(full, sub)[0].target.tobytes() == values.tobytes()
@@ -245,15 +247,15 @@ def test_recover_builds_no_measurement_set(monkeypatch):
 
 
 def _count_expansions(monkeypatch):
-    """The rows of every expand_rows call, by the plan or by the probe."""
-    expand = frog.expand_rows
+    """The rows of every _expand call, for a plan or for the probe."""
+    expand = recovery._expand
     built = []
 
     def counted(params, rows):
         built.append(rows)
         return expand(params, rows)
 
-    monkeypatch.setattr(frog, "expand_rows", counted)
+    monkeypatch.setattr(recovery, "_expand", counted)
     return built
 
 
@@ -269,6 +271,41 @@ def test_a_plan_expands_its_rows_once(monkeypatch):
         rec = recover(frog_measurements_time(z, params, plan.rows), plan)
         assert equivalent_up_to_group(rec.signal, z, tol=1e-8).equivalent
     assert len(built) == 1 and built[0] is plan.rows
+
+
+def test_a_plans_table_is_built_once_and_freed_with_the_plan(monkeypatch):
+    # The recovery keeps a plan's expansion while the plan lives: three
+    # recoveries share one, and dropping the plan frees it.
+    built = _count_expansions(monkeypatch)
+    params = FrogParams(20, 3)
+    plan = plan_indices(params)
+    rng = np.random.default_rng(656)
+    for _ in range(3):
+        recover(frog_measurements_time(_generic(20, rng), params, plan.rows), plan)
+    assert len(built) == 1
+    dw = weakref.ref(recovery._EXPANSIONS[plan][2])
+    key = weakref.ref(plan)
+    del plan
+    gc.collect()
+    assert key() is None and dw() is None
+    assert len(recovery._EXPANSIONS) == 0
+
+
+def test_a1_gathers_stage_2_once_per_root_and_the_tail_never(monkeypatch):
+    # A1 scores each root on the tail's own stage-2 block and hands the
+    # chosen one over: two roots give two stage-2 gathers, not three.
+    gather = recovery._StageRows.__init__
+    stages = []
+
+    def counted(self, tables, t, k, lo):
+        stages.append((k, lo))
+        gather(self, tables, t, k, lo)
+
+    monkeypatch.setattr(recovery._StageRows, "__init__", counted)
+    params = FrogParams(20, 3)
+    z = _generic(20, np.random.default_rng(657))
+    recover(frog_measurements_time(z, params, plan_indices(params).rows))
+    assert stages.count((2, 0)) == 2 and [k for k, _ in stages].count(2) == 2
 
 
 @pytest.mark.parametrize("n,l,seed", [(20, 3, 647), (64, 11, 648), (256, 11, 649)])
@@ -540,7 +577,61 @@ def test_recover_refuses_a_set_without_the_plan_before_expanding_it():
     finally:
         tracemalloc.stop()
     assert peak < 5e6, peak
-    assert "expansion" not in vars(plan)
+    assert plan not in recovery._EXPANSIONS
+
+
+@pytest.mark.parametrize("n", [2_000_000, 2**40])
+def test_recover_plans_only_the_rows_that_name_a_small_sets_gaps(n):
+    # An empty set lacks every planned pair; recover plans only the rows
+    # that hold the first five, so a huge geometry is refused by name
+    # within a few MB (the whole plan of (2e6, 1) took 178 MB traced, and
+    # that of (2^40, 1) raised MemoryError).
+    params = FrogParams(n, 1)
+    meas = FrogMeasurements(params)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            recover(meas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == (
+        "measurements missing required entries [(0, 0), (0, 1), (1, 0), (2, 0), (2, 1)]"
+    )
+    assert peak < 5e6, peak
+
+
+@pytest.mark.parametrize("n,l", [(20, 3), (64, 11), (256, 11), (2048, 31)])
+def test_a_set_smaller_than_the_plan_names_the_plans_first_gaps(n, l):
+    # Rows k <= n + 4 hold the first five pairs a set of n entries lacks:
+    # recover names the same ones as the whole plan does.
+    params = FrogParams(n, l)
+    plan = plan_indices(params)
+    z = _generic_even_signal(n, np.random.default_rng(658))
+    rng = np.random.default_rng(n)
+    for size in (0, 1, 7, len(plan.rows) // 2, len(plan.rows) - 1):
+        keep = np.sort(rng.choice(len(plan.rows), size, replace=False))
+        meas = frog_measurements_time(z, params, plan.rows[keep])
+        with pytest.raises(ValueError) as own:
+            recover(meas)
+        with pytest.raises(ValueError) as whole:
+            recover(meas, plan)
+        assert str(own.value) == str(whole.value)
+
+
+def test_probe_plans_only_its_rows():
+    # The probe plans rows k <= 2 alone: an empty (2e6, 2) set is refused
+    # within a few MB (the whole plan took 162 MB).
+    params = FrogParams(2_000_000, 2)
+    meas = FrogMeasurements(params)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^measurements missing required entries \[\(1, 0\), "):
+            even_l_infeasibility_probe(meas, 1.0, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6, peak
 
 
 def test_verify_solution_on_a_sparse_set_reads_only_its_entries():
@@ -616,7 +707,7 @@ def test_pair_stage_checks_candidates_on_their_circles(monkeypatch, stage):
     plan = plan_indices(params)
     meas = frog_measurements_time(_generic(16, rng), params, plan.pairs())
     tables, _ = recovery._scaled(meas, plan)
-    z0 = recovery.recover_z0(tables)
+    start = recovery.recover_z0(tables)
     solve = recovery.solve_two_circles_real
     calls = []
 
@@ -633,7 +724,7 @@ def test_pair_stage_checks_candidates_on_their_circles(monkeypatch, stage):
         InconsistentMeasurementsError,
         match=f"stage k={stage}: two-circle candidate misses a circle by",
     ) as info:
-        recovery.recover_tail(tables, z0)
+        recovery.recover_tail(tables, *start)
     assert (info.value.stage, info.value.tol) == (stage, recovery._STAGE_TOL)
     assert info.value.residual > info.value.tol
 
@@ -805,8 +896,8 @@ def test_a1_refuses_without_trying_a_smaller_root_at_the_floor(monkeypatch):
     misfit = recovery._row2_misfit
     tried = []
 
-    def spy(tables, t, z0):
-        tried.append(misfit(tables, t, z0))
+    def spy(stage, radii, floor):
+        tried.append(misfit(stage, radii, floor))
         return tried[-1]
 
     monkeypatch.setattr(recovery, "_row2_misfit", spy)
@@ -868,9 +959,9 @@ def test_a1_scores_one_root_when_the_boundary_moduli_are_equal(monkeypatch):
     misfit = recovery._row2_misfit
     roots = []
 
-    def spy(tables, t, z0):
-        roots.append(z0)
-        return misfit(tables, t, z0)
+    def spy(stage, radii, floor):
+        roots.append(stage.tv[0])
+        return misfit(stage, radii, floor)
 
     monkeypatch.setattr(recovery, "_row2_misfit", spy)
     spectrum = recover(meas, plan).spectrum
