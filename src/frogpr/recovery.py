@@ -72,7 +72,6 @@ from .frog import (
     _freq_rows,
     _gather,
     _plan,
-    plan_indices,
 )
 from .spectral import as_signal, idft
 
@@ -703,11 +702,10 @@ def recover(
         raise UnsupportedGeometryError("; ".join(violations))
     if plan is None:
         # A set smaller than the plan lacks a planned pair, and the rows
-        # k <= n + 4 hold 3n + 14 planned pairs, so the first five it lacks
-        # are among them: a refusal plans no more rows than that.
-        n = len(measurements)
-        full = n > 3 * params.N // 2
-        plan = plan_indices(params) if full else _plan(params, min(params.N // 2, n + 4))
+        # k <= n + 4 hold 3n + 13 planned pairs, so the first five it lacks
+        # are among them: a refusal plans no more rows than that. A set of
+        # n > 3N/2 entries gets the whole plan, since then n + 4 > N/2.
+        plan = _plan(params, min(params.N // 2, len(measurements) + 4))
     if plan.params != params:
         raise ValueError(f"plan is for {plan.params} but the measurements are for {params}")
     tables, e = _scaled(measurements, plan)
