@@ -390,7 +390,10 @@ def _plan(params: FrogParams, last: int) -> MeasurementIndexPlan:
     # L = N/5 from the second, and none of those makes a second one fail.
     # Row k = 3 passes delay 1 or 2.
     m = np.arange(1, min(r, 6))
-    phase = m * l % n  # w^m = e^{2i pi phase/N}
+    # w^m = e^{2i pi phase/N}, from Python ints. Every product the tests
+    # below form is under N^2, so phase is int64 while that fits and exact
+    # Python ints beyond it, as in _ranks.
+    phase = np.array([d * l % n for d in m.tolist()], np.int64 if n * n < 2**63 else object)
     rows = [(0, 0), (0, 1), (1, 0)]
     # Stage k divides by 1 + w^{km}; the k = 2 five-circle family and the
     # k = 3 pair also need w^{pm} != 1 for 0 < p < k, that is

@@ -116,8 +116,8 @@ def _parse_pairs(raw, n: int, what: str) -> np.ndarray:
     values = _pairs(raw, n)
     if values is not None:
         return values
-    # A pass found a fault; this loop names the first faulty pair.
-    out = []
+    # A pass found a fault; this loop names the first faulty pair. Every
+    # fault a pass finds is one of these, so the loop always raises.
     for idx, pair in enumerate(raw):
         if (
             not isinstance(pair, list)
@@ -125,12 +125,9 @@ def _parse_pairs(raw, n: int, what: str) -> np.ndarray:
             or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in pair)
         ):
             raise ValueError(f"'{what}'[{idx}] is not a [re, im] number pair")
-        value = complex(_float(pair[0], what, idx), _float(pair[1], what, idx))
         # json reads NaN and Infinity as numbers.
-        if not cmath.isfinite(value):
+        if not cmath.isfinite(complex(_float(pair[0], what, idx), _float(pair[1], what, idx))):
             raise ValueError(f"'{what}'[{idx}] holds a number that is not finite")
-        out.append(value)
-    return np.array(out, dtype=complex)
 
 
 def load_signal(path) -> np.ndarray:

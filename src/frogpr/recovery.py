@@ -7,16 +7,18 @@ coefficient through circles |s_k + offset| = radius. Recovery proceeds:
 
   A1  recover_z0:  |s_0| from the k = 0 row (which mixes only s_0^2 and
       s_{N/2}^2); of its two roots, A1 takes the one whose k = 2 pair solve
-      comes nearest to all five planned k = 2 circles. It scores each root
-      on the tail's own stage-2 block and hands the chosen one's block and
-      radii to the tail.
-  A2  recover_tail: s_1 .. s_{N/2} sequentially; k = 2 and k = 3 are
-      two-circle solves with a conjugate / candidate-pair branch that k = 4
-      disambiguates, later stages are three-circle solves. Each stage is
-      followed by a least-squares polish, which stops the stages' roundoff
-      from compounding: stage k polishes its last 16 coefficients against
-      the rows that involve them, and every 16th stage and the last stage
-      polish all coefficients solved so far against all rows. Each stage
+      comes nearest to all five planned k = 2 circles. _row2_misfit scores
+      a root on the tail's own stage-2 block and solves its pair, and A1
+      hands the chosen root's block, radii and pair to the tail.
+  A2  recover_tail: s_1 .. s_{N/2} sequentially; k = 2 (A1's pair) and
+      k = 3 are two-circle solves with a conjugate / candidate-pair branch,
+      and k = 4 keeps the stage-3 candidate whose point misses its circles
+      least, as A1 keeps its root; later stages are three-circle solves.
+      Each pair is solved once. Each stage is followed by a least-squares
+      polish, which stops the stages' roundoff from compounding: stage k
+      polishes its last 16 coefficients against the rows that involve
+      them, and every 16th stage and the last stage polish all
+      coefficients solved so far against all rows. Each stage
       gathers those rows once, with s_k = 0 (stage 2's is A1's): the rows
       k_r = k give its circles, setting the solved s_k changes only them,
       and the stage polishes the same block. From k = 31 on, a window
@@ -45,7 +47,7 @@ probe read; they gather their rows from it, once per stage.
 All of this assumes L odd (so the per-step phase satisfies w^{N/2} = -1 and
 the k = 0 row separates the two boundary coefficients). For even L that row
 degenerates and even_l_infeasibility_probe demonstrates the resulting
-unsolvability with the same k = 2 test A1 uses.
+unsolvability with A1's k = 2 test, _row2_misfit.
 """
 
 from __future__ import annotations
@@ -134,7 +136,8 @@ class _StageRows:
     The one gather of a stage: it is taken at s_0 .. s_{k-1} with s_k = 0,
     so its last rows (k_r = k) hold the part y of y^_{k,m} that does not
     involve s_k, which enters as s_k t0 (1 + w^{km}) / N through the l = 0
-    column of dw. offsets reads the stage's circles off those rows; settle
+    column of dw. offsets reads the stage's circles off those rows (point
+    and pair solve them, check_pair judges a pair's candidates); settle
     puts the solved s_k in, which changes only those rows; polish then
     works on the block in place. Every row k_r < k has a zero dw entry at
     l = k, so it is the same at s_k = 0 as at the solved s_k.
@@ -179,21 +182,25 @@ class _StageRows:
         return z, _circle_residual(z, offset, radius)
 
     def pair(self, radii: list[float], m: complex) -> tuple[complex, complex]:
-        """The stage's pair solve along m; both candidates lie on its first two circles."""
+        """The two-circle solve of the stage's first two circles, whose offsets are real
+        multiples of m; NoSolutionError when they do not meet."""
+        # Python scalars: the solvers' scalar arithmetic is several times
+        # slower on numpy scalars.
+        v1, v2 = (self.offsets()[:2] / m).real.tolist()
+        n1, n2 = radii[self.rim][:2]
+        return solve_two_circles_real(v1, v2, m, n1, n2)
+
+    def check_pair(self, radii: list[float], cands: tuple[complex, complex]) -> None:
+        """InconsistentMeasurementsError unless both candidates of pair lie on its two circles
+        within _STAGE_TOL; before settle, while the rows k_r = k are at s_k = 0."""
         k = self.tv.size - 1
-        offset, radius = self.offsets(), radii[self.rim]
-        try:
-            cands = _pair_solve(offset, radius, m)
-        except NoSolutionError as exc:
-            raise InconsistentMeasurementsError(f"stage k={k}: {exc}", stage=k) from exc
-        offset, radius = offset[:2].tolist(), radius[:2]
+        offset, radius = self.offsets()[:2].tolist(), radii[self.rim][:2]
         res = max(_circle_residual(z, offset, radius) for z in cands)
         if res > _STAGE_TOL:
             raise InconsistentMeasurementsError(
                 f"stage k={k}: two-circle candidate misses a circle by {res:.3e}",
                 stage=k, residual=res, tol=_STAGE_TOL,
             )
-        return cands
 
     def polish(self, spectrum: np.ndarray, scale: float) -> None:
         """Gauss-Newton polish of s_lo .. s_k against the stage's rows lo <= k_r <= k.
@@ -293,24 +300,15 @@ def _circle_residual(z: complex, offset, radius) -> float:
     return max(abs(abs(z + v) - n) / (1.0 + n) for v, n in zip(offset, radius))
 
 
-def _pair_solve(
-    offset: np.ndarray, radius: list[float], m: complex
-) -> tuple[complex, complex]:
-    """Two-circle solve on the first two circles, whose offsets are real multiples of m."""
-    # Python scalars: the solvers' scalar arithmetic is several times slower
-    # on numpy scalars.
-    v1, v2 = (offset[:2] / m).real.tolist()
-    n1, n2 = radius[:2]
-    return solve_two_circles_real(v1, v2, m, n1, n2)
-
-
 def _row2_scale(t: np.ndarray, floor: float) -> complex:
     """t1^2 / t0, the scale m of the k = 2 pair solve.
 
     All k = 2 offsets are real multiples 1 / (2 cos phi) of t1^2 / t0 (t0
     real), so the s_2 candidates are a two-circle solve along that line.
     Raises DegenerateSignalError at stage "A1" when |t1| is at the floor,
-    where that scale vanishes. A1 scores every root it returns, so the tail never raises it.
+    where that scale vanishes. Only _row2_misfit, A1's and the even-L
+    probe's test, takes it; the tail solves no stage-2 pair, so it never
+    raises it.
     """
     if abs(t[1]) <= floor:
         raise DegenerateSignalError(
@@ -323,33 +321,42 @@ def _row2_scale(t: np.ndarray, floor: float) -> complex:
     return t1 * t1 / t[0].real
 
 
-def _row2_misfit(stage: _StageRows, radii: list[float], floor: float) -> float:
-    """A1's k = 2 test on a stage-2 block: the least residual of a pair candidate on all
-    five k = 2 circles, whose radii are radii[stage.rim].
+def _row2_misfit(
+    tables: _RowTables, s_0: float, s_1: complex
+) -> tuple[float, _StageRows, list[float], tuple[complex, ...]]:
+    """The k = 2 test of A1 and the even-L probe: how near the pair solve of (s_0, s_1)
+    comes to all five k = 2 circles.
 
-    inf when the pair solve has no candidates.
+    Gathers the stage-2 block (rows 1 <= k_r <= 2, lo = 0) at (s_0, s_1),
+    takes the radii at |s_0| and solves the pair on the block's first two
+    circles. Returns the least residual of a candidate on all five, inf
+    when the pair solve has none, with the block, the radii and the
+    candidates (none then): what the tail's stage 2 reads.
     """
-    offset, radius = stage.offsets(), radii[stage.rim]
+    stage = _StageRows(tables, np.array([s_0, s_1]), 2, 0)
+    radii = _radii(tables, abs(s_0))
     try:
-        cands = _pair_solve(offset, radius, _row2_scale(stage.tv, floor))
+        cands = stage.pair(radii, _row2_scale(stage.tv, tables.floor))
     except NoSolutionError:
-        return math.inf
-    offset = offset.tolist()
-    return min(_circle_residual(z, offset, radius) for z in cands)
+        cands = ()
+    offset, radius = stage.offsets().tolist(), radii[stage.rim]
+    misfit = min((_circle_residual(z, offset, radius) for z in cands), default=math.inf)
+    return misfit, stage, radii, cands
 
 
-def recover_z0(tables: _RowTables) -> tuple[_StageRows, list[float]]:
+def recover_z0(tables: _RowTables) -> tuple[_StageRows, list[float], tuple[complex, ...]]:
     """|s_0| from the k = 0 row, disambiguated on the k = 2 row, as the tail's start.
 
     The k = 0 row gives max(|s_0|, |s_{N/2}|) = sqrt(N (|y^_{0,0}| +
     |y^_{0,1}|) / 2) and the other boundary modulus from the difference.
     Each distinct root above the floor (larger first; equal moduli are one
     root) is taken as s_0 with s_1 = N |y^_{1,0}| / (2 root), and scored by
-    _row2_misfit on the tail's stage-2 block (rows 1 <= k_r <= 2, lo = 0)
-    with its radii: only for the true root does the k = 2 pair solve give
-    a point on all five planned k = 2 circles, so A1 takes the root with
-    the least misfit, the larger on a tie, and no threshold decides it. It
-    returns that root's block, whose tv[0] is the root, and radii.
+    _row2_misfit, which gathers the tail's stage-2 block (rows 1 <= k_r <=
+    2, lo = 0) and solves its pair: only for the true root does the k = 2
+    pair solve give a point on all five planned k = 2 circles, so A1 takes
+    the root with the least misfit, the larger on a tie, and no threshold
+    decides it. It returns that root's block, whose tv[0] is the root,
+    radii and pair candidates: the tail's start, so the pair is solved once.
     Raises DegenerateSignalError when the boundary coefficients vanish or
     s_1 sits at the floor, and InconsistentMeasurementsError, with residual
     inf, when no root's pair solve has candidates; both carry stage "A1".
@@ -365,41 +372,44 @@ def recover_z0(tables: _RowTables) -> tuple[_StageRows, list[float]]:
             "both boundary spectral coefficients are at the noise floor", stage="A1"
         )
     small = math.sqrt(n * max(mag00 - mag01, 0.0) / 2.0)
-    scored = []
-    for root in dict.fromkeys((big, small)):
-        if root > floor:
-            stage = _StageRows(tables, np.array([root, tables.s1(root)]), 2, 0)
-            radii = _radii(tables, root)
-            scored.append((_row2_misfit(stage, radii, floor), stage, radii))
-    misfit, stage, radii = min(scored, key=lambda score: score[0])
+    scored = [
+        _row2_misfit(tables, root, tables.s1(root))
+        for root in dict.fromkeys((big, small))
+        if root > floor
+    ]
+    misfit, stage, radii, cands = min(scored, key=lambda score: score[0])
     if misfit == math.inf:
         raise InconsistentMeasurementsError(
             "no boundary-modulus root admits a second-row pair solve",
             stage="A1", residual=math.inf,
         )
-    return stage, radii
+    return stage, radii, cands
 
 
-def recover_tail(tables: _RowTables, stage: _StageRows, radii: list[float]) -> np.ndarray:
+def recover_tail(
+    tables: _RowTables, stage: _StageRows, radii: list[float], cands: tuple[complex, ...]
+) -> np.ndarray:
     """Spectrum s with s_0 = z0 and s_1 .. s_{N/2} solved row by row, from A1's start.
 
     s_1 is pinned real non-negative (spending the continuous translation
     freedom), the k = 2 conjugate pair is resolved to the non-negative
-    imaginary branch (spending the reflection freedom), and the k = 3
-    candidate pair is kept until the k = 4 three-circle solve rejects the
-    spurious one. Every stage's point is checked on its circles within
-    _STAGE_TOL. After each stage the last _POLISH_WINDOW coefficients are
-    re-polished against the rows that involve them, and at every
-    _POLISH_WINDOW-th stage and the last stage all coefficients solved so
-    far against all rows consumed so far, so stage roundoff never
-    compounds. Each polished stage gathers the rows of its polish once
+    imaginary branch (spending the reflection freedom), and of the k = 3
+    candidate pair, k = 4 keeps the one whose three-circle point misses its
+    circles least (inf for collinear centers), as A1 keeps its root. Every
+    stage's point is checked on its circles within _STAGE_TOL, A1's k = 2
+    candidates included. After each stage the last _POLISH_WINDOW
+    coefficients are re-polished against the rows that involve them, and
+    at every _POLISH_WINDOW-th stage and the last stage all coefficients
+    solved so far against all rows consumed so far, so stage roundoff
+    never compounds. Each polished stage gathers the rows of its polish once
     (_StageRows): their rows k_r = k give the stage's circles, and the
     stage polishes the same block once s_k is in; stage 3, which has no
     polish, gathers its own rows, and each k = 4 candidate its own block,
     the kept one's being polished. A refusal carries the stage k and, for
     a circle miss, its residual and _STAGE_TOL. Returns the full length-N
     spectrum (upper half zero). tables, as in recover_z0, and A1's stage-2
-    block and radii, at z0 = stage.tv[0], are all the tail reads.
+    block, radii and pair candidates, at z0 = stage.tv[0], are all the tail
+    reads; it solves no stage-2 pair.
     """
     n = tables.n
     half = n // 2
@@ -411,9 +421,9 @@ def recover_tail(tables: _RowTables, stage: _StageRows, radii: list[float]) -> n
         full = k % _POLISH_WINDOW == 0 or k == half
         return _StageRows(tables, t, k, 0 if full else max(0, k + 1 - _POLISH_WINDOW))
 
-    # k = 2: A1's block (lo = 0, as rows(2) has it); two circles with real
-    # offsets along t1^2 / t[0]; conjugate pair.
-    cands = stage.pair(radii, _row2_scale(t, tables.floor))
+    # k = 2: A1's block (lo = 0, as rows(2) has it) and pair, whose
+    # candidates form a conjugate pair.
+    stage.check_pair(radii, cands)
     stage.settle(cands[0] if cands[0].imag >= 0 else cands[1])
     stage.polish(t, tables.scale)
     if abs(t[2]) <= tables.floor:
@@ -424,34 +434,36 @@ def recover_tail(tables: _RowTables, stage: _StageRows, radii: list[float]) -> n
     # k = 3: two circles whose offsets are real multiples cos(phi/2) /
     # cos(3 phi/2) of t1 t2 / t0; both candidates go to the k = 4 referee.
     # Stage 3 has no polish, so it gathers its own rows only.
-    c3_cands = _StageRows(tables, t, 3, 3).pair(radii, t[1] * t[2] / t[0])
+    stage = _StageRows(tables, t, 3, 3)
+    try:
+        cands = stage.pair(radii, t[1] * t[2] / t[0])
+    except NoSolutionError as exc:
+        raise InconsistentMeasurementsError(f"stage k=3: {exc}", stage=3) from exc
+    stage.check_pair(radii, cands)
 
-    # k = 4 disambiguates: only the true stage-3 candidate extends, and the
-    # rows gathered for it serve the polish.
-    outcomes = []
-    misses = []
-    for cand in c3_cands:
+    # k = 4 disambiguates: only the true stage-3 candidate extends, so the
+    # tail keeps the one whose point misses its circles least (inf for
+    # collinear centers), as A1 keeps its root, and the rows gathered for
+    # it serve the polish.
+    scored = []
+    for cand in cands:
         t[3] = cand
         stage = rows(4)
         try:
             z4, res = stage.point(radii)
         except SingularConfigurationError:
-            continue
-        if res <= _STAGE_TOL:
-            outcomes.append((res, cand, z4, stage))
-        else:
-            misses.append(res)
-    if not outcomes:
-        if not misses:
-            raise DegenerateSignalError(
-                "stage k=4 circle centers are collinear for both stage-3 candidates",
-                stage=4,
-            )
+            z4, res, stage = None, math.inf, None
+        scored.append((res, cand, z4, stage))
+    res, t[3], z4, stage = min(scored, key=lambda score: score[0])
+    if stage is None:
+        raise DegenerateSignalError(
+            "stage k=4 circle centers are collinear for both stage-3 candidates", stage=4
+        )
+    if res > _STAGE_TOL:
         raise InconsistentMeasurementsError(
             "stage k=4 rejects both stage-3 candidates",
-            stage=4, residual=min(misses), tol=_STAGE_TOL,
+            stage=4, residual=res, tol=_STAGE_TOL,
         )
-    _, t[3], z4, stage = min(outcomes, key=lambda o: o[0])
     stage.settle(z4)
     stage.polish(t, tables.scale)
 
@@ -709,8 +721,7 @@ def recover(
     if plan.params != params:
         raise ValueError(f"plan is for {plan.params} but the measurements are for {params}")
     tables, e = _scaled(measurements, plan)
-    stage, radii = recover_z0(tables)
-    spectrum = _normalize_gauge(recover_tail(tables, stage, radii))
+    spectrum = _normalize_gauge(recover_tail(tables, *recover_z0(tables)))
     # Scaled on the float64 view, which keeps the sign of a zero part. The
     # power of two is exact, so on the planned entries the residual is the
     # scaled one's.
@@ -761,6 +772,5 @@ def even_l_infeasibility_probe(
         raise ValueError(f"alpha {alpha!r} overflows at the measurements' scale") from None
     if abs(alpha) <= tables.floor:
         raise DegenerateSignalError("trial leading coefficient is at the noise floor", stage="A1")
-    t = np.array([alpha, tables.s1(abs(alpha)) * complex(math.cos(theta), math.sin(theta))])
-    stage = _StageRows(tables, t, 2, 0)
-    return not _row2_misfit(stage, _radii(tables, abs(alpha)), tables.floor) <= _PROBE_TOL
+    s_1 = tables.s1(abs(alpha)) * complex(math.cos(theta), math.sin(theta))
+    return not _row2_misfit(tables, alpha, s_1)[0] <= _PROBE_TOL

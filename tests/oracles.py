@@ -162,8 +162,9 @@ def lstsq_step(jac, fvec):
     return step
 
 
-def scan_plan_rows(params, k_max):
-    """The rows k <= k_max of frogpr.plan_indices, by a scan of every delay of every row.
+def scan_plan_rows(params, k_max, delays=None):
+    """The rows k <= k_max of frogpr.plan_indices, by a scan of every delay of every row
+    (of delays 1 .. delays when given), in Python ints.
 
     Row k >= 2 takes delay 0, then the first admissible delays (four at
     k = 2, one at k = 3), where stage k needs w^{km} != -1 and stages 2
@@ -178,7 +179,7 @@ def scan_plan_rows(params, k_max):
     for k in range(2, k_max + 1):
         adm = [
             m
-            for m in range(1, r)
+            for m in range(1, r if delays is None else min(r, delays + 1))
             if not _pow_is_minus_one(m * l, n, k) and not (k <= 3 and _pow_is_one(m * l, n, k - 1))
         ]
         size = {2: 4, 3: 1}.get(k, 2)

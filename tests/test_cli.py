@@ -178,13 +178,25 @@ def test_recover_refuses_six_l_geometry(capsys, tmp_path):
 
 
 def test_recover_names_the_missing_entries_of_an_empty_huge_set(capsys, tmp_path):
-    # (2^40, 1) is in the recovery domain; recover plans only the rows that
-    # name the set's first missing pairs, a usage error (exit 2).
-    path = tmp_path / "big.json"
-    path.write_text('{"N": 1099511627776, "L": 1, "entries": []}')
+    # (2^40, 1) and (2^62, 1) are in the recovery domain; recover plans only
+    # the rows that name the set's first missing pairs, a usage error (exit
+    # 2). At 2^62 the planner's congruences pass int64 (an OverflowError
+    # traceback there).
+    for n in (2**40, 2**62):
+        path = tmp_path / "big.json"
+        path.write_text(f'{{"N": {n}, "L": 1, "entries": []}}')
+        code, _, err = _run(capsys, ["recover", str(path), "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert err == "error: measurements missing required entries [(0, 0), (0, 1), (1, 0), (2, 0), (2, 1)]\n"
+        assert not (tmp_path / "r.json").exists()
+
+
+def test_recover_refuses_a_geometry_past_the_int64_index_range(capsys, tmp_path):
+    path = tmp_path / "past.json"
+    path.write_text('{"N": 9223372036854775808, "L": 1, "entries": []}')
     code, _, err = _run(capsys, ["recover", str(path), "--out", str(tmp_path / "r.json")])
     assert code == 2
-    assert err == "error: measurements missing required entries [(0, 0), (0, 1), (1, 0), (2, 0), (2, 1)]\n"
+    assert err == "error: N=9223372036854775808 exceeds the int64 index range\n"
     assert not (tmp_path / "r.json").exists()
 
 

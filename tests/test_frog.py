@@ -24,7 +24,7 @@ from frogpr import (
     recover,
     translate,
 )
-from frogpr.frog import _pow_is_minus_one, _pow_is_one
+from frogpr.frog import _plan, _pow_is_minus_one, _pow_is_one
 from frogpr.recovery import _expand
 from frogpr.selftest import _generic_even_signal
 from oracles import direct_frog_grid, exp_grid_freq, exp_row_dw, scan_plan_rows
@@ -568,6 +568,25 @@ def test_plan_rows_match_the_delay_scan_at_every_small_geometry():
 def test_plan_rows_match_the_delay_scan_at_large_geometries(n, l):
     params = FrogParams(n, l)
     assert np.array_equal(plan_indices(params).rows, scan_plan_rows(params, n // 2))
+
+
+@pytest.mark.parametrize(
+    "n,l",
+    [
+        (2864162437687989112, 358020304710998639),
+        (3572207652575618872, 446525956571952359),
+        (2**62, 1),
+        (2**63 - 2, 1),
+        (2**63 - 2, 1844674407370955161),
+    ],
+)
+def test_plan_rows_match_an_exact_scan_where_their_congruences_pass_int64(n, l):
+    # The planner's products reach N^2: past 2^63 they are Python ints, so
+    # the plan is exact (int64 planned (4, 5) and (8, 3) at the first
+    # geometry, row 6's delay 3 at the second, and raised OverflowError from
+    # N = 2^62 on). The scan covers delays 1..64, the planner's 1..5.
+    params = FrogParams(n, l)
+    assert np.array_equal(_plan(params, 8).rows, scan_plan_rows(params, 8, delays=64))
 
 
 def test_plan_row_skips_a_conjugate_pair_and_falls_back_when_all_are():

@@ -263,6 +263,18 @@ def test_a_one_line_file_of_a_huge_geometry_loads_in_kilobytes(tmp_path):
     assert meas.rows.shape == (0, 2) and meas.values.shape == (0,)
 
 
+def test_a_geometry_past_the_int64_index_range_is_refused_by_name(tmp_path):
+    # Rows are int64, so N >= 2^63 is refused where a set is made: by the
+    # constructor and by the reader of a file.
+    message = "^N=9223372036854775808 exceeds the int64 index range$"
+    with pytest.raises(ValueError, match=message):
+        FrogMeasurements(FrogParams(2**63, 1))
+    path = tmp_path / "past.json"
+    path.write_text('{"N": 9223372036854775808, "L": 1, "entries": []}')
+    with pytest.raises(ValueError, match=message):
+        load_measurements(path)
+
+
 def test_a_set_whose_ranks_pass_int64_is_looked_up_iterated_and_saved(tmp_path):
     # At (2^40, 1), k r + m reaches 2^80: the ranks are exact Python ints,
     # so the corner pair and a pair inserted before it are found, iterated

@@ -36,6 +36,7 @@ from frogpr import (
     save_measurements,
     verify_solution,
 )
+from frogpr.frog import _plan
 from frogpr.selftest import _generic_even_signal
 from oracles import full_grid_residual
 
@@ -580,12 +581,13 @@ def test_recover_refuses_a_set_without_the_plan_before_expanding_it():
     assert plan not in recovery._EXPANSIONS
 
 
-@pytest.mark.parametrize("n", [2_000_000, 2**40])
+@pytest.mark.parametrize("n", [2_000_000, 2**40, 2**62, 2**63 - 2])
 def test_recover_plans_only_the_rows_that_name_a_small_sets_gaps(n):
     # An empty set lacks every planned pair; recover plans only the rows
     # that hold the first five, so a huge geometry is refused by name
     # within a few MB (the whole plan of (2e6, 1) took 178 MB traced, and
-    # that of (2^40, 1) raised MemoryError).
+    # that of (2^40, 1) raised MemoryError). From 2^62 on the planner's
+    # congruences are exact Python ints (int64 raised OverflowError).
     params = FrogParams(n, 1)
     meas = FrogMeasurements(params)
     tracemalloc.start()
@@ -621,17 +623,30 @@ def test_a_set_smaller_than_the_plan_names_the_plans_first_gaps(n, l):
 
 def test_probe_plans_only_its_rows():
     # The probe plans rows k <= 2 alone: an empty (2e6, 2) set is refused
-    # within a few MB (the whole plan took 162 MB).
-    params = FrogParams(2_000_000, 2)
-    meas = FrogMeasurements(params)
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match=r"^measurements missing required entries \[\(1, 0\), "):
-            even_l_infeasibility_probe(meas, 1.0, 0.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 5e6, peak
+    # within a few MB (the whole plan took 162 MB), and so is an empty
+    # (2^62, 2) set, whose congruences pass int64 (OverflowError there).
+    for n in (2_000_000, 2**62):
+        meas = FrogMeasurements(FrogParams(n, 2))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^measurements missing required entries \[\(1, 0\), "):
+                even_l_infeasibility_probe(meas, 1.0, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6, (n, peak)
+
+
+def test_a_set_past_2_61_is_refused_for_the_rows_the_exact_plan_names():
+    # At this geometry int64 products wrapped and planned (4, 5) for the
+    # exact plan's (4, 4): a set holding the planned rows k <= 3 lacks row 4
+    # as the exact plan has it.
+    params = FrogParams(2864162437687989112, 358020304710998639)
+    rows = _plan(params, 3).rows
+    meas = FrogMeasurements(params, dict.fromkeys(map(tuple, rows.tolist()), 1.0))
+    with pytest.raises(ValueError) as info:
+        recover(meas)
+    assert str(info.value) == "measurements missing required entries [(4, 0), (4, 2), (4, 4), (5, 0), (5, 1)]"
 
 
 def test_verify_solution_on_a_sparse_set_reads_only_its_entries():
@@ -700,26 +715,26 @@ def test_recover_checks_tol_before_reading_the_measurements(monkeypatch):
 def test_pair_stage_checks_candidates_on_their_circles(monkeypatch, stage):
     # The circle solvers are pure geometry; recover_tail judges their
     # candidates. Planting a pair that misses its circles must be caught.
-    # The tail is called directly so that its first pair solve (k = 2) is
-    # the first call: through recover, A1 makes the first one.
+    # A1 makes the stage-2 pair solve the tail checks, so the solver is
+    # planted before A1 runs; at stage 3 it turns bad once A1 is done.
     rng = np.random.default_rng(623)
     params = FrogParams(16, 3)
     plan = plan_indices(params)
     meas = frog_measurements_time(_generic(16, rng), params, plan.pairs())
     tables, _ = recovery._scaled(meas, plan)
-    start = recovery.recover_z0(tables)
     solve = recovery.solve_two_circles_real
-    calls = []
+    bad = [stage == 2]
 
     def planted(*args):
-        calls.append(args)
         cands = solve(*args)
-        if len(calls) < stage - 1:
+        if not bad[0]:
             return cands
         shift = 1.0 + abs(cands[0])
         return cands[0] + shift, cands[1] + shift
 
     monkeypatch.setattr(recovery, "solve_two_circles_real", planted)
+    start = recovery.recover_z0(tables)
+    bad[0] = True
     with pytest.raises(
         InconsistentMeasurementsError,
         match=f"stage k={stage}: two-circle candidate misses a circle by",
@@ -727,6 +742,29 @@ def test_pair_stage_checks_candidates_on_their_circles(monkeypatch, stage):
         recovery.recover_tail(tables, *start)
     assert (info.value.stage, info.value.tol) == (stage, recovery._STAGE_TOL)
     assert info.value.residual > info.value.tol
+
+
+def test_a_recovery_solves_each_pair_once(monkeypatch):
+    # A1 solves the stage-2 pair of each root it scores and hands the
+    # chosen one's candidates to the tail, which solves only stage 3's:
+    # two roots make three two-circle solves, not four.
+    solve, radii = recovery.solve_two_circles_real, recovery._radii
+    solves, roots = [], []
+
+    def counted(*args):
+        solves.append(args)
+        return solve(*args)
+
+    def scored(tables, z0):  # A1 takes the radii of each root it scores
+        roots.append(z0)
+        return radii(tables, z0)
+
+    monkeypatch.setattr(recovery, "solve_two_circles_real", counted)
+    monkeypatch.setattr(recovery, "_radii", scored)
+    params = FrogParams(16, 3)
+    z = _generic(16, np.random.default_rng(623))
+    recover(frog_measurements_time(z, params, plan_indices(params).rows))
+    assert len(roots) == 2 and len(solves) == 3
 
 
 @pytest.mark.parametrize("singular", [False, True])
@@ -896,15 +934,15 @@ def test_a1_refuses_without_trying_a_smaller_root_at_the_floor(monkeypatch):
     misfit = recovery._row2_misfit
     tried = []
 
-    def spy(stage, radii, floor):
-        tried.append(misfit(stage, radii, floor))
+    def spy(tables, s_0, s_1):
+        tried.append(misfit(tables, s_0, s_1))
         return tried[-1]
 
     monkeypatch.setattr(recovery, "_row2_misfit", spy)
     with pytest.raises(InconsistentMeasurementsError) as info:
         recover(meas, plan)
     exc = info.value
-    assert tried == [math.inf]
+    assert [score[0] for score in tried] == [math.inf]
     assert (exc.stage, exc.residual, exc.tol) == ("A1", math.inf, None)
 
 
@@ -959,9 +997,9 @@ def test_a1_scores_one_root_when_the_boundary_moduli_are_equal(monkeypatch):
     misfit = recovery._row2_misfit
     roots = []
 
-    def spy(stage, radii, floor):
-        roots.append(stage.tv[0])
-        return misfit(stage, radii, floor)
+    def spy(tables, s_0, s_1):
+        roots.append(s_0)
+        return misfit(tables, s_0, s_1)
 
     monkeypatch.setattr(recovery, "_row2_misfit", spy)
     spectrum = recover(meas, plan).spectrum
@@ -1058,7 +1096,7 @@ def test_recover_tail_degenerate_second_coefficient_raises():
     s[1] = 0.0
     meas, plan = _planned_measurements(s, params)
     # A1's k = 2 pair solve scales by s_1^2 / s_0 and says nothing at s_1 = 0,
-    # so A1 refuses with the tail's message before the tail runs.
+    # so A1 refuses before the tail runs.
     with pytest.raises(DegenerateSignalError, match="^second spectral coefficient vanishes"):
         recover(meas, plan)
 
