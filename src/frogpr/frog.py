@@ -142,10 +142,11 @@ class FrogMeasurements(Mapping):
 
     A set is its entries: rows, a read-only integer (n, 2) array of the
     measured pairs sorted by (k, m), each once (the form of plan.rows), and
-    values, the float array aligned with it; a full set's values.reshape(N, r)
-    is its grid. Items of `entries` are stored as by `meas[k, m] = value`,
-    which refuses a pair off the grid or a value that is not a finite real
-    >= 0, and overwrites a pair in place or inserts it in order.
+    values, the read-only float array aligned with it; a full set's
+    values.reshape(N, r) is its grid. Every value is a finite real >= 0,
+    checked once where the set is built: the constructor, the syntheses and
+    the loader refuse any other, and so does `meas[k, m] = value`, which
+    rebuilds the set with new arrays, so arrays a reader holds never change.
     """
 
     def __init__(self, params: FrogParams, entries=()):
@@ -154,8 +155,9 @@ class FrogMeasurements(Mapping):
         self._store(params, rows, [*entries.values()])
 
     def _store(self, params: FrogParams, rows, values) -> FrogMeasurements:
-        """Hold the checked entries rows[i] -> values[i] sorted by (k, m), rows as a copy and
-        a repeated pair once (its first value); sorted, unique rows (plan.rows) take one pass."""
+        """Hold the checked entries rows[i] -> values[i] sorted by (k, m), read-only, rows as a
+        copy and a repeated pair once (its first value); sorted, unique rows (plan.rows) take
+        one pass."""
         if params.N >= 2**63:
             raise ValueError(f"N={params.N} exceeds the int64 index range")
         rows, values = np.array(rows, np.int64).reshape(-1, 2), np.asarray(values, float)
@@ -163,19 +165,11 @@ class FrogMeasurements(Mapping):
         if not (keys[1:] > keys[:-1]).all():
             first = np.unique(keys, return_index=True)[1]
             rows, values = rows[first], values[first]
-        rows.flags.writeable = False
+        rows.flags.writeable = values.flags.writeable = False
         self.params, self.rows, self.values, self._key_list = params, rows, values, None
         return self
 
     entries = property(lambda self: self)  # the set itself, as the (k, m) -> value mapping
-
-    def _find(self, k: int, m: int) -> tuple[int, bool]:
-        """Where (k, m) is in rows and whether it is there, by its rank."""
-        rank = k * self.params.r + m
-        if self._key_list is None:  # bisect on a list: numpy's cost per call is 4x the search
-            self._key_list = _ranks(self.params, self.rows).tolist()
-        i = bisect.bisect_left(self._key_list, rank)
-        return i, i < len(self._key_list) and self._key_list[i] == rank
 
     def _positions(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Where each pair of an (n, 2) array on the grid is in rows, and whether it is there."""
@@ -185,20 +179,21 @@ class FrogMeasurements(Mapping):
         return at, (keys.take(at, mode="clip") == ranks) if keys.size else np.zeros(at.shape, bool)
 
     def __setitem__(self, key, value) -> None:
+        # The new pair goes first, so _store's keep-first dedup drops the old one.
         k, m = _entry(key, value, (self.params.N, self.params.r))
-        i, found = self._find(k, m)
-        if found:
-            self.values[i] = value
-        else:
-            self._store(self.params, np.vstack([self.rows, (k, m)]), np.append(self.values, value))
+        self._store(self.params, np.vstack([(k, m), self.rows]), np.append(value, self.values))
 
     def __getitem__(self, key) -> float:
         # Mapping's `in` and `get` call this: any key but a measured pair raises KeyError.
         try:
-            i, found = self._find(*_grid_index(key, (self.params.N, self.params.r)))
+            k, m = _grid_index(key, (self.params.N, self.params.r))
         except ValueError:
             raise KeyError(key) from None
-        if not found:
+        if self._key_list is None:  # bisect on a list: numpy's cost per call is 4x the search
+            self._key_list = _ranks(self.params, self.rows).tolist()
+        rank = k * self.params.r + m
+        i = bisect.bisect_left(self._key_list, rank)
+        if i == len(self._key_list) or self._key_list[i] != rank:
             raise KeyError(key)
         return self.values.item(i)
 
@@ -208,24 +203,18 @@ class FrogMeasurements(Mapping):
     def __len__(self) -> int:
         return self.values.size
 
-    def check_values(self) -> float:
-        """The largest value, 0.0 for none; ValueError names the first entry, in (k, m) order,
-        that is negative, infinite or NaN, which values, being public, can hold."""
-        return _checked_max(self.rows, self.values)
-
     def is_full_grid(self) -> bool:
         return len(self) == self.params.N * self.params.r
 
 
-def _checked_max(rows: np.ndarray, values: np.ndarray) -> float:
-    """The largest of values, 0.0 for none; ValueError names the first rows[i], in rows' order,
-    whose values[i] is negative, infinite or NaN."""
-    top = float(values.max(initial=0.0))  # NaN if one is
-    if not (values.min(initial=0.0) >= 0 and top < math.inf):
+def _check_entries(rows: np.ndarray, values: np.ndarray) -> None:
+    """ValueError names the first rows[i], in rows' order, whose values[i] is negative, infinite
+    or NaN."""
+    # A NaN makes the min NaN, which fails >= 0.
+    if not (values.min(initial=0.0) >= 0 and values.max(initial=0.0) < math.inf):
         i = np.flatnonzero(~((values >= 0) & (values < np.inf)))[0]
         k, m = rows[i].tolist()
         raise ValueError(f"entry ({k}, {m}) has invalid value {values.item(i)!r}")
-    return top
 
 
 def _ranks(params: FrogParams, rows: np.ndarray) -> np.ndarray:
@@ -289,7 +278,7 @@ def _gather(rows_of, x, params: FrogParams, rows: np.ndarray) -> np.ndarray:
     ks, ms = rows.T
     with np.errstate(over="ignore", invalid="ignore"):
         values = rows_of(x, params, int(ms.max()) + 1 if len(ms) else 0)[ks, ms]
-    _checked_max(rows, values)
+    _check_entries(rows, values)
     return values
 
 

@@ -24,7 +24,7 @@ import json
 
 import numpy as np
 
-from .frog import FrogMeasurements, FrogParams, _entry, _index_rows
+from .frog import FrogMeasurements, FrogParams, _check_entries, _entry, _index_rows
 from .spectral import as_signal
 
 __all__ = [
@@ -150,9 +150,8 @@ def load_signal(path) -> np.ndarray:
 
 
 def save_measurements(path, measurements: FrogMeasurements) -> None:
-    """Write the measured entries, refusing the first, in (k, m) order, that is
-    negative, infinite or NaN (check_values, named as load_measurements would name it)."""
-    measurements.check_values()
+    """Write the measured entries; a set holds only finite values >= 0, which
+    load_measurements reads back."""
     params = measurements.params
     _write(
         path,
@@ -172,8 +171,9 @@ def _entries(raw: list, params: FrogParams) -> FrogMeasurements | None:
         return None
     try:
         rows = _index_rows(np.array((ks, ms), np.int64).T, (params.N, params.r))
-        meas = FrogMeasurements.__new__(FrogMeasurements)
-        meas._store(params, rows, np.fromiter(vs, float, len(raw))).check_values()
+        values = np.fromiter(vs, float, len(raw))
+        _check_entries(rows, values)  # the one check of values read from outside
+        meas = FrogMeasurements.__new__(FrogMeasurements)._store(params, rows, values)
     except (OverflowError, ValueError):
         return None
     # A repeated index leaves fewer measured entries than rows.

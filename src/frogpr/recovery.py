@@ -561,14 +561,12 @@ _EXPANSIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 def _scaled(measurements: FrogMeasurements, plan: MeasurementIndexPlan) -> tuple[_RowTables, int]:
     """The row table of the plan's rows, their values divided by 2^(4e), and e.
 
-    ValueError names the first supplied entry that is negative, infinite or
-    NaN (check_values), then the first five planned pairs the set lacks,
-    before the plan's rows are expanded. The values are quartic in the
-    spectrum, so dividing them by 2^(4e) divides it by 2^e; e puts the
-    largest in [1, 16), so the solvers' absolute floors see the same
-    numbers at every scale.
+    ValueError names the first five planned pairs the set lacks, before the
+    plan's rows are expanded. The values are quartic in the spectrum, so
+    dividing them by 2^(4e) divides it by 2^e; e puts the largest in
+    [1, 16), so the solvers' absolute floors see the same numbers at every
+    scale.
     """
-    measurements.check_values()
     at, found = measurements._positions(plan.rows)
     if not found.all():
         missing = list(map(tuple, plan.rows[~found][:5].tolist()))
@@ -659,8 +657,7 @@ def verify_solution(spectrum, measurements: FrogMeasurements) -> float:
     to the largest stored value (so the residual is scale-invariant).
     Only the stored entries are evaluated, over the delays up to the last
     one measured. Raises ValueError for a spectrum of the wrong length, no
-    measurements, a stored value that is negative, infinite or NaN
-    (check_values), or a spectrum whose value at a stored entry overflows:
+    measurements, or a spectrum whose value at a stored entry overflows:
     the first such entry in (k, m) order is named as synthesis names it,
     "entry (k, m) has invalid value inf", without numpy's warnings.
     """
@@ -670,8 +667,9 @@ def verify_solution(spectrum, measurements: FrogMeasurements) -> float:
         raise ValueError(f"spectrum length {s.size} != params.N {params.N}")
     if not len(measurements):
         raise ValueError("no measurements to verify the spectrum against")
-    top = measurements.check_values()
-    # Both are finite and >= 0, so their difference is finite.
+    top = float(measurements.values.max())
+    # Both are finite and >= 0 (a set's values from where it was built), so
+    # their difference is finite.
     computed = _gather(_freq_rows, s, params, measurements.rows)
     dev = float(np.abs(computed - measurements.values).max())
     # A Python division: a deviation far above tiny stored values is inf
@@ -697,10 +695,9 @@ def recover(
     for a tol that is not finite and > 0 (checked first), then
     UnsupportedGeometryError, a ValueError too, for a geometry outside the
     recovery domain (FrogParams.recovery_violations), and ValueError for a
-    plan for another geometry, a supplied entry that is negative, infinite
-    or NaN, or missing planned entries (before the plan's rows are
-    expanded; given no plan, recover plans only the rows that name them
-    for a set smaller than a plan); propagates DegenerateSignalError and
+    plan for another geometry or missing planned entries (before the plan's
+    rows are expanded; given no plan, recover plans only the rows that name
+    them for a set smaller than a plan); propagates DegenerateSignalError and
     InconsistentMeasurementsError from A1 and the tail; and raises
     InconsistentMeasurementsError with stage "verify" when the
     verification residual exceeds tol. Their stage, residual and tol
@@ -752,10 +749,10 @@ def even_l_infeasibility_probe(
     _PROBE_TOL relative to 1 + radius. The k = 1 and k = 2 rows are scaled
     by _scaled, as in recover, and alpha with them, so the verdict does not
     depend on the scale of the input. Only the plan's rows k <= 2 are
-    planned and its rows k = 1, 2 expanded, not the whole plan. Raises ValueError for odd L, a non-finite
-    alpha or theta, a supplied entry that is negative, infinite or NaN, missing
-    rows, or an alpha that overflows when scaled; UnsupportedGeometryError for
-    a geometry plan_indices refuses; and DegenerateSignalError when the scaled
+    planned and its rows k = 1, 2 expanded, not the whole plan. Raises
+    ValueError for odd L, a non-finite alpha or theta, missing rows, or an
+    alpha that overflows when scaled; UnsupportedGeometryError for a
+    geometry plan_indices refuses; and DegenerateSignalError when the scaled
     alpha or the trial |s_1| sits at the coefficient floor.
     """
     params = measurements.params

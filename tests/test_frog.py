@@ -2,6 +2,7 @@
 
 import cmath
 import fractions
+import json
 import re
 import tracemalloc
 
@@ -16,12 +17,15 @@ from frogpr import (
     InconsistentMeasurementsError,
     UnsupportedGeometryError,
     dft,
+    frog,
     frog_measurements_freq,
     frog_measurements_time,
+    load_measurements,
     make_analytic,
     plan_indices,
     random_analytic_signal,
     recover,
+    save_measurements,
     translate,
 )
 from frogpr.frog import _plan, _pow_is_minus_one, _pow_is_one
@@ -221,7 +225,7 @@ def test_measurement_collection_full_and_subset():
     full = frog_measurements_time(z, params)
     assert full.is_full_grid()
     assert len(full.entries) == params.N * params.r
-    assert full.check_values() == max(full[key] for key in full.entries) == full.values.max()
+    assert max(full[key] for key in full.entries) == full.values.max()
 
     some = [(0, 0), (1, 1), (5, 2)]
     sub = frog_measurements_time(z, params, indices=some)
@@ -239,7 +243,7 @@ def test_measurements_from_spectrum_match_time_domain():
     a = frog_measurements_time(z, params)
     b = frog_measurements_freq(dft(z), params)
     assert a.entries.keys() == b.entries.keys()
-    scale = a.check_values()
+    scale = a.values.max()
     for key, val in a.entries.items():
         assert abs(val - b.entries[key]) < 1e-10 * scale
 
@@ -284,16 +288,21 @@ def test_measurements_write_through_the_mapping():
     meas = frog_measurements_time(z, params, pairs)
     assert recover(meas).verification_residual < 1e-9
     # A value planted through `entries`, as the benchmark's corrupted-entry
-    # check does, reaches the values that recovery reads, in place.
+    # check does, reaches the values that recovery reads. The set is rebuilt
+    # with new arrays: arrays a reader already holds keep their values.
     key = next(p for p in pairs if p[0] == 2 and p[1] > 0)
     before, rows, values = meas[key], meas.rows, meas.values
+    held = values.copy()
     meas.entries[key] *= 1.5
-    assert meas.rows is rows and meas.values is values
-    assert values[pairs.index(key)] == meas[key] == 1.5 * before
+    assert meas.rows is not rows and meas.values is not values
+    assert values.tobytes() == held.tobytes()
+    np.testing.assert_array_equal(meas.rows, rows)
+    assert meas.values[pairs.index(key)] == meas[key] == 1.5 * before
+    assert list(meas) == pairs
     with pytest.raises(InconsistentMeasurementsError):
         recover(meas)
     # Assignment keeps the constructor's checks and leaves the set as it was.
-    values = values.copy()
+    rows, values = meas.rows, meas.values.copy()
     for key, value, message in (
         ((1.5, 0), 1.0, "not a pair of integers"),
         ((True, 0), 1.0, "not a pair of integers"),
@@ -325,6 +334,59 @@ def test_measurements_write_through_the_mapping():
         assert key not in meas
     with pytest.raises(KeyError):
         meas[1.5, 0]
+
+
+@pytest.mark.parametrize("bad", [-1.0, float("inf"), float("nan")])
+def test_every_construction_path_makes_a_read_only_set_of_checked_values(bad, tmp_path, monkeypatch):
+    # A set's values are checked once, where it is built, and its arrays are
+    # read-only, so no reader meets a value that was not checked: each path
+    # refuses a value that is negative, infinite or NaN by name.
+    params = FrogParams(16, 3)
+    z = random_analytic_signal(16, np.random.default_rng(144))
+    pairs = plan_indices(params).pairs()
+    synthesized = frog_measurements_time(z, params, pairs)
+    entries = dict(synthesized)
+    path = tmp_path / "meas.json"
+    save_measurements(path, synthesized)
+    assigned = FrogMeasurements(params, entries)
+    assigned[5, 0] = 0.5
+    for meas in (
+        FrogMeasurements(params, entries),
+        synthesized,
+        frog_measurements_freq(dft(z), params, pairs),
+        load_measurements(path),
+        assigned,
+    ):
+        for array in (meas.rows, meas.values):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+    message = rf"^entry \(5, 0\) has invalid value {bad!r}$"
+    with pytest.raises(ValueError, match=message):
+        FrogMeasurements(params, {**entries, (5, 0): bad})
+    values = assigned.values
+    with pytest.raises(ValueError, match=message):
+        assigned[5, 0] = bad
+    assert assigned.values is values and assigned[5, 0] == 0.5
+    doc = json.loads(path.read_text())
+    next(entry for entry in doc["entries"] if entry[:2] == [5, 0])[2] = bad
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message):
+        load_measurements(path)
+
+    def planting(rows_of):
+        def planted(x, params, r):
+            grid = rows_of(x, params, r)
+            grid[5, 0] = bad
+            return grid
+
+        return planted
+
+    monkeypatch.setattr(frog, "_time_rows", planting(frog._time_rows))
+    monkeypatch.setattr(frog, "_freq_rows", planting(frog._freq_rows))
+    with pytest.raises(ValueError, match=message):
+        frog_measurements_time(z, params, pairs)
+    with pytest.raises(ValueError, match=message):
+        frog_measurements_freq(dft(z), params, pairs)
 
 
 def test_lookup_agrees_with_membership_on_odd_keys():

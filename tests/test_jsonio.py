@@ -326,18 +326,20 @@ def test_signal_reader_names_the_first_faulty_row(tmp_path):
         _load_text(tmp_path, load_signal, {"N": 4, "values": values, "spectrum": spectrum})
 
 
-def test_save_measurements_refuses_non_finite_values(tmp_path):
+def test_a_non_finite_value_never_reaches_a_measurement_file(tmp_path):
     meas = FrogMeasurements(FrogParams(8, 3), {(0, 0): 1.0, (2, 1): 2.0, (5, 0): 3.0})
     path = tmp_path / "meas.json"
     save_measurements(path, meas)
     before = path.read_bytes()
-    # The values can be written directly; the first bad value in file order
-    # is named as load_measurements names it, and the file is left as it was.
-    meas.values[2] = -np.inf  # (5, 0)
-    meas.values[1] = np.inf  # (2, 1)
+    # A set's values are read-only and every way in refuses an infinite
+    # value by name, so a file holds finite values only. The loader names
+    # the first bad value in file order.
+    with pytest.raises(ValueError, match="read-only"):
+        meas.values[1] = np.inf
     message = re.escape("entry (2, 1) has invalid value inf")
     with pytest.raises(ValueError, match=f"^{message}$"):
-        save_measurements(path, meas)
+        meas[2, 1] = np.inf
+    save_measurements(path, meas)
     assert path.read_bytes() == before
     entries = [[0, 0, 1.0], [2, 1, float("inf")], [5, 0, -float("inf")]]
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -356,29 +358,24 @@ def test_save_signal_refuses_non_finite_values(tmp_path):
     assert not path.exists()
 
 
-def test_save_measurements_refuses_a_negative_entry(tmp_path):
-    # The values can be written directly; the first negative entry in
-    # (k, m) order is refused as load_measurements would refuse it, and no
-    # file is made.
-    meas = FrogMeasurements(FrogParams(8, 3), {(0, 0): 1.0, (1, 0): 2.0, (2, 1): 3.0})
-    meas.values[2] = -2.0  # (2, 1)
-    meas.values[1] = -1.0  # (1, 0)
-    path = tmp_path / "meas.json"
+def test_a_negative_value_never_reaches_a_measurement_file(tmp_path):
+    # A set's values are read-only and the constructor refuses a negative
+    # value by name, so no set, and no file written from one, holds it; the
+    # loader refuses the first one in file order with the same message.
+    params = FrogParams(8, 3)
+    meas = FrogMeasurements(params, {(0, 0): 1.0, (1, 0): 2.0, (2, 1): 3.0})
+    with pytest.raises(ValueError, match="read-only"):
+        meas.values[1] = -1.0
     message = re.escape("entry (1, 0) has invalid value -1.0")
     with pytest.raises(ValueError, match=f"^{message}$"):
-        save_measurements(path, meas)
-    assert not path.exists()
+        FrogMeasurements(params, {(0, 0): 1.0, (1, 0): -1.0, (2, 1): -2.0})
     entries = [[0, 0, 1.0], [1, 0, -1.0], [2, 1, -2.0]]
     with pytest.raises(ValueError, match=f"^{message}$"):
         _load_text(tmp_path, load_measurements, {"N": 8, "L": 3, "entries": entries})
-    # An infinite value is named by the same rule: first in (k, m) order.
-    meas.values[2] = np.inf
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        save_measurements(path, meas)
-    meas.values[0] = np.inf
+    # An infinite value is named by the same rule: the first in file order.
+    entries = [[0, 0, float("inf")], [1, 0, -1.0], [2, 1, 3.0]]
     with pytest.raises(ValueError, match=r"^entry \(0, 0\) has invalid value inf$"):
-        save_measurements(path, meas)
-    assert not path.exists()
+        _load_text(tmp_path, load_measurements, {"N": 8, "L": 3, "entries": entries})
 
 
 # Numbers whose text is awkward: signed zero, the smallest subnormal, the

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from frogpr import (
+    FrogMeasurements,
     FrogParams,
     dft,
     frog_measurements_time,
@@ -47,7 +48,7 @@ def _tail_setup(n, l, seed):
     """
     plan, meas, s = _setup(n, l, seed)
     _, e = _scaled(meas, plan)
-    meas.values = np.ldexp(meas.values, -4 * e)
+    meas = FrogMeasurements(meas.params, dict(zip(meas, np.ldexp(meas.values, -4 * e))))
     tables, again = _scaled(meas, plan)
     assert again == 0
     return plan, meas, np.ldexp(s.view(np.float64), -e).view(np.complex128), tables

@@ -33,7 +33,6 @@ from frogpr import (
     plan_indices,
     random_analytic_signal,
     recover,
-    save_measurements,
     verify_solution,
 )
 from frogpr.frog import _plan
@@ -507,34 +506,37 @@ def test_recover_requires_all_planned_entries():
     [((5, 0), -1.0), ((5, 0), float("inf")), ((5, 0), float("-inf")), ((0, 2), float("inf"))],
 )
 def test_an_invalid_grid_entry_is_refused_by_name(key, value):
-    # values is public, so a value can bypass meas[k, m] = v's checks.
-    # recover and verify_solution refuse it by name before any arithmetic,
-    # planned ((5, 0)) or not ((0, 2)), instead of warning or blaming the
-    # signal. A full set's values.reshape(N, r) is its grid.
+    # A set checks its values where it is built and holds them read-only,
+    # so an invalid value, planned ((5, 0)) or not ((0, 2)), is refused by
+    # name before recover or verify_solution could read it, instead of
+    # warning or blaming the signal, and the set is left as it was.
     params = FrogParams(20, 3)
     z = _generic(20, np.random.default_rng(651))
     meas = frog_measurements_time(z, params)
-    meas.values.reshape(20, -1)[key] = value
+    values = meas.values
     message = f"^entry \\({key[0]}, {key[1]}\\) has invalid value {value!r}$"
     with pytest.raises(ValueError, match=message):
-        recover(meas)
+        meas[key] = value
     with pytest.raises(ValueError, match=message):
-        verify_solution(dft(z), meas)
+        FrogMeasurements(params, {**meas, key: value})
+    # A full set's values.reshape(N, r) is its grid, read-only too.
+    with pytest.raises(ValueError, match="read-only"):
+        values.reshape(20, -1)[key] = value
+    assert meas.values is values
+    assert recover(meas).verification_residual < 1e-9
+    assert verify_solution(dft(z), meas) < 1e-9
 
 
 def test_the_first_invalid_entry_is_named_and_an_absent_one_is_skipped():
     params = FrogParams(20, 3)
     plan = plan_indices(params)
     z = _generic(20, np.random.default_rng(652))
-    meas = frog_measurements_time(z, params)
-    grid = meas.values.reshape(20, -1)
-    grid[9, 1] = -2.0
-    grid[5, 4] = float("inf")
+    full = frog_measurements_time(z, params)
+    # The entries are in (k, m) order, and the first invalid one is named.
     with pytest.raises(ValueError, match=r"^entry \(5, 4\) has invalid value inf$"):
-        recover(meas, plan)
+        FrogMeasurements(params, {**full, (9, 1): -2.0, (5, 4): float("inf")})
     # An entry not measured is absent from the set: off the plan it is
     # skipped, on the plan it is a missing entry.
-    full = frog_measurements_time(z, params)
     meas = FrogMeasurements(params, {key: v for key, v in full.items() if key != (0, 2)})
     assert recover(meas, plan).verification_residual < 1e-9
     meas = FrogMeasurements(params, {key: v for key, v in meas.items() if key != (5, 0)})
@@ -542,26 +544,26 @@ def test_the_first_invalid_entry_is_named_and_an_absent_one_is_skipped():
         recover(meas, plan)
 
 
-def test_a_nan_planted_in_values_is_refused_by_name(tmp_path):
-    # NaN is no longer "not measured": a NaN in values is an invalid value,
-    # refused by name by every reader that checks the values, before any
-    # arithmetic, and no file is written.
-    message = r"^entry \(5, 0\) has invalid value nan$"
+@pytest.mark.parametrize("key,value", [((5, 0), float("nan")), ((2, 1), -1.0)])
+def test_an_invalid_value_cannot_be_planted_for_recover_or_the_probe(key, value):
+    # NaN is not "not measured" but an invalid value. recover,
+    # verify_solution and the even-L probe do not check a set's values
+    # again: a set's values are read-only, and assignment names an invalid
+    # one and leaves the set as it was, so they read what was checked.
+    message = f"^entry \\({key[0]}, {key[1]}\\) has invalid value {value!r}$"
     for l in (3, 4):
         params = FrogParams(20, l)
         z = _generic_even_signal(20, np.random.default_rng(656))
         meas = frog_measurements_time(z, params)
-        meas.values.reshape(20, -1)[5, 0] = np.nan
+        with pytest.raises(ValueError, match="read-only"):
+            meas.values.reshape(20, -1)[key] = value
         with pytest.raises(ValueError, match=message):
-            verify_solution(dft(z), meas)
-        with pytest.raises(ValueError, match=message):
-            save_measurements(tmp_path / "nan.json", meas)
-        assert not (tmp_path / "nan.json").exists()
-        with pytest.raises(ValueError, match=message):
-            if l % 2:
-                recover(meas)
-            else:
-                even_l_infeasibility_probe(meas, float(dft(z)[0].real), 0.3)
+            meas[key] = value
+        assert verify_solution(dft(z), meas) < 1e-9
+        if l % 2:
+            assert recover(meas).verification_residual < 1e-9
+        else:
+            assert not even_l_infeasibility_probe(meas, float(dft(z)[0].real), 0.3)
 
 
 def test_recover_refuses_a_set_without_the_plan_before_expanding_it():
@@ -667,15 +669,6 @@ def test_verify_solution_on_a_sparse_set_reads_only_its_entries():
     assert peak < 5e6, peak
     seconds = min(timeit.repeat(lambda: verify_solution(s, meas), number=1, repeat=5))
     assert seconds < 0.02, seconds
-
-
-def test_probe_refuses_an_invalid_grid_entry_by_name():
-    params = FrogParams(20, 4)
-    z = _generic_even_signal(20, np.random.default_rng(653))
-    meas = frog_measurements_time(z, params)
-    meas.values.reshape(20, -1)[2, 1] = -1.0
-    with pytest.raises(ValueError, match=r"^entry \(2, 1\) has invalid value -1.0$"):
-        even_l_infeasibility_probe(meas, float(dft(z)[0].real), 0.3)
 
 
 def test_recover_refuses_a_plan_for_another_geometry():
@@ -1017,9 +1010,10 @@ def test_a1_takes_the_least_misfit_root_on_noisy_plan_data(seed):
     params = FrogParams(16, 3)
     plan = plan_indices(params)
     z = _generic_even_signal(16, rng)
-    meas = frog_measurements_time(z, params, plan.rows)
+    exact = frog_measurements_time(z, params, plan.rows)
     noise = rng.standard_normal((16, params.r))  # one draw per grid entry
-    meas.values *= 1.0 + 1e-7 * noise[tuple(meas.rows.T)]
+    noisy = exact.values * (1.0 + 1e-7 * noise[tuple(exact.rows.T)])
+    meas = FrogMeasurements(params, dict(zip(exact, noisy)))
     rec = recover(meas, plan)
     assert rec.verification_residual <= 1e-6
     assert equivalent_up_to_group(rec.signal, z, tol=1e-5).equivalent
@@ -1216,7 +1210,7 @@ def test_verify_solution_keeps_the_residual_of_a_finite_grid():
                 warnings.simplefilter("ignore")
                 grid = frog_measurements_freq(s, params).values.reshape(16, -1)
                 dev = np.max(np.abs(grid[tuple(meas.rows.T)] - meas.values))
-                expected = float(dev / meas.check_values())
+                expected = float(dev / meas.values.max())
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 assert verify_solution(s, meas) == expected
