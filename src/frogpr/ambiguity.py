@@ -77,7 +77,7 @@ def reflect(z) -> np.ndarray:
     Spectrally this conjugates every DFT coefficient in place.
     """
     z = as_signal(z)
-    return np.conj(np.roll(z[::-1], 1))
+    return np.conj(z[-np.arange(z.size)])
 
 
 def apply_element(g: GroupElement, z) -> np.ndarray:
@@ -97,15 +97,24 @@ def group_elements(n: int) -> Iterator[GroupElement]:
                 yield GroupElement(sign, shift, refl)
 
 
+def _distance(rows: np.ndarray, g: GroupElement) -> float:
+    """||g(z) - w|| for rows = [z, reflect(z), w]: one take of the stack, no roll."""
+    n = rows.shape[1]
+    moved = rows.take((np.arange(n) + g.translation) % n + n * g.reflected)
+    return float(np.linalg.norm(g.rotation_sign * moved - rows[2]))
+
+
 def equivalent_up_to_group(z, w, tol: float = 1e-6) -> EquivalenceReport:
     """Minimize ||g(z) - w|| / max(||z||, ||w||) over the 4N-element group.
 
     ||sign roll(z_b, -l) - w||^2 = ||z||^2 + ||w||^2 - 2 sign c_b[l], where
     c_b[l] = Re sum_n z_b[n + l] conj(w[n]) is one FFT cross-correlation per
-    reflection flag b, so one pass estimates all 4N squared distances. The
+    reflection flag b, so one pass estimates all 4N squared distances: one
+    forward FFT of the stack [z, reflect(z), w] and one inverse. The
     expansion cancels near zero, so it only shortlists: every element whose
     estimate is within 64 N eps (||z||^2 + ||w||^2) of the least one. The
-    exact residual of each shortlisted element then picks the minimizer.
+    exact residual of each shortlisted element, read from the stack by
+    index, then picks the minimizer.
     Ties in the residual are broken by the elements' lexicographic order, so
     the reported minimizer is deterministic. Two zero signals are equivalent
     (residual 0); a zero signal never matches a nonzero one. Both signals are
@@ -117,32 +126,35 @@ def equivalent_up_to_group(z, w, tol: float = 1e-6) -> EquivalenceReport:
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     z = as_signal(z)
     w = as_signal(w)
-    if z.size != w.size:
-        raise ValueError(f"length mismatch: {z.size} vs {w.size}")
-    peak = max(float(np.abs(z).max()), float(np.abs(w).max()))
+    n = z.size
+    if n != w.size:
+        raise ValueError(f"length mismatch: {n} vs {w.size}")
+    zw = np.array([z, w])
+    peak = float(np.abs(zw).max())
     if peak == 0.0:
         return EquivalenceReport(True, GroupElement(-1, 0, False), 0.0)
-    shift = -int(np.frexp(peak)[1])
-    z = np.ldexp(z.real, shift) + 1j * np.ldexp(z.imag, shift)
-    w = np.ldexp(w.real, shift) + 1j * np.ldexp(w.imag, shift)
+    # One exact power of two scales both, on their float64 view.
+    z, w = np.ldexp(zw.view(np.float64), -math.frexp(peak)[1]).view(np.complex128)
     norm_z, norm_w = float(np.linalg.norm(z)), float(np.linalg.norm(w))
     scale = max(norm_z, norm_w)
     total = norm_z * norm_z + norm_w * norm_w
 
     # estimate[sign, l, b], laid out in the lexicographic order of the
     # elements (sign -1 first, then shift, then unreflected first), which is
-    # also the order in which argwhere lists the shortlist.
-    fw = np.fft.fft(w).conj()
-    corr = np.stack([np.fft.ifft(np.fft.fft(zb) * fw).real for zb in (z, reflect(z))], 1)
-    estimate = total - 2.0 * np.stack([-corr, corr])
-    margin = 64 * z.size * np.finfo(float).eps * total
-    shortlist = np.argwhere(estimate <= estimate.min() + margin).tolist()
+    # also the order of the shortlist's flat indices.
+    rows = np.array([z, np.conj(z[-np.arange(n)]), w])
+    spectra = np.fft.fft(rows)
+    corr = np.fft.ifft(spectra[:2] * spectra[2].conj()).real.T
+    estimate = total - 2.0 * np.array([-corr, corr])
+    margin = 64 * n * np.finfo(float).eps * total
+    shortlist = np.flatnonzero(estimate <= estimate.min() + margin).tolist()
 
-    def scored(s: int, l: int, b: int) -> tuple[float, GroupElement]:
-        g = GroupElement(2 * s - 1, l, bool(b))
-        return float(np.linalg.norm(apply_element(g, z) - w)) / scale, g
+    def scored(index: int) -> tuple[float, GroupElement]:
+        s, rest = divmod(index, 2 * n)
+        g = GroupElement(2 * s - 1, rest // 2, bool(rest % 2))
+        return _distance(rows, g) / scale, g
 
     # Each element is scored once; min keeps the first of equal residuals,
     # the lexicographically least.
-    best_res, best = min((scored(*index) for index in shortlist), key=lambda pair: pair[0])
+    best_res, best = min(map(scored, shortlist), key=lambda pair: pair[0])
     return EquivalenceReport(bool(best_res <= tol), best, best_res)

@@ -147,7 +147,13 @@ class FrogMeasurements(Mapping):
     checked once where the set is built: the constructor, the syntheses and
     the loader refuse any other, and so does `meas[k, m] = value`, which
     rebuilds the set with new arrays, so arrays a reader holds never change.
+    params, rows and values are read-only properties: only _store sets the
+    fields under them.
     """
+
+    params = property(lambda self: self._params)
+    rows = property(lambda self: self._rows)
+    values = property(lambda self: self._values)
 
     def __init__(self, params: FrogParams, entries=()):
         entries = dict(entries)
@@ -166,45 +172,54 @@ class FrogMeasurements(Mapping):
             first = np.unique(keys, return_index=True)[1]
             rows, values = rows[first], values[first]
         rows.flags.writeable = values.flags.writeable = False
-        self.params, self.rows, self.values, self._key_list = params, rows, values, None
+        self._params, self._rows, self._values, self._key_list = params, rows, values, None
         return self
 
     entries = property(lambda self: self)  # the set itself, as the (k, m) -> value mapping
 
     def _positions(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Where each pair of an (n, 2) array on the grid is in rows, and whether it is there."""
-        ranks, keys = _ranks(self.params, rows), _ranks(self.params, self.rows)
+        ranks, keys = _ranks(self._params, rows), _ranks(self._params, self._rows)
         at = keys.searchsorted(ranks)
         # take clips a rank past the last key onto that key, which differs from it.
         return at, (keys.take(at, mode="clip") == ranks) if keys.size else np.zeros(at.shape, bool)
 
     def __setitem__(self, key, value) -> None:
         # The new pair goes first, so _store's keep-first dedup drops the old one.
-        k, m = _entry(key, value, (self.params.N, self.params.r))
-        self._store(self.params, np.vstack([(k, m), self.rows]), np.append(value, self.values))
+        params = self._params
+        k, m = _entry(key, value, (params.N, params.r))
+        self._store(params, np.vstack([(k, m), self._rows]), np.append(value, self._values))
 
     def __getitem__(self, key) -> float:
         # Mapping's `in` and `get` call this: any key but a measured pair raises KeyError.
-        try:
-            k, m = _grid_index(key, (self.params.N, self.params.r))
-        except ValueError:
-            raise KeyError(key) from None
+        n, r = self._params.N, self._params.r
+        # A pair of exact ints skips _grid_index, whose pair and type tests it passes; the
+        # range test stays, since an off-grid pair can have a measured pair's rank.
+        if type(key) is tuple and len(key) == 2 and type(key[0]) is type(key[1]) is int:
+            k, m = key
+            if not (0 <= k < n and 0 <= m < r):
+                raise KeyError(key)
+        else:
+            try:
+                k, m = _grid_index(key, (n, r))
+            except ValueError:
+                raise KeyError(key) from None
         if self._key_list is None:  # bisect on a list: numpy's cost per call is 4x the search
-            self._key_list = _ranks(self.params, self.rows).tolist()
-        rank = k * self.params.r + m
+            self._key_list = _ranks(self._params, self._rows).tolist()
+        rank = k * r + m
         i = bisect.bisect_left(self._key_list, rank)
         if i == len(self._key_list) or self._key_list[i] != rank:
             raise KeyError(key)
-        return self.values.item(i)
+        return self._values.item(i)
 
     def __iter__(self):
-        return zip(*self.rows.T.tolist())
+        return zip(*self._rows.T.tolist())
 
     def __len__(self) -> int:
-        return self.values.size
+        return self._values.size
 
     def is_full_grid(self) -> bool:
-        return len(self) == self.params.N * self.params.r
+        return len(self) == self._params.N * self._params.r
 
 
 def _check_entries(rows: np.ndarray, values: np.ndarray) -> None:
@@ -232,26 +247,29 @@ def _entry(key, value, shape: tuple[int, int]) -> tuple[int, int]:
     return k, m
 
 
-def _time_rows(z, params: FrogParams, r: int) -> np.ndarray:
-    """|y^_{k,m}|^2 for m < r from the time-domain product form, shape (N, r)."""
-    z = as_signal(z)
+def _sized(x, params: FrogParams, what: str) -> np.ndarray:
+    """x by as_signal; ValueError naming what unless its length is params.N."""
+    x = as_signal(x)
+    if x.size != params.N:
+        raise ValueError(f"{what} length {x.size} != params.N {params.N}")
+    return x
+
+
+def _time_rows(z: np.ndarray, params: FrogParams, r: int) -> np.ndarray:
+    """|y^_{k,m}|^2 for m < r of a _sized signal from the time-domain product form, shape (N, r)."""
     n = params.N
-    if z.size != n:
-        raise ValueError(f"signal length {z.size} != params.N {n}")
     shifted = z[(np.arange(n)[None, :] + params.L * np.arange(r)[:, None]) % n]
     rows = np.fft.fft(z[None, :] * shifted, axis=1)  # rows[m, k] = y^_{k,m}
     return (np.abs(rows) ** 2).T
 
 
-def _freq_rows(s, params: FrogParams, r: int) -> np.ndarray:
-    """|y^_{k,m}|^2 for m < r from the spectrum via circular convolution, shape (N, r)."""
-    s = as_signal(s)
+def _freq_rows(s: np.ndarray, params: FrogParams, r: int) -> np.ndarray:
+    """|y^_{k,m}|^2 for m < r of a _sized spectrum via circular convolution, shape (N, r)."""
     n = params.N
-    if s.size != n:
-        raise ValueError(f"spectrum length {s.size} != params.N {n}")
     exps = (np.arange(n)[None, :] * (params.L * np.arange(r)[:, None])) % n
-    modulated = s[None, :] * params.unit_roots[exps]
-    rows = np.fft.ifft(np.fft.fft(modulated, axis=1) * np.fft.fft(s)[None, :], axis=1)
+    # One forward FFT of the modulated rows and of s itself, in the last row.
+    spectra = np.fft.fft(np.concatenate([s * params.unit_roots[exps], s[None, :]]), axis=1)
+    rows = np.fft.ifft(spectra[:-1] * spectra[-1], axis=1)
     return (np.abs(rows / n) ** 2).T
 
 
@@ -272,9 +290,10 @@ def _index_rows(indices, shape: tuple[int, int]) -> np.ndarray:
     return np.fromiter(pairs, np.int64).reshape(-1, 2)
 
 
-def _gather(rows_of, x, params: FrogParams, rows: np.ndarray) -> np.ndarray:
-    """x's entries at the pairs of an (n, 2) array, rows_of(x, params, r)[k, m] with r the
-    delays needed; ValueError names the first, in rows' order, that overflowed to inf or NaN."""
+def _gather(rows_of, x: np.ndarray, params: FrogParams, rows: np.ndarray) -> np.ndarray:
+    """The entries of a _sized x at the pairs of an (n, 2) array, rows_of(x, params, r)[k, m]
+    with r the delays needed; ValueError names the first, in rows' order, that overflowed to
+    inf or NaN."""
     ks, ms = rows.T
     with np.errstate(over="ignore", invalid="ignore"):
         values = rows_of(x, params, int(ms.max()) + 1 if len(ms) else 0)[ks, ms]
@@ -282,10 +301,11 @@ def _gather(rows_of, x, params: FrogParams, rows: np.ndarray) -> np.ndarray:
     return values
 
 
-def _collect(rows_of, x, params: FrogParams, indices) -> FrogMeasurements:
-    """x's entries at indices (all when None, in (k, m) order) by _gather."""
+def _collect(rows_of, x, params: FrogParams, indices, what: str) -> FrogMeasurements:
+    """x's entries at indices (all when None, in (k, m) order) by _gather; indices are checked
+    first, then x is _sized as what."""
     rows = _index_rows(indices, (params.N, params.r))
-    values = _gather(rows_of, x, params, rows)
+    values = _gather(rows_of, _sized(x, params, what), params, rows)
     return FrogMeasurements.__new__(FrogMeasurements)._store(params, rows, values)
 
 
@@ -297,12 +317,12 @@ def frog_measurements_time(z, params: FrogParams, indices=None) -> FrogMeasureme
     entry that overflows is refused with ValueError naming the first, and
     its overflow is not warned about first.
     """
-    return _collect(_time_rows, z, params, indices)
+    return _collect(_time_rows, z, params, indices, "signal")
 
 
 def frog_measurements_freq(s, params: FrogParams, indices=None) -> FrogMeasurements:
     """Measurements from the spectrum; agrees with frog_measurements_time(idft(s))."""
-    return _collect(_freq_rows, s, params, indices)
+    return _collect(_freq_rows, s, params, indices, "spectrum")
 
 
 # --- exact admissibility predicates -----------------------------------------

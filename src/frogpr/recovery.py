@@ -74,8 +74,8 @@ from .frog import (
     _freq_rows,
     _gather,
     _plan,
+    _sized,
 )
-from .spectral import as_signal, idft
 
 __all__ = [
     "RecoveryResult",
@@ -280,13 +280,15 @@ class _StageRows:
         self.y = self.dy = None
 
 
-def _radii(tables: _RowTables, z0: float) -> list[float]:
+def _radii(tables: _RowTables, z0) -> list:
     """The circle radii sqrt(target) / (z0 |dw[:, 0]|) of the table's rows.
 
     A radius depends on its row and the A1 modulus z0 only (not on |t[0]|,
     which the polish may have moved in its last bits), so A1 computes all
-    of them at once for each root it scores, as the Python floats the
-    solvers take, and the tail reads the chosen root's.
+    of them at once for every root it scores, z0 a column of the roots and
+    one list per root, as the Python floats the solvers take; the tail
+    reads the chosen root's. Each radius is the same elementwise expression
+    for a column as for one root.
     """
     return (np.sqrt(tables.target) / (z0 * np.abs(tables.dw[:, 0]))).tolist()
 
@@ -322,19 +324,18 @@ def _row2_scale(t: np.ndarray, floor: float) -> complex:
 
 
 def _row2_misfit(
-    tables: _RowTables, s_0: float, s_1: complex
+    tables: _RowTables, s_0: float, s_1: complex, radii: list[float]
 ) -> tuple[float, _StageRows, list[float], tuple[complex, ...]]:
     """The k = 2 test of A1 and the even-L probe: how near the pair solve of (s_0, s_1)
-    comes to all five k = 2 circles.
+    comes to all five k = 2 circles, with radii the _radii at |s_0|.
 
-    Gathers the stage-2 block (rows 1 <= k_r <= 2, lo = 0) at (s_0, s_1),
-    takes the radii at |s_0| and solves the pair on the block's first two
-    circles. Returns the least residual of a candidate on all five, inf
-    when the pair solve has none, with the block, the radii and the
-    candidates (none then): what the tail's stage 2 reads.
+    Gathers the stage-2 block (rows 1 <= k_r <= 2, lo = 0) at (s_0, s_1)
+    and solves the pair on the block's first two circles. Returns the least
+    residual of a candidate on all five, inf when the pair solve has none,
+    with the block, the radii and the candidates (none then): what the
+    tail's stage 2 reads.
     """
     stage = _StageRows(tables, np.array([s_0, s_1]), 2, 0)
-    radii = _radii(tables, abs(s_0))
     try:
         cands = stage.pair(radii, _row2_scale(stage.tv, tables.floor))
     except NoSolutionError:
@@ -357,6 +358,7 @@ def recover_z0(tables: _RowTables) -> tuple[_StageRows, list[float], tuple[compl
     the root with the least misfit, the larger on a tie, and no threshold
     decides it. It returns that root's block, whose tv[0] is the root,
     radii and pair candidates: the tail's start, so the pair is solved once.
+    One pass takes the radii of every root.
     Raises DegenerateSignalError when the boundary coefficients vanish or
     s_1 sits at the floor, and InconsistentMeasurementsError, with residual
     inf, when no root's pair solve has candidates; both carry stage "A1".
@@ -372,10 +374,10 @@ def recover_z0(tables: _RowTables) -> tuple[_StageRows, list[float], tuple[compl
             "both boundary spectral coefficients are at the noise floor", stage="A1"
         )
     small = math.sqrt(n * max(mag00 - mag01, 0.0) / 2.0)
+    roots = [root for root in dict.fromkeys((big, small)) if root > floor]
     scored = [
-        _row2_misfit(tables, root, tables.s1(root))
-        for root in dict.fromkeys((big, small))
-        if root > floor
+        _row2_misfit(tables, root, tables.s1(root), radii)
+        for root, radii in zip(roots, _radii(tables, np.array(roots)[:, None]))
     ]
     misfit, stage, radii, cands = min(scored, key=lambda score: score[0])
     if misfit == math.inf:
@@ -661,10 +663,8 @@ def verify_solution(spectrum, measurements: FrogMeasurements) -> float:
     the first such entry in (k, m) order is named as synthesis names it,
     "entry (k, m) has invalid value inf", without numpy's warnings.
     """
-    s = as_signal(spectrum)
     params = measurements.params
-    if s.size != params.N:
-        raise ValueError(f"spectrum length {s.size} != params.N {params.N}")
+    s = _sized(spectrum, params, "spectrum")
     if not len(measurements):
         raise ValueError("no measurements to verify the spectrum against")
     top = float(measurements.values.max())
@@ -729,7 +729,8 @@ def recover(
             f"verification residual {residual:.3e} > {tol:.1e}",
             stage="verify", residual=residual, tol=tol,
         )
-    return RecoveryResult(idft(spectrum), spectrum, residual)
+    # verify_solution has checked the spectrum; idft would check it again.
+    return RecoveryResult(np.fft.ifft(spectrum), spectrum, residual)
 
 
 def even_l_infeasibility_probe(
@@ -770,4 +771,4 @@ def even_l_infeasibility_probe(
     if abs(alpha) <= tables.floor:
         raise DegenerateSignalError("trial leading coefficient is at the noise floor", stage="A1")
     s_1 = tables.s1(abs(alpha)) * complex(math.cos(theta), math.sin(theta))
-    return not _row2_misfit(tables, alpha, s_1)[0] <= _PROBE_TOL
+    return not _row2_misfit(tables, alpha, s_1, _radii(tables, abs(alpha)))[0] <= _PROBE_TOL

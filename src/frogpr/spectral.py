@@ -24,7 +24,7 @@ def as_signal(values) -> np.ndarray:
         raise ValueError(f"signal must be 1-D, got shape {z.shape}")
     if z.size < 2:
         raise ValueError(f"signal length must be >= 2, got {z.size}")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError("signal contains non-finite values")
     return z
 

@@ -240,21 +240,45 @@ def test_equivalence_matches_the_exhaustive_search(n, seed):
             assert report.equivalent == ref.equivalent, case
 
 
+def test_equivalence_checks_each_input_once_and_makes_one_transform_pass(monkeypatch):
+    # Each signal is checked once; the forward transforms of z, reflect(z)
+    # and w are one FFT call and the two cross-correlations one inverse.
+    from frogpr import ambiguity
+
+    calls = []
+
+    def counting(name, f):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+
+        monkeypatch.setattr(name, counted)
+
+    counting("frogpr.ambiguity.as_signal", ambiguity.as_signal)
+    counting("numpy.fft.fft", np.fft.fft)
+    counting("numpy.fft.ifft", np.fft.ifft)
+    z = _signal(16, 318)
+    report = equivalent_up_to_group(z, apply_element(GroupElement(-1, 5, True), z))
+    assert calls[-4:] == [*["frogpr.ambiguity.as_signal"] * 2, "numpy.fft.fft", "numpy.fft.ifft"]
+    assert report.best_element == GroupElement(-1, 5, True) and report.residual < 1e-15
+
+
 @pytest.mark.parametrize("n", [8, 64])
 def test_equivalence_scores_each_shortlisted_element_once(n, monkeypatch):
     # The winner's residual is the one its scoring found, not computed
     # again; constant signals shortlist every translation, and ties still
-    # go to the lexicographically least element.
+    # go to the lexicographically least element. Each element is scored by
+    # _distance on the stack [z, reflect(z), w].
     from frogpr import ambiguity
 
-    apply = ambiguity.apply_element
+    distance = ambiguity._distance
     scored = []
 
-    def counted(g, z):
+    def counted(rows, g):
         scored.append(g)
-        return apply(g, z)
+        return distance(rows, g)
 
-    monkeypatch.setattr(ambiguity, "apply_element", counted)
+    monkeypatch.setattr(ambiguity, "_distance", counted)
     for case, (z, w) in enumerate(_oracle_cases(n, 360)):
         scored.clear()
         report = equivalent_up_to_group(z, w, tol=1e-6)

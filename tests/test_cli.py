@@ -99,8 +99,12 @@ def test_measure_full_grid_and_plan_only(capsys, tmp_path):
 
 
 def test_readme_files_keep_their_bytes(capsys, tmp_path):
-    # The README's commands write these exact files, and recovery from the
-    # full grid writes the same bytes as recovery from the planned entries.
+    # The README's commands write these exact files up to the measurements;
+    # their arithmetic does not pass through BLAS. A recovered file's last
+    # bits hang on the BLAS kernel (the polish's products and solves), so
+    # here recovery from the planned entries, again from them, and from the
+    # full grid write one file; CI compares the README files with those of
+    # the base commit on its own machine.
     def digest(path):
         return hashlib.sha256(path.read_bytes()).hexdigest()[:12]
 
@@ -110,10 +114,12 @@ def test_readme_files_keep_their_bytes(capsys, tmp_path):
     assert digest(sig) == "0fca9d758801"
     assert digest(meas) == "d3ad857a73f6"
     assert digest(grid) == "66bb838c2617"
-    for src, name in ((meas, "rec.json"), (grid, "recg.json")):
+    recovered = set()
+    for src, name in ((meas, "rec.json"), (meas, "rec2.json"), (grid, "recg.json")):
         code, _, err = _run(capsys, ["recover", str(src), "--out", str(tmp_path / name)])
         assert code == 0, err
-        assert digest(tmp_path / name) == "77132b254b08"
+        recovered.add((tmp_path / name).read_bytes())
+    assert len(recovered) == 1
 
 
 def test_measure_rejects_invalid_stride(capsys, tmp_path):

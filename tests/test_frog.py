@@ -459,6 +459,56 @@ def test_lookup_agrees_with_membership_on_odd_keys():
     assert sorted(written) == [(0, 0), (2, 1), (3, 4), (4, 2), (15, 5)]
 
 
+def test_an_exact_int_pair_is_looked_up_without_the_pair_check(monkeypatch):
+    # meas[k, m] with a tuple of two exact ints goes straight to the search,
+    # without _grid_index; a pair off the grid is absent, also one whose
+    # rank k r + m is a measured pair's. Any other key still goes through
+    # _grid_index, and assignment refuses an off-grid pair with its message.
+    params = FrogParams(16, 3)  # r = 6
+    meas = FrogMeasurements(params, {(0, 0): 1.0, (2, 0): 2.0, (3, 5): 3.0})
+    checked = []
+    grid_index = frog._grid_index
+
+    def counted(key, shape):
+        checked.append(key)
+        return grid_index(key, shape)
+
+    monkeypatch.setattr(frog, "_grid_index", counted)
+    assert meas[2, 0] == 2.0 and meas[3, 5] == 3.0 and (0, 0) in meas
+    # (1, 6), (0, 12) and (-1, 18) have the rank of (2, 0); (4, -1) that of (3, 5).
+    for key in ((1, 6), (0, 12), (-1, 18), (4, -1), (16, 0), (10**400, 0), (0, 2**63), (1, 0)):
+        assert key not in meas
+        with pytest.raises(KeyError):
+            meas[key]
+    assert checked == []
+    for key, value in (((np.int64(2), 0), 2.0), ([3, np.int8(5)], 3.0)):
+        assert meas[key] == value
+    for key in ((True, 0), (2.0, 0), (2, 0, 0), 12):
+        with pytest.raises(KeyError):
+            meas[key]
+    assert len(checked) == 6
+    for key in ((1, 6), (-1, 18)):
+        with pytest.raises(ValueError, match="outside grid 16x6"):
+            meas[key] = 1.0
+
+
+def test_a_set_cannot_be_rebound():
+    # params, rows and values are read-only properties: rebinding one would
+    # bypass the value check and leave lookup's search list stale.
+    params = FrogParams(16, 3)
+    meas = FrogMeasurements(params, {(0, 0): 1.0, (2, 1): 2.0})
+    assert meas[0, 0] == 1.0
+    for name, value in (
+        ("values", np.array([np.nan, -1.0])),
+        ("rows", np.array([[1, 0], [3, 1]])),
+        ("params", FrogParams(16, 5)),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(meas, name, value)
+    assert meas[0, 0] == 1.0 and (1, 0) not in meas and list(meas) == [(0, 0), (2, 1)]
+    assert meas.values.tolist() == [1.0, 2.0] and meas.params is params
+
+
 def test_synthesis_reads_plan_rows_as_pairs():
     params = FrogParams(64, 11)
     z = random_analytic_signal(64, np.random.default_rng(138))
@@ -704,6 +754,73 @@ def test_synthesis_refuses_bad_indices_in_lists_and_arrays():
             meas = synthesize(x, params, indices)
             assert list(meas) == [(0, 0), (15, 5)]
             assert meas[15, 5] == full[15, 5]
+
+
+@pytest.mark.parametrize("n,l", [(12, 1), (20, 3), (64, 11), (256, 11)])
+def test_a_list_of_pairs_synthesizes_the_bytes_of_the_array_form(n, l):
+    # A list or tuple of int pairs becomes one array after passes over its
+    # columns; the set it gives has the bytes of the set of the plan's rows,
+    # in any order and with lists or tuples as pairs.
+    params = FrogParams(n, l)
+    z = random_analytic_signal(n, np.random.default_rng(148 + n))
+    rows = plan_indices(params).rows
+    pairs = rows.tolist()
+    for synthesize, x in ((frog_measurements_time, z), (frog_measurements_freq, dft(z))):
+        want = synthesize(x, params, rows)
+        for indices in (
+            pairs,
+            [tuple(pair) for pair in pairs],
+            tuple(map(tuple, pairs)),
+            pairs[::-1],
+            [*map(tuple, pairs[::2]), *pairs[1::2]],
+        ):
+            got = synthesize(x, params, indices)
+            assert got.rows.tobytes() == want.rows.tobytes()
+            assert got.values.tobytes() == want.values.tobytes()
+
+
+def test_a_list_of_pairs_is_accepted_or_refused_as_pair_by_pair():
+    # The passes over a list's columns take only lists or tuples of two
+    # exact ints on the grid; anything else is walked pair by pair, which
+    # accepts numpy integers and refuses the first bad pair by name.
+    params = FrogParams(16, 3)
+    z = random_analytic_signal(16, np.random.default_rng(147))
+    pair, outside = "is not a pair of integers", "outside grid 16x6"
+    refused = (
+        ([(0, 0), (True, 1)], f"entry index (True, 1) {pair}"),
+        ([(0, 0), [1, False]], f"entry index (1, False) {pair}"),
+        ([(0, 0), (np.True_, 1)], f"entry index ({np.True_!r}, 1) {pair}"),
+        ([(0, 0), (2, 1.0)], f"entry index (2, 1.0) {pair}"),
+        ([(0, 0), (2**70, 1)], f"entry index (1180591620717411303424, 1) {outside}"),
+        ([(0, 0), (1, -(2**70))], f"entry index (1, -1180591620717411303424) {outside}"),
+        ([(0, 0), (16, 0)], f"entry index (16, 0) {outside}"),
+        ([(3, 1), (0, 6)], f"entry index (0, 6) {outside}"),
+        ([(3, 1), (-1, 0)], f"entry index (-1, 0) {outside}"),
+        ([(0, 0), (1, 2, 3)], f"entry index (1, 2, 3) {pair}"),
+        ([(0, 0), (1,)], f"entry index (1,) {pair}"),
+        ([(0, 0), 5], f"entry index 5 {pair}"),
+        ([(0, 0), "ab"], f"entry index ('a', 'b') {pair}"),
+        ([(0, 0), None], f"entry index None {pair}"),
+        ((3, 4), f"entry index 3 {pair}"),
+    )
+    accepted = (
+        ([(0, 0), (np.int64(2), 1)], [[0, 0], [2, 1]]),
+        ([(np.int32(3), np.uint8(4)), (0, 0)], [[0, 0], [3, 4]]),
+        ([np.array([2, 1]), (0, 0)], [[0, 0], [2, 1]]),
+        ([(2, 1), (2, 1), (0, 0)], [[0, 0], [2, 1]]),
+        (((15, 5), [0, 0]), [[0, 0], [15, 5]]),
+        ([], []),
+        ((), []),
+    )
+    for synthesize, x in ((frog_measurements_time, z), (frog_measurements_freq, dft(z))):
+        for indices, message in refused:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                synthesize(x, params, indices)
+        for indices, rows in accepted:
+            meas = synthesize(x, params, indices)
+            want = synthesize(x, params, np.array(rows, np.int64).reshape(-1, 2))
+            assert meas.rows.tolist() == rows
+            assert meas.values.tobytes() == want.values.tobytes()
 
 
 def _index_sets(params):

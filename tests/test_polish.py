@@ -1,6 +1,5 @@
 """Row tables: each stage's one gather, its circles, and the table-driven Gauss-Newton polish."""
 
-import hashlib
 import warnings
 
 import numpy as np
@@ -10,7 +9,9 @@ from frogpr import (
     FrogMeasurements,
     FrogParams,
     dft,
+    equivalent_up_to_group,
     frog_measurements_time,
+    idft,
     plan_indices,
     random_analytic_signal,
     recover,
@@ -323,19 +324,24 @@ def test_stage_rows_equal_a_fresh_gather_bitwise(n, l, k):
     np.testing.assert_array_equal(rows.dy, dy)
 
 
-# sha256 prefixes of recover(...).spectrum.tobytes() for the signals of
-# _setup(n, l, seed), seeds 0..2. No window is affine below N = 64, so these
-# pin the fresh-gather path and the Jacobian formed per step bit for bit.
-SPECTRUM_BYTES = {
-    (20, 3): ["2573a5de7a09", "2e397053cca8", "fca320c66a13"],
-    (32, 5): ["e49df9bbe18a", "385d09ac5de1", "21f360668b0b"],
-    (48, 7): ["483727ad8548", "dcbfa4837d57", "0fe39a684e69"],
-}
-
-
-@pytest.mark.parametrize("n,l", sorted(SPECTRUM_BYTES))
+@pytest.mark.parametrize("n,l", [(20, 3), (32, 5), (48, 7)])
 def test_recovered_spectrum_bytes_below_the_affine_windows(n, l):
-    for seed, prefix in enumerate(SPECTRUM_BYTES[n, l]):
+    # No window is affine below N = 64, so these recoveries take the
+    # fresh-gather path and form the Jacobian per step. Their last bits hang
+    # on the BLAS kernel, so what is pinned is what holds on any machine:
+    # one spectrum per input, whether the plan's row table is built or
+    # shared, a plan is made afresh, or the full grid is supplied, and an
+    # equivalent of the true signal.
+    params = FrogParams(n, l)
+    for seed in range(3):
         plan, meas, _ = _setup(n, l, seed)
-        spectrum = recover(meas, plan).spectrum
-        assert hashlib.sha256(spectrum.tobytes()).hexdigest()[:12] == prefix, seed
+        z = random_analytic_signal(n, np.random.default_rng(seed))
+        spectra = {
+            recover(meas, plan).spectrum.tobytes(),
+            recover(meas, plan).spectrum.tobytes(),
+            recover(meas, plan_indices(params)).spectrum.tobytes(),
+            recover(frog_measurements_time(z, params), plan).spectrum.tobytes(),
+        }
+        assert len(spectra) == 1, seed
+        signal = idft(np.frombuffer(spectra.pop(), np.complex128))
+        assert equivalent_up_to_group(signal, z, tol=1e-11).equivalent, seed

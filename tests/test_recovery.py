@@ -740,7 +740,8 @@ def test_pair_stage_checks_candidates_on_their_circles(monkeypatch, stage):
 def test_a_recovery_solves_each_pair_once(monkeypatch):
     # A1 solves the stage-2 pair of each root it scores and hands the
     # chosen one's candidates to the tail, which solves only stage 3's:
-    # two roots make three two-circle solves, not four.
+    # two roots make three two-circle solves, not four. One pass takes the
+    # radii of both roots, each list with the bytes of its root's own pass.
     solve, radii = recovery.solve_two_circles_real, recovery._radii
     solves, roots = [], []
 
@@ -748,16 +749,19 @@ def test_a_recovery_solves_each_pair_once(monkeypatch):
         solves.append(args)
         return solve(*args)
 
-    def scored(tables, z0):  # A1 takes the radii of each root it scores
+    def scored(tables, z0):
         roots.append(z0)
-        return radii(tables, z0)
+        lists = radii(tables, z0)
+        assert lists == [radii(tables, float(root)) for root in z0[:, 0]]
+        return lists
 
     monkeypatch.setattr(recovery, "solve_two_circles_real", counted)
     monkeypatch.setattr(recovery, "_radii", scored)
     params = FrogParams(16, 3)
     z = _generic(16, np.random.default_rng(623))
     recover(frog_measurements_time(z, params, plan_indices(params).rows))
-    assert len(roots) == 2 and len(solves) == 3
+    assert len(solves) == 3
+    assert len(roots) == 1 and roots[0].shape == (2, 1)
 
 
 @pytest.mark.parametrize("singular", [False, True])
@@ -927,8 +931,8 @@ def test_a1_refuses_without_trying_a_smaller_root_at_the_floor(monkeypatch):
     misfit = recovery._row2_misfit
     tried = []
 
-    def spy(tables, s_0, s_1):
-        tried.append(misfit(tables, s_0, s_1))
+    def spy(tables, s_0, s_1, radii):
+        tried.append(misfit(tables, s_0, s_1, radii))
         return tried[-1]
 
     monkeypatch.setattr(recovery, "_row2_misfit", spy)
@@ -990,9 +994,9 @@ def test_a1_scores_one_root_when_the_boundary_moduli_are_equal(monkeypatch):
     misfit = recovery._row2_misfit
     roots = []
 
-    def spy(tables, s_0, s_1):
+    def spy(tables, s_0, s_1, radii):
         roots.append(s_0)
-        return misfit(tables, s_0, s_1)
+        return misfit(tables, s_0, s_1, radii)
 
     monkeypatch.setattr(recovery, "_row2_misfit", spy)
     spectrum = recover(meas, plan).spectrum
@@ -1136,6 +1140,36 @@ def test_verify_solution_length_mismatch_raises():
     meas = frog_measurements_time(random_analytic_signal(12, rng), params)
     with pytest.raises(ValueError):
         verify_solution(np.ones(10), meas)
+
+
+def test_a_recovery_checks_its_spectrum_once_and_batches_its_transforms(monkeypatch):
+    # verify_solution checks the spectrum once, by _sized, and makes one
+    # forward FFT call (the modulated rows and the spectrum together) and
+    # one inverse; recover hands the verified spectrum to ifft unchecked.
+    from frogpr import frog
+
+    params = FrogParams(20, 3)
+    z = _generic_even_signal(20, np.random.default_rng(657))
+    meas = frog_measurements_time(z, params, plan_indices(params).rows)
+    s = dft(z)
+    calls = []
+
+    def counting(name, f):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+
+        monkeypatch.setattr(name, counted)
+
+    counting("frogpr.frog.as_signal", frog.as_signal)
+    counting("numpy.fft.fft", np.fft.fft)
+    counting("numpy.fft.ifft", np.fft.ifft)
+    residual = verify_solution(s, meas)
+    assert calls == ["frogpr.frog.as_signal", "numpy.fft.fft", "numpy.fft.ifft"]
+    calls.clear()
+    result = recover(meas)
+    assert calls == ["frogpr.frog.as_signal", "numpy.fft.fft", "numpy.fft.ifft", "numpy.fft.ifft"]
+    assert residual < 1e-12 and result.verification_residual < 1e-12
 
 
 @pytest.mark.parametrize("n,l", [(12, 1), (16, 3), (64, 11), (256, 11)])
