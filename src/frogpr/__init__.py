@@ -1,9 +1,10 @@
 """Recover even-length analytic signals from FROG intensity measurements.
 
-The library covers the forward map (measurement synthesis in the time and
-frequency domains), the measurement ambiguity group, closed-form circle
-solvers, a deterministic measurement-index planner, and the staged recovery
-pipeline, plus an acceptance self-test and a small CLI (``frogpr``).
+The library covers the forward map (measurement synthesis by the time-domain
+definition, from a signal or from a spectrum), the measurement ambiguity
+group, closed-form circle solvers, a deterministic measurement-index planner,
+and the staged recovery pipeline, plus an acceptance self-test and a small
+CLI (``frogpr``).
 """
 
 from .ambiguity import (

@@ -5,17 +5,18 @@ The measurement of a length-N signal z at frequency k and delay step m is
     |y^_{k,m}|^2,   y^_{k,m} = sum_{n=0}^{N-1} z_n z_{n+mL} e^{-2i pi kn/N},
 
 with N-periodic indexing, k in [0, N) and m in [0, r), r = ceil(N/L).
-Expanding both factors in DFT coefficients gives the equivalent
-frequency-domain form
+This is the one forward map: synthesis from a signal, from a spectrum
+(through its idft) and the recovery's verification all take the FFT of the
+products z_n z_{n+mL}. Expanding both factors in DFT coefficients gives the
+equivalent frequency-domain form
 
     y^_{k,m} = (1/N) sum_{l=0}^{N-1} s_l s_{(k-l) mod N} w^{lm},
 
 where s = dft(z) and w = e^{2i pi L / N} is the phase advance per delay
-step (equal to e^{2i pi / r} exactly when L divides N). All solver algebra
-in this package is phrased in powers of that w. Every power is read from
-one table of the N-th roots of unity, FrogParams.unit_roots, at an exponent
-reduced exactly in integers, so unit-circle identities hold to machine
-precision.
+step (equal to e^{2i pi / r} exactly when L divides N). The solver's algebra
+is phrased in powers of that w, each evaluated at an exponent reduced
+exactly in integers; the admissibility predicates below decide its
+degeneracies by integer congruences.
 """
 
 from __future__ import annotations
@@ -73,9 +74,8 @@ def _grid_index(key, shape: tuple[int, int]) -> tuple[int, int]:
 class FrogParams:
     """Measurement geometry: signal length N and delay stride L.
 
-    Derived quantities: r = ceil(N/L) delay steps, and the table unit_roots
-    of the N-th roots of unity, from which every power of the per-step
-    phase factor w = e^{2i pi L/N} is read.
+    Derived quantity: r = ceil(N/L) delay steps; the per-step phase factor
+    is w = e^{2i pi L/N}. A geometry holds no array.
     Forward synthesis accepts any integers N >= 2, 1 <= L <= N; the plan's
     and recovery's domains are stated by plan_violations and recovery_violations.
     """
@@ -96,17 +96,6 @@ class FrogParams:
     @functools.cached_property
     def r(self) -> int:
         return -(-self.N // self.L)
-
-    @functools.cached_property
-    def unit_roots(self) -> np.ndarray:
-        """Read-only unit_roots[j] = e^{2i pi j/N}, j = 0..N-1, built on first use."""
-        roots = np.exp(2j * np.pi * np.arange(self.N) / self.N)
-        roots.flags.writeable = False
-        return roots
-
-    def w_pow(self, j: int) -> complex:
-        """w^j with the exponent reduced exactly: unit_roots[jL mod N]."""
-        return complex(self.unit_roots[(j * self.L) % self.N])
 
     def plan_violations(self) -> list[str]:
         """Reasons plan_indices has no plan for this geometry: N odd, N < 8, r < 5."""
@@ -263,16 +252,6 @@ def _time_rows(z: np.ndarray, params: FrogParams, r: int) -> np.ndarray:
     return (np.abs(rows) ** 2).T
 
 
-def _freq_rows(s: np.ndarray, params: FrogParams, r: int) -> np.ndarray:
-    """|y^_{k,m}|^2 for m < r of a _sized spectrum via circular convolution, shape (N, r)."""
-    n = params.N
-    exps = (np.arange(n)[None, :] * (params.L * np.arange(r)[:, None])) % n
-    # One forward FFT of the modulated rows and of s itself, in the last row.
-    spectra = np.fft.fft(np.concatenate([s * params.unit_roots[exps], s[None, :]]), axis=1)
-    rows = np.fft.ifft(spectra[:-1] * spectra[-1], axis=1)
-    return (np.abs(rows / n) ** 2).T
-
-
 def _index_rows(indices, shape: tuple[int, int]) -> np.ndarray:
     """indices (every pair for None) as an integer (n, 2) array, checked as _grid_index checks a
     pair: an integer (n, 2) array by array tests, returned as it is; anything else, or an array
@@ -290,23 +269,20 @@ def _index_rows(indices, shape: tuple[int, int]) -> np.ndarray:
     return np.fromiter(pairs, np.int64).reshape(-1, 2)
 
 
-def _gather(rows_of, x: np.ndarray, params: FrogParams, rows: np.ndarray) -> np.ndarray:
-    """The entries of a _sized x at the pairs of an (n, 2) array, rows_of(x, params, r)[k, m]
+def _gather(z: np.ndarray, params: FrogParams, rows: np.ndarray) -> np.ndarray:
+    """The entries of a signal z at the pairs of an (n, 2) array, _time_rows(z, params, r)[k, m]
     with r the delays needed; ValueError names the first, in rows' order, that overflowed to
     inf or NaN."""
     ks, ms = rows.T
     with np.errstate(over="ignore", invalid="ignore"):
-        values = rows_of(x, params, int(ms.max()) + 1 if len(ms) else 0)[ks, ms]
+        values = _time_rows(z, params, int(ms.max()) + 1 if len(ms) else 0)[ks, ms]
     _check_entries(rows, values)
     return values
 
 
-def _collect(rows_of, x, params: FrogParams, indices, what: str) -> FrogMeasurements:
-    """x's entries at indices (all when None, in (k, m) order) by _gather; indices are checked
-    first, then x is _sized as what."""
-    rows = _index_rows(indices, (params.N, params.r))
-    values = _gather(rows_of, _sized(x, params, what), params, rows)
-    return FrogMeasurements.__new__(FrogMeasurements)._store(params, rows, values)
+def _collect(z: np.ndarray, params: FrogParams, rows: np.ndarray) -> FrogMeasurements:
+    """The set of a signal z's entries at the pairs of an _index_rows array, by _gather."""
+    return FrogMeasurements.__new__(FrogMeasurements)._store(params, rows, _gather(z, params, rows))
 
 
 def frog_measurements_time(z, params: FrogParams, indices=None) -> FrogMeasurements:
@@ -315,14 +291,17 @@ def frog_measurements_time(z, params: FrogParams, indices=None) -> FrogMeasureme
     indices: optional iterable of (k, m) pairs; the full N x r grid when
     omitted. Only delays up to the largest requested one are computed. An
     entry that overflows is refused with ValueError naming the first, and
-    its overflow is not warned about first.
+    its overflow is not warned about first. indices are checked before z.
     """
-    return _collect(_time_rows, z, params, indices, "signal")
+    rows = _index_rows(indices, (params.N, params.r))
+    return _collect(_sized(z, params, "signal"), params, rows)
 
 
 def frog_measurements_freq(s, params: FrogParams, indices=None) -> FrogMeasurements:
-    """Measurements from the spectrum; agrees with frog_measurements_time(idft(s))."""
-    return _collect(_freq_rows, s, params, indices, "spectrum")
+    """Measurements of the spectrum s: frog_measurements_time(idft(s)), its indices checked
+    before s and s refused as a "spectrum"."""
+    rows = _index_rows(indices, (params.N, params.r))
+    return _collect(np.fft.ifft(_sized(s, params, "spectrum")), params, rows)
 
 
 # --- exact admissibility predicates -----------------------------------------

@@ -27,8 +27,9 @@ coefficient through circles |s_k + offset| = radius. Recovery proceeds:
       matrix-vector update of that block. Every polish forms its Jacobian
       only for a step it takes.
   A3  recover:     run A2 once with s_0 = +|s_0|, translate s_{N/2} onto
-      the positive real axis, and verify the result against every
-      supplied measurement, planned or not.
+      the positive real axis, and verify the signal it returns, the
+      spectrum's one idft, against every supplied measurement, planned or
+      not, by the time-domain definition the syntheses use.
       The s_0 < 0 start needs no run of its own: reflection followed by
       rotation by pi and translation by N/2 (s_k -> (-1)^(k+1) conj(s_k))
       maps A2's start (+|s_0|, s_1) to (-|s_0|, s_1), keeps every
@@ -71,7 +72,6 @@ from .frog import (
     FrogMeasurements,
     FrogParams,
     MeasurementIndexPlan,
-    _freq_rows,
     _gather,
     _plan,
     _sized,
@@ -333,13 +333,17 @@ def _row2_misfit(
     and solves the pair on the block's first two circles. Returns the least
     residual of a candidate on all five, inf when the pair solve has none,
     with the block, the radii and the candidates (none then): what the
-    tail's stage 2 reads.
+    tail's stage 2 reads. A pair the solver calls singular (its two offsets
+    coincide in floating point) raises DegenerateSignalError with stage "A1"
+    and the solver's message, as a later stage refuses collinear centres.
     """
     stage = _StageRows(tables, np.array([s_0, s_1]), 2, 0)
     try:
         cands = stage.pair(radii, _row2_scale(stage.tv, tables.floor))
     except NoSolutionError:
         cands = ()
+    except SingularConfigurationError as exc:
+        raise DegenerateSignalError(f"stage k=2: {exc}", stage="A1") from exc
     offset, radius = stage.offsets().tolist(), radii[stage.rim]
     misfit = min((_circle_residual(z, offset, radius) for z in cands), default=math.inf)
     return misfit, stage, radii, cands
@@ -359,9 +363,10 @@ def recover_z0(tables: _RowTables) -> tuple[_StageRows, list[float], tuple[compl
     decides it. It returns that root's block, whose tv[0] is the root,
     radii and pair candidates: the tail's start, so the pair is solved once.
     One pass takes the radii of every root.
-    Raises DegenerateSignalError when the boundary coefficients vanish or
-    s_1 sits at the floor, and InconsistentMeasurementsError, with residual
-    inf, when no root's pair solve has candidates; both carry stage "A1".
+    Raises DegenerateSignalError when the boundary coefficients vanish, s_1
+    sits at the floor or a root's k = 2 pair has coincident offsets, and
+    InconsistentMeasurementsError, with residual inf, when no root's pair
+    solve has candidates; both carry stage "A1".
     tables, what _scaled made of the planned rows, is all A1 reads: the
     k = 0 values, s_1 and the k = 2 circles.
     """
@@ -528,25 +533,35 @@ class _RowTables(NamedTuple):
 
 def _expand(params: FrogParams, rows: np.ndarray) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     """starts, mirror and dw (see _RowTables) of the rows k >= 1 of (k, m)-sorted plan rows,
-    mirror and dw read-only."""
+    mirror and dw read-only.
+
+    Only the roots the rows read are evaluated: w^{lm} = e^{2i pi (l (m L mod N)
+    mod N)/N} for each delay m up to the largest and each l up to the largest
+    k, the exponent reduced exactly in integers (as _plan reduces its own). A
+    row (k, m) gathers them at (m, l) and at its partner (m, k - l).
+    """
     n = params.N
     k, m = rows[rows[:, 0].searchsorted(1) :].T
     l = np.arange(k[-1] + 1)
-    # l m L mod N, once per delay m and gathered by each row's delay. The
-    # partner's exponent (k - l) m L is the same residue as the difference
-    # of two of these, which lies in (-N, N) and reads unit_roots through
-    # negative indexing.
-    exps = np.multiply.outer(np.arange(m.max() + 1) * params.L % n, l)
-    exps %= n
-    exps = exps[m]
-    roots = params.unit_roots
-    dw = roots[exps]
-    k_exps = exps[np.arange(k.size), k]  # k m L mod N of each row
-    np.subtract(k_exps[:, None], exps, out=exps)
-    dw += roots[exps]
+    # m L mod N per delay, then l (m L mod N) mod N: int64 while N max k fits.
+    steps = [d * params.L % n for d in range(m.max() + 1)]
+    steps = np.array(steps, np.int64 if n * int(l[-1]) < 2**63 else object)
+    roots = np.exp(2j * np.pi * (np.multiply.outer(steps, l) % n).astype(np.int64) / n).ravel()
+    # Row (k, m) reads w^{lm} at m (max k + 1) + l of the flat table and the
+    # partner's w^{(k-l)m} at m (max k + 1) + k - l, clipped to its own w^0
+    # where l > k (entries zeroed below).
+    first = (m * l.size)[:, None]
+    at = first + l
+    dw = roots[at]
+    np.subtract(first + k[:, None], l, out=at)
+    np.maximum(at, first, out=at)
+    dw += roots[at]
     # What dividing the complex array by N computes, on its float64 view.
     parts = dw.view(np.float64)
     parts *= 1.0 / n
+    # mirror is built after the gathers and their temporaries: built before
+    # them, it left glibc's heap so that each (256, 11) recovery's polish
+    # blocks took twice the minor page faults (422 -> 841) and 10% longer.
     mirror = np.subtract.outer(k, l, dtype=np.int32)
     dead = mirror < 0
     dw[dead] = 0.0
@@ -656,25 +671,32 @@ def verify_solution(spectrum, measurements: FrogMeasurements) -> float:
     """Largest deviation of the spectrum's measurements from the stored ones.
 
     Deviations are absolute differences of |y^|^2 values, reported relative
-    to the largest stored value (so the residual is scale-invariant).
-    Only the stored entries are evaluated, over the delays up to the last
-    one measured. Raises ValueError for a spectrum of the wrong length, no
-    measurements, or a spectrum whose value at a stored entry overflows:
-    the first such entry in (k, m) order is named as synthesis names it,
-    "entry (k, m) has invalid value inf", without numpy's warnings.
+    to the largest stored value (so the residual is scale-invariant). The
+    spectrum's measurements are those of its idft, by the time-domain
+    definition, as frog_measurements_freq synthesizes them. Only the stored
+    entries are evaluated, over the delays up to the last one measured.
+    Raises ValueError for a spectrum of the wrong length, no measurements,
+    or a spectrum whose value at a stored entry overflows: the first such
+    entry in (k, m) order is named as synthesis names it, "entry (k, m) has
+    invalid value inf", without numpy's warnings.
     """
+    return _verified(spectrum, measurements)[1]
+
+
+def _verified(spectrum, measurements: FrogMeasurements) -> tuple[np.ndarray, float]:
+    """The spectrum's idft and verify_solution's residual, from one inverse transform."""
     params = measurements.params
     s = _sized(spectrum, params, "spectrum")
     if not len(measurements):
         raise ValueError("no measurements to verify the spectrum against")
+    z = np.fft.ifft(s)
     top = float(measurements.values.max())
     # Both are finite and >= 0 (a set's values from where it was built), so
     # their difference is finite.
-    computed = _gather(_freq_rows, s, params, measurements.rows)
-    dev = float(np.abs(computed - measurements.values).max())
+    dev = float(np.abs(_gather(z, params, measurements.rows) - measurements.values).max())
     # A Python division: a deviation far above tiny stored values is inf
     # without a warning.
-    return dev / (top or 1.0)
+    return z, dev / (top or 1.0)
 
 
 def recover(
@@ -723,14 +745,13 @@ def recover(
     # power of two is exact, so on the planned entries the residual is the
     # scaled one's.
     spectrum = np.ldexp(spectrum.view(np.float64), e).view(np.complex128)
-    residual = verify_solution(spectrum, measurements)
+    signal, residual = _verified(spectrum, measurements)
     if not residual <= tol:  # a NaN residual is refused too
         raise InconsistentMeasurementsError(
             f"verification residual {residual:.3e} > {tol:.1e}",
             stage="verify", residual=residual, tol=tol,
         )
-    # verify_solution has checked the spectrum; idft would check it again.
-    return RecoveryResult(np.fft.ifft(spectrum), spectrum, residual)
+    return RecoveryResult(signal, spectrum, residual)
 
 
 def even_l_infeasibility_probe(
@@ -754,7 +775,9 @@ def even_l_infeasibility_probe(
     ValueError for odd L, a non-finite alpha or theta, missing rows, or an
     alpha that overflows when scaled; UnsupportedGeometryError for a
     geometry plan_indices refuses; and DegenerateSignalError when the scaled
-    alpha or the trial |s_1| sits at the coefficient floor.
+    alpha or the trial |s_1| sits at the coefficient floor, or when the two
+    k = 2 circles of the pair solve have coincident offsets (at a huge N,
+    whose small delays' phases round alike).
     """
     params = measurements.params
     if params.L % 2 != 0:

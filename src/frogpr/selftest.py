@@ -8,6 +8,7 @@ one into a CriterionResult. Seeds are fixed, so runs are reproducible.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import time
@@ -349,6 +350,11 @@ def _validate_plan(plan) -> None:
     """ValueError naming the first admissibility condition the plan breaks."""
     params = plan.params
     n, l, r = params.N, params.L, params.r
+
+    def w(j: int) -> complex:
+        """w^j = e^{2i pi jL/N}, its exponent reduced exactly."""
+        return cmath.exp(2j * cmath.pi * (j * l % n) / n)
+
     rows = plan.rows
     _check(rows.shape == (3 * n // 2 + 1, 2), "rows have shape {}", rows.shape)
     ks, ms = rows.T
@@ -361,12 +367,12 @@ def _validate_plan(plan) -> None:
         _check(len(delays) == size and delays[0] == 0, "row {} has delays {}", k, delays)
         for i in delays:
             # Every stage divides by 1 + w^{ki}; exact and numeric tests agree.
-            ok = not _pow_is_minus_one(i * l, n, k) and abs(1.0 + params.w_pow(k * i)) > 1e-9
+            ok = not _pow_is_minus_one(i * l, n, k) and abs(1.0 + w(k * i)) > 1e-9
             _check(ok, "row {} delay {}: 1 + w^(ki) = 0", k, i)
             if k in (2, 3) and i > 0:
                 # The k = 2 and k = 3 pair offsets need w^{pi} != 1 for 0 < p < k.
                 for p in range(1, k):
-                    ok = not _pow_is_one(i * l, n, p) and abs(params.w_pow(p * i) - 1.0) > 1e-9
+                    ok = not _pow_is_one(i * l, n, p) and abs(w(p * i) - 1.0) > 1e-9
                     _check(ok, "row {} delay {}: w^({}i) = 1", k, i, p)
         if k < 4:
             continue

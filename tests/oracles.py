@@ -2,11 +2,13 @@
 
 Everything here is written as the definitions read, with explicit loops and
 no FFTs, so the library's fast paths are checked against independent code
-rather than against themselves. The exception is the pair exp_grid_freq and
-exp_row_dw: they evaluate every unit root by np.exp, in the library's order
-of operations, so the library's table lookups are pinned bitwise.
+rather than against themselves. The exceptions are fft_grid_freq and
+exp_row_dw: they follow the library's order of operations (the FFT of the
+time-domain products, every unit root by np.exp at its reduced exponent),
+so the library's syntheses and row table are pinned bitwise.
 """
 
+import cmath
 import itertools
 
 import numpy as np
@@ -42,26 +44,25 @@ def exp_unit_roots(exps, n):
     return np.exp(2j * np.pi * np.asarray(exps) / n)
 
 
-def exp_grid_freq(s, L):
-    """The grid of frogpr.frog_measurements_freq(s, params), its delay modulation by np.exp."""
-    s = np.asarray(s, dtype=complex)
-    n = s.size
+def fft_grid_freq(s, L):
+    """The grid of frogpr.frog_measurements_freq(s, params): the time-domain definition of
+    z = idft(s), one delay m at a time, |fft(z_n z_{n+mL})|^2."""
+    z = np.fft.ifft(np.asarray(s, dtype=complex))
+    n = z.size
     r = -(-n // L)
-    exps = (np.arange(n)[None, :] * (L * np.arange(r)[:, None])) % n
-    modulated = s[None, :] * exp_unit_roots(exps, n)
-    rows = np.fft.ifft(np.fft.fft(modulated, axis=1) * np.fft.fft(s)[None, :], axis=1)
-    return (np.abs(rows / n) ** 2).T
+    rows = [np.abs(np.fft.fft(z * np.roll(z, -m * L))) ** 2 for m in range(r)]
+    return np.array(rows).T
 
 
 def full_grid_residual(spectrum, measurements):
-    """verify_solution's residual over exp_grid_freq's full grid, every measured entry.
+    """verify_solution's residual over fft_grid_freq's full grid, every measured entry.
 
     The largest |grid - stored| where an entry is stored, relative to the
     largest stored value (1 when there is none).
     """
     k, m = measurements.rows.T
     stored = measurements.values
-    deviation = np.abs(exp_grid_freq(spectrum, measurements.params.L)[k, m] - stored)
+    deviation = np.abs(fft_grid_freq(spectrum, measurements.params.L)[k, m] - stored)
     return float(deviation.max(initial=0.0)) / (float(stored.max(initial=0.0)) or 1.0)
 
 
@@ -112,7 +113,7 @@ def row_circle(measurements, t, k, m, z0):
     l = np.arange(1, k)
     wvec = np.exp(2j * np.pi * ((l * ((m * params.L) % n)) % n) / n)
     middle = np.sum(t[1:k] * t[k - 1:0:-1] * wvec)
-    denom = 1.0 + params.w_pow(k * m)
+    denom = 1.0 + cmath.exp(2j * cmath.pi * ((k * m * params.L) % n) / n)
     offset = middle / (t[0] * denom)
     radius = n * np.sqrt(measurements[k, m]) / (z0 * abs(denom))
     return complex(offset), float(radius)

@@ -31,7 +31,7 @@ from frogpr import (
 from frogpr.frog import _plan, _pow_is_minus_one, _pow_is_one
 from frogpr.recovery import _expand
 from frogpr.selftest import _generic_even_signal
-from oracles import direct_frog_grid, exp_grid_freq, exp_row_dw, scan_plan_rows
+from oracles import direct_frog_grid, exp_row_dw, fft_grid_freq, scan_plan_rows
 
 # Frozen values of the worked four-sample example (inputs printed to four
 # decimals; outputs computed exactly from them, pinned at full precision).
@@ -65,61 +65,58 @@ def test_params_refuse_non_integer_geometry():
 
 
 def test_params_phase_factor_is_exact():
-    p = FrogParams(16, 3)
-    assert p.w_pow(0) == 1.0
-    # Exponent reduction is integer-exact, so the period is exact too.
-    assert p.w_pow(16) == 1.0
-    assert p.w_pow(19) == p.w_pow(3)
-    assert abs(p.w_pow(1) - np.exp(2j * np.pi * 3 / 16)) < 1e-15
-    # When L divides N the phase factor is the r-th root of unity: i for r = 4.
-    q = FrogParams(12, 3)
-    assert abs(q.w_pow(1) - 1j) < 1e-15
-    assert q.w_pow(5) == q.w_pow(1)
+    # The row table evaluates each power of w = e^{2i pi L/N} at its
+    # exponent reduced exactly in integers: a whole turn is exactly 1, and
+    # delays whose m L agree mod N give the same bits. At (12, 3), w = i.
+    params = FrogParams(12, 3)
+    rows = np.array([(1, 0), (4, 1), (8, 1), (8, 5)])
+    _, _, dw = _expand(params, rows)
+    # (w^0 + w^0) / N, and (w^{4m} + w^0) / N with 4 m L = 12 m.
+    assert dw[0, 0] == dw[0, 1] == dw[1, 0] == dw[1, 4] == dw[2, 4] == 2 * (1 / 12)
+    assert dw[2].tobytes() == dw[3].tobytes()  # 5 L = 15 = L mod 12
+    # (w + w^3) / N = (i - i) / N and (w^2 + w^6) / N = -2 / N, to roundoff.
+    assert abs(dw[1, 1]) < 1e-16 and abs(dw[2, 2] + 2 / 12) < 1e-16
+    # The geometry holds no array, before or after the expansion.
+    assert vars(params).keys() <= {"N", "L", "r"}
 
 
 @pytest.mark.parametrize("n,l", [(12, 1), (16, 3), (20, 4), (64, 11), (256, 11)])
-def test_w_pow_reads_the_read_only_unit_root_table(n, l):
+def test_params_are_geometry_and_the_row_table_reads_reduced_roots(n, l):
+    # No root table lives on the geometry: synthesis, planning and the row
+    # table leave only N, L and r on it. Each entry of the row table is
+    # (w^{lm} + w^{(k-l)m}) / N, its exponents reduced exactly, within
+    # roundoff of the scalar libm's roots (numpy divides the complex
+    # argument by N through 1/N, which at (12, 1) puts a root 1.4e-15 from
+    # the true one).
     params = FrogParams(n, l)
-    roots = params.unit_roots
-    assert roots.shape == (n,) and roots is params.unit_roots
-    for j in range(-n, 2 * n):
-        wj = params.w_pow(j)
-        assert wj == roots[(j * l) % n]
-        # e^{2i pi jL/N}, its exponent reduced exactly, from the scalar libm.
-        # The table keeps the bits the grid has always used: numpy divides
-        # the complex argument by N through 1/N, which at (12, 1) puts an
-        # entry 1.4e-15 from the true root (scalar division: 5e-16).
-        assert abs(wj - cmath.exp(2j * cmath.pi * ((j * l) % n) / n)) < 2e-15
-    assert not roots.flags.writeable
-    with pytest.raises(ValueError):
-        roots[0] = 0.0
+    z = _generic_even_signal(n, np.random.default_rng(n))
+    frog_measurements_time(z, params)
+    frog_measurements_freq(dft(z), params)
+    rows = plan_indices(params).rows[2:]
+    starts, mirror, dw = _expand(params, rows)
+    assert vars(params).keys() == {"N", "L", "r"}
+    for (k, m), row, partners in zip(rows.tolist(), dw.tolist(), mirror.tolist()):
+        for j, entry in enumerate(row):
+            if j > k:
+                assert entry == 0 and partners[j] == 0
+                continue
+            assert partners[j] == k - j
+            roots = [cmath.exp(2j * cmath.pi * (e * m * l % n) / n) for e in (j, k - j)]
+            assert abs(entry - sum(roots) / n) < 4e-15 / n
 
 
 @pytest.mark.parametrize("n,l", [(16, 3), (20, 4), (64, 11), (256, 11)])
 def test_unit_root_gathers_match_direct_exp(n, l):
-    # The synthesis and the row table read their unit roots off the table;
-    # both are bitwise what evaluating each root by np.exp gives. A full
-    # set's values, in (k, m) order, are its grid.
+    # The row table evaluates only the roots its rows read and gathers
+    # them by delay; its bytes are what evaluating each root by np.exp
+    # gives. The spectrum's synthesis is the time-domain one of its idft.
+    # A full set's values, in (k, m) order, are its grid.
     params = FrogParams(n, l)
     s = dft(_generic_even_signal(n, np.random.default_rng(n + l)))
-    assert frog_measurements_freq(s, params).values.tobytes() == exp_grid_freq(s, l).tobytes()
+    assert frog_measurements_freq(s, params).values.tobytes() == fft_grid_freq(s, l).tobytes()
     rows = plan_indices(params).rows
     rows = rows[rows[:, 0] >= 1]
     assert _expand(params, rows)[2].tobytes() == exp_row_dw(rows, n, l).tobytes()
-
-
-def _expansion_reference(params, rows):
-    """mirror and dw of a plan's rows k >= 1 as first written: exponents reduced row by row."""
-    n = params.N
-    k, m = rows[rows[:, 0] >= 1].T
-    step = (m * params.L % n)[:, None]
-    l = np.arange(k[-1] + 1)
-    mirror = k[:, None] - l
-    dw = params.unit_roots[l * step % n] + params.unit_roots[mirror * step % n]
-    dw /= n
-    dw[mirror < 0] = 0.0
-    mirror[mirror < 0] = 0
-    return mirror.astype(np.int32), dw
 
 
 @pytest.mark.parametrize(
@@ -127,20 +124,39 @@ def _expansion_reference(params, rows):
     [(12, 1), (16, 3), (20, 3), (20, 4), (32, 5), (64, 11), (100, 7), (128, 9), (256, 11), (512, 31), (1024, 31)],
 )
 def test_row_expansion_is_bytewise_the_direct_expression(n, l):
-    # The recovery's _expand reduces l m L mod N once per delay and reads
-    # the partner term through negative indexing, and scales on the float64
-    # view; the bytes are those of the row-by-row expression.
+    # The recovery's _expand evaluates the roots of each delay once, gathers
+    # them by (m, l) and by the partner (m, k - l), and scales on the
+    # float64 view; the bytes are those of the row-by-row expression.
     params = FrogParams(n, l)
     rows = plan_indices(params).rows
-    mirror, dw = _expansion_reference(params, rows)
+    k = rows[2:, 0]
+    mirror = np.maximum(np.subtract.outer(k, np.arange(k[-1] + 1)), 0).astype(np.int32)
+    dw = exp_row_dw(rows[2:], n, l)
     starts, got_mirror, got_dw = _expand(params, rows)
     assert got_mirror.dtype == np.int32
     assert got_mirror.tobytes() == mirror.tobytes()
     assert got_dw.tobytes() == dw.tobytes()
     # The two k = 0 rows come first and are not expanded.
     assert len(rows) - len(dw) == 2
-    k = rows[2:, 0]
     assert starts == tuple(np.searchsorted(k, np.arange(n // 2 + 2)).tolist())
+
+
+@pytest.mark.parametrize("n,l", [(2**40, 2), (2**62, 3), (2**62 + 2**61, 2**60 + 2)])
+def test_row_expansion_reduces_huge_exponents_exactly(n, l):
+    # Past N max k >= 2^63 the products l (m L mod N) leave int64; the row
+    # table forms them in Python ints, as the planner does, and evaluates
+    # the same roots as exponents reduced one by one.
+    rows = np.array([(1, 0), (2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 5)])
+    _, _, dw = _expand(FrogParams(n, l), rows)
+
+    def root(e):
+        return np.exp(2j * np.pi * np.int64(e % n) / n)
+
+    for (k, m), row in zip(rows.tolist(), dw):
+        step = m * l % n
+        want = [(root(j * step) + root((k - j) * step)) / n for j in range(k + 1)]
+        assert np.abs(row[: k + 1] - want).max() < 1e-16 / n, (k, m)
+        assert not row[k + 1 :].any()
 
 
 def test_a_plan_is_its_rows_and_their_expansion_is_read_only():
@@ -381,8 +397,8 @@ def test_every_construction_path_makes_a_read_only_set_of_checked_values(bad, tm
 
         return planted
 
+    # Both syntheses take the time-domain rows, of z and of the spectrum's idft.
     monkeypatch.setattr(frog, "_time_rows", planting(frog._time_rows))
-    monkeypatch.setattr(frog, "_freq_rows", planting(frog._freq_rows))
     with pytest.raises(ValueError, match=message):
         frog_measurements_time(z, params, pairs)
     with pytest.raises(ValueError, match=message):
@@ -624,17 +640,22 @@ def test_plan_indices_satisfy_admissibility():
     for n, l in ((12, 1), (16, 3), (20, 3), (32, 5), (64, 11), (12, 2), (24, 4)):
         params = FrogParams(n, l)
         plan = plan_indices(params)
+
+        def w(j):
+            """w^j = e^{2i pi jL/N}, its exponent reduced exactly."""
+            return cmath.exp(2j * cmath.pi * (j * l % n) / n)
+
         for i in plan.delays(2).tolist():
-            assert abs(1.0 + params.w_pow(2 * i)) > 1e-9
+            assert abs(1.0 + w(2 * i)) > 1e-9
             if i > 0:
-                assert abs(params.w_pow(i) - 1.0) > 1e-9
+                assert abs(w(i) - 1.0) > 1e-9
         i3 = int(plan.delays(3)[1])
-        assert abs(1.0 + params.w_pow(3 * i3)) > 1e-9
-        assert abs(params.w_pow(i3) - 1.0) > 1e-9
-        assert abs(params.w_pow(2 * i3) - 1.0) > 1e-9
+        assert abs(1.0 + w(3 * i3)) > 1e-9
+        assert abs(w(i3) - 1.0) > 1e-9
+        assert abs(w(2 * i3) - 1.0) > 1e-9
         for k in range(4, n // 2 + 1):
             for i in plan.delays(k).tolist():
-                assert abs(1.0 + params.w_pow(k * i)) > 1e-9
+                assert abs(1.0 + w(k * i)) > 1e-9
         assert len(plan.rows) == 3 * n // 2 + 1
 
 
@@ -848,7 +869,7 @@ def test_synthesized_entries_are_bytewise_the_full_grids(n, l):
     s = dft(z)
     for synthesize, x, full in (
         (frog_measurements_time, z, frog_measurements_time(z, params).values.reshape(n, -1)),
-        (frog_measurements_freq, s, exp_grid_freq(s, l)),
+        (frog_measurements_freq, s, fft_grid_freq(s, l)),
     ):
         for indices in _index_sets(params):
             if indices is None:

@@ -57,3 +57,24 @@ def test_moved_inputs_and_counts_per_class():
         ("InconsistentMeasurementsError at tail", "0", "1"),
         ("recovered", "1", "2"),
     ]
+
+
+def test_a_move_counts_under_the_first_group_that_differs():
+    ok = {"class": "recovered", "bytes": "ab", "residual": "1e-16"}
+    verify = {"class": "InconsistentMeasurementsError", "message": "verification residual 2e-06",
+              "stage": "verify", "residual": "2e-06", "tol": "1e-06"}
+    before = {"a": ok, "b": ok, "c": verify, "d": verify, "e": ok}
+    after = {
+        "a": dict(ok, residual="2e-16"),
+        "b": dict(ok, bytes="cd", residual="2e-16"),
+        "c": dict(verify, residual="3e-06"),
+        "d": dict(verify, message="verification residual 3e-06", residual="3e-06"),
+        "e": verify,
+    }
+    names = pool.moved(before, after)
+    assert [pool.what_moved(before[n], after[n]) for n in names] == [
+        "residual only", "result bytes", "residual only", "message", "class or stage",
+    ]
+    assert pool.summary(before, after, names) == (
+        "class or stage 1, message 1, result bytes 1, tol 0, residual only 2"
+    )

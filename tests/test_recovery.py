@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from frogpr import recovery
+from frogpr import frog, recovery
 from frogpr import (
     DegenerateSignalError,
     FrogMeasurements,
@@ -37,7 +37,7 @@ from frogpr import (
 )
 from frogpr.frog import _plan
 from frogpr.selftest import _generic_even_signal
-from oracles import full_grid_residual
+from oracles import direct_frog_grid, full_grid_residual
 
 
 def _generic(n, rng, floor=0.1, gap=0.05):
@@ -639,6 +639,29 @@ def test_probe_plans_only_its_rows():
         assert peak < 5e6, (n, peak)
 
 
+def test_probe_at_a_huge_geometry_refuses_coincident_row_2_offsets():
+    # A (2^40, 2) set that holds its 8 planned rows: the row table evaluates
+    # only the roots its rows k = 1, 2 read (a table of all N roots raised
+    # an 8 TiB MemoryError), within a few MB. The k = 2 offsets 1/(2 cos
+    # phi), at phases of a few 2^-40 turns, coincide in floating point, so
+    # the pair solve is singular: the probe refuses as A1 refuses a
+    # degenerate signal, with the solver's message.
+    params = FrogParams(2**40, 2)
+    rows = _plan(params, 2).rows.tolist()
+    meas = FrogMeasurements(params, {(k, m): 1.0 + i for i, (k, m) in enumerate(rows)})
+    tracemalloc.start()
+    try:
+        with pytest.raises(DegenerateSignalError) as info:
+            even_l_infeasibility_probe(meas, 1.0, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == "stage k=2: two-circle system needs m != 0 and distinct real offsets"
+    assert (info.value.stage, info.value.residual, info.value.tol) == ("A1", None, None)
+    assert isinstance(info.value.__cause__, SingularConfigurationError)
+    assert peak < 5e6, peak
+
+
 def test_a_set_past_2_61_is_refused_for_the_rows_the_exact_plan_names():
     # At this geometry int64 products wrapped and planned (4, 5) for the
     # exact plan's (4, 4): a set holding the planned rows k <= 3 lacks row 4
@@ -821,7 +844,7 @@ def test_recover_flags_corrupted_measurements(monkeypatch):
 
     for residual, text in ((1.0, r"1\.000e\+00"), (float("nan"), "nan")):
         with monkeypatch.context() as patch:
-            patch.setattr(recovery, "verify_solution", lambda s, m, r=residual: r)
+            patch.setattr(recovery, "_verified", lambda s, m, r=residual: (np.fft.ifft(s), r))
             with pytest.raises(
                 InconsistentMeasurementsError,
                 match=rf"^verification residual {text} > 1\.0e-06$",
@@ -1143,9 +1166,9 @@ def test_verify_solution_length_mismatch_raises():
 
 
 def test_a_recovery_checks_its_spectrum_once_and_batches_its_transforms(monkeypatch):
-    # verify_solution checks the spectrum once, by _sized, and makes one
-    # forward FFT call (the modulated rows and the spectrum together) and
-    # one inverse; recover hands the verified spectrum to ifft unchecked.
+    # verify_solution checks the spectrum once, by _sized, takes its idft
+    # and makes one forward FFT call over the delays' products; recover
+    # verifies the signal it returns, so it makes one inverse transform.
     from frogpr import frog
 
     params = FrogParams(20, 3)
@@ -1165,11 +1188,13 @@ def test_a_recovery_checks_its_spectrum_once_and_batches_its_transforms(monkeypa
     counting("numpy.fft.fft", np.fft.fft)
     counting("numpy.fft.ifft", np.fft.ifft)
     residual = verify_solution(s, meas)
-    assert calls == ["frogpr.frog.as_signal", "numpy.fft.fft", "numpy.fft.ifft"]
+    assert calls == ["frogpr.frog.as_signal", "numpy.fft.ifft", "numpy.fft.fft"]
     calls.clear()
     result = recover(meas)
-    assert calls == ["frogpr.frog.as_signal", "numpy.fft.fft", "numpy.fft.ifft", "numpy.fft.ifft"]
+    assert calls == ["frogpr.frog.as_signal", "numpy.fft.ifft", "numpy.fft.fft"]
     assert residual < 1e-12 and result.verification_residual < 1e-12
+    assert result.signal.tobytes() == np.fft.ifft(result.spectrum).tobytes()
+    assert result.verification_residual == verify_solution(result.spectrum, meas)
 
 
 @pytest.mark.parametrize("n,l", [(12, 1), (16, 3), (64, 11), (256, 11)])
@@ -1186,14 +1211,14 @@ def test_verification_residual_is_bytewise_the_full_grids(n, l, monkeypatch):
     s = dft(z)
     bent = s.copy()
     bent[3] += 1e-3 * np.abs(s).max()
-    freq_rows = recovery._freq_rows
+    time_rows = frog._time_rows
     evaluated = []
 
-    def counted(spectrum, params, r):
+    def counted(z, params, r):
         evaluated.append(r)
-        return freq_rows(spectrum, params, r)
+        return time_rows(z, params, r)
 
-    monkeypatch.setattr(recovery, "_freq_rows", counted)
+    monkeypatch.setattr(frog, "_time_rows", counted)
     for indices, delays in (
         (rows, 5 if n >= 64 else rows[:, 1].max() + 1),
         (None, r),
@@ -1217,15 +1242,35 @@ def test_verify_solution_without_measurements_raises():
 @pytest.mark.parametrize("factor", [1e100, 1e160])
 def test_verify_solution_refuses_a_spectrum_whose_grid_overflows(factor):
     # Refused as synthesis refuses it, naming the first stored entry: its
-    # value overflows to inf, or to NaN once the products inside the FFT do.
+    # value overflows to inf, as the FFT of the time-domain products does.
     z = _generic(16, np.random.default_rng(621))
     params = FrogParams(16, 3)
     meas = frog_measurements_time(z, params, plan_indices(params).rows)
-    value = {1e100: "inf", 1e160: "nan"}[factor]
+    value = {1e100: "inf", 1e160: "inf"}[factor]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=rf"^entry \(0, 0\) has invalid value {value}$"):
             verify_solution(factor * dft(z), meas)
+
+
+@pytest.mark.parametrize("n,l", [(8, 1), (12, 5), (16, 3), (20, 3)])
+def test_verify_solution_is_the_direct_sum_of_the_definition(n, l):
+    # Against a full grid summed term by term from the time-domain
+    # definition, the exact spectrum verifies to roundoff, and a spectrum
+    # bent at s_3 has the direct sum's residual within 1e-14. The bent
+    # spectrum's signal is z + (delta / N) e^{2i pi 3n/N}, by linearity.
+    params = FrogParams(n, l)
+    z = _generic(n, np.random.default_rng(659 + n))
+    grid = direct_frog_grid(z, l)
+    meas = FrogMeasurements(params, {(k, m): grid[k, m] for k in range(n) for m in range(params.r)})
+    s = dft(z)
+    delta = 1e-3 * np.abs(s).max()
+    bent = s.copy()
+    bent[3] += delta
+    bent_z = z + delta / n * np.exp(2j * np.pi * 3 * np.arange(n) / n)
+    direct = np.abs(direct_frog_grid(bent_z, l) - grid).max() / grid.max()
+    assert verify_solution(s, meas) <= 1e-14
+    assert abs(verify_solution(bent, meas) - direct) <= 1e-14
 
 
 def test_verify_solution_keeps_the_residual_of_a_finite_grid():

@@ -11,15 +11,18 @@ dropped; and full grids with one off-plan entry corrupted. Every signal and
 every noise draw comes from a fixed seed. The inputs are built once, by this
 checkout's frogpr, and every checkout recovers the same inputs.
 
-An outcome is either the SHA-256 of the result's bytes (spectrum, signal and
-verification residual) or the error's class, message, stage, residual and
-tol. A numpy RuntimeWarning counts as an error. Result bytes depend on the
-machine, numpy and BLAS, so only runs on one machine compare.
+An outcome is either the SHA-256 of the result's bytes (spectrum and signal)
+with the exact repr of its verification residual, or the error's class,
+message, stage, residual and tol. A numpy RuntimeWarning counts as an error.
+Result bytes depend on the machine, numpy and BLAS, so only runs on one
+machine compare.
 
 --against checks REV out with `git worktree` in a temporary directory, runs
 the pool in this checkout and in REV's at the same time, one process each,
-and prints every input whose outcome moved and the counts per outcome class.
-It exits 1 when an input moved and 0 when none did.
+and prints every input whose outcome moved, how many moved by what moved
+(class or stage, message, result bytes, tol, or the residual alone), and the
+counts per outcome class. It exits 1 when any input moved, the residual
+alone included, and 0 when none did.
 """
 
 from __future__ import annotations
@@ -46,6 +49,17 @@ SIGMAS = [1e-9, 1e-7, 1e-6, 1e-5, 1e-4]
 TOLS = [1e-6, 1e-2]
 SMALL_S0 = [(20, 3), (64, 11), (256, 11)]
 RATIOS = [1e-2, 1e-3, 1e-4]
+
+# What moved in an outcome, by the fields that differ: a move counts under the
+# first group here whose fields differ, so "residual only" is a move of the
+# residual and of nothing else.
+MOVES = (
+    ("class or stage", ("class", "stage")),
+    ("message", ("message",)),
+    ("result bytes", ("bytes",)),
+    ("tol", ("tol",)),
+    ("residual only", ("residual",)),
+)
 
 
 def build(frogpr) -> list[tuple[str, int, int, np.ndarray, float]]:
@@ -135,7 +149,7 @@ def outcome(frogpr, n: int, l: int, grid: np.ndarray, tol: float) -> dict:
             "tol": repr(getattr(exc, "tol", None)),
         }
     digest = hashlib.sha256()
-    for part in (result.spectrum, result.signal, np.float64(result.verification_residual)):
+    for part in (result.spectrum, result.signal):
         digest.update(part.tobytes())
     return {
         "class": "recovered",
@@ -162,6 +176,17 @@ def brief(out: dict) -> str:
 def moved(before: dict, after: dict) -> list[str]:
     """The names, in pool order, of the inputs whose outcomes differ."""
     return [name for name in after if before.get(name) != after[name]]
+
+
+def what_moved(before: dict, after: dict) -> str:
+    """The MOVES group under which an input's moved outcome counts."""
+    return next(kind for kind, fields in MOVES if any(before.get(f) != after.get(f) for f in fields))
+
+
+def summary(before: dict, after: dict, names: list[str]) -> str:
+    """How many of the moved inputs moved by each MOVES group, in MOVES order."""
+    tally = Counter(what_moved(before[name], after[name]) for name in names)
+    return ", ".join(f"{kind} {tally[kind]}" for kind, _ in MOVES)
 
 
 def counts(*runs: dict) -> list[tuple[str, ...]]:
@@ -248,7 +273,7 @@ def main(argv=None) -> int:
     outcomes = [run["outcomes"] for run in runs.values()]
     names = moved(*outcomes) if len(outcomes) == 2 else []
     if args.against is not None:
-        print(f"moved: {len(names)}")
+        print(f"moved: {len(names)} ({summary(*outcomes, names)})")
     for name in names:
         print(f"  {name}")
         for run, outs in zip(runs, outcomes):
