@@ -76,8 +76,9 @@ class FrogParams:
 
     Derived quantity: r = ceil(N/L) delay steps; the per-step phase factor
     is w = e^{2i pi L/N}. A geometry holds no array.
-    Forward synthesis accepts any integers N >= 2, 1 <= L <= N; the plan's
-    and recovery's domains are stated by plan_violations and recovery_violations.
+    Forward synthesis accepts any integers N >= 2, 1 <= L <= N, numpy
+    integers too, and holds both as Python ints; the plan's and recovery's
+    domains are stated by plan_violations and recovery_violations.
     """
 
     N: int
@@ -88,6 +89,8 @@ class FrogParams:
             value = getattr(self, name)
             if not _is_index(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            # Held as a Python int, so the exact-int rules never wrap a numpy integer.
+            object.__setattr__(self, name, int(value))
         if self.N < 2:
             raise ValueError(f"N must be >= 2, got {self.N}")
         if not 1 <= self.L <= self.N:

@@ -699,6 +699,17 @@ def _verified(spectrum, measurements: FrogMeasurements) -> tuple[np.ndarray, flo
     return z, dev / (top or 1.0)
 
 
+def _check_rows(plan: MeasurementIndexPlan) -> None:
+    """ValueError naming the first row, or the row count, where plan differs from
+    plan_indices(plan.params)."""
+    got, want = plan.pairs(), _plan(plan.params, plan.params.N // 2).pairs()
+    for i, (row, planned) in enumerate(zip(got, want)):
+        if row != planned:
+            raise ValueError(f"plan row {i} is {row}, but plan_indices has {planned}")
+    if len(got) != len(want):
+        raise ValueError(f"plan has {len(got)} rows, but plan_indices has {len(want)}")
+
+
 def recover(
     measurements: FrogMeasurements,
     plan: MeasurementIndexPlan | None = None,
@@ -717,12 +728,13 @@ def recover(
     for a tol that is not finite and > 0 (checked first), then
     UnsupportedGeometryError, a ValueError too, for a geometry outside the
     recovery domain (FrogParams.recovery_violations), and ValueError for a
-    plan for another geometry or missing planned entries (before the plan's
-    rows are expanded; given no plan, recover plans only the rows that name
-    them for a set smaller than a plan); propagates DegenerateSignalError and
-    InconsistentMeasurementsError from A1 and the tail; and raises
-    InconsistentMeasurementsError with stage "verify" when the
-    verification residual exceeds tol. Their stage, residual and tol
+    plan for another geometry, a plan whose rows are not plan_indices(params)'s
+    (checked until the plan's first recovery), or missing planned entries
+    (before the plan's rows are expanded; given no plan, recover plans only
+    the rows that name them for a set smaller than a plan); propagates
+    DegenerateSignalError and InconsistentMeasurementsError from A1 and the
+    tail; and raises InconsistentMeasurementsError with stage "verify" when
+    the verification residual exceeds tol. Their stage, residual and tol
     fields say where recovery stopped and by how much. Measurements scaled
     by 2^(4j) give the spectrum scaled by exactly 2^j.
     """
@@ -737,8 +749,10 @@ def recover(
         # are among them: a refusal plans no more rows than that. A set of
         # n > 3N/2 entries gets the whole plan, since then n + 4 > N/2.
         plan = _plan(params, min(params.N // 2, len(measurements) + 4))
-    if plan.params != params:
+    elif plan.params != params:
         raise ValueError(f"plan is for {plan.params} but the measurements are for {params}")
+    elif plan not in _EXPANSIONS:  # a plan is checked until its first recovery expands it
+        _check_rows(plan)
     tables, e = _scaled(measurements, plan)
     spectrum = _normalize_gauge(recover_tail(tables, *recover_z0(tables)))
     # Scaled on the float64 view, which keeps the sign of a zero part. The

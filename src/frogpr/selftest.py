@@ -1,9 +1,13 @@
 """Acceptance suite: eight desk-scale criteria, shared by the CLI and tests.
 
-Each criterion is a check that returns (passed, details): a pass flag and a
-one-line account of what was measured. CRITERIA holds them as (name, check)
-in order, so a criterion's number is its position, and run_criterion times
-one into a CriterionResult. Seeds are fixed, so runs are reproducible.
+Each criterion is a check that returns (problems, measured): a list naming
+each failed trial or bound, empty exactly when the criterion passes, and the
+one line of what was measured, the same line whether it passes or fails.
+CRITERIA holds them as (name, check) in order, so a criterion's number is its
+position. run_criterion times one and is the only judge: it passes when there
+is no problem and reports the measured line; a failure reports the first five
+problems joined by "; ", their count when there are more, and the measured
+line in brackets. Seeds are fixed, so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ def _generic_even_signal(n, rng, floor0=0.1, floor1=0.1, floor2=0.05, gap=0.05):
             return z
 
 
-def example_reproduction() -> tuple[bool, str]:
+def example_reproduction() -> tuple[list[str], str]:
     """Worked four-sample example: analytic extension, spectrum, translation
     by 2/pi, and the (0, 0) measurement of both signals against the
     4-decimal reference values.
@@ -115,32 +119,20 @@ def example_reproduction() -> tuple[bool, str]:
 
     devs = np.abs(values - refs)
     worst = int(np.argmax(devs))
-    in_box = offset <= 5e-5
-    failing = [(name, dev) for name, dev in zip(names, devs) if dev > 5e-4]
-    runtime_ok = core_elapsed < 1e-3
-
-    passed = in_box and not failing and runtime_ok
-    measured = (
-        f"fitted input max|x*-x|={offset:.2e}, worst {names[worst]} deviates "
-        f"{devs[worst]:.2e}, core runtime {core_elapsed * 1e3:.3f}ms"
+    problems = []
+    if offset > 5e-5:
+        problems.append("fitted input does not round to the printed one (> 5e-5)")
+    problems += [f"{nm} deviates {dev:.2e} > 5e-4" for nm, dev in zip(names, devs) if dev > 5e-4]
+    if core_elapsed >= 1e-3:
+        problems.append(f"core runtime {core_elapsed * 1e3:.3f}ms >= 1ms")
+    return problems, (
+        f"{np.count_nonzero(devs <= 5e-4)}/6 values within 5e-4 (fitted input "
+        f"max|x*-x|={offset:.2e}, worst {names[worst]} deviates {devs[worst]:.2e}, "
+        f"core runtime {core_elapsed * 1e3:.3f}ms)"
     )
-    if passed:
-        details = (
-            f"all 6 values within 5e-4 from an input that rounds to the "
-            f"printed one ({measured})"
-        )
-    else:
-        parts = []
-        if not in_box:
-            parts.append("fitted input does not round to the printed one (> 5e-5)")
-        parts += [f"{name} deviates {dev:.2e} > 5e-4" for name, dev in failing]
-        if not runtime_ok:
-            parts.append(f"core runtime {core_elapsed * 1e3:.3f}ms >= 1ms")
-        details = "; ".join(parts) + f" [{measured}]"
-    return passed, details
 
 
-def end_to_end_recovery() -> tuple[bool, str]:
+def end_to_end_recovery() -> tuple[list[str], str]:
     """End-to-end: 100 generic signals per configuration recover to a
     group-equivalent signal with equivalence and verification residuals
     below 1e-6, from exactly 3N/2 + 1 measurements, in under 30 s."""
@@ -151,12 +143,10 @@ def end_to_end_recovery() -> tuple[bool, str]:
     failures: list[str] = []
     worst_eq = 0.0
     worst_ver = 0.0
-    total = 0
     for n, l in configs:
         params = FrogParams(n, l)
         plan = plan_indices(params)
         for trial in range(trials):
-            total += 1
             z = _generic_even_signal(n, rng)
             meas = frog_measurements_time(z, params, indices=plan.rows)
             if len(meas) != 3 * n // 2 + 1:
@@ -180,24 +170,17 @@ def end_to_end_recovery() -> tuple[bool, str]:
                     f"{rec.verification_residual:.2e}"
                 )
     elapsed = time.perf_counter() - start
-    in_budget = elapsed < 30.0
-    passed = not failures and in_budget
-    if passed:
-        details = (
-            f"{total}/{total} recoveries group-equivalent (worst equivalence "
-            f"residual {worst_eq:.2e}, worst verification {worst_ver:.2e}) "
-            f"in {elapsed:.1f}s"
-        )
-    else:
-        details = f"{len(failures)} failures"
-        if failures:
-            details += f" (first: {failures[0]})"
-        if not in_budget:
-            details += f"; elapsed {elapsed:.1f}s >= 30s"
-    return passed, details
+    total = len(configs) * trials
+    measured = (
+        f"{total - len(failures)}/{total} recoveries group-equivalent (worst equivalence "
+        f"residual {worst_eq:.2e}, worst verification {worst_ver:.2e}) in {elapsed:.1f}s"
+    )
+    if elapsed >= 30.0:
+        failures.append(f"elapsed {elapsed:.1f}s >= 30s")
+    return failures, measured
 
 
-def ambiguity_invariance() -> tuple[bool, str]:
+def ambiguity_invariance() -> tuple[list[str], str]:
     """Invariance: all 4N group elements preserve every full-grid entry for
     50 even-length signals; arbitrary real translations do for 50
     odd-length signals; both within 1e-8 relative to the grid maximum."""
@@ -210,29 +193,35 @@ def ambiguity_invariance() -> tuple[bool, str]:
     def translations(z):
         return (translate(z, float(rng.uniform(0.0, z.size))) for _ in range(10))
 
-    def worst_deviation(sizes, variants):
+    problems: list[str] = []
+
+    def worst_deviation(kind, sizes, variants):
         worst = 0.0
         for idx in range(50):
             params = FrogParams(sizes[idx % len(sizes)], strides[idx % len(strides)])
             z = random_analytic_signal(params.N, rng)
             grid = frog_measurements_time(z, params).values
-            gmax = grid.max()
-            for zv in variants(z):
-                dev = np.abs(frog_measurements_time(zv, params).values - grid).max()
-                worst = max(worst, dev / gmax)
+            dev = max(
+                np.abs(frog_measurements_time(zv, params).values - grid).max()
+                for zv in variants(z)
+            ) / grid.max()
+            if dev > 1e-8:
+                problems.append(
+                    f"{kind} signal {idx} ({params.N},{params.L}): relative "
+                    f"deviation {dev:.2e} > 1e-8"
+                )
+            worst = max(worst, dev)
         return worst
 
-    worst_even = worst_deviation([8, 10, 12, 16, 20, 24, 32], group_variants)
-    worst_odd = worst_deviation([9, 11, 13, 15, 17, 19], translations)
-    passed = worst_even <= 1e-8 and worst_odd <= 1e-8
-    details = (
+    worst_even = worst_deviation("even", [8, 10, 12, 16, 20, 24, 32], group_variants)
+    worst_odd = worst_deviation("odd", [9, 11, 13, 15, 17, 19], translations)
+    return problems, (
         f"worst relative deviation {worst_even:.2e} over 4N elements x 50 even "
         f"signals, {worst_odd:.2e} over 10 real translations x 50 odd signals"
     )
-    return passed, details
 
 
-def translation_sensitivity() -> tuple[bool, str]:
+def translation_sensitivity() -> tuple[list[str], str]:
     """Sensitivity: a non-integer translation of an even-length signal with
     nonvanishing boundary coefficient changes some grid entry by more than
     1e-3 relative to that entry in at least 99 of 100 trials (the same
@@ -241,7 +230,7 @@ def translation_sensitivity() -> tuple[bool, str]:
     rng = np.random.default_rng(20260203)
     sizes = [8, 12, 16, 20, 24]
     strides = [1, 3]
-    hits = 0
+    misses: list[str] = []
     smallest = math.inf
     for idx in range(100):
         n = sizes[idx % len(sizes)]
@@ -256,17 +245,16 @@ def translation_sensitivity() -> tuple[bool, str]:
         denom = np.maximum(np.maximum(grid, moved), 1e-9 * grid.max())
         rel = float((np.abs(moved - grid) / denom).max())
         smallest = min(smallest, rel)
-        if rel > 1e-3:
-            hits += 1
-    passed = hits >= 99
-    details = (
-        f"{hits}/100 translations changed an entry by > 1e-3 of itself "
+        if rel <= 1e-3:
+            misses.append(f"trial {idx} ({n},{l}): largest relative change {rel:.2e} <= 1e-3")
+    # One miss in 100 is allowed.
+    return misses if len(misses) > 1 else [], (
+        f"{100 - len(misses)}/100 translations changed an entry by > 1e-3 of itself "
         f"(smallest observed change {smallest:.2e})"
     )
-    return passed, details
 
 
-def solver_oracles() -> tuple[bool, str]:
+def solver_oracles() -> tuple[list[str], str]:
     """Solver oracles: 1000 planted instances per solver recover the planted
     point (or its predicted partner) within 1e-8; the real-scale pair is
     exactly conjugate and the complex-scale pair is conjugate after dividing
@@ -331,13 +319,7 @@ def solver_oracles() -> tuple[bool, str]:
             if abs(u0.conjugate() - u1) > 4.0 * _EPS * max(abs(u0), abs(u1)):
                 failures.append(f"{kind} trial {trial}: pair/m not conjugate")
 
-    passed = not failures
-    details = (
-        f"3000 planted instances, worst relative error {worst:.2e}"
-        if passed
-        else f"{len(failures)} failures (first: {failures[0]})"
-    )
-    return passed, details
+    return failures, f"3000 planted instances, worst relative error {worst:.2e}"
 
 
 def _check(cond: bool, message: str, *args) -> None:
@@ -388,7 +370,7 @@ def _validate_plan(plan) -> None:
             _check([a, b] == adm[:2], "row {} fallback ({}, {}) not minimal", k, a, b)
 
 
-def index_plan_validity() -> tuple[bool, str]:
+def index_plan_validity() -> tuple[list[str], str]:
     """Index plans for every admissible geometry with N <= 128 and r in
     5..64 satisfy all exact admissibility congruences and have 3N/2 + 1
     distinct entries; every r in 5..64 is exercised."""
@@ -410,19 +392,13 @@ def index_plan_validity() -> tuple[bool, str]:
             covered.add(r)
             count += 1
     missing = set(range(5, 65)) - covered
-    passed = not failures and not missing
-    if passed:
-        details = f"{count} plans validated, r coverage {min(covered)}..{max(covered)}"
-    else:
-        details = f"{len(failures)} invalid plans"
-        if failures:
-            details += f" (first: {failures[0]})"
-        if missing:
-            details += f"; r values never exercised: {sorted(missing)}"
-    return passed, details
+    if missing:
+        failures.append(f"r values never exercised: {sorted(missing)}")
+    coverage = f"{min(covered)}..{max(covered)}" if covered else "none"
+    return failures, f"{count} plans validated, r coverage {coverage}"
 
 
-def modulus_rigidity() -> tuple[bool, str]:
+def modulus_rigidity() -> tuple[list[str], str]:
     """Rigidity: swapping the two boundary moduli of a generic spectrum
     pushes the verification residual above 1e-3 in 100/100 trials, while
     the true spectrum and its group variants stay below 1e-8."""
@@ -461,26 +437,22 @@ def modulus_rigidity() -> tuple[bool, str]:
         smallest_swap = min(smallest_swap, res)
         if res <= 1e-3:
             swap_misses.append(f"trial {idx}: swapped residual {res:.2e}")
-    passed = not swap_misses and not variant_misses
-    if passed:
-        details = (
-            f"100/100 swapped spectra rejected (smallest residual "
-            f"{smallest_swap:.2e}); group variants all below 1e-8 "
-            f"(worst {worst_variant:.2e})"
-        )
-    else:
-        details = "; ".join((swap_misses + variant_misses)[:2])
-    return passed, details
+    return swap_misses + variant_misses, (
+        f"{100 - len(swap_misses)}/100 swapped spectra rejected (smallest residual "
+        f"{smallest_swap:.2e}); {400 - len(variant_misses)}/400 group variants below "
+        f"1e-8 (worst {worst_variant:.2e})"
+    )
 
 
-def even_stride_infeasibility() -> tuple[bool, str]:
+def even_stride_infeasibility() -> tuple[list[str], str]:
     """Even-stride probe: with L even, a trial leading coefficient away from
     +-(the true one) leaves the five-circle system infeasible in >= 99/100
     trials, while the true value (either sign, any phase) stays feasible."""
     rng = np.random.default_rng(20260206)
     configs = [(12, 2), (16, 2), (20, 2), (20, 4), (24, 4), (32, 6)]
-    infeasible = 0
+    misses: list[str] = []
     feasible_misses: list[str] = []
+    both_signs = 0
     for idx in range(100):
         n, l = configs[idx % len(configs)]
         params = FrogParams(n, l)
@@ -496,22 +468,20 @@ def even_stride_infeasibility() -> tuple[bool, str]:
             if 0.05 <= abs(c) and abs(abs(c) - 1.0) > 0.0105:
                 break
         theta = float(rng.uniform(0.0, 2.0 * np.pi))
-        if even_l_infeasibility_probe(meas, c * s0, theta):
-            infeasible += 1
-        for alpha in (s0, -s0):
-            if even_l_infeasibility_probe(meas, alpha, theta):
-                feasible_misses.append(
-                    f"trial {idx}: alpha={alpha:+.3f} wrongly infeasible"
-                )
-    passed = infeasible >= 99 and not feasible_misses
-    details = (
-        f"{infeasible}/100 generic trial coefficients infeasible; true "
-        f"coefficient feasible under both signs in all trials"
-        if passed
-        else f"{infeasible}/100 infeasible; "
-        + (feasible_misses[0] if feasible_misses else "")
+        if not even_l_infeasibility_probe(meas, c * s0, theta):
+            misses.append(f"trial {idx}: coefficient {c:+.3f} x s_0 feasible")
+        wrong = [
+            f"trial {idx}: alpha={alpha:+.3f} wrongly infeasible"
+            for alpha in (s0, -s0)
+            if even_l_infeasibility_probe(meas, alpha, theta)
+        ]
+        feasible_misses += wrong
+        both_signs += not wrong
+    # One feasible trial coefficient in 100 is allowed.
+    return (misses if len(misses) > 1 else []) + feasible_misses, (
+        f"{100 - len(misses)}/100 generic trial coefficients infeasible; true "
+        f"coefficient feasible under both signs in {both_signs}/100 trials"
     )
-    return passed, details
 
 
 CRITERIA = [
@@ -530,11 +500,17 @@ CRITERIA = [
 
 
 def run_criterion(number: int) -> CriterionResult:
-    """Criterion `number`, counted from 1, timed."""
+    """Criterion `number`, counted from 1, timed and judged: it passes when its check names
+    no problem. A failure reports the first five problems, their count when there are more,
+    and then the measured line in brackets."""
     name, check = CRITERIA[number - 1]
     start = time.perf_counter()
-    passed, details = check()
-    return CriterionResult(number, name, passed, details, time.perf_counter() - start)
+    problems, details = check()
+    elapsed = time.perf_counter() - start
+    if problems:
+        more = f" ({len(problems)} in all)" if len(problems) > 5 else ""
+        details = "; ".join(problems[:5]) + more + f" [{details}]"
+    return CriterionResult(number, name, not problems, details, elapsed)
 
 
 def run_all() -> list[CriterionResult]:

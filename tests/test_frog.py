@@ -64,6 +64,21 @@ def test_params_refuse_non_integer_geometry():
     assert FrogParams(np.int64(16), np.int32(3)).r == FrogParams(16, 3).r == 6
 
 
+@pytest.mark.parametrize("n", [2**40, 2**62])
+def test_a_numpy_integer_geometry_is_held_as_python_ints(n):
+    # Kept as numpy integers, N and r overflowed the exact-int rules of
+    # _ranks, _plan and _pow_is_minus_one, with a RuntimeWarning (an error
+    # here) before recover's refusal of an empty set.
+    given, plain = FrogParams(np.int64(n), np.int64(1)), FrogParams(n, 1)
+    for params in (given, plain):
+        with pytest.raises(ValueError) as info:
+            recover(FrogMeasurements(params, {}))
+        assert str(info.value) == "measurements missing required entries [(0, 0), (0, 1), (1, 0), (2, 0), (2, 1)]"
+    assert _plan(given, 8).pairs() == _plan(plain, 8).pairs()
+    assert type(given.N) is type(given.L) is type(given.r) is int
+    assert given == plain
+
+
 def test_params_phase_factor_is_exact():
     # The row table evaluates each power of w = e^{2i pi L/N} at its
     # exponent reduced exactly in integers: a whole turn is exactly 1, and

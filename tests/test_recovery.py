@@ -704,6 +704,44 @@ def test_recover_refuses_a_plan_for_another_geometry():
         recover(meas, other)
 
 
+# At (16, 3), row 5 holds delays 0, 1 and 2.
+_PLAN_ROWS = plan_indices(FrogParams(16, 3)).rows
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (_PLAN_ROWS[(_PLAN_ROWS != (5, 1)).any(axis=1)], "plan row 14 is (5, 2), but plan_indices has (5, 1)"),
+        (np.insert(_PLAN_ROWS, 16, (5, 3), axis=0), "plan row 16 is (5, 3), but plan_indices has (6, 0)"),
+        (_PLAN_ROWS[_PLAN_ROWS[:, 0] > 0], "plan row 0 is (1, 0), but plan_indices has (0, 0)"),
+        (_PLAN_ROWS[::-1], "plan row 0 is (8, 4), but plan_indices has (0, 0)"),
+        (np.empty((0, 2), np.int64), "plan has 0 rows, but plan_indices has 25"),
+    ],
+    ids=["row-5-1-dropped", "extra-5-3", "k0-dropped", "reversed", "no-rows"],
+)
+def test_recover_refuses_a_plan_that_is_not_the_geometrys(rows, message):
+    # A hand-built plan used to crash inside the stages: a TypeError from
+    # solve_three_circles, a failed unpacking, an IndexError, or a reduction
+    # over no rows.
+    params = FrogParams(16, 3)
+    meas = frog_measurements_time(random_analytic_signal(16, np.random.default_rng(1)), params)
+    with pytest.raises(ValueError) as info:
+        recover(meas, MeasurementIndexPlan(params, rows))
+    assert str(info.value) == message
+
+
+def test_a_plan_is_checked_until_its_first_recovery(monkeypatch):
+    params = FrogParams(16, 3)
+    meas = frog_measurements_time(random_analytic_signal(16, np.random.default_rng(1)), params)
+    plan = MeasurementIndexPlan(params, plan_indices(params).rows.copy())
+    checked = []
+    monkeypatch.setattr(recovery, "_check_rows", checked.append)
+    for _ in range(3):
+        recover(meas, plan)
+    recover(meas)
+    assert checked == [plan]
+
+
 def test_recovery_tolerance_must_be_finite_and_positive():
     rng = np.random.default_rng(622)
     params = FrogParams(16, 3)

@@ -1,7 +1,9 @@
 """Criteria can still fail: under a wrong convention for the analytic
 companion or for the non-integer translation, no input that rounds to the
-printed one reproduces the worked example's references (criterion 1), and a
-corrupted index plan is refused (criterion 6), also under python -O."""
+printed one reproduces the worked example's references (criterion 1), a
+corrupted index plan is refused (criterion 6), also under python -O, and
+every other criterion fails when the one library call it relies on is
+broken. run_criterion alone judges and reports."""
 
 import os
 import subprocess
@@ -13,8 +15,9 @@ import pytest
 
 import frogpr
 import frogpr.analytic
+import frogpr.circles
 import frogpr.selftest
-from frogpr import FrogParams, MeasurementIndexPlan, plan_indices
+from frogpr import DegenerateSignalError, FrogParams, MeasurementIndexPlan, plan_indices
 from frogpr.selftest import _validate_plan, format_line, run_criterion
 from frogpr.spectral import dft, idft
 
@@ -53,6 +56,61 @@ def test_criterion_1_fails_under_a_wrong_convention(
     result = run_criterion(1)
     assert not result.passed
     assert broken in result.details, format_line(result)
+
+
+def _refuse(*args, **kwargs):
+    raise DegenerateSignalError("planted refusal", stage="A1")
+
+
+_solve_three_circles = frogpr.circles.solve_three_circles
+
+
+@pytest.mark.parametrize(
+    "number, target, broken, first, count",
+    [
+        (2, "frogpr.selftest.recover", _refuse, "(12,1) trial 0: planted refusal", 500),
+        (
+            3, "frogpr.selftest.apply_element", lambda g, z: 2 * z,
+            "even signal 0 (8,1): relative deviation 1.50e+01 > 1e-8", 50,
+        ),
+        (
+            4, "frogpr.selftest.translate", lambda z, gamma: z,
+            "trial 0 (8,1): largest relative change 0.00e+00 <= 1e-3", 100,
+        ),
+        (
+            5, "frogpr.circles.solve_three_circles", lambda *a: _solve_three_circles(*a) + 1e-6,
+            "three-circle trial 0: error", 1000,
+        ),
+        (7, "frogpr.selftest.verify_solution", lambda s, m: 0.5, "trial 0 true: residual 5.00e-01", 400),
+        (
+            8, "frogpr.selftest.even_l_infeasibility_probe", lambda m, a, t: False,
+            "trial 0: coefficient", 100,
+        ),
+    ],
+)
+def test_a_criterion_fails_naming_its_problems(monkeypatch, number, target, broken, first, count):
+    # Each criterion with its one library call broken: run_criterion reports
+    # the first five problems, their count, and the measured line.
+    monkeypatch.setattr(target, broken)
+    result = run_criterion(number)
+    assert not result.passed
+    assert result.details.startswith(first), format_line(result)
+    problems, measured = result.details.split(f" ({count} in all) [")
+    assert len(problems.split("; ")) == 5 and measured.endswith("]"), format_line(result)
+
+
+def test_a_failure_lists_every_problem_up_to_five(monkeypatch):
+    checks = [
+        ("none", lambda: ([], "measured")),
+        ("two", lambda: (["a", "b"], "measured")),
+        ("six", lambda: (list("abcdef"), "measured")),
+    ]
+    monkeypatch.setattr(frogpr.selftest, "CRITERIA", checks)
+    assert [(r.passed, r.details) for r in map(run_criterion, (1, 2, 3))] == [
+        (True, "measured"),
+        (False, "a; b [measured]"),
+        (False, "a; b; c; d; e (6 in all) [measured]"),
+    ]
 
 
 # Five zero k = 2 delays and no stage rows k >= 4.
