@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import as_signal, dft, idft
+from .spectral import as_signal, idft
 
 __all__ = [
     "AnalyticityReport",
@@ -51,6 +51,21 @@ def _spectral_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
     return zero, real
 
 
+def _gain(n: int) -> np.ndarray:
+    """The companion's spectral gain: 2 on the positive frequencies, 1 on the DC and
+    (N even) Nyquist terms, 0 on the rest."""
+    zero, real = _spectral_masks(n)
+    gain = np.full(n, 2.0)
+    gain[zero] = 0.0
+    gain[real] = 1.0
+    return gain
+
+
+def _companion_spectrum(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
+    """fft(x) * gain for a finite float64 x, transformed as complex128, as dft does."""
+    return np.fft.fft(x.astype(np.complex128)) * gain
+
+
 def make_analytic(x) -> np.ndarray:
     """Analytic companion of a real signal (doubled positive frequencies)."""
     if np.iscomplexobj(x):
@@ -58,11 +73,10 @@ def make_analytic(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size < 2:
         raise ValueError(f"expected a real 1-D signal of length >= 2, got shape {x.shape}")
-    zero, real = _spectral_masks(x.size)
-    gain = np.full(x.size, 2.0)
-    gain[zero] = 0.0
-    gain[real] = 1.0
-    return idft(dft(x) * gain)
+    if not np.isfinite(x).all():
+        raise ValueError("signal contains non-finite values")
+    # idft refuses a spectrum that overflowed.
+    return idft(_companion_spectrum(x, _gain(x.size)))
 
 
 def is_analytic(s) -> AnalyticityReport:
@@ -84,12 +98,16 @@ def random_analytic_signal(n: int, rng: np.random.Generator) -> np.ndarray:
 
     Draws are rejected (probability ~0) while |s_0| or |s_1| falls below
     1e-6 max|s_k|, so the nonvanishing conditions the recovery stages
-    divide by hold numerically.
+    divide by hold numerically. The gain is built once per call, and each
+    draw takes one forward FFT, which gives its analytic spectrum s, and
+    one inverse FFT, of an accepted s only: the rule reads s as drawn, not
+    the DFT of the returned signal, which differs from it by roundoff.
+    The signal is make_analytic's of the same draw, bit for bit.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
+    gain = _gain(n)
     while True:
-        z = make_analytic(rng.standard_normal(n))
-        s = dft(z)
+        s = _companion_spectrum(rng.standard_normal(n), gain)
         if min(abs(s[0]), abs(s[1])) >= 1e-6 * np.abs(s).max():
-            return z
+            return np.fft.ifft(s)

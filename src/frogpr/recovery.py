@@ -98,6 +98,13 @@ _STAGE_TOL = 1e-2
 # of all five k = 2 circles counts as feasible.
 _PROBE_TOL = 1e-6
 
+# The k = 2 pair solve divides by the gap between its two circles' multiples
+# 1 / (2 cos phi_m). The multiples it computes carry a roundoff of about 2
+# units in the last place each, so a gap below 2^10 units (2^-42 of the
+# larger) is known to less than 0.5% and, below a few units, not at all: at
+# such a geometry the pair's answer would hang on the values' last bits.
+_ROW2_RESOLUTION = 2.0**-42
+
 # Iteration limit of each stage's Gauss-Newton polish.
 _POLISH_MAX_ITER = 10
 
@@ -329,14 +336,27 @@ def _row2_misfit(
     """The k = 2 test of A1 and the even-L probe: how near the pair solve of (s_0, s_1)
     comes to all five k = 2 circles, with radii the _radii at |s_0|.
 
-    Gathers the stage-2 block (rows 1 <= k_r <= 2, lo = 0) at (s_0, s_1)
-    and solves the pair on the block's first two circles. Returns the least
+    First, from the geometry alone, the pair's two multiples v = 1 / (2 cos
+    phi_m) = dw[r, 1] / (2 dw[r, 0]) must differ by _ROW2_RESOLUTION of the
+    larger; a geometry whose delay phases do not resolve that far (a huge
+    N) is refused with DegenerateSignalError at stage "A1". Then it gathers
+    the stage-2 block (rows 1 <= k_r <= 2, lo = 0) at (s_0, s_1) and
+    solves the pair on the block's first two circles. Returns the least
     residual of a candidate on all five, inf when the pair solve has none,
     with the block, the radii and the candidates (none then): what the
-    tail's stage 2 reads. A pair the solver calls singular (its two offsets
-    coincide in floating point) raises DegenerateSignalError with stage "A1"
-    and the solver's message, as a later stage refuses collinear centres.
+    tail's stage 2 reads. A pair the solver still calls singular raises
+    DegenerateSignalError with stage "A1" and the solver's message.
     """
+    first = tables.starts[2]
+    (a0, a1), (b0, b1) = tables.dw[first : first + 2, :2].tolist()
+    va, vb = (0.5 * a1 / a0).real, (0.5 * b1 / b0).real
+    gap = abs(va - vb) / max(abs(va), abs(vb))
+    if not gap >= _ROW2_RESOLUTION:
+        raise DegenerateSignalError(
+            f"stage k=2: the pair's multiples 1/(2 cos phi) differ by {gap:.1e} of the "
+            f"larger, below 2^-42: the delay phases at N={tables.n} do not resolve in float64",
+            stage="A1",
+        )
     stage = _StageRows(tables, np.array([s_0, s_1]), 2, 0)
     try:
         cands = stage.pair(radii, _row2_scale(stage.tv, tables.floor))
@@ -364,7 +384,7 @@ def recover_z0(tables: _RowTables) -> tuple[_StageRows, list[float], tuple[compl
     radii and pair candidates: the tail's start, so the pair is solved once.
     One pass takes the radii of every root.
     Raises DegenerateSignalError when the boundary coefficients vanish, s_1
-    sits at the floor or a root's k = 2 pair has coincident offsets, and
+    sits at the floor or the k = 2 pair's multiples do not resolve, and
     InconsistentMeasurementsError, with residual inf, when no root's pair
     solve has candidates; both carry stage "A1".
     tables, what _scaled made of the planned rows, is all A1 reads: the
@@ -789,9 +809,10 @@ def even_l_infeasibility_probe(
     ValueError for odd L, a non-finite alpha or theta, missing rows, or an
     alpha that overflows when scaled; UnsupportedGeometryError for a
     geometry plan_indices refuses; and DegenerateSignalError when the scaled
-    alpha or the trial |s_1| sits at the coefficient floor, or when the two
-    k = 2 circles of the pair solve have coincident offsets (at a huge N,
-    whose small delays' phases round alike).
+    alpha or the trial |s_1| sits at the coefficient floor, or when the
+    multiples 1 / (2 cos phi_m) of the pair solve's two k = 2 circles do not
+    resolve in float64 (at a huge N, whose small delays' phases round
+    alike), from the geometry alone, before the pair is solved.
     """
     params = measurements.params
     if params.L % 2 != 0:

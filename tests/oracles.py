@@ -2,16 +2,19 @@
 
 Everything here is written as the definitions read, with explicit loops and
 no FFTs, so the library's fast paths are checked against independent code
-rather than against themselves. The exceptions are fft_grid_freq and
-exp_row_dw: they follow the library's order of operations (the FFT of the
-time-domain products, every unit root by np.exp at its reduced exponent),
-so the library's syntheses and row table are pinned bitwise.
+rather than against themselves. The exceptions are fft_grid_freq,
+exp_row_dw and analytic_draw: they follow the library's order of operations
+(the FFT of the time-domain products, every unit root by np.exp at its
+reduced exponent, a draw's companion and then the DFT of it), so the
+library's syntheses, row table and sampler are pinned bitwise.
 """
 
 import cmath
 import itertools
 
 import numpy as np
+
+from frogpr import dft, make_analytic
 
 
 def direct_dft(z):
@@ -52,6 +55,16 @@ def fft_grid_freq(s, L):
     r = -(-n // L)
     rows = [np.abs(np.fft.fft(z * np.roll(z, -m * L))) ** 2 for m in range(r)]
     return np.array(rows).T
+
+
+def analytic_draw(n, rng):
+    """random_analytic_signal by its three-transform definition: each draw's
+    make_analytic, kept unless |s_0| or |s_1| of its DFT is below 1e-6 max|s_k|."""
+    while True:
+        z = make_analytic(rng.standard_normal(n))
+        s = dft(z)
+        if min(abs(s[0]), abs(s[1])) >= 1e-6 * np.abs(s).max():
+            return z
 
 
 def full_grid_residual(spectrum, measurements):

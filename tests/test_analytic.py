@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from frogpr import dft, is_analytic, make_analytic, random_analytic_signal
+from oracles import analytic_draw
 
 # Four-sample reference input used across the worked-example tests. Its
 # expected spectrum is derived here by independent closed-form sums, not by
@@ -123,3 +124,43 @@ def test_random_analytic_signal_is_seeded_and_analytic():
 def test_random_analytic_signal_rejects_short_lengths():
     with pytest.raises(ValueError):
         random_analytic_signal(1, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("n", [8, 12, 16, 20, 32, 64, 256, 1024])
+def test_random_analytic_signal_is_the_three_transform_definition_bit_for_bit(n):
+    # The sampler transforms each draw twice and reads the rejection rule
+    # off the drawn spectrum; the definition transforms three times and
+    # reads it off the DFT of the companion. Same bytes, same draws taken.
+    for seed in range(40):
+        rng, ref = np.random.default_rng([n, seed]), np.random.default_rng([n, seed])
+        assert random_analytic_signal(n, rng).tobytes() == analytic_draw(n, ref).tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+class _Draws:
+    """A generator stub that hands out the given draws in order."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def standard_normal(self, n):
+        draw = self.draws.pop(0)
+        assert draw.size == n
+        return draw
+
+
+def test_random_analytic_signal_draws_again_when_s_1_vanishes():
+    # A constant draw has s_1 = 0 exactly, below the 1e-6 floor: it is
+    # rejected, and the sampler returns the companion of the second draw.
+    second = np.random.default_rng(211).standard_normal(12)
+    for sampler in (random_analytic_signal, analytic_draw):
+        draws = _Draws(np.ones(12), second.copy())
+        z = sampler(12, draws)
+        assert not draws.draws
+        assert z.tobytes() == make_analytic(second).tobytes()
+
+
+def test_make_analytic_refuses_non_finite_values():
+    for bad in ([1.0, np.nan, 0.0], [np.inf, 1.0]):
+        with pytest.raises(ValueError, match="signal contains non-finite values"):
+            make_analytic(bad)

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from frogpr import (
     random_analytic_signal,
     save_measurements,
 )
+import frogpr
 from frogpr import cli
 from frogpr.analytic import AnalyticityReport
 from frogpr.cli import main
@@ -314,7 +318,7 @@ def test_selftest_reporting_and_exit_codes(capsys, monkeypatch):
         CriterionResult(1, "alpha", True, "fine", 0.01),
         CriterionResult(2, "beta", False, "broken", 0.02),
     ]
-    monkeypatch.setattr("frogpr.cli.run_all", lambda: fake)
+    monkeypatch.setattr("frogpr.selftest.run_all", lambda: fake)
     code, out, _ = _run(capsys, ["selftest"])
     assert code == 1
     assert "criterion 1 PASS alpha" in out
@@ -322,10 +326,35 @@ def test_selftest_reporting_and_exit_codes(capsys, monkeypatch):
     assert "1/2 criteria passed" in out
     assert json.loads(out[out.index("{\n"):])["residuals"] == {"criterion_1": 1.0, "criterion_2": 0.0}
 
-    monkeypatch.setattr("frogpr.cli.run_all", lambda: fake[:1])
+    monkeypatch.setattr("frogpr.selftest.run_all", lambda: fake[:1])
     code, out, _ = _run(capsys, ["selftest"])
     assert code == 0
     assert "1/1 criteria passed" in out
+
+
+def test_only_selftest_loads_the_acceptance_suite(tmp_path):
+    # In a fresh interpreter, generate, measure, recover and check-equiv
+    # leave frogpr.selftest unimported.
+    script = """
+import sys
+from frogpr.cli import main
+out = sys.argv[1]
+for argv in (
+    ["generate", "--n", "16", "--seed", "7", "--out", out + "/sig.json"],
+    ["measure", out + "/sig.json", "--l", "3", "--plan-only", "--out", out + "/meas.json"],
+    ["recover", out + "/meas.json", "--out", out + "/rec.json"],
+    ["check-equiv", out + "/sig.json", out + "/rec.json"],
+):
+    assert main(argv) == 0, argv
+print("frogpr.selftest" in sys.modules)
+"""
+    src = os.path.dirname(os.path.dirname(frogpr.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_selftest_has_one_configuration(capsys):
@@ -339,7 +368,7 @@ def test_every_report_has_its_keys_in_order(capsys, tmp_path, monkeypatch):
     sig, _ = _generate(capsys, tmp_path)
     meas, _ = _measure(capsys, tmp_path, sig, l=3, plan_only=True)
     fake = [CriterionResult(1, "alpha", True, "fine", 0.01)]
-    monkeypatch.setattr("frogpr.cli.run_all", lambda: fake)
+    monkeypatch.setattr("frogpr.selftest.run_all", lambda: fake)
     for argv in (
         ["generate", "--n", "16", "--seed", "7", "--out", str(tmp_path / "g.json")],
         ["measure", str(sig), "--l", "3", "--out", str(tmp_path / "m.json")],

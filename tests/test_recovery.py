@@ -639,27 +639,52 @@ def test_probe_plans_only_its_rows():
         assert peak < 5e6, (n, peak)
 
 
-def test_probe_at_a_huge_geometry_refuses_coincident_row_2_offsets():
-    # A (2^40, 2) set that holds its 8 planned rows: the row table evaluates
-    # only the roots its rows k = 1, 2 read (a table of all N roots raised
-    # an 8 TiB MemoryError), within a few MB. The k = 2 offsets 1/(2 cos
-    # phi), at phases of a few 2^-40 turns, coincide in floating point, so
-    # the pair solve is singular: the probe refuses as A1 refuses a
-    # degenerate signal, with the solver's message.
-    params = FrogParams(2**40, 2)
-    rows = _plan(params, 2).rows.tolist()
-    meas = FrogMeasurements(params, {(k, m): 1.0 + i for i, (k, m) in enumerate(rows)})
-    tracemalloc.start()
-    try:
-        with pytest.raises(DegenerateSignalError) as info:
+def _probe_sets(n, seeds=range(3)):
+    """Sets of the (n, 2) probe's 8 planned rows, values uniform in [0.5, 2) per seed."""
+    params = FrogParams(n, 2)
+    rows = list(map(tuple, _plan(params, 2).rows.tolist()))
+    for seed in seeds:
+        values = np.random.default_rng(seed).uniform(0.5, 2, len(rows))
+        yield FrogMeasurements(params, dict(zip(rows, values.tolist())))
+
+
+def test_probe_refuses_a_geometry_whose_row_2_multiples_do_not_resolve():
+    # At (2^30, 2) and (2^40, 2) the pair's multiples 1/(2 cos phi_m), at
+    # phases of a few 2^-30 turns, both round to 1/2 in the row table. The
+    # answer hung on the values' last bits: of these three sets, two
+    # refused a singular pair and one returned True. The probe now refuses
+    # each from the geometry, before the pair solve. The row table
+    # evaluates only the roots its rows read (a table of all N roots raised
+    # an 8 TiB MemoryError), within a few MB.
+    for n in (2**30, 2**40):
+        for meas in _probe_sets(n):
+            tracemalloc.start()
+            try:
+                with pytest.raises(DegenerateSignalError) as info:
+                    even_l_infeasibility_probe(meas, 1.0, 0.3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert str(info.value) == (
+                "stage k=2: the pair's multiples 1/(2 cos phi) differ by 0.0e+00 of the larger, "
+                f"below 2^-42: the delay phases at N={n} do not resolve in float64"
+            )
+            assert (info.value.stage, info.value.residual, info.value.tol) == ("A1", None, None)
+            assert info.value.__cause__ is None
+            assert peak < 5e6, peak
+
+
+def test_the_row_2_resolution_rule_is_decided_by_the_geometry():
+    # At L = 2 the pair's delays are 0 and 1, whose multiples differ by
+    # 1 - cos(4 pi / N) of the larger, about 8 pi^2 / N^2: 3.2e5 units in
+    # the last place at 2^20 and 1,263 at 2^24, which keep their verdicts
+    # on every set, and 316 at 2^25, the first power of two refused.
+    for n in (2**20, 2**24):
+        for meas in _probe_sets(n):
+            assert even_l_infeasibility_probe(meas, 1.0, 0.3) is True
+    for meas in _probe_sets(2**25):
+        with pytest.raises(DegenerateSignalError, match=r"differ by 7\.0e-14 of the larger, below 2\^-42"):
             even_l_infeasibility_probe(meas, 1.0, 0.3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert str(info.value) == "stage k=2: two-circle system needs m != 0 and distinct real offsets"
-    assert (info.value.stage, info.value.residual, info.value.tol) == ("A1", None, None)
-    assert isinstance(info.value.__cause__, SingularConfigurationError)
-    assert peak < 5e6, peak
 
 
 def test_a_set_past_2_61_is_refused_for_the_rows_the_exact_plan_names():
