@@ -800,12 +800,16 @@ def even_l_infeasibility_probe(
     posits s_0 = alpha (real, nonzero) and s_1 = N |y^_{1,0}| / (2 |alpha|)
     * e^{i theta} and runs A1's k = 2 test on that pair: does the pair solve
     give a point on all five planned k = 2 circles? For alpha = +-(true s_0)
-    it does for every theta; generic other trials are infeasible, which is
-    exactly the ambiguity recovery cannot resolve. Membership is within
-    _PROBE_TOL relative to 1 + radius. The k = 1 and k = 2 rows are scaled
-    by _scaled, as in recover, and alpha with them, so the verdict does not
-    depend on the scale of the input. Only the plan's rows k <= 2 are
-    planned and its rows k = 1, 2 expanded, not the whole plan. Raises
+    it does for every theta. Other trials read infeasible only at small N,
+    since their misfit falls about as the square of the k = 2 circles'
+    spread 1 - cos(2 pi L / N): at L = 2, on exact data, the trial
+    0.8 s_0 read infeasible in 20/20 draws at N = 64, 18/20 at 256, 6/20
+    at 1024 and 0/20 from 4096 up; acceptance criterion 8 draws N <= 32
+    only. Membership is within _PROBE_TOL relative to 1 + radius. The
+    k = 1 and k = 2 rows are scaled by _scaled, as in recover, and alpha
+    with them, so the verdict does not depend on the scale of the input.
+    Only the plan's rows k <= 2 are planned and its rows k = 1, 2
+    expanded, not the whole plan. Raises
     ValueError for odd L, a non-finite alpha or theta, missing rows, or an
     alpha that overflows when scaled; UnsupportedGeometryError for a
     geometry plan_indices refuses; and DegenerateSignalError when the scaled

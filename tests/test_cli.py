@@ -17,6 +17,7 @@ from frogpr import (
     load_signal,
     random_analytic_signal,
     save_measurements,
+    save_signal,
 )
 import frogpr
 from frogpr import cli
@@ -107,8 +108,8 @@ def test_readme_files_keep_their_bytes(capsys, tmp_path):
     # their arithmetic does not pass through BLAS. A recovered file's last
     # bits hang on the BLAS kernel (the polish's products and solves), so
     # here recovery from the planned entries, again from them, and from the
-    # full grid write one file; CI compares the README files with those of
-    # the base commit on its own machine.
+    # full grid write one file; `tools/pool.py --against REV` compares the
+    # README files with those of REV on one machine.
     def digest(path):
         return hashlib.sha256(path.read_bytes()).hexdigest()[:12]
 
@@ -124,6 +125,19 @@ def test_readme_files_keep_their_bytes(capsys, tmp_path):
         assert code == 0, err
         recovered.add((tmp_path / name).read_bytes())
     assert len(recovered) == 1
+    # (64, 11) is the first geometry whose polish has an affine window
+    # (k = 31): its plan and its full grid recover alike too, to a signal
+    # equivalent to the one measured.
+    sig, _ = _generate(capsys, tmp_path, "sig64.json", n=64, seed=7)
+    recovered = set()
+    for plan_only in (True, False):
+        meas, _ = _measure(capsys, tmp_path, sig, l=11, name="meas64.json", plan_only=plan_only)
+        code, _, err = _run(capsys, ["recover", str(meas), "--out", str(tmp_path / "rec64.json")])
+        assert code == 0, err
+        recovered.add((tmp_path / "rec64.json").read_bytes())
+    assert len(recovered) == 1
+    code, _, err = _run(capsys, ["check-equiv", str(sig), str(tmp_path / "rec64.json")])
+    assert code == 0, err
 
 
 def test_measure_rejects_invalid_stride(capsys, tmp_path):
@@ -184,6 +198,93 @@ def test_recover_refuses_six_l_geometry(capsys, tmp_path):
     argv = ["recover", str(meas), "--out", str(tmp_path / "r.json"), "--tol", "-1"]
     code, _, err = _run(capsys, argv)
     assert code == 2 and err == "error: tol must be finite and positive, got -1.0\n"
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_a_1024_sample_signal_round_trips_and_recovers(capsys, tmp_path):
+    # A signal file read back and written again, with the spectrum of the
+    # values read, has the same bytes, and so has the full grid of
+    # (1024, 31), the benchmark's largest geometry. The plan's entries
+    # recover the signal, which the windowed polish keeps to seconds.
+    sig, _ = _generate(capsys, tmp_path, n=1024)
+    z = load_signal(sig)
+    save_signal(tmp_path / "again.json", z, dft(z))
+    assert (tmp_path / "again.json").read_bytes() == sig.read_bytes()
+    grid, _ = _measure(capsys, tmp_path, sig, l=31, name="grid.json")
+    save_measurements(tmp_path / "again.json", load_measurements(grid))
+    assert (tmp_path / "again.json").read_bytes() == grid.read_bytes()
+    meas, _ = _measure(capsys, tmp_path, sig, l=31, plan_only=True)
+    code, _, err = _run(capsys, ["recover", str(meas), "--out", str(tmp_path / "rec.json")])
+    assert code == 0, err
+    code, _, err = _run(capsys, ["check-equiv", str(sig), str(tmp_path / "rec.json")])
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("factor", [1e-8, 1e50])
+def test_a_tiny_or_huge_signal_recovers_with_nothing_on_stderr(capsys, tmp_path, factor):
+    # Recovery does not depend on the signal's scale.
+    sig, _ = _generate(capsys, tmp_path)
+    scaled = tmp_path / "scaled.json"
+    save_signal(scaled, factor * load_signal(sig))
+    meas, _ = _measure(capsys, tmp_path, scaled, l=3, plan_only=True)
+    code, _, err = _run(capsys, ["recover", str(meas), "--out", str(tmp_path / "rec.json")])
+    assert code == 0 and err == ""
+    code, _, err = _run(capsys, ["check-equiv", str(scaled), str(tmp_path / "rec.json")])
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("plan_only", [False, True])
+def test_measure_refuses_a_signal_whose_entries_overflow(capsys, tmp_path, plan_only):
+    # The entries of 1e200 times a signal pass float's range: refused by name
+    # for the full grid and the plan alike, with no numpy warning (which the
+    # suite raises), and no output file is written.
+    sig, _ = _generate(capsys, tmp_path)
+    big = tmp_path / "big.json"
+    save_signal(big, 1e200 * load_signal(sig))
+    out = tmp_path / "m.json"
+    argv = ["measure", str(big), "--l", "3", "--out", str(out)] + ["--plan-only"] * plan_only
+    code, stdout, err = _run(capsys, argv)
+    assert code == 2 and stdout == ""
+    assert err == "error: entry (0, 0) has invalid value inf\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "value,message",
+    [
+        (None, "measurements missing required entries [(5, 0)]"),
+        (-1.0, "entry (5, 0) has invalid value -1.0"),
+        (float("inf"), "entry (5, 0) has invalid value inf"),
+    ],
+    ids=["missing", "negative", "infinite"],
+)
+def test_recover_names_a_missing_or_invalid_planned_entry(capsys, tmp_path, value, message):
+    # The plan's entry (5, 0) dropped, or set to -1 or to infinity (which
+    # json writes as Infinity): a usage error, and no output file is written.
+    sig, _ = _generate(capsys, tmp_path)
+    meas, _ = _measure(capsys, tmp_path, sig, l=3, plan_only=True)
+    doc = json.loads(meas.read_text())
+    at = next(i for i, entry in enumerate(doc["entries"]) if entry[:2] == [5, 0])
+    if value is None:
+        del doc["entries"][at]
+    else:
+        doc["entries"][at][2] = value
+    meas.write_text(json.dumps(doc))
+    code, _, err = _run(capsys, ["recover", str(meas), "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_recover_refuses_an_empty_set_of_a_huge_geometry_before_reading_it(capsys, tmp_path):
+    # (2e7, 2e7) has r = 1 < 5 delay steps: refused with exit 1 from the
+    # geometry alone.
+    path = tmp_path / "huge.json"
+    path.write_text('{"N": 20000000, "L": 20000000, "entries": []}')
+    code, _, err = _run(capsys, ["recover", str(path), "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    assert err.startswith("refused: r=ceil(N/L)=1 < 5 (too few delay steps to plan); L=20000000 is even")
+    assert err.count("\n") == 1
     assert not (tmp_path / "r.json").exists()
 
 
@@ -332,6 +433,69 @@ def test_selftest_reporting_and_exit_codes(capsys, monkeypatch):
     assert "1/1 criteria passed" in out
 
 
+def _python(*args, cwd):
+    """Run python with args in a fresh interpreter on this frogpr, a numpy
+    RuntimeWarning an error."""
+    src = os.path.dirname(os.path.dirname(frogpr.__file__))
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        PYTHONWARNINGS="error::RuntimeWarning",
+    )
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_the_selftest_passes_under_python_O(tmp_path):
+    # python -O strips assert statements; the CLI's selftest passes without them.
+    done = _python("-O", "-m", "frogpr.cli", "selftest", cwd=tmp_path)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "8/8 criteria passed" in done.stdout
+
+
+# The peak resident set of the process's own address space (VmHWM), in MB.
+# Its ru_maxrss would not do: Linux carries the larger peak of the process
+# that started it across exec, and under pytest that is the suite's, about
+# 100 MB.
+_PEAK_MB = "int(open('/proc/self/status').read().split('VmHWM:')[1].split()[0]) / 1024"
+
+
+@pytest.mark.parametrize(
+    "script,entries,bound",
+    [
+        # The one-line file of an empty (2e7, 2e7) set: a set is its entries
+        # (a dense (N, r) grid took 160 MB).
+        (
+            "open('huge.json', 'w').write('{\"N\": 20000000, \"L\": 20000000, \"entries\": []}')\n"
+            "from frogpr import jsonio\n"
+            f"print(len(jsonio.load_measurements('huge.json')), {_PEAK_MB})\n",
+            0,
+            100,
+        ),
+        # Planned synthesis computes only the delays the plan reads: generate
+        # and a plan-only measure at (4096, 1) in one process write the 6,145
+        # planned entries (the whole grid's synthesis took about 800 MB).
+        (
+            "import json\n"
+            "from frogpr.cli import main\n"
+            "assert main(['generate', '--n', '4096', '--seed', '7', '--out', 'sig.json']) == 0\n"
+            "assert main(['measure', 'sig.json', '--l', '1', '--plan-only', '--out', 'meas.json']) == 0\n"
+            f"print(len(json.load(open('meas.json'))['entries']), {_PEAK_MB})\n",
+            6145,
+            400,
+        ),
+    ],
+    ids=["empty-2e7-set-load", "plan-4096-generate-measure"],
+)
+def test_a_fresh_process_keeps_its_own_peak_rss_in_bounds(tmp_path, script, entries, bound):
+    done = _python("-c", script, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    count, peak = done.stdout.splitlines()[-1].split()
+    assert int(count) == entries
+    assert float(peak) < bound, f"peak RSS {float(peak):.0f} MB"
+
+
 def test_only_selftest_loads_the_acceptance_suite(tmp_path):
     # In a fresh interpreter, generate, measure, recover and check-equiv
     # leave frogpr.selftest unimported.
@@ -348,11 +512,7 @@ for argv in (
     assert main(argv) == 0, argv
 print("frogpr.selftest" in sys.modules)
 """
-    src = os.path.dirname(os.path.dirname(frogpr.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True, timeout=120
-    )
+    done = _python("-c", script, str(tmp_path), cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "False"
 
@@ -384,6 +544,8 @@ def test_every_report_has_its_keys_in_order(capsys, tmp_path, monkeypatch):
         doc = json.loads(text)
         assert list(doc) == _REPORT_KEYS, argv
         assert doc["command"] == argv[0]
+        # check-equiv exits 0 for equivalent signals alone.
+        assert doc["equivalence"] is None or doc["equivalence"]["equivalent"] is True
 
 
 def test_reports_carry_the_tolerance_used(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """The outcome pool of tools/pool.py: its inputs, their outcomes, and the comparison."""
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -7,6 +8,9 @@ import numpy as np
 import pytest
 
 import frogpr
+from frogpr import cli
+from frogpr.analytic import random_analytic_signal
+from frogpr.selftest import _generic_even_signal
 
 _spec = importlib.util.spec_from_file_location(
     "pool", Path(__file__).resolve().parent.parent / "tools" / "pool.py"
@@ -77,4 +81,77 @@ def test_a_move_counts_under_the_first_group_that_differs():
     ]
     assert pool.summary(before, after, names) == (
         "class or stage 1, message 1, result bytes 1, tol 0, residual only 2"
+    )
+
+
+@pytest.fixture(scope="module")
+def drawn():
+    return pool.draws()
+
+
+def test_the_draws_are_named_and_made_from_fixed_seeds(drawn):
+    assert len(drawn) == 1600
+    assert list(drawn)[:2] == ["draw/12/seed0", "draw/12/seed1"]
+    assert list(drawn)[1400:1402] == ["draw/generic/12/seed0", "draw/generic/16/seed1"]
+    assert {out["class"] for out in drawn.values()} == {"drawn"}
+    z = random_analytic_signal(1024, np.random.default_rng([1024, 5]))
+    assert drawn["draw/1024/seed5"]["bytes"] == hashlib.sha256(z.tobytes()).hexdigest()
+    z = _generic_even_signal(64, np.random.default_rng(199))
+    assert drawn["draw/generic/64/seed199"]["bytes"] == hashlib.sha256(z.tobytes()).hexdigest()
+    assert pool.draws() == drawn
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    return pool.readme_files(tmp_path_factory.mktemp("readme"))
+
+
+def test_the_readme_files_are_named_and_written_alike(written, tmp_path):
+    assert list(written) == [
+        "readme/sig.json", "readme/meas.json", "readme/grid.json", "readme/rec.json",
+        "readme/recg.json", "readme/sig64.json", "readme/meas64.json", "readme/rec64.json",
+    ]
+    assert {out["class"] for out in written.values()} == {"written"}
+    # The README's files up to the measurements, as tests/test_cli.py pins them.
+    assert [written[f"readme/{name}"]["bytes"][:12] for name in ("sig.json", "meas.json", "grid.json")] == [
+        "0fca9d758801", "d3ad857a73f6", "66bb838c2617",
+    ]
+    assert pool.readme_files(tmp_path) == written
+
+
+def test_a_draw_that_moves_one_bit_moves_its_result_bytes(drawn, monkeypatch):
+    at_1024 = []
+
+    def flipped(n, rng):
+        # The first draw at N = 1024 moves in the last bit of z_0's real part.
+        z = random_analytic_signal(n, rng)
+        if n == 1024 and not at_1024:
+            at_1024.append(n)
+            z.view(np.uint64)[0] ^= 1
+        return z
+
+    monkeypatch.setattr(frogpr.analytic, "random_analytic_signal", flipped)
+    after = pool.draws()
+    names = pool.moved(drawn, after)
+    assert names == ["draw/1024/seed0"]
+    assert pool.summary(drawn, after, names) == (
+        "class or stage 0, message 0, result bytes 1, tol 0, residual only 0"
+    )
+
+
+def test_a_cli_writer_that_moves_one_byte_moves_its_result_bytes(written, monkeypatch, tmp_path):
+    save = cli.save_measurements
+
+    def moved_byte(path, meas):
+        # The last newline becomes a space, which a reader skips alike.
+        save(path, meas)
+        text = Path(path).read_bytes()
+        Path(path).write_bytes(text[:-1] + b" ")
+
+    monkeypatch.setattr(cli, "save_measurements", moved_byte)
+    after = pool.readme_files(tmp_path)
+    names = pool.moved(written, after)
+    assert names == ["readme/meas.json", "readme/grid.json", "readme/meas64.json"]
+    assert pool.summary(written, after, names) == (
+        "class or stage 0, message 0, result bytes 3, tol 0, residual only 0"
     )

@@ -17,18 +17,27 @@ message, stage, residual and tol. A numpy RuntimeWarning counts as an error.
 Result bytes depend on the machine, numpy and BLAS, so only runs on one
 machine compare.
 
+Each checkout's frogpr also makes two sets of outcomes of its own, whose
+result bytes are a SHA-256: 1,600 sampler draws (`random_analytic_signal`
+at 200 seeds for each N in DRAWN, and 200 of the acceptance suite's generic
+signals), and the 8 README files of the CLI commands in README, written by
+its `frogpr.cli.main` (a command that fails ends the run).
+
 --against checks REV out with `git worktree` in a temporary directory, runs
 the pool in this checkout and in REV's at the same time, one process each,
 and prints every input whose outcome moved, how many moved by what moved
 (class or stage, message, result bytes, tol, or the residual alone), and the
-counts per outcome class. It exits 1 when any input moved, the residual
-alone included, and 0 when none did.
+counts per outcome class; a moved draw or README file counts under result
+bytes. It exits 1 when any input moved, the residual alone included, and 0
+when none did.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -49,6 +58,22 @@ SIGMAS = [1e-9, 1e-7, 1e-6, 1e-5, 1e-4]
 TOLS = [1e-6, 1e-2]
 SMALL_S0 = [(20, 3), (64, 11), (256, 11)]
 RATIOS = [1e-2, 1e-3, 1e-4]
+# The sampler draws: random_analytic_signal at 200 seeds for each N of DRAWN,
+# and 200 generic signals, of the N of GENERIC in turn.
+DRAWN = [12, 16, 20, 32, 64, 256, 1024]
+GENERIC = [12, 16, 20, 32, 64]
+# The README's CLI files, with those of (64, 11), whose polish has an affine
+# window: each file and the command that writes it, without its --out.
+README = [
+    ("sig.json", ["generate", "--n", "16", "--seed", "7"]),
+    ("meas.json", ["measure", "sig.json", "--l", "3", "--plan-only"]),
+    ("grid.json", ["measure", "sig.json", "--l", "3"]),
+    ("rec.json", ["recover", "meas.json"]),
+    ("recg.json", ["recover", "grid.json"]),
+    ("sig64.json", ["generate", "--n", "64", "--seed", "7"]),
+    ("meas64.json", ["measure", "sig64.json", "--l", "11", "--plan-only"]),
+    ("rec64.json", ["recover", "meas64.json"]),
+]
 
 # What moved in an outcome, by the fields that differ: a move counts under the
 # first group here whose fields differ, so "residual only" is a move of the
@@ -158,6 +183,50 @@ def outcome(frogpr, n: int, l: int, grid: np.ndarray, tol: float) -> dict:
     }
 
 
+def _made(cls: str, data: bytes) -> dict:
+    """The outcome of a draw or a file: its class and the SHA-256 of its bytes."""
+    return {"class": cls, "bytes": hashlib.sha256(data).hexdigest()}
+
+
+def draws() -> dict[str, dict]:
+    """The outcome of each sampler draw of the imported frogpr, by name."""
+    from frogpr.analytic import random_analytic_signal
+    from frogpr.selftest import _generic_even_signal
+
+    outs = {}
+    for n in DRAWN:
+        for seed in range(200):
+            z = random_analytic_signal(n, np.random.default_rng([n, seed]))
+            outs[f"draw/{n}/seed{seed}"] = _made("drawn", z.tobytes())
+    for seed in range(200):
+        n = GENERIC[seed % len(GENERIC)]
+        z = _generic_even_signal(n, np.random.default_rng(seed))
+        outs[f"draw/generic/{n}/seed{seed}"] = _made("drawn", z.tobytes())
+    return outs
+
+
+def readme_files(out: Path) -> dict[str, dict]:
+    """The outcome of each README file, by name, that the imported frogpr's CLI writes
+    into the directory out; a command that fails or warns ends the run."""
+    from frogpr.cli import main
+
+    outs = {}
+    for name, command in README:
+        argv = [str(out / a) if a.endswith(".json") else a for a in command]
+        argv += ["--out", str(out / name)]
+        with (
+            contextlib.redirect_stdout(io.StringIO()),
+            contextlib.redirect_stderr(io.StringIO()) as err,
+            warnings.catch_warnings(),
+        ):
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(argv)
+        if code:
+            sys.exit(f"frogpr {' '.join(command)} exited {code}: {err.getvalue().strip()}")
+        outs[f"readme/{name}"] = _made("written", (out / name).read_bytes())
+    return outs
+
+
 def label(out: dict) -> str:
     """The outcome's class, with the stage bucket (A1, tail, verify) of a refusal."""
     stage = out.get("stage")
@@ -168,8 +237,9 @@ def label(out: dict) -> str:
 
 def brief(out: dict) -> str:
     """One line for an outcome."""
-    if out["class"] == "recovered":
-        return f"recovered {out['residual']} [{out['bytes'][:12]}]"
+    if "bytes" in out:
+        residual = f" {out['residual']}" if "residual" in out else ""
+        return f"{out['class']}{residual} [{out['bytes'][:12]}]"
     return f"{label(out)}: {out['message']} (residual {out['residual']}, tol {out['tol']})"
 
 
@@ -197,7 +267,8 @@ def counts(*runs: dict) -> list[tuple[str, ...]]:
 
 
 def _run(src: str, inputs: str) -> None:
-    """Recover every input of the file with the frogpr under src; print the outcomes as JSON."""
+    """Recover every input of the file, draw the samples and write the README files with
+    the frogpr under src; print the outcomes as JSON."""
     sys.path.insert(0, src)
     import frogpr
 
@@ -209,6 +280,9 @@ def _run(src: str, inputs: str) -> None:
     with np.load(inputs) as grids:
         for i, (name, n, l, tol) in enumerate(names):
             outs[name] = outcome(frogpr, n, l, grids[f"grid{i}"], tol)
+    outs.update(draws())
+    with tempfile.TemporaryDirectory(prefix="frogpr-readme-") as out:
+        outs.update(readme_files(Path(out)))
     json.dump({"seconds": time.perf_counter() - started, "outcomes": outs}, sys.stdout)
 
 
@@ -269,8 +343,9 @@ def main(argv=None) -> int:
                 _git("worktree", "remove", "--force", str(tree))
 
     times = ", ".join(f"{name} {run['seconds']:.1f} s" for name, run in runs.items())
-    print(f"pool: {len(pool)} inputs; {times}")
     outcomes = [run["outcomes"] for run in runs.values()]
+    kinds = Counter(name.split("/")[0] for name in outcomes[0])
+    print(f"pool: {len(pool)} inputs, {kinds['draw']} draws, {kinds['readme']} README files; {times}")
     names = moved(*outcomes) if len(outcomes) == 2 else []
     if args.against is not None:
         print(f"moved: {len(names)} ({summary(*outcomes, names)})")
