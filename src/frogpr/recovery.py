@@ -36,14 +36,17 @@ coefficient through circles |s_k + offset| = radius. Recovery proceeds:
       measurement and keeps A2's Im s_2 >= 0 choice, so the second start
       would reach an equivalent spectrum or fail alike.
 
-A plan is its rows. Their expansion in coefficients, the rows k >= 1 as
-partner indices k - l and unit-root sums (w^{lm} + w^{(k-l)m}) / N,
-depends on the plan alone, so the first recovery through a plan builds it
-(_expand) and later ones share it until the plan is freed. recover and the
-even-L probe first run _scaled on one plan, once: it looks the plan's rows
-up in the measurement set, scales their values and puts them in one row
-table beside the expansion. That table is all A1, the tail and the even-L
-probe read; they gather their rows from it, once per stage.
+The rows a recovery reads, plan_indices(params)'s, depend on the geometry
+alone, and so does their expansion in coefficients, the rows k >= 1 as
+partner indices k - l and unit-root sums (w^{lm} + w^{(k-l)m}) / N. The
+first recovery at a geometry plans and expands them (_expand), and every
+later one at an equal geometry shares both until the FrogParams they were
+stored under is freed. A plan passed to recover is checked against those
+rows on every call and never read otherwise. recover and the even-L probe
+first run _scaled on their rows, once: it looks the rows up in the
+measurement set, scales their values and puts them in one row table beside
+the expansion. That table is all A1, the tail and the even-L probe read;
+they gather their rows from it, once per stage.
 
 All of this assumes L odd (so the per-step phase satisfies w^{N/2} = -1 and
 the k = 0 row separates the two boundary coefficients). For even L that row
@@ -56,7 +59,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -68,14 +71,10 @@ from .errors import (
     SingularConfigurationError,
     UnsupportedGeometryError,
 )
-from .frog import (
-    FrogMeasurements,
-    FrogParams,
-    MeasurementIndexPlan,
-    _gather,
-    _plan,
-    _sized,
-)
+from .frog import FrogMeasurements, FrogParams, _gather, _plan, _sized
+
+if TYPE_CHECKING:  # recover's plan argument, which recovery only checks
+    from .frog import MeasurementIndexPlan
 
 __all__ = [
     "RecoveryResult",
@@ -511,11 +510,11 @@ def recover_tail(
 
 
 class _RowTables(NamedTuple):
-    """One recovery's table of a plan's rows (k_r, m_r) with k_r >= 1, sorted by (k, m).
+    """One recovery's table of its rows (k_r, m_r) with k_r >= 1, sorted by (k, m).
 
     y^_{k_r,m_r} = (1/N) sum_l s_l s_{k_r - l} w^{l m_r} = (1/2) sum_l s_l
     s_{mirror} dw over l = 0..max k_r. starts, mirror and dw depend on the
-    rows alone (_expand) and are the plan's; the rest is one recovery's.
+    rows alone (_expand) and are the geometry's; the rest is one recovery's.
     The first row is (1, 0). Entries with l > k_r are zero, so the rows
     lo <= k_r <= k are one run and stage(k, lo) slices it over [:k + 1].
 
@@ -552,7 +551,7 @@ class _RowTables(NamedTuple):
 
 
 def _expand(params: FrogParams, rows: np.ndarray) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    """starts, mirror and dw (see _RowTables) of the rows k >= 1 of (k, m)-sorted plan rows,
+    """starts, mirror and dw (see _RowTables) of the rows k >= 1 of (k, m)-sorted rows,
     mirror and dw read-only.
 
     Only the roots the rows read are evaluated: w^{lm} = e^{2i pi (l (m L mod N)
@@ -590,33 +589,35 @@ def _expand(params: FrogParams, rows: np.ndarray) -> tuple[tuple[int, ...], np.n
     return tuple(np.searchsorted(k, np.arange(l.size + 1)).tolist()), mirror, dw
 
 
-# _expand of each plan's rows, built on the first recovery through the plan,
-# shared by later ones, and freed with the plan.
+# (plan_indices(params).rows, their _expand) of each geometry, built by the
+# first recovery at it whose set holds those rows, shared by every later one
+# at an equal geometry, and freed with the FrogParams it was stored under.
 _EXPANSIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _scaled(measurements: FrogMeasurements, plan: MeasurementIndexPlan) -> tuple[_RowTables, int]:
-    """The row table of the plan's rows, their values divided by 2^(4e), and e.
+def _scaled(
+    measurements: FrogMeasurements, rows: np.ndarray, expansion: tuple | None = None
+) -> tuple[_RowTables, int]:
+    """The row table of (k, m)-sorted rows, their values divided by 2^(4e), and e.
 
-    ValueError names the first five planned pairs the set lacks, before the
-    plan's rows are expanded. The values are quartic in the spectrum, so
-    dividing them by 2^(4e) divides it by 2^e; e puts the largest in
-    [1, 16), so the solvers' absolute floors see the same numbers at every
-    scale.
+    expansion is _expand of the rows, built here when None. ValueError
+    names the first five rows the set lacks, before the rows are expanded.
+    The values are quartic in the spectrum, so dividing them by 2^(4e)
+    divides it by 2^e; e puts the largest in [1, 16), so the solvers'
+    absolute floors see the same numbers at every scale.
     """
-    at, found = measurements._positions(plan.rows)
+    at, found = measurements._positions(rows)
     if not found.all():
-        missing = list(map(tuple, plan.rows[~found][:5].tolist()))
+        missing = list(map(tuple, rows[~found][:5].tolist()))
         raise ValueError(f"measurements missing required entries {missing}")
     values = measurements.values[at]
     e = (math.frexp(values.max())[1] - 1) // 4
     values = np.ldexp(values, -4 * e)
     n, top = measurements.params.N, float(values.max(initial=0.0))
     floor = _GENERICITY_FLOOR * math.sqrt(n * math.sqrt(top))
-    expansion = _EXPANSIONS.get(plan)
     if expansion is None:
-        expansion = _EXPANSIONS[plan] = _expand(plan.params, plan.rows)
-    first = len(plan.rows) - len(expansion[2])  # the k = 0 rows, which are not expanded
+        expansion = _expand(measurements.params, rows)
+    first = len(rows) - len(expansion[2])  # the k = 0 rows, which are not expanded
     row0, target = values[:first].tolist(), values[first:]
     return _RowTables(*expansion, n, row0, target, top or 1.0, floor), e
 
@@ -719,17 +720,6 @@ def _verified(spectrum, measurements: FrogMeasurements) -> tuple[np.ndarray, flo
     return z, dev / (top or 1.0)
 
 
-def _check_rows(plan: MeasurementIndexPlan) -> None:
-    """ValueError naming the first row, or the row count, where plan differs from
-    plan_indices(plan.params)."""
-    got, want = plan.pairs(), _plan(plan.params, plan.params.N // 2).pairs()
-    for i, (row, planned) in enumerate(zip(got, want)):
-        if row != planned:
-            raise ValueError(f"plan row {i} is {row}, but plan_indices has {planned}")
-    if len(got) != len(want):
-        raise ValueError(f"plan has {len(got)} rows, but plan_indices has {len(want)}")
-
-
 def recover(
     measurements: FrogMeasurements,
     plan: MeasurementIndexPlan | None = None,
@@ -744,17 +734,21 @@ def recover(
     has s_0 > 0 (see the module docstring for why the s_0 < 0 start is not
     run) and is returned when its verification residual (relative to the
     largest measurement) is within tol. tol bounds only that verification:
-    A1 takes the root of least misfit (see recover_z0). Raises ValueError
-    for a tol that is not finite and > 0 (checked first), then
+    A1 takes the root of least misfit (see recover_z0). The rows solved
+    from and their expansion are the geometry's (see the module docstring):
+    recover plans them itself, and plan, when given, changes nothing but
+    is checked against them on every call. Raises ValueError for a tol
+    that is not finite and > 0 (checked first), then
     UnsupportedGeometryError, a ValueError too, for a geometry outside the
     recovery domain (FrogParams.recovery_violations), and ValueError for a
-    plan for another geometry, a plan whose rows are not plan_indices(params)'s
-    (checked until the plan's first recovery), or missing planned entries
-    (before the plan's rows are expanded; given no plan, recover plans only
-    the rows that name them for a set smaller than a plan); propagates
-    DegenerateSignalError and InconsistentMeasurementsError from A1 and the
-    tail; and raises InconsistentMeasurementsError with stage "verify" when
-    the verification residual exceeds tol. Their stage, residual and tol
+    plan for another geometry, a plan whose rows are not
+    plan_indices(params)'s (naming the first row, or the row count, that
+    differs), or missing planned entries (before the rows are expanded,
+    and for a set smaller than a plan after planning only the rows that
+    name them); propagates DegenerateSignalError and
+    InconsistentMeasurementsError from A1 and the tail; and raises
+    InconsistentMeasurementsError with stage "verify" when the
+    verification residual exceeds tol. Their stage, residual and tol
     fields say where recovery stopped and by how much. Measurements scaled
     by 2^(4j) give the spectrum scaled by exactly 2^j.
     """
@@ -763,17 +757,26 @@ def recover(
     violations = params.recovery_violations()
     if violations:
         raise UnsupportedGeometryError("; ".join(violations))
-    if plan is None:
+    if plan is not None and plan.params != params:
+        raise ValueError(f"plan is for {plan.params} but the measurements are for {params}")
+    rows, expansion = _EXPANSIONS.get(params, (None, None))
+    if rows is None:
         # A set smaller than the plan lacks a planned pair, and the rows
         # k <= n + 4 hold 3n + 13 planned pairs, so the first five it lacks
         # are among them: a refusal plans no more rows than that. A set of
-        # n > 3N/2 entries gets the whole plan, since then n + 4 > N/2.
-        plan = _plan(params, min(params.N // 2, len(measurements) + 4))
-    elif plan.params != params:
-        raise ValueError(f"plan is for {plan.params} but the measurements are for {params}")
-    elif plan not in _EXPANSIONS:  # a plan is checked until its first recovery expands it
-        _check_rows(plan)
-    tables, e = _scaled(measurements, plan)
+        # n > 3N/2 entries gets the whole plan, since then n + 4 > N/2, and
+        # so does a passed plan, which is checked against all of it.
+        last = params.N if plan is not None else len(measurements) + 4
+        rows = _plan(params, min(params.N // 2, last)).rows
+    if plan is not None and not np.array_equal(plan.rows, rows):
+        got, want = plan.pairs(), list(map(tuple, rows.tolist()))
+        for i, (row, planned) in enumerate(zip(got, want)):
+            if row != planned:
+                raise ValueError(f"plan row {i} is {row}, but plan_indices has {planned}")
+        raise ValueError(f"plan has {len(got)} rows, but plan_indices has {len(want)}")
+    tables, e = _scaled(measurements, rows, expansion)
+    if expansion is None:  # only the whole plan's rows can all be in a set
+        _EXPANSIONS[params] = rows, tables[:3]
     spectrum = _normalize_gauge(recover_tail(tables, *recover_z0(tables)))
     # Scaled on the float64 view, which keeps the sign of a zero part. The
     # power of two is exact, so on the planned entries the residual is the
@@ -825,7 +828,7 @@ def even_l_infeasibility_probe(
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
     rows = _plan(params, 2).rows
-    tables, e = _scaled(measurements, MeasurementIndexPlan(params, rows[rows[:, 0] >= 1]))
+    tables, e = _scaled(measurements, rows[rows[:, 0] >= 1])
     try:
         alpha = math.ldexp(alpha, -e)
     except OverflowError:

@@ -145,15 +145,15 @@ def end_to_end_recovery() -> tuple[list[str], str]:
     worst_ver = 0.0
     for n, l in configs:
         params = FrogParams(n, l)
-        plan = plan_indices(params)
+        rows = plan_indices(params).rows
         for trial in range(trials):
             z = _generic_even_signal(n, rng)
-            meas = frog_measurements_time(z, params, indices=plan.rows)
+            meas = frog_measurements_time(z, params, indices=rows)
             if len(meas) != 3 * n // 2 + 1:
                 failures.append(f"({n},{l}) trial {trial}: plan cardinality")
                 continue
             try:
-                rec = recover(meas, plan)
+                rec = recover(meas)
             except FrogprError as exc:
                 failures.append(f"({n},{l}) trial {trial}: {exc}")
                 continue

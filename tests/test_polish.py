@@ -48,9 +48,9 @@ def _tail_setup(n, l, seed):
     their planned values as they are, and the spectrum reproduces them.
     """
     plan, meas, s = _setup(n, l, seed)
-    _, e = _scaled(meas, plan)
+    _, e = _scaled(meas, plan.rows)
     meas = FrogMeasurements(meas.params, dict(zip(meas, np.ldexp(meas.values, -4 * e))))
-    tables, again = _scaled(meas, plan)
+    tables, again = _scaled(meas, plan.rows)
     assert again == 0
     return plan, meas, np.ldexp(s.view(np.float64), -e).view(np.complex128), tables
 

@@ -2,6 +2,8 @@
 
 import hashlib
 import importlib.util
+import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -155,3 +157,23 @@ def test_a_cli_writer_that_moves_one_byte_moves_its_result_bytes(written, monkey
     assert pool.summary(written, after, names) == (
         "class or stage 0, message 0, result bytes 3, tol 0, residual only 0"
     )
+
+
+@pytest.mark.parametrize("moves", [False, True])
+def test_a_report_cut_short_by_its_reader_keeps_the_exit_status(monkeypatch, moves):
+    # `pool.py --against REV | head -3`: once the reader has closed the pipe,
+    # every write to it raises BrokenPipeError. The report stops without a
+    # traceback, and main still returns 1 when an outcome moved, 0 if none did.
+    name, ok = "exact/plan/16x3/seed0", {"class": "recovered", "bytes": "ab", "residual": "1e-16"}
+    runs = {
+        "abc1234": {"seconds": 0.0, "outcomes": {name: ok}},
+        "here": {"seconds": 0.0, "outcomes": {name: dict(ok, residual="2e-16") if moves else ok}},
+    }
+    monkeypatch.setattr(pool, "build", lambda frogpr: [(name, 16, 3, np.zeros((16, 6)), 1e-6)])
+    monkeypatch.setattr(pool, "_outcomes", lambda srcs, inputs: runs)
+    monkeypatch.setattr(pool, "_git", lambda *args: "abc1234")
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w") as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        assert pool.main(["--against", "abc1234"]) == int(moves)

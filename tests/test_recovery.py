@@ -80,7 +80,7 @@ def _tail(meas, plan):
     Returns it with the scaled row table and the exponent e of its 2^(4e)
     divisor: the staged iterate before the final translation and rescale.
     """
-    tables, e = recovery._scaled(meas, plan)
+    tables, e = recovery._scaled(meas, plan.rows)
     return recovery.recover_tail(tables, *recovery.recover_z0(tables)), tables, e
 
 
@@ -163,9 +163,18 @@ def test_recover_does_not_depend_on_the_scale_of_its_input(n, l, seed):
         assert report.equivalent and report.residual < 1e-9
 
 
+def _fresh_tables(monkeypatch):
+    """An empty geometry table for the test, whatever geometries other tests keep alive."""
+    tables = weakref.WeakKeyDictionary()
+    monkeypatch.setattr(recovery, "_EXPANSIONS", tables)
+    return tables
+
+
 def test_recover_builds_one_row_table(monkeypatch):
     # One scaled preparation per recovery: A1 and the tail read one table,
-    # which holds the expansion of the plan's rows itself.
+    # which holds the expansion of the geometry's rows itself. The first
+    # recovery at a geometry expands them and keeps both under it.
+    entries = _fresh_tables(monkeypatch)
     build = recovery._scaled
     built = []
 
@@ -179,8 +188,12 @@ def test_recover_builds_one_row_table(monkeypatch):
     z = _generic(20, np.random.default_rng(643))
     recover(frog_measurements_time(z, params), plan)
     assert len(built) == 1
-    (_, used), (tables, _) = built[0]
-    assert used is plan and tables[:3] == recovery._EXPANSIONS[plan]
+    (_, rows, expansion), (tables, _) = built[0]
+    assert expansion is None
+    assert_array_equal(rows, plan.rows)
+    assert rows is not plan.rows and not rows.flags.writeable
+    assert list(entries.keys()) == [params]
+    assert entries[params][0] is rows and tables[:3] == entries[params][1]
     fields = ("starts", "mirror", "dw", "n", "row0", "target", "scale", "floor")
     assert tables._fields == fields
 
@@ -190,7 +203,7 @@ def test_row_table_scale_counts_the_k0_rows():
     # taken over them too: here they are the largest planned values.
     s = _analytic_spectrum(16, np.random.default_rng(645), s0=30.0, shalf=20.0)
     meas, plan = _planned_measurements(s, FrogParams(16, 3))
-    tables, e = recovery._scaled(meas, plan)
+    tables, e = recovery._scaled(meas, plan.rows)
     values = np.ldexp(np.array([meas[p] for p in plan.pairs()]), -4 * e)
     assert 1 <= values.max() < 16
     assert tables.n == 16
@@ -210,9 +223,7 @@ def test_a_table_of_the_probes_rows_reads_exactly_those_rows(n, l):
     rows = rows[np.isin(rows[:, 0], (1, 2))]
     z = _generic_even_signal(n, np.random.default_rng(654))
     meas = frog_measurements_time(z, params, rows)
-    sub = MeasurementIndexPlan(params, rows)
-    tables, e = recovery._scaled(meas, sub)
-    assert sub.rows is rows
+    tables, e = recovery._scaled(meas, rows)
     values = np.ldexp(meas.values, -4 * e)
     assert tables.row0 == []
     assert tables.target.tobytes() == values.tobytes()
@@ -222,10 +233,10 @@ def test_a_table_of_the_probes_rows_reads_exactly_those_rows(n, l):
     assert tables.starts == (0, 0, 1, rows.shape[0])
     # Entries off those rows are not read; one of them may not be absent.
     full = frog_measurements_time(z, params)
-    assert recovery._scaled(full, sub)[0].target.tobytes() == values.tobytes()
+    assert recovery._scaled(full, rows)[0].target.tobytes() == values.tobytes()
     short = frog_measurements_time(z, params, rows[:-1])
     with pytest.raises(ValueError, match=rf"missing required entries \[\(2, {rows[-1, 1]}\)\]"):
-        recovery._scaled(short, sub)
+        recovery._scaled(short, rows)
 
 
 def test_recover_builds_no_measurement_set(monkeypatch):
@@ -259,36 +270,50 @@ def _count_expansions(monkeypatch):
     return built
 
 
-def test_a_plan_expands_its_rows_once(monkeypatch):
-    # The expansion depends on the plan alone: three recoveries through one
-    # plan build it once, and each attaches its own values to it.
+def test_a_geometry_expands_its_rows_once(monkeypatch):
+    # The rows and their expansion depend on the geometry alone: recoveries
+    # with and without a plan, and through two equal FrogParams objects,
+    # build them once and give the same bytes.
+    entries = _fresh_tables(monkeypatch)
     built = _count_expansions(monkeypatch)
-    params = FrogParams(20, 3)
+    params, twin = FrogParams(20, 3), FrogParams(20, 3)
     plan = plan_indices(params)
     rng = np.random.default_rng(646)
     for _ in range(3):
         z = _generic(20, rng)
         rec = recover(frog_measurements_time(z, params, plan.rows), plan)
         assert equivalent_up_to_group(rec.signal, z, tol=1e-8).equivalent
-    assert len(built) == 1 and built[0] is plan.rows
-
-
-def test_a_plans_table_is_built_once_and_freed_with_the_plan(monkeypatch):
-    # The recovery keeps a plan's expansion while the plan lives: three
-    # recoveries share one, and dropping the plan frees it.
-    built = _count_expansions(monkeypatch)
-    params = FrogParams(20, 3)
-    plan = plan_indices(params)
-    rng = np.random.default_rng(656)
-    for _ in range(3):
-        recover(frog_measurements_time(_generic(20, rng), params, plan.rows), plan)
+        for meas in (frog_measurements_time(z, twin, plan.rows), frog_measurements_time(z, twin)):
+            for out in (recover(meas), recover(meas, plan), recover(meas, plan_indices(twin))):
+                assert out.spectrum.tobytes() == rec.spectrum.tobytes()
+                assert out.signal.tobytes() == rec.signal.tobytes()
+                assert out.verification_residual == verify_solution(rec.spectrum, meas)
     assert len(built) == 1
-    dw = weakref.ref(recovery._EXPANSIONS[plan][2])
-    key = weakref.ref(plan)
-    del plan
+    assert_array_equal(built[0], plan.rows)
+    assert len(entries) == 1
+
+
+def test_a_geometrys_table_is_built_once_and_freed_with_the_geometry(monkeypatch):
+    # The table is kept under the FrogParams it was stored with: recoveries
+    # at an equal geometry share it while that object lives, and it is
+    # freed with it.
+    entries = _fresh_tables(monkeypatch)
+    built = _count_expansions(monkeypatch)
+    rng = np.random.default_rng(656)
+    recover(frog_measurements_time(_generic(20, rng), FrogParams(20, 3)))
+    gc.collect()
+    assert len(built) == 1 and len(entries) == 0
+    params = FrogParams(20, 3)
+    for _ in range(3):
+        recover(frog_measurements_time(_generic(20, rng), params))
+        twin = FrogParams(20, 3)
+        recover(frog_measurements_time(_generic(20, rng), twin), plan_indices(twin))
+    assert len(built) == 2 and list(entries.keys()) == [params]
+    dw, key = weakref.ref(entries[params][1][2]), weakref.ref(params)
+    del params
     gc.collect()
     assert key() is None and dw() is None
-    assert len(recovery._EXPANSIONS) == 0
+    assert len(entries) == 0
 
 
 def test_a1_gathers_stage_2_once_per_root_and_the_tail_never(monkeypatch):
@@ -566,10 +591,12 @@ def test_an_invalid_value_cannot_be_planted_for_recover_or_the_probe(key, value)
             assert not even_l_infeasibility_probe(meas, float(dft(z)[0].real), 0.3)
 
 
-def test_recover_refuses_a_set_without_the_plan_before_expanding_it():
-    # The planned entries are looked up before the plan's expansion is
+def test_recover_refuses_a_set_without_the_plan_before_expanding_it(monkeypatch):
+    # The planned entries are looked up before the rows' expansion is
     # built: an empty (2048, 1) set is refused within a few hundred kB
-    # (building the expansion first peaked at 160 MB traced).
+    # (building the expansion first peaked at 160 MB traced), and the
+    # geometry keeps no table.
+    entries = _fresh_tables(monkeypatch)
     params = FrogParams(2048, 1)
     plan = plan_indices(params)
     tracemalloc.start()
@@ -580,7 +607,7 @@ def test_recover_refuses_a_set_without_the_plan_before_expanding_it():
     finally:
         tracemalloc.stop()
     assert peak < 5e6, peak
-    assert plan not in recovery._EXPANSIONS
+    assert len(entries) == 0
 
 
 @pytest.mark.parametrize("n", [2_000_000, 2**40, 2**62, 2**63 - 2])
@@ -755,16 +782,24 @@ def test_recover_refuses_a_plan_that_is_not_the_geometrys(rows, message):
     assert str(info.value) == message
 
 
-def test_a_plan_is_checked_until_its_first_recovery(monkeypatch):
-    params = FrogParams(16, 3)
-    meas = frog_measurements_time(random_analytic_signal(16, np.random.default_rng(1)), params)
+def test_a_plan_is_checked_on_every_call():
+    # A plan's rows are not frozen, so a plan that recovered once may differ
+    # from the geometry's rows at its next call: it is refused by name, as
+    # a fresh plan with those rows is, and not read as measurements that
+    # miss their circles. Put back, it recovers the same bytes again.
+    params = FrogParams(20, 3)
+    meas = frog_measurements_time(_generic_even_signal(20, np.random.default_rng(658)), params)
     plan = MeasurementIndexPlan(params, plan_indices(params).rows.copy())
-    checked = []
-    monkeypatch.setattr(recovery, "_check_rows", checked.append)
-    for _ in range(3):
-        recover(meas, plan)
-    recover(meas)
-    assert checked == [plan]
+    rec = recover(meas, plan)
+    assert tuple(plan.rows[18]) == (6, 2)
+    plan.rows[18] = (6, 3)
+    message = "plan row 18 is (6, 3), but plan_indices has (6, 2)"
+    for used in (plan, MeasurementIndexPlan(params, plan.rows.copy())):
+        with pytest.raises(ValueError) as info:
+            recover(meas, used)
+        assert str(info.value) == message
+    plan.rows[18] = (6, 2)
+    assert recover(meas, plan).spectrum.tobytes() == rec.spectrum.tobytes()
 
 
 def test_recovery_tolerance_must_be_finite_and_positive():
@@ -800,7 +835,7 @@ def test_pair_stage_checks_candidates_on_their_circles(monkeypatch, stage):
     params = FrogParams(16, 3)
     plan = plan_indices(params)
     meas = frog_measurements_time(_generic(16, rng), params, plan.pairs())
-    tables, _ = recovery._scaled(meas, plan)
+    tables, _ = recovery._scaled(meas, plan.rows)
     solve = recovery.solve_two_circles_real
     bad = [stage == 2]
 

@@ -29,7 +29,7 @@ and prints every input whose outcome moved, how many moved by what moved
 (class or stage, message, result bytes, tol, or the residual alone), and the
 counts per outcome class; a moved draw or README file counts under result
 bytes. It exits 1 when any input moved, the residual alone included, and 0
-when none did.
+when none did, also when its reader stops reading early (`| head`).
 """
 
 from __future__ import annotations
@@ -345,17 +345,25 @@ def main(argv=None) -> int:
     times = ", ".join(f"{name} {run['seconds']:.1f} s" for name, run in runs.items())
     outcomes = [run["outcomes"] for run in runs.values()]
     kinds = Counter(name.split("/")[0] for name in outcomes[0])
-    print(f"pool: {len(pool)} inputs, {kinds['draw']} draws, {kinds['readme']} README files; {times}")
     names = moved(*outcomes) if len(outcomes) == 2 else []
-    if args.against is not None:
-        print(f"moved: {len(names)} ({summary(*outcomes, names)})")
-    for name in names:
-        print(f"  {name}")
-        for run, outs in zip(runs, outcomes):
-            print(f"    {run}: {brief(outs[name])}")
-    print(f"  {'class':<48}" + "".join(f" {run:>9}" for run in runs))
-    for cls, *tally in counts(*outcomes):
-        print(f"  {cls:<48}" + "".join(f" {n:>9}" for n in tally))
+    try:
+        print(f"pool: {len(pool)} inputs, {kinds['draw']} draws, {kinds['readme']} README files; {times}")
+        if args.against is not None:
+            print(f"moved: {len(names)} ({summary(*outcomes, names)})")
+        for name in names:
+            print(f"  {name}")
+            for run, outs in zip(runs, outcomes):
+                print(f"    {run}: {brief(outs[name])}")
+        print(f"  {'class':<48}" + "".join(f" {run:>9}" for run in runs))
+        for cls, *tally in counts(*outcomes):
+            print(f"  {cls:<48}" + "".join(f" {n:>9}" for n in tally))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped reading (`| head`): the rest of the report, and
+        # what the exit would flush, go to the null device instead.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 1 if names else 0
 
 
