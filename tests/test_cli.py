@@ -462,7 +462,7 @@ _PEAK_MB = "int(open('/proc/self/status').read().split('VmHWM:')[1].split()[0]) 
 
 
 @pytest.mark.parametrize(
-    "script,entries,bound",
+    "script,entries,bound,grid",
     [
         # The one-line file of an empty (2e7, 2e7) set: a set is its entries
         # (a dense (N, r) grid took 160 MB).
@@ -472,6 +472,16 @@ _PEAK_MB = "int(open('/proc/self/status').read().split('VmHWM:')[1].split()[0]) 
             f"print(len(jsonio.load_measurements('huge.json')), {_PEAK_MB})\n",
             0,
             100,
+            None,
+        ),
+        # The full (1024, 3) grid.json the test writes: read a block of rows
+        # at a time, it peaks at 67 MB (the whole document's rows, 114 MB).
+        (
+            "from frogpr import jsonio\n"
+            f"print(len(jsonio.load_measurements('grid.json')), {_PEAK_MB})\n",
+            350_208,
+            90,
+            (1024, 3),
         ),
         # Planned synthesis computes only the delays the plan reads: generate
         # and a plan-only measure at (4096, 1) in one process write the 6,145
@@ -484,11 +494,15 @@ _PEAK_MB = "int(open('/proc/self/status').read().split('VmHWM:')[1].split()[0]) 
             f"print(len(json.load(open('meas.json'))['entries']), {_PEAK_MB})\n",
             6145,
             400,
+            None,
         ),
     ],
-    ids=["empty-2e7-set-load", "plan-4096-generate-measure"],
+    ids=["empty-2e7-set-load", "full-grid-load", "plan-4096-generate-measure"],
 )
-def test_a_fresh_process_keeps_its_own_peak_rss_in_bounds(tmp_path, script, entries, bound):
+def test_a_fresh_process_keeps_its_own_peak_rss_in_bounds(tmp_path, script, entries, bound, grid):
+    if grid is not None:  # the full grid.json of geometry grid, written here
+        z = random_analytic_signal(grid[0], np.random.default_rng(710))
+        save_measurements(tmp_path / "grid.json", frogpr.frog_measurements_time(z, frogpr.FrogParams(*grid)))
     done = _python("-c", script, cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     count, peak = done.stdout.splitlines()[-1].split()

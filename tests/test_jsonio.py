@@ -22,6 +22,8 @@ from frogpr import (
     save_measurements,
     save_signal,
 )
+from frogpr import jsonio
+from frogpr.cli import main
 from frogpr.jsonio import _BLOCK
 from oracles import file_text
 
@@ -247,11 +249,15 @@ def test_an_empty_entry_list_loads_as_an_empty_set(tmp_path):
         recover(meas)
 
 
-def test_a_one_line_file_of_a_huge_geometry_loads_in_kilobytes(tmp_path):
+def test_a_one_line_file_of_a_huge_geometry_loads_in_kilobytes(tmp_path, monkeypatch):
     # A set is its entries: the 46-byte file of an empty (2e7, 2e7) set
     # allocates nothing of its grid's size (a dense (N, r) grid was 160 MB).
+    read_whole = jsonio._read_whole
     path = tmp_path / "huge.json"
     path.write_text('{"N": 20000000, "L": 20000000, "entries": []}')
+    # It is not in the writer's layout, so the whole-document path reads it.
+    whole = []
+    monkeypatch.setattr(jsonio, "_read_whole", lambda text: whole.append(text) or read_whole(text))
     tracemalloc.start()
     try:
         meas = load_measurements(path)
@@ -259,6 +265,7 @@ def test_a_one_line_file_of_a_huge_geometry_loads_in_kilobytes(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1e6, peak
+    assert whole == [path.read_text()]
     assert meas.params == FrogParams(20_000_000, 20_000_000) and len(meas) == 0
     assert meas.rows.shape == (0, 2) and meas.values.shape == (0,)
 
@@ -484,3 +491,94 @@ def test_signal_reader_names_a_fault_anywhere_in_a_large_table(tmp_path, kind):
             text = message.format(what=what, i=i)
             with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
                 _load_text(tmp_path, load_signal, doc)
+
+
+@pytest.mark.parametrize("size", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 33_792])
+def test_the_block_reader_reads_what_the_whole_document_reads(tmp_path, monkeypatch, size):
+    params = FrogParams(1024, 31)
+    z = random_analytic_signal(1024, np.random.default_rng(708))
+    # The first size pairs of the grid, in (k, m) order.
+    meas = frog_measurements_time(z, params, np.indices((1024, params.r)).reshape(2, -1).T[:size])
+    path = tmp_path / "meas.json"
+    save_measurements(path, meas)
+    whole = jsonio._read_whole(path.read_text())
+
+    def refused(text):
+        raise AssertionError("a file in the writer's layout reached the whole-document parse")
+
+    monkeypatch.setattr(jsonio, "_read_whole", refused)
+    back = load_measurements(path)
+    assert back.params == whole.params == params and len(back) == size
+    assert back.rows.tobytes() == whole.rows.tobytes() == meas.rows.tobytes()
+    assert back.values.tobytes() == whole.values.tobytes() == meas.values.tobytes()
+
+
+def test_a_full_grid_loads_a_block_of_rows_at_a_time(tmp_path):
+    # The whole document's rows as Python lists peaked at 7.6 MB; a block of
+    # them, with the file's text and the table's arrays, peaks at 3.8 MB.
+    params = FrogParams(1024, 31)
+    meas = frog_measurements_time(random_analytic_signal(1024, np.random.default_rng(709)), params)
+    path = tmp_path / "grid.json"
+    save_measurements(path, meas)
+    tracemalloc.start()
+    try:
+        back = load_measurements(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.is_full_grid() and back.values.tobytes() == meas.values.tobytes()
+    assert peak < 5e6, peak
+
+
+# One fault in the last row of a (256, 5) full grid's file, whose 13,312 rows
+# span more than three writer blocks: each row as written, with the error
+# and the message the reader names it by.
+_LAST_ROW = "    [255, 51, 3328.25]"
+LATE_FAULTS = {
+    "negative value": ("    [255, 51, -1.0]", ValueError, "entry (255, 51) has invalid value -1.0"),
+    "NaN": ("    [255, 51, NaN]", ValueError, "entry (255, 51) has invalid value nan"),
+    "Infinity": ("    [255, 51, Infinity]", ValueError, "entry (255, 51) has invalid value inf"),
+    "float index": ("    [5.0, 51, 3328.25]", ValueError, "'entries'[13311] is not a [k, m, value] triple"),
+    "true value": ("    [255, 51, true]", ValueError, "'entries'[13311] is not a [k, m, value] triple"),
+    "index off the grid": ("    [256, 51, 3328.25]", ValueError, "entry index (256, 51) outside grid 256x52"),
+    # The index of the first row, in the first block.
+    "repeated index": ("    [0, 0, 3328.25]", ValueError, "'entries'[13311] repeats index (0, 0)"),
+    # The file ends inside the last row, or without its closing brace.
+    "truncated last row": (
+        "    [255, 51,",
+        json.JSONDecodeError,
+        "Expecting value: line 13316 column 14 (char 293490)",
+    ),
+    "missing final brace": (
+        _LAST_ROW + "\n  ]\n",
+        json.JSONDecodeError,
+        "Expecting ',' delimiter: line 13318 column 1 (char 293504)",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LATE_FAULTS))
+def test_a_fault_in_a_later_block_is_named_as_the_whole_document_names_it(tmp_path, capsys, kind):
+    row, error, message = LATE_FAULTS[kind]
+    params = FrogParams(256, 5)
+    size = params.N * params.r
+    assert size > 3 * _BLOCK
+    values = 0.5 + 0.25 * np.arange(size)
+    path = tmp_path / "grid.json"
+    save_measurements(path, FrogMeasurements(params, zip(np.ndindex(params.N, params.r), values.tolist())))
+    text = path.read_text()
+    assert text.endswith(f"\n{_LAST_ROW}\n  ]\n}}\n")
+    if kind in ("truncated last row", "missing final brace"):
+        text = text[: text.rindex(_LAST_ROW)] + row
+    else:
+        text = text.replace(_LAST_ROW, row)
+    path.write_text(text)
+    with pytest.raises(error) as raised:
+        load_measurements(path)
+    assert type(raised.value) is error and str(raised.value) == message
+    # frogpr recover exits 2 on either, before it writes anything.
+    out = tmp_path / "rec.json"
+    assert main(["recover", str(path), "--out", str(out)]) == 2
+    parse = "cannot parse input file: " if error is json.JSONDecodeError else ""
+    assert capsys.readouterr().err == f"error: {parse}{message}\n"
+    assert not out.exists()

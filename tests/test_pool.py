@@ -112,6 +112,7 @@ def test_the_readme_files_are_named_and_written_alike(written, tmp_path):
     assert list(written) == [
         "readme/sig.json", "readme/meas.json", "readme/grid.json", "readme/rec.json",
         "readme/recg.json", "readme/sig64.json", "readme/meas64.json", "readme/rec64.json",
+        "readme/sig256.json", "readme/grid256.json", "readme/recg256.json",
     ]
     assert {out["class"] for out in written.values()} == {"written"}
     # The README's files up to the measurements, as tests/test_cli.py pins them.
@@ -153,9 +154,9 @@ def test_a_cli_writer_that_moves_one_byte_moves_its_result_bytes(written, monkey
     monkeypatch.setattr(cli, "save_measurements", moved_byte)
     after = pool.readme_files(tmp_path)
     names = pool.moved(written, after)
-    assert names == ["readme/meas.json", "readme/grid.json", "readme/meas64.json"]
+    assert names == ["readme/meas.json", "readme/grid.json", "readme/meas64.json", "readme/grid256.json"]
     assert pool.summary(written, after, names) == (
-        "class or stage 0, message 0, result bytes 3, tol 0, residual only 0"
+        "class or stage 0, message 0, result bytes 4, tol 0, residual only 0"
     )
 
 

@@ -20,7 +20,7 @@ machine compare.
 Each checkout's frogpr also makes two sets of outcomes of its own, whose
 result bytes are a SHA-256: 1,600 sampler draws (`random_analytic_signal`
 at 200 seeds for each N in DRAWN, and 200 of the acceptance suite's generic
-signals), and the 8 README files of the CLI commands in README, written by
+signals), and the 11 README files of the CLI commands in README, written by
 its `frogpr.cli.main` (a command that fails ends the run).
 
 --against checks REV out with `git worktree` in a temporary directory, runs
@@ -63,7 +63,8 @@ RATIOS = [1e-2, 1e-3, 1e-4]
 DRAWN = [12, 16, 20, 32, 64, 256, 1024]
 GENERIC = [12, 16, 20, 32, 64]
 # The README's CLI files, with those of (64, 11), whose polish has an affine
-# window: each file and the command that writes it, without its --out.
+# window, and a full (256, 11) grid, whose 6,144 rows the reader takes in two
+# blocks: each file and the command that writes it, without its --out.
 README = [
     ("sig.json", ["generate", "--n", "16", "--seed", "7"]),
     ("meas.json", ["measure", "sig.json", "--l", "3", "--plan-only"]),
@@ -73,6 +74,9 @@ README = [
     ("sig64.json", ["generate", "--n", "64", "--seed", "7"]),
     ("meas64.json", ["measure", "sig64.json", "--l", "11", "--plan-only"]),
     ("rec64.json", ["recover", "meas64.json"]),
+    ("sig256.json", ["generate", "--n", "256", "--seed", "7"]),
+    ("grid256.json", ["measure", "sig256.json", "--l", "11"]),
+    ("recg256.json", ["recover", "grid256.json"]),
 ]
 
 # What moved in an outcome, by the fields that differ: a move counts under the
