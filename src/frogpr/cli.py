@@ -159,11 +159,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="write a random analytic signal")
+    g.set_defaults(handler=_cmd_generate)
     g.add_argument("--n", type=int, required=True, help="signal length (even)")
     g.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     g.add_argument("--out", required=True, help="output signal JSON path")
 
     m = sub.add_parser("measure", help="synthesize measurements of a signal")
+    m.set_defaults(handler=_cmd_measure)
     m.add_argument("signal", help="input signal JSON path")
     m.add_argument("--l", type=int, required=True, help="delay stride L")
     m.add_argument(
@@ -174,26 +176,20 @@ def _build_parser() -> argparse.ArgumentParser:
     m.add_argument("--out", required=True, help="output measurement JSON path")
 
     r = sub.add_parser("recover", help="recover a signal from measurements")
+    r.set_defaults(handler=_cmd_recover)
     r.add_argument("measurements", help="input measurement JSON path")
     r.add_argument("--out", required=True, help="output signal JSON path")
     r.add_argument("--tol", type=float, default=1e-6, help="recovery tolerance")
 
     c = sub.add_parser("check-equiv", help="compare two signals up to ambiguity")
+    c.set_defaults(handler=_cmd_check_equiv)
     c.add_argument("a", help="first signal JSON path")
     c.add_argument("b", help="second signal JSON path")
     c.add_argument("--tol", type=float, default=1e-6, help="equivalence tolerance")
 
-    sub.add_parser("selftest", help="run the acceptance criteria")
+    s = sub.add_parser("selftest", help="run the acceptance criteria")
+    s.set_defaults(handler=_cmd_selftest)
     return parser
-
-
-_HANDLERS = {
-    "generate": _cmd_generate,
-    "measure": _cmd_measure,
-    "recover": _cmd_recover,
-    "check-equiv": _cmd_check_equiv,
-    "selftest": _cmd_selftest,
-}
 
 
 def main(argv=None) -> int:
@@ -202,7 +198,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        code, report = _HANDLERS[args.command](args)
+        code, report = args.handler(args)
         _emit(args.command, started, **report)
         return code
     except UnsupportedGeometryError as exc:

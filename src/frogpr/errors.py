@@ -1,5 +1,14 @@
 """Exception types shared across the library."""
 
+__all__ = [
+    "FrogprError",
+    "UnsupportedGeometryError",
+    "SingularConfigurationError",
+    "NoSolutionError",
+    "DegenerateSignalError",
+    "InconsistentMeasurementsError",
+]
+
 
 class FrogprError(Exception):
     """Base class for all library-specific errors."""

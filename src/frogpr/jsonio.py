@@ -15,14 +15,12 @@ entry. A measurement file in the writer's layout is read a block of rows at
 a time: its header lines are parsed alone, and its table is cut at row
 breaks into blocks of about _BLOCK rows, each parsed by one json.loads and
 typed by the column passes into arrays; the array tests run once on the
-joined table. So only one block's Python objects are alive: a full
-(1024, 31) grid (34,816 rows) loads at a traced peak of 3.8 MB instead of
-8.0 MB, and a full (1024, 3) grid (350,208 rows) at 66 MB peak RSS in a
-fresh process instead of 114 MB, in 0.35 s instead of 0.58 s. Any other
-text, an empty table, and any file a block's parse or a pass refuses are
-read as one document, the only path that raises, so every error and its
-message are the same for either path. A signal file's tables are N rows
-and are read as one document. Schemas:
+joined table. So only one block's Python objects are alive at a time,
+where a parse of the whole document holds a Python list for every row.
+Any other text, an empty table, and any file a block's parse or a pass
+refuses are read as one document, the only path that raises, so every
+error and its message are the same for either path. A signal file's
+tables are N rows and are read as one document. Schemas:
 
     signal:       { "N": int, "values": [[re, im], ...],
                     "spectrum": [[re, im], ...] }   (spectrum optional)
@@ -51,6 +49,9 @@ __all__ = [
 # text and numbers at once, which raises the peak memory of a large file.
 _BLOCK = 4096
 _NUMBERS = {int, float}
+# The layout around a table: its key, the break before each row (the first row
+# drops its comma), and the close of a non-empty table, then of the document.
+_TABLE_OPEN, _ROW_BREAK, _TABLE_CLOSE, _DOC_CLOSE = ',\n  "{}": [', ",\n    ", "\n  ]", "\n}\n"
 
 
 def _write(path, header: dict, tables: dict) -> None:
@@ -64,9 +65,9 @@ def _write(path, header: dict, tables: dict) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write("{\n" + ",\n".join(fields))
         for key, (template, *columns) in tables.items():
-            fh.write(f',\n  "{key}": [')
+            fh.write(_TABLE_OPEN.format(key))
             size, width = columns[0].size, len(columns)
-            row = ",\n    " + template
+            row = _ROW_BREAK + template
             for lo in range(0, size, _BLOCK):
                 values = [None] * (width * min(_BLOCK, size - lo))
                 for j, col in enumerate(columns):
@@ -74,8 +75,8 @@ def _write(path, header: dict, tables: dict) -> None:
                 text = (row * (len(values) // width)) % tuple(values)
                 # The first row of a table follows the bracket without a comma.
                 fh.write(text[1:] if lo == 0 else text)
-            fh.write("\n  ]" if size else "]")
-        fh.write("\n}\n")
+            fh.write(_TABLE_CLOSE if size else "]")
+        fh.write(_DOC_CLOSE)
 
 
 def _complex_rows(values: np.ndarray) -> tuple:
@@ -207,8 +208,10 @@ def _entries(blocks, params: FrogParams) -> FrogMeasurements | None:
     return meas if len(meas) == len(rows) else None
 
 
-# The lines around a measurement file's table and between its rows, as _write writes them.
-_TABLE_OPEN, _TABLE_CLOSE, _ROW_BREAK = '\n  "entries": [\n', "\n  ]\n}\n", ",\n    ["
+# A measurement file's table as _write lays it out: the text before its first row, through
+# that row's newline; the text that starts every later row; and the text after the last row.
+_ENTRIES_OPEN = _TABLE_OPEN.format("entries") + _ROW_BREAK[1]
+_ROW_START, _ENTRIES_CLOSE = _ROW_BREAK + "[", _TABLE_CLOSE + _DOC_CLOSE
 
 
 def _row_blocks(text: str, start: int, stop: int):
@@ -216,7 +219,7 @@ def _row_blocks(text: str, start: int, stop: int):
     _BLOCK rows: each block is cut at a row break and read by one json.loads."""
     size = (stop - start) * _BLOCK // (text.count("\n", start, stop) + 1)
     while start < stop:
-        cut = text.find(_ROW_BREAK, start + size, stop)
+        cut = text.find(_ROW_START, start + size, stop)
         cut = stop if cut < 0 else cut
         yield json.loads("[" + text[start:cut] + "]")
         start = cut + 1
@@ -225,9 +228,9 @@ def _row_blocks(text: str, start: int, stop: int):
 def _read_blocks(text: str) -> FrogMeasurements | None:
     """The set in text of _write's layout with a non-empty table, read a block of rows at a
     time; None for any other text, and for one a parse or a pass refuses."""
-    head = text.find(_TABLE_OPEN)
-    start, stop = head + len(_TABLE_OPEN), len(text) - len(_TABLE_CLOSE)
-    if head < 0 or not (text.startswith("    [", start) and text.endswith(_TABLE_CLOSE)):
+    head = text.find(_ENTRIES_OPEN)
+    start, stop = head + len(_ENTRIES_OPEN), len(text) - len(_ENTRIES_CLOSE)
+    if head < 0 or not (text.startswith(_ROW_START[2:], start) and text.endswith(_ENTRIES_CLOSE)):
         return None
     try:
         # The header's lines, closed after an empty table.

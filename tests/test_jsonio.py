@@ -582,3 +582,47 @@ def test_a_fault_in_a_later_block_is_named_as_the_whole_document_names_it(tmp_pa
     parse = "cannot parse input file: " if error is json.JSONDecodeError else ""
     assert capsys.readouterr().err == f"error: {parse}{message}\n"
     assert not out.exists()
+
+
+# The writer's header lines of a (16, 3) file, and headers in its layout that the block
+# reader refuses: by the keys they hold, or by what json.loads or FrogParams makes of them.
+_HEADER = '{\n  "N": 16,\n  "L": 3,\n'
+HEADER_FAULTS = {
+    "extra key": '{\n  "N": 16,\n  "L": 3,\n  "X": 0,\n',
+    "N is 1": '{\n  "N": 1,\n  "L": 3,\n',
+    "N is true": '{\n  "N": true,\n  "L": 3,\n',
+    "N is a float": '{\n  "N": 16.0,\n  "L": 3,\n',
+    "malformed line": '{\n  "N": 16,,\n  "L": 3,\n',
+}
+
+
+def _grid_text(path, header: str) -> str:
+    """The text of a full (16, 3) grid's file as the writer lays it out, under header."""
+    z = random_analytic_signal(16, np.random.default_rng(710))
+    save_measurements(path, frog_measurements_time(z, FrogParams(16, 3)))
+    text = path.read_text()
+    assert text.startswith(_HEADER)
+    path.write_text(header + text[len(_HEADER) :])
+    return path.read_text()
+
+
+@pytest.mark.parametrize("kind", sorted(HEADER_FAULTS))
+def test_a_refused_header_is_named_as_the_whole_document_names_it(tmp_path, kind):
+    path = tmp_path / "grid.json"
+    text = _grid_text(path, HEADER_FAULTS[kind])
+    assert jsonio._read_blocks(text) is None
+    with pytest.raises(ValueError) as whole:
+        jsonio._read_whole(text)
+    with pytest.raises(ValueError) as raised:
+        load_measurements(path)
+    assert type(raised.value) is type(whole.value) and str(raised.value) == str(whole.value)
+
+
+def test_a_header_with_l_before_n_loads_as_the_writers_file(tmp_path):
+    written = tmp_path / "grid.json"
+    _grid_text(written, _HEADER)
+    path = tmp_path / "swapped.json"
+    assert jsonio._read_blocks(_grid_text(path, '{\n  "L": 3,\n  "N": 16,\n')) is None
+    back, meas = load_measurements(path), load_measurements(written)
+    assert back.params == meas.params
+    assert back.rows.tobytes() == meas.rows.tobytes() and back.values.tobytes() == meas.values.tobytes()

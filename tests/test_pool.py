@@ -178,3 +178,17 @@ def test_a_report_cut_short_by_its_reader_keeps_the_exit_status(monkeypatch, mov
     with open(write, "w") as closed:
         monkeypatch.setattr(sys, "stdout", closed)
         assert pool.main(["--against", "abc1234"]) == int(moves)
+
+
+def test_an_export_that_moves_moves_the_surface_result_bytes(monkeypatch):
+    before = pool.surface(frogpr)
+    assert list(before) == ["surface/frogpr"] and before["surface/frogpr"]["class"] == "exported"
+    assert pool.surface(frogpr) == before
+    # The same name, bound to another object.
+    monkeypatch.setattr(frogpr, "recover", frogpr.verify_solution)
+    after = pool.surface(frogpr)
+    names = pool.moved(before, after)
+    assert names == ["surface/frogpr"]
+    assert pool.summary(before, after, names) == (
+        "class or stage 0, message 0, result bytes 1, tol 0, residual only 0"
+    )

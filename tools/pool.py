@@ -17,19 +17,21 @@ message, stage, residual and tol. A numpy RuntimeWarning counts as an error.
 Result bytes depend on the machine, numpy and BLAS, so only runs on one
 machine compare.
 
-Each checkout's frogpr also makes two sets of outcomes of its own, whose
-result bytes are a SHA-256: 1,600 sampler draws (`random_analytic_signal`
-at 200 seeds for each N in DRAWN, and 200 of the acceptance suite's generic
-signals), and the 11 README files of the CLI commands in README, written by
-its `frogpr.cli.main` (a command that fails ends the run).
+Each checkout's frogpr also makes outcomes of its own, whose result bytes
+are a SHA-256: 1,600 sampler draws (`random_analytic_signal` at 200 seeds
+for each N in DRAWN, and 200 of the acceptance suite's generic signals), the
+11 README files of the CLI commands in README, written by its
+`frogpr.cli.main` (a command that fails ends the run), and its public
+surface (each name of `frogpr.__all__`, sorted, with the `__module__` and
+`__qualname__` of the object it binds).
 
 --against checks REV out with `git worktree` in a temporary directory, runs
 the pool in this checkout and in REV's at the same time, one process each,
 and prints every input whose outcome moved, how many moved by what moved
 (class or stage, message, result bytes, tol, or the residual alone), and the
-counts per outcome class; a moved draw or README file counts under result
-bytes. It exits 1 when any input moved, the residual alone included, and 0
-when none did, also when its reader stops reading early (`| head`).
+counts per outcome class; a moved draw, README file or export counts under
+result bytes. It exits 1 when any input moved, the residual alone included,
+and 0 when none did, also when its reader stops reading early (`| head`).
 """
 
 from __future__ import annotations
@@ -231,6 +233,16 @@ def readme_files(out: Path) -> dict[str, dict]:
     return outs
 
 
+def surface(frogpr) -> dict[str, dict]:
+    """The outcome of the imported frogpr's public names: each name of __all__, sorted,
+    with the __module__ and __qualname__ of the object it binds (None for a string)."""
+    exports = [
+        [name, *(getattr(getattr(frogpr, name), attr, None) for attr in ("__module__", "__qualname__"))]
+        for name in sorted(frogpr.__all__)
+    ]
+    return {"surface/frogpr": _made("exported", json.dumps(exports).encode())}
+
+
 def label(out: dict) -> str:
     """The outcome's class, with the stage bucket (A1, tail, verify) of a refusal."""
     stage = out.get("stage")
@@ -271,8 +283,8 @@ def counts(*runs: dict) -> list[tuple[str, ...]]:
 
 
 def _run(src: str, inputs: str) -> None:
-    """Recover every input of the file, draw the samples and write the README files with
-    the frogpr under src; print the outcomes as JSON."""
+    """Recover every input of the file, draw the samples, digest the public surface and
+    write the README files with the frogpr under src; print the outcomes as JSON."""
     sys.path.insert(0, src)
     import frogpr
 
@@ -285,6 +297,7 @@ def _run(src: str, inputs: str) -> None:
         for i, (name, n, l, tol) in enumerate(names):
             outs[name] = outcome(frogpr, n, l, grids[f"grid{i}"], tol)
     outs.update(draws())
+    outs.update(surface(frogpr))
     with tempfile.TemporaryDirectory(prefix="frogpr-readme-") as out:
         outs.update(readme_files(Path(out)))
     json.dump({"seconds": time.perf_counter() - started, "outcomes": outs}, sys.stdout)
@@ -351,7 +364,8 @@ def main(argv=None) -> int:
     kinds = Counter(name.split("/")[0] for name in outcomes[0])
     names = moved(*outcomes) if len(outcomes) == 2 else []
     try:
-        print(f"pool: {len(pool)} inputs, {kinds['draw']} draws, {kinds['readme']} README files; {times}")
+        made = f"{kinds['draw']} draws, {kinds['readme']} README files, {kinds['surface']} public surface"
+        print(f"pool: {len(pool)} inputs, {made}; {times}")
         if args.against is not None:
             print(f"moved: {len(names)} ({summary(*outcomes, names)})")
         for name in names:
